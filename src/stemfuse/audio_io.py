@@ -9,15 +9,12 @@ Chunks other than ``fmt `` and ``data`` are skipped. Writes are atomic
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from .errors import IoFailure, MalformedHeader, TruncatedData, UnsupportedEncoding
-from .core import Waveform
+from .core import Waveform, _atomic_write
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
@@ -139,15 +136,7 @@ def write_wav(w: Waveform, path, encoding: str = "float32") -> None:
         chunks += b"\x00"
     blob = b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
-    path = Path(path)
     try:
-        fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp_name, path)
-        except BaseException:
-            os.unlink(tmp_name)
-            raise
+        _atomic_write(path, blob)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

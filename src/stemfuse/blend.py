@@ -8,12 +8,12 @@ the column maximizing median SDR against reference stems.
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
-import tempfile
+import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +25,14 @@ from .errors import (
     SampleRateMismatch,
     ShapeMismatch,
 )
-from .core import SOURCE_NAMES, SourceWaveformSet, Waveform, source_labels
+from .core import SOURCE_NAMES, SourceWaveformSet, Waveform, _atomic_write, source_labels
 
 COLUMN_SUM_TOL = 1e-6
+# Search scores within this many dB of the best tie. Closed-form scores
+# carry rounding of ~1e-12 dB at typical SDRs, which must not pick a column.
+TIE_TOL_DB = 1e-9
+# Simplex columns scored per batch, so memory does not grow with grid density.
+_COLUMN_BLOCK = 1024
 
 _DEFAULT_WEIGHTS_RESOURCE = "data/default_weights.json"
 
@@ -96,8 +101,9 @@ def validate_weights(
 
 def _check_stem_sets(per_model_stems: Sequence[SourceWaveformSet]) -> None:
     first = per_model_stems[0]
+    shape = (first.num_sources, first.channels, first.length)
     for stems in per_model_stems[1:]:
-        if stems.num_sources != first.num_sources or stems.stacked().shape != first.stacked().shape:
+        if (stems.num_sources, stems.channels, stems.length) != shape:
             raise ShapeMismatch("per-model stem sets have different shapes")
         if stems.sample_rate != first.sample_rate:
             raise SampleRateMismatch(
@@ -140,7 +146,6 @@ def search_weights(
     per_model_stems: Sequence[SourceWaveformSet],
     references: SourceWaveformSet,
     grid_step: float = 0.01,
-    metric: Optional[Callable[[SourceWaveformSet, Waveform, int], float]] = None,
     eval_config: Optional[bsseval.EvalConfig] = None,
     model_names: Optional[Sequence[str]] = None,
 ) -> BlendWeights:
@@ -148,40 +153,36 @@ def search_weights(
 
     Each source column is chosen independently from the simplex grid
     with spacing grid_step to maximize the median SDR of the blended
-    stem; ties go to the lexicographically smallest column.
+    stem. Scores within TIE_TOL_DB of the best tie, and a tie goes to
+    the lexicographically smallest column. A source silent in every
+    frame gets the lexicographically smallest column.
     """
     if len(per_model_stems) < 1:
         raise ValueError("need at least one model")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
     steps = round(1.0 / grid_step)
     if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step {grid_step} does not divide 1 evenly")
     _check_stem_sets(list(per_model_stems) + [references])
-    if metric is None:
-        cfg = eval_config if eval_config is not None else bsseval.EvalConfig()
-
-        def metric(refs, estimate, source_index, _cfg=cfg):
-            return bsseval.median_sdr(refs, estimate, source_index, _cfg)
+    cfg = eval_config if eval_config is not None else bsseval.EvalConfig()
 
     num_models = len(per_model_stems)
     num_sources = references.num_sources
-    rate = references.sample_rate
     weights = np.zeros((num_models, num_sources))
     for j in range(num_sources):
-        stems_j = [stems.sources[j].samples for stems in per_model_stems]
-        best_score = -np.inf
-        best_column = None
-        for column in _simplex_columns(num_models, steps):
-            candidate = np.zeros_like(stems_j[0])
-            for m in range(num_models):
-                if column[m]:
-                    candidate += (column[m] / steps) * stems_j[m]
-            score = metric(references, Waveform(candidate, rate), j)
-            if not np.isnan(score) and score > best_score:
-                best_score = score
-                best_column = column
-        if best_column is None:  # every frame excluded: fall back to uniform-lex
-            best_column = next(_simplex_columns(num_models, steps))
-        weights[:, j] = np.asarray(best_column, dtype=np.float64) / steps
+        stems_j = np.stack([stems.sources[j].samples for stems in per_model_stems])
+        scorer = bsseval.BlendScorer(references.sources[j], stems_j, cfg)
+        columns = _simplex_columns(num_models, steps)
+        scores = []
+        while block := list(itertools.islice(columns, _COLUMN_BLOCK)):
+            scores.append(scorer.median_sdr(np.asarray(block) / steps))
+        scores = np.concatenate(scores)
+        best = 0  # every frame excluded: fall back to uniform-lex
+        if not np.all(np.isnan(scores)):
+            best = int(np.argmax(scores >= np.nanmax(scores) - TIE_TOL_DB))
+        column = next(itertools.islice(_simplex_columns(num_models, steps), best, None))
+        weights[:, j] = np.asarray(column, dtype=np.float64) / steps
     if model_names is None:
         model_names = tuple(f"model_{i}" for i in range(num_models))
     return BlendWeights(weights, tuple(model_names), source_labels(num_sources))
@@ -198,17 +199,7 @@ def weights_to_json_dict(w: BlendWeights) -> dict:
 
 
 def save_weights(w: BlendWeights, path) -> None:
-    text = json.dumps(weights_to_json_dict(w), indent=2) + "\n"
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        os.unlink(tmp_name)
-        raise
+    _atomic_write(path, json.dumps(weights_to_json_dict(w), indent=2) + "\n")
 
 
 def weights_from_json_dict(payload: dict) -> BlendWeights:

@@ -3,12 +3,16 @@
 Conventions: waveforms are channel-major float64 arrays of shape
 ``(channels, length)``; spectrograms are one-sided complex tensors of
 shape ``(channels, frames, fft_size // 2 + 1)``. Stems come in the fixed
-source order (drums, bass, other, vocals).
+source order (drums, bass, other, vocals). Every file the toolkit writes
+goes through `_atomic_write`.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List
 
 import numpy as np
@@ -227,3 +231,16 @@ class SourceSpectrogramSet:
     def stacked(self) -> np.ndarray:
         """(num_sources, channels, frames, bins) copy of all bins."""
         return np.stack([s.bins for s in self.sources])
+
+
+def _atomic_write(path, data) -> None:
+    """Write str or bytes to `path` through a temp file and a rename."""
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        os.unlink(tmp_name)
+        raise

@@ -41,7 +41,14 @@ from .errors import (
     WeightModelMismatch,
 )
 from .audio_io import read_wav
-from .core import SOURCE_NAMES, SourceWaveformSet, Spectrogram, StftConfig, Waveform
+from .core import (
+    SOURCE_NAMES,
+    SourceWaveformSet,
+    Spectrogram,
+    StftConfig,
+    Waveform,
+    _atomic_write,
+)
 from .stft import istft, stft
 from .toy_models import BandMaskModel
 from .wiener import MwfConfig, mwf
@@ -125,9 +132,7 @@ def write_magnitudes(path, mags: np.ndarray) -> None:
     if mags.ndim != 3:
         raise ShapeMismatch(f"magnitude tensor must be 3-D, got shape {mags.shape}")
     header = _MAGIC + struct.pack("<III", *mags.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(mags, dtype="<f4").tobytes())
+    _atomic_write(path, header + np.ascontiguousarray(mags, dtype="<f4").tobytes())
 
 
 def read_magnitudes(path) -> np.ndarray:

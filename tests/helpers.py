@@ -1,9 +1,11 @@
 """Shared fixtures-in-code for the test suite: signal builders and the
 independent brute-force oracles the derived expectations come from."""
 
+import itertools
+
 import numpy as np
 
-from stemfuse import SourceWaveformSet, Waveform, write_wav
+from stemfuse import SourceWaveformSet, Waveform, median_sdr, write_wav
 
 
 def make_waveform(rng, channels=2, length=256, sample_rate=44100, scale=0.5):
@@ -129,3 +131,32 @@ def em_once_oracle(est_bins, mix_bins, eps):
                     gain = sum(cov[j][f][a][b] * z[b] for b in range(channels))
                     out[j][a][t][f] = psd[j][t][f] * gain
     return out
+
+
+# --- brute-force blend-weight search oracle -------------------------------
+
+def brute_force_column_scores(per_model_stems, references, source_index, steps, cfg):
+    """Simplex columns in lexicographic order, each scored by median_sdr on
+    the synthesised blend, as the search did before its closed form."""
+    num_models = len(per_model_stems)
+    columns = [c for c in itertools.product(range(steps + 1), repeat=num_models)
+               if sum(c) == steps]
+    stems = [m.sources[source_index].samples for m in per_model_stems]
+    scores = []
+    for column in columns:
+        candidate = np.zeros_like(stems[0])
+        for m in range(num_models):
+            if column[m]:
+                candidate += (column[m] / steps) * stems[m]
+        scores.append(median_sdr(references, Waveform(candidate, references.sample_rate),
+                                 source_index, cfg))
+    return columns, np.array(scores)
+
+
+def tie_rule_pick(scores, tol_db=1e-9) -> int:
+    """Index of the first score within tol_db of the best; 0 if all are NaN."""
+    kept = [s for s in scores if not np.isnan(s)]
+    if not kept:
+        return 0
+    best = max(kept)
+    return next(k for k, s in enumerate(scores) if s >= best - tol_db)

@@ -236,3 +236,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["prognosticate"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("grid_step", ["0", "-0.0", "nan", "inf"])
+def test_degenerate_grid_step_is_one_error_line(tmp_path, capsys, grid_step):
+    rng = np.random.default_rng(11)
+    refs = write_stem_dir(tmp_path / "refs", make_waveform_set(rng, length=256, scale=0.3))
+    out = tmp_path / "w.json"
+    code = main(["search-weights", "--stems", str(refs), "--references", str(refs),
+                 "--out", str(out), "--grid-step", grid_step])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error invalid-input: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -331,3 +331,20 @@ class TestRun:
             fused_sdr = median_sdr(refs, fused.sources[j], j, eval_cfg)
             part_a = median_sdr(refs, load_stem_dir(dir_a).sources[j], j, eval_cfg)
             assert fused_sdr > part_a
+
+
+def test_failed_magnitude_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "x.mag"
+    good = np.ones((1, 2, 3))
+    write_magnitudes(path, good)
+    with pytest.raises(ValueError):  # the payload cannot be cast to float32
+        write_magnitudes(path, np.full((1, 2, 3), "x", dtype=object))
+
+    def failing_replace(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    with pytest.raises(OSError):
+        write_magnitudes(path, np.zeros((1, 2, 3)))
+    assert np.array_equal(read_magnitudes(path), good)
+    assert [p.name for p in tmp_path.iterdir()] == ["x.mag"]
