@@ -5,8 +5,10 @@ signals: the projection onto delayed copies of the evaluated source is
 the target, the remainder of the projection onto all sources is
 interference, and what is left is artifact. SDR is the dB ratio of
 target energy to everything else, computed on consecutive windows with
-median aggregation. Silent-reference frames are excluded and perfect
-frames are reported at a +300 dB sentinel.
+median aggregation; it needs only the evaluated source's reference, the
+others enter only the interference split of `project_subspace`.
+Silent-reference frames are excluded and perfect frames are reported at
+a +300 dB sentinel.
 
 The Gram matrix of delayed references is block-Toeplitz; it is built
 from FFT cross-correlations and solved densely, which keeps the result
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +50,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.filter_len < 1:
             raise ValueError(f"filter_len must be >= 1, got {self.filter_len}")
-        if not self.win > 0 or not self.hop > 0:
-            raise ValueError(f"win and hop must be positive, got {self.win}, {self.hop}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.win, self.hop)):
+            raise ValueError(f"win/hop must be finite and positive, got {self.win}, {self.hop}")
 
 
 @dataclass
@@ -137,6 +139,16 @@ def _projection(refs: np.ndarray, est: np.ndarray, filter_len: int) -> np.ndarra
     return projected
 
 
+def _check_pair(refs, est) -> None:
+    """An estimate (or set) must match its references in channels, length and rate."""
+    if refs.channels != est.channels:
+        raise ShapeMismatch(f"channel counts differ: {refs.channels} vs {est.channels}")
+    if refs.length != est.length:
+        raise LengthMismatch(f"lengths differ: {refs.length} vs {est.length}")
+    if refs.sample_rate != est.sample_rate:
+        raise SampleRateMismatch(f"rates differ: {refs.sample_rate} vs {est.sample_rate}")
+
+
 def project_subspace(
     references: SourceWaveformSet, estimate: Waveform, filter_len: int, source_index: int
 ):
@@ -150,47 +162,31 @@ def project_subspace(
         raise ValueError(f"filter_len must be >= 1, got {filter_len}")
     if not 0 <= source_index < references.num_sources:
         raise ValueError(f"source_index {source_index} out of range")
-    if estimate.length != references.length:
-        raise LengthMismatch(
-            f"estimate length {estimate.length} != reference length {references.length}"
-        )
-    if estimate.channels != references.channels:
-        raise ShapeMismatch(
-            f"estimate has {estimate.channels} channels, references {references.channels}"
-        )
-    if estimate.sample_rate != references.sample_rate:
-        raise SampleRateMismatch(
-            f"estimate rate {estimate.sample_rate} != reference rate {references.sample_rate}"
-        )
+    _check_pair(references, estimate)
     target = references.sources[source_index]
     if float(np.sum(target.samples ** 2)) <= 0.0:
         raise SilentReference(f"reference of source {source_index} is identically zero")
 
-    stacked = references.stacked()  # (J, channels, length)
+    stacked = references.stacked()  # (J, channels, length): interference needs every source
     padded_len = references.length + filter_len - 1
     s_target = np.zeros((estimate.channels, padded_len))
     p_all = np.zeros_like(s_target)
     for c in range(estimate.channels):
-        s_target[c] = _projection(stacked[source_index:source_index + 1, c], estimate.samples[c],
-                                  filter_len)
+        s_target[c] = _projection(target.samples[c:c + 1], estimate.samples[c], filter_len)
         p_all[c] = _projection(stacked[:, c], estimate.samples[c], filter_len)
     est_padded = np.pad(estimate.samples, ((0, 0), (0, filter_len - 1)))
     return s_target, p_all - s_target, est_padded - p_all
 
 
-def _frame_sdr(
-    ref_frames: np.ndarray, est_frame: np.ndarray, filter_len: int, source_index: int
-) -> float:
-    """SDR of one window: (J, ch, n) references vs (ch, n) estimate."""
-    if np.array_equal(est_frame, ref_frames[source_index]):
+def _frame_sdr(ref: np.ndarray, est: np.ndarray, filter_len: int) -> float:
+    """SDR of one window: (ch, n) target reference vs (ch, n) estimate."""
+    if np.array_equal(est, ref):
         return SDR_CAP_DB  # exact match short-circuits to the sentinel
     target_energy = 0.0
     error_energy = 0.0
-    for c in range(est_frame.shape[0]):
-        projected = _projection(
-            ref_frames[source_index:source_index + 1, c], est_frame[c], filter_len
-        )
-        padded = np.concatenate([est_frame[c], np.zeros(filter_len - 1)])
+    for c in range(est.shape[0]):
+        projected = _projection(ref[c:c + 1], est[c], filter_len)
+        padded = np.concatenate([est[c], np.zeros(filter_len - 1)])
         target_energy += float(np.sum(projected ** 2))
         error_energy += float(np.sum((padded - projected) ** 2))
     if error_energy <= 0.0:
@@ -201,18 +197,33 @@ def _frame_sdr(
     return float(min(max(value, -SDR_CAP_DB), SDR_CAP_DB))
 
 
-def _frame_starts(length: int, sample_rate: int, cfg: EvalConfig):
-    """(window start samples, window length) for cfg's win/hop seconds."""
-    win_samples = max(1, round(cfg.win * sample_rate))
-    hop_samples = max(1, round(cfg.hop * sample_rate))
-    if length >= win_samples:
-        return range(0, length - win_samples + 1, hop_samples), win_samples
-    return range(1), length  # shorter than one window: score the whole signal
+def _windows(reference: Waveform, cfg: EvalConfig) -> List[Optional[slice]]:
+    """cfg's win/hop windows over `reference`, None where it is silent.
+
+    A window is silent when the reference energy in it is below 1e-12.
+    A signal shorter than one window is scored whole.
+    """
+    length, rate = reference.length, reference.sample_rate
+    # capped at length + 1 samples: any finite win/hop converts, the windows stay the same
+    win = max(1, round(min(cfg.win * rate, length + 1)))
+    hop = max(1, round(min(cfg.hop * rate, length + 1)))
+    starts = range(0, length - win + 1, hop) if length >= win else range(1)
+    windows = []
+    for start in starts:
+        window = slice(start, start + win)
+        silent = float(np.sum(reference.samples[:, window] ** 2)) < SILENT_FRAME_ENERGY
+        windows.append(None if silent else window)
+    return windows
 
 
-def _is_silent(ref_frame: np.ndarray) -> bool:
-    """Frames whose reference energy is below 1e-12 are excluded from scoring."""
-    return float(np.sum(ref_frame ** 2)) < SILENT_FRAME_ENERGY
+def _source_frames(reference: Waveform, estimate: Waveform, cfg: EvalConfig) -> List[float]:
+    """Framewise SDR of one source's estimate; NaN marks a silent frame."""
+    return [
+        math.nan if window is None else _frame_sdr(
+            reference.samples[:, window], estimate.samples[:, window], cfg.filter_len
+        )
+        for window in _windows(reference, cfg)
+    ]
 
 
 def sdr_frames(
@@ -228,34 +239,12 @@ def sdr_frames(
         raise ShapeMismatch(
             f"source counts differ: {references.num_sources} vs {estimates.num_sources}"
         )
-    if references.channels != estimates.channels:
-        raise ShapeMismatch(
-            f"channel counts differ: {references.channels} vs {estimates.channels}"
-        )
-    if references.length != estimates.length:
-        raise LengthMismatch(
-            f"lengths differ: {references.length} vs {estimates.length}"
-        )
-    if references.sample_rate != estimates.sample_rate:
-        raise SampleRateMismatch(
-            f"rates differ: {references.sample_rate} vs {estimates.sample_rate}"
-        )
-
-    starts, win_samples = _frame_starts(references.length, references.sample_rate, cfg)
-
-    ref_all = references.stacked()
-    est_all = estimates.stacked()
+    _check_pair(references, estimates)
     labels = source_labels(references.num_sources)
-    frames: Dict[str, List[float]] = {label: [] for label in labels}
-    for start in starts:
-        ref_seg = ref_all[:, :, start:start + win_samples]
-        est_seg = est_all[:, :, start:start + win_samples]
-        for j, label in enumerate(labels):
-            if _is_silent(ref_seg[j]):
-                frames[label].append(math.nan)
-                continue
-            frames[label].append(_frame_sdr(ref_seg, est_seg[j], cfg.filter_len, j))
-
+    frames = {
+        label: _source_frames(ref, est, cfg)
+        for label, ref, est in zip(labels, references.sources, estimates.sources)
+    }
     medians = {label: _median_ignoring_nan(values) for label, values in frames.items()}
     overall = float(np.mean(list(medians.values())))
     return SdrReport(frames, medians, overall)
@@ -268,26 +257,10 @@ def median_sdr(
     cfg: EvalConfig = EvalConfig(),
 ) -> float:
     """Median framewise SDR of a single source's estimate."""
-    if estimate.length != references.length:
-        raise LengthMismatch(
-            f"estimate length {estimate.length} != reference length {references.length}"
-        )
-    if estimate.sample_rate != references.sample_rate:
-        raise SampleRateMismatch(
-            f"estimate rate {estimate.sample_rate} != reference rate {references.sample_rate}"
-        )
-    starts, win_samples = _frame_starts(references.length, references.sample_rate, cfg)
-    ref_all = references.stacked()
-    values = []
-    for start in starts:
-        ref_seg = ref_all[:, :, start:start + win_samples]
-        if _is_silent(ref_seg[source_index]):
-            continue
-        values.append(
-            _frame_sdr(ref_seg, estimate.samples[:, start:start + win_samples],
-                       cfg.filter_len, source_index)
-        )
-    return _median_ignoring_nan(values)
+    if not 0 <= source_index < references.num_sources:
+        raise ValueError(f"source_index {source_index} out of range")
+    _check_pair(references, estimate)
+    return _median_ignoring_nan(_source_frames(references.sources[source_index], estimate, cfg))
 
 
 class BlendScorer:
@@ -318,17 +291,16 @@ class BlendScorer:
         self._ref = reference.samples
         self._stems = stems
         self._filter_len = cfg.filter_len
-        starts, self._win = _frame_starts(reference.length, reference.sample_rate, cfg)
-        self._starts = [s for s in starts if not _is_silent(self._ref[:, s:s + self._win])]
+        self._windows = [window for window in _windows(reference, cfg) if window is not None]
         num_models = stems.shape[0]
-        self._target = np.zeros((len(self._starts), num_models, num_models))
+        self._target = np.zeros((len(self._windows), num_models, num_models))
         self._error = np.zeros_like(self._target)
-        self._norms = np.zeros((len(self._starts), num_models))
-        for f, start in enumerate(self._starts):
-            seg = stems[:, :, start:start + self._win]
+        self._norms = np.zeros((len(self._windows), num_models))
+        for f, window in enumerate(self._windows):
+            seg = stems[:, :, window]
             self._norms[f] = np.sqrt(np.sum(seg ** 2, axis=(1, 2)))
             for c in range(seg.shape[1]):
-                self._add_channel(f, self._ref[c, start:start + self._win], seg[:, c])
+                self._add_channel(f, self._ref[c, window], seg[:, c])
 
     def _add_channel(self, frame: int, ref: np.ndarray, stems: np.ndarray) -> None:
         """Accumulate one channel's forms: (n,) reference, (num_models, n) stems."""
@@ -351,7 +323,7 @@ class BlendScorer:
         NaN for every column when every frame is silent.
         """
         columns = np.asarray(columns, dtype=np.float64)
-        if not self._starts:
+        if not self._windows:
             return np.full(columns.shape[0], math.nan)
         target = np.sum((columns @ self._target) * columns, axis=-1)  # (frames, count)
         error = np.sum((columns @ self._error) * columns, axis=-1)
@@ -363,13 +335,13 @@ class BlendScorer:
         return np.median(sdr, axis=0)
 
     def _synthesised_sdr(self, frame: int, weights: np.ndarray) -> float:
-        start = self._starts[frame]
-        seg = self._stems[:, :, start:start + self._win]
+        window = self._windows[frame]
+        seg = self._stems[:, :, window]
         blend = np.zeros(seg.shape[1:])
         for m, weight in enumerate(weights):
             if weight:
                 blend += weight * seg[m]
-        return _frame_sdr(self._ref[None, :, start:start + self._win], blend, self._filter_len, 0)
+        return _frame_sdr(self._ref[:, window], blend, self._filter_len)
 
 
 def _median_ignoring_nan(values: Sequence[float]) -> float:
@@ -414,15 +386,12 @@ def report_to_json_dict(report: SdrReport) -> dict:
     }
 
 
-def _csv_text(medians: Dict[str, float], overall: float) -> str:
-    header = ",".join([label.capitalize() for label in medians] + ["Avg"])
-    row = ",".join([f"{medians[label]:.6f}" for label in medians] + [f"{overall:.6f}"])
-    return header + "\n" + row + "\n"
-
-
 def report_to_csv(report) -> str:
     """One-row CSV summary in Table order: Drums,Bass,Other,Vocals,Avg."""
-    return _csv_text(report.per_source_median, report.overall_avg)
+    medians = report.per_source_median
+    header = ",".join([label.capitalize() for label in medians] + ["Avg"])
+    row = ",".join([f"{medians[label]:.6f}" for label in medians] + [f"{report.overall_avg:.6f}"])
+    return header + "\n" + row + "\n"
 
 
 def save_report_json(report: SdrReport, path) -> None:

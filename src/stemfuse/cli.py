@@ -23,17 +23,15 @@ from .blend import (
 )
 from .errors import StemfuseError
 from .audio_io import read_wav, write_wav
-from .core import SOURCE_NAMES, SourceWaveformSet, StftConfig
-from .stft import istft, stft
-from .wiener import MwfConfig, mwf
+from .core import SourceWaveformSet, StftConfig, source_labels
+from .stft import stft
+from .wiener import MwfConfig
 
 
 def _write_stem_set(stems: SourceWaveformSet, out_dir: Path, names=None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     if names is None:
-        names = SOURCE_NAMES if stems.num_sources == len(SOURCE_NAMES) else [
-            f"source_{i}" for i in range(stems.num_sources)
-        ]
+        names = source_labels(stems.num_sources)
     for name, stem in zip(names, stems.sources):
         write_wav(stem, out_dir / f"{name}.wav", encoding="float32")
 
@@ -122,8 +120,7 @@ def cmd_wiener(args) -> int:
     mix_spec = stft(mix, stft_cfg)
     mags = [pipeline_mod.read_magnitudes(p) for p in mag_paths]
     cfg = MwfConfig(iterations=args.iterations, eps=args.eps, mask_power=args.power)
-    filtered = mwf(mags, mix_spec, cfg)
-    stems = SourceWaveformSet([istft(s, length=mix.length) for s in filtered.sources])
+    stems = pipeline_mod.tf_branch(mags, mix_spec, cfg, mix.length)
     _write_stem_set(stems, Path(args.out), names=[p.stem for p in mag_paths])
     return 0
 

@@ -308,12 +308,15 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
                      "--out", str(out_dirs[0])])
     assert code == 0
 
+    # the child processes import the same stemfuse as this process
+    python_path = [str(resources.files("stemfuse").parent), os.environ.get("PYTHONPATH")]
     for out_dir, threads in zip(out_dirs[1:], ("1", "4")):
         env = dict(os.environ)
         env.update(
             OMP_NUM_THREADS=threads,
             OPENBLAS_NUM_THREADS=threads,
             MKL_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, python_path)),
         )
         proc = subprocess.run(
             [sys.executable, "-m", "stemfuse.cli", "separate", "--input", str(mix_path),

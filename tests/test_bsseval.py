@@ -18,7 +18,13 @@ from stemfuse import (
     save_report_json,
     sdr_frames,
 )
-from stemfuse.errors import EmptyInput, LengthMismatch, SampleRateMismatch, SilentReference
+from stemfuse.errors import (
+    EmptyInput,
+    LengthMismatch,
+    SampleRateMismatch,
+    ShapeMismatch,
+    SilentReference,
+)
 
 from helpers import dense_frame_sdr, dense_projection, make_waveform_set
 
@@ -219,20 +225,63 @@ class TestSdrFrames:
         with pytest.raises(SampleRateMismatch):
             sdr_frames(refs, other, full_window_cfg(128))
 
+    def test_scores_only_against_target_reference(self):
+        rng = np.random.default_rng(16)
+        refs = make_waveform_set(rng, channels=2, length=3 * 1024)
+        noisy = SourceWaveformSet(
+            [Waveform(s.samples + 0.2 * rng.normal(size=s.samples.shape), SR)
+             for s in refs.sources]
+        )
+        cfg = EvalConfig(filter_len=8, win=1024 / SR, hop=512 / SR)
+        report = sdr_frames(refs, noisy, cfg)
+        for j, label in enumerate(report.per_source_frames):
+            fresh = [src if k == j else Waveform(rng.normal(size=src.samples.shape), SR)
+                     for k, src in enumerate(refs.sources)]
+            again = sdr_frames(SourceWaveformSet(fresh), noisy, cfg)
+            np.testing.assert_array_equal(
+                again.per_source_frames[label], report.per_source_frames[label]
+            )
+
+    def test_huge_finite_window_scores_whole_signal(self):
+        rng = np.random.default_rng(17)
+        refs = make_waveform_set(rng, channels=1, length=1000)
+        report = sdr_frames(refs, refs, EvalConfig(filter_len=2, win=1e306, hop=1e306))
+        assert report.per_source_frames["drums"] == [300.0]
+
 
 class TestMedianSdr:
     def test_agrees_with_full_report(self):
+        # stereo, five 1024-sample windows, bass silent in the second one
         rng = np.random.default_rng(13)
-        refs = make_waveform_set(rng, channels=1, length=2048)
+        refs = make_waveform_set(rng, channels=2, length=5 * 1024)
+        bass = refs.sources[1].samples.copy()
+        bass[:, 1024:2048] = 0.0
+        refs = SourceWaveformSet([refs.sources[0], Waveform(bass, SR)] + refs.sources[2:])
         noisy = SourceWaveformSet(
             [Waveform(s.samples + 0.1 * rng.normal(size=s.samples.shape), SR)
              for s in refs.sources]
         )
-        cfg = full_window_cfg(2048, filter_len=4)
+        cfg = EvalConfig(filter_len=4, win=1024 / SR, hop=1024 / SR)
         report = sdr_frames(refs, noisy, cfg)
-        assert median_sdr(refs, noisy.sources[1], 1, cfg) == pytest.approx(
-            report.per_source_median["bass"], abs=1e-12
-        )
+        assert math.isnan(report.per_source_frames["bass"][1])
+        got = [median_sdr(refs, est, j, cfg) for j, est in enumerate(noisy.sources)]
+        np.testing.assert_array_equal(got, list(report.per_source_median.values()))
+
+    def test_estimate_channels_must_match(self):
+        rng = np.random.default_rng(14)
+        refs = make_waveform_set(rng, channels=2, length=512)
+        cfg = full_window_cfg(512, filter_len=2)
+        left = refs.sources[0].samples[:1]
+        for samples in (left, np.vstack([refs.sources[0].samples, left])):
+            with pytest.raises(ShapeMismatch):
+                median_sdr(refs, Waveform(samples, SR), 0, cfg)
+
+    def test_source_index_out_of_range(self):
+        rng = np.random.default_rng(15)
+        refs = make_waveform_set(rng, channels=1, length=512)
+        for index in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                median_sdr(refs, refs.sources[0], index, full_window_cfg(512))
 
 
 class TestAggregate:

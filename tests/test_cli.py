@@ -238,13 +238,20 @@ class TestUsage:
         assert err.value.code == 2
 
 
-@pytest.mark.parametrize("grid_step", ["0", "-0.0", "nan", "inf"])
-def test_degenerate_grid_step_is_one_error_line(tmp_path, capsys, grid_step):
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--grid-step", "0", id="0"),
+    pytest.param("--grid-step", "-0.0", id="-0.0"),
+    pytest.param("--grid-step", "nan", id="nan"),
+    pytest.param("--grid-step", "inf", id="inf"),
+    pytest.param("--win", "inf", id="win-inf"),
+    pytest.param("--hop", "inf", id="hop-inf"),
+])
+def test_degenerate_grid_step_is_one_error_line(tmp_path, capsys, flag, value):
     rng = np.random.default_rng(11)
     refs = write_stem_dir(tmp_path / "refs", make_waveform_set(rng, length=256, scale=0.3))
     out = tmp_path / "w.json"
     code = main(["search-weights", "--stems", str(refs), "--references", str(refs),
-                 "--out", str(out), "--grid-step", grid_step])
+                 "--out", str(out), flag, value])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error invalid-input: ") and err.count("\n") == 1
