@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,25 +111,38 @@ def _check_stem_sets(per_model_stems: Sequence[SourceWaveformSet]) -> None:
             )
 
 
+def check_weights_fit(w: BlendWeights, num_models: int, num_sources: int) -> None:
+    """Raise unless `w` has one row per model and one column per source."""
+    if num_models != w.num_models:
+        raise ModelCountMismatch(f"{num_models} stem sets but {w.num_models} weight rows")
+    if num_sources != w.num_sources:
+        raise ShapeMismatch(
+            f"stem sets carry {num_sources} sources but weights have {w.num_sources}"
+        )
+
+
+def weighted_accumulate(
+    acc: np.ndarray, weights: np.ndarray, stems: Iterable[np.ndarray]
+) -> None:
+    """acc[j] += weights[j] * stems[j] for every source j, in place.
+
+    Calling it once per model in model order gives every fused value the
+    same sum, in the same order, whatever the array's domain.
+    """
+    for j, stem in enumerate(stems):
+        acc[j] += weights[j] * stem
+
+
 def blend(per_model_stems: Sequence[SourceWaveformSet], w: BlendWeights) -> SourceWaveformSet:
     """fused_j = sum_m w[m, j] * stems_m[j], sample-wise."""
-    if len(per_model_stems) != w.num_models:
-        raise ModelCountMismatch(
-            f"{len(per_model_stems)} stem sets but {w.num_models} weight rows"
-        )
+    num_sources = per_model_stems[0].num_sources if per_model_stems else w.num_sources
+    check_weights_fit(w, len(per_model_stems), num_sources)
     _check_stem_sets(per_model_stems)
     first = per_model_stems[0]
-    if first.num_sources != w.num_sources:
-        raise ShapeMismatch(
-            f"stem sets carry {first.num_sources} sources but weights have {w.num_sources}"
-        )
-    fused = []
-    for j in range(w.num_sources):
-        acc = np.zeros_like(first.sources[j].samples)
-        for m, stems in enumerate(per_model_stems):
-            acc += w.weights[m, j] * stems.sources[j].samples
-        fused.append(Waveform(acc, first.sample_rate))
-    return SourceWaveformSet(fused)
+    fused = np.zeros((w.num_sources, first.channels, first.length))
+    for m, stems in enumerate(per_model_stems):
+        weighted_accumulate(fused, w.weights[m], (s.samples for s in stems.sources))
+    return SourceWaveformSet([Waveform(f, first.sample_rate) for f in fused])
 
 
 def _simplex_columns(num_models: int, steps: int) -> Iterator[Tuple[int, ...]]:
@@ -209,6 +222,9 @@ def weights_from_json_dict(payload: dict) -> BlendWeights:
         weights = payload["weights"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"weights JSON lacks required key: {exc}") from exc
+    for key, names in (("models", models), ("sources", sources)):
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValueError(f"weights JSON '{key}' must be a list of strings, got {names!r}")
     return validate_weights(weights, model_names=models, source_names=sources)
 
 

@@ -9,6 +9,7 @@ goes through `_atomic_write`.
 
 from __future__ import annotations
 
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -22,6 +23,16 @@ from .errors import ConfigMismatch, SampleRateMismatch, ShapeMismatch
 SOURCE_NAMES = ("drums", "bass", "other", "vocals")
 
 _COLA_TOL = 1e-10
+
+
+def _is_int(value) -> bool:
+    """True for an integer that is not a bool (JSON true/false are not counts)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
+
+
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
 def source_labels(count: int) -> tuple:
@@ -98,12 +109,15 @@ class StftConfig:
     center_pad: bool = True
 
     def __post_init__(self):
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
-            raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-        if not 0 < self.hop <= self.fft_size:
-            raise ValueError(f"hop must be in (0, fft_size], got {self.hop}")
+        n = self.fft_size
+        if not _is_int(n) or n < 2 or n & (n - 1):
+            raise ValueError(f"fft_size must be a power of two, got {n!r}")
+        if not (_is_int(self.hop) and 0 < self.hop <= n):
+            raise ValueError(f"hop must be an integer in (0, fft_size], got {self.hop!r}")
         if self.window != "hann":
             raise ValueError(f"unsupported window {self.window!r}")
+        if not isinstance(self.center_pad, (bool, np.bool_)):
+            raise ValueError(f"center_pad must be true or false, got {self.center_pad!r}")
         dev = _cola_deviation(self.window_array(), self.hop)
         if dev > _COLA_TOL:
             raise ValueError(

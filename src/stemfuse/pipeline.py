@@ -2,9 +2,12 @@
 
 Each configured model contributes one stem set: time-domain (T) entries
 supply waveforms directly, time-frequency (TF) entries supply per-source
-magnitudes that are refined by the multichannel Wiener filter and
-resynthesized. The per-model stems are then blended with the configured
-per-source weights.
+magnitudes that are refined by the multichannel Wiener filter. The
+per-model stems are blended with the configured per-source weights.
+Every branch that yields spectrograms (TF models and builtin-toy T
+models) is blended in the spectral domain and synthesized with one
+inverse STFT per source; the inverse STFT is linear, so this equals
+blending the resynthesized stems up to rounding.
 
 External models plug in through the file system: a T entry points at a
 directory of drums/bass/other/vocals WAV stems, a TF entry at a
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -26,9 +29,10 @@ import numpy as np
 
 from .blend import (
     BlendWeights,
-    blend as blend_stems,
+    check_weights_fit,
     default_weights,
     load_weights,
+    weighted_accumulate,
     weights_from_json_dict,
 )
 from .errors import (
@@ -48,6 +52,7 @@ from .core import (
     StftConfig,
     Waveform,
     _atomic_write,
+    _is_real,
 )
 from .stft import istft, stft
 from .toy_models import BandMaskModel
@@ -71,8 +76,13 @@ class ModelEntry:
     leakage: float = 0.1  # only used by builtin-toy entries
 
     def __post_init__(self):
+        for key in ("name", "source"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"model {key} must be a string, got {getattr(self, key)!r}")
         if self.domain not in (T_DOMAIN, TF_DOMAIN):
             raise ValueError(f"domain must be 'T' or 'TF', got {self.domain!r}")
+        if not (_is_real(self.leakage) and 0.0 <= self.leakage < 1.0):
+            raise ValueError(f"leakage must be a number in [0, 1), got {self.leakage!r}")
 
 
 @dataclass
@@ -94,26 +104,39 @@ class PipelineConfig:
             )
 
 
+def _config_section(payload: dict, key: str, cls, path):
+    """Build `cls` from the optional object `payload[key]`; bad keys are a ValueError."""
+    raw = payload.get(key, {})
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: '{key}' must be an object, got {raw!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{path}: unknown '{key}' keys {unknown}")
+    return cls(**raw)
+
+
 def load_pipeline_config(path) -> PipelineConfig:
     with open(path) as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or "models" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("models"), list):
         raise ValueError(f"{path}: pipeline config must be an object with a 'models' list")
     entries = []
     for raw in payload["models"]:
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: model entry {raw!r} is not an object")
         try:
             entries.append(
                 ModelEntry(
                     name=raw["name"],
                     domain=raw["domain"],
                     source=raw["source"],
-                    leakage=float(raw.get("leakage", 0.1)),
+                    leakage=raw.get("leakage", 0.1),
                 )
             )
         except KeyError as exc:
             raise ValueError(f"{path}: model entry lacks required key {exc}") from exc
-    stft_cfg = StftConfig(**payload.get("stft", {}))
-    mwf_cfg = MwfConfig(**payload.get("mwf", {}))
+    stft_cfg = _config_section(payload, "stft", StftConfig, path)
+    mwf_cfg = _config_section(payload, "mwf", MwfConfig, path)
     weights_raw = payload.get("weights")
     if weights_raw is None:
         weights = None
@@ -223,43 +246,49 @@ def tf_branch(
     return SourceWaveformSet([istft(s, length=length) for s in filtered.sources])
 
 
-def _toy_t_stems(mix_spec: Spectrogram, entry: ModelEntry, length: int) -> SourceWaveformSet:
-    # T-domain toy: mask the complex spectrogram and resynthesize directly.
+def _toy_masks(entry: ModelEntry, mix_spec: Spectrogram) -> np.ndarray:
     model = BandMaskModel.default(leakage=entry.leakage)
-    masks = model.bin_masks(mix_spec.sample_rate, mix_spec.config.fft_size)
-    stems = []
-    for mask in masks:
-        masked = Spectrogram(mix_spec.bins * mask[None, None, :], mix_spec.config,
-                             mix_spec.sample_rate)
-        stems.append(istft(masked, length=length))
-    return SourceWaveformSet(stems)
+    return model.bin_masks(mix_spec.sample_rate, mix_spec.config.fft_size)
+
+
+def _magnitudes(entry: ModelEntry, mix_spec: Spectrogram) -> List[np.ndarray]:
+    if entry.source != BUILTIN_TOY:
+        return _load_magnitude_dir(entry.source, mix_spec)
+    mag = np.abs(mix_spec.bins)
+    return [mag * mask for mask in _toy_masks(entry, mix_spec)]
+
+
+def _spectral_stems(entry: ModelEntry, mix_spec: Spectrogram, cfg: PipelineConfig):
+    """Per-source complex stems of a TF model or a builtin-toy T model."""
+    if entry.domain == T_DOMAIN:  # builtin-toy T: mask the complex spectrogram directly
+        return (mix_spec.bins * mask for mask in _toy_masks(entry, mix_spec))
+    # No local name holds the magnitudes, so mwf can free them before its EM passes.
+    return (s.bins for s in mwf(_magnitudes(entry, mix_spec), mix_spec, cfg.mwf).sources)
 
 
 def run(mix: Waveform, cfg: PipelineConfig) -> SourceWaveformSet:
-    """Produce fused stems for a mixture. Deterministic for fixed inputs."""
-    mix_spec = None
+    """Produce fused stems for a mixture. Deterministic for fixed inputs.
 
-    def spec() -> Spectrogram:
-        nonlocal mix_spec
+    Spectral branches are summed with their weights into one
+    (sources, channels, frames, bins) array and synthesized once per
+    source; external T stems are weighted and added in the time domain.
+    """
+    weights = cfg.weights
+    num_sources = len(SOURCE_NAMES)
+    check_weights_fit(weights, len(cfg.model_entries), num_sources)
+    fused = np.zeros((num_sources, mix.channels, mix.length))
+    mix_spec = spectral = None
+    for m, entry in enumerate(cfg.model_entries):
+        if entry.domain == T_DOMAIN and entry.source != BUILTIN_TOY:
+            stems = load_stem_dir(entry.source, like=mix, length_tolerance=cfg.stft.hop)
+            weighted_accumulate(fused, weights.weights[m], (s.samples for s in stems.sources))
+            continue
         if mix_spec is None:
             mix_spec = stft(mix, cfg.stft)
-        return mix_spec
-
-    per_model = []
-    for entry in cfg.model_entries:
-        if entry.domain == T_DOMAIN:
-            if entry.source == BUILTIN_TOY:
-                stems = _toy_t_stems(spec(), entry, mix.length)
-            else:
-                stems = load_stem_dir(entry.source, like=mix, length_tolerance=cfg.stft.hop)
-        else:
-            if entry.source == BUILTIN_TOY:
-                model = BandMaskModel.default(leakage=entry.leakage)
-                masks = model.bin_masks(mix.sample_rate, cfg.stft.fft_size)
-                mag = np.abs(spec().bins)
-                mags = [mag * mask[None, None, :] for mask in masks]
-            else:
-                mags = _load_magnitude_dir(entry.source, spec())
-            stems = tf_branch(mags, spec(), cfg.mwf, mix.length)
-        per_model.append(stems)
-    return blend_stems(per_model, cfg.weights)
+            spectral = np.zeros((num_sources,) + mix_spec.bins.shape, dtype=np.complex128)
+        weighted_accumulate(spectral, weights.weights[m], _spectral_stems(entry, mix_spec, cfg))
+    if spectral is not None:
+        for j in range(num_sources):
+            spec = Spectrogram(spectral[j], cfg.stft, mix.sample_rate)
+            fused[j] += istft(spec, length=mix.length).samples
+    return SourceWaveformSet([Waveform(f, mix.sample_rate) for f in fused])

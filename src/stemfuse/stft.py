@@ -10,6 +10,7 @@ constant-overlap-add check in StftConfig.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigMismatch, EmptySignal
 from .core import Spectrogram, StftConfig, Waveform
@@ -36,8 +37,7 @@ def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> Spectrogram:
                 "enable center_pad"
             )
         frames = (w.length - n) // hop + 1
-    idx = np.arange(frames)[:, None] * hop + np.arange(n)[None, :]
-    segments = x[:, idx] * window
+    segments = sliding_window_view(x, n, axis=-1)[:, ::hop][:, :frames] * window
     return Spectrogram(np.fft.rfft(segments, axis=-1), cfg, w.sample_rate)
 
 
@@ -58,15 +58,24 @@ def istft(s: Spectrogram, cfg: StftConfig | None = None, length: int | None = No
         raise EmptySignal("spectrogram has no frames")
     window = cfg.window_array()
 
-    frames_td = np.fft.irfft(s.bins, n=n, axis=-1) * window  # (channels, frames, n)
+    frames_td = np.fft.irfft(s.bins, n=n, axis=-1)  # (channels, frames, n)
+    frames_td *= window
     total = (frames - 1) * hop + n
-    acc = np.zeros((s.channels, total))
-    envelope = np.zeros(total)
+    # Overlap-add in hop-sample blocks: block k of every frame lands on
+    # output blocks k .. k + frames - 1 in one strided add. Going from the
+    # last block to the first adds each output sample's frames in
+    # increasing frame order, the order of a frame-by-frame loop.
+    blocks = -(-n // hop)
+    acc = np.zeros((s.channels, frames + blocks - 1, hop))
+    envelope = np.zeros((frames + blocks - 1, hop))
     wsq = window * window
-    for t in range(frames):  # fixed order keeps the reduction deterministic
-        acc[:, t * hop:t * hop + n] += frames_td[:, t]
-        envelope[t * hop:t * hop + n] += wsq
-    out = acc / np.maximum(envelope, 1e-12)
+    for k in reversed(range(blocks)):
+        part = slice(k * hop, min((k + 1) * hop, n))
+        width = part.stop - part.start
+        acc[:, k:k + frames, :width] += frames_td[:, :, part]
+        envelope[k:k + frames, :width] += wsq[part]
+    acc = acc.reshape(s.channels, -1)[:, :total]
+    out = acc / np.maximum(envelope.reshape(-1)[:total], 1e-12)
 
     start = n // 2 if cfg.center_pad else 0
     available = total - start

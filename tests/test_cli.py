@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -256,3 +260,76 @@ def test_degenerate_grid_step_is_one_error_line(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error invalid-input: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _toy_payload(**sections):
+    payload = {"models": [{"name": "a", "domain": "TF", "source": "builtin-toy"}],
+               "stft": {"fft_size": 512, "hop": 128},
+               "weights": {"models": ["a"], "sources": ["drums", "bass", "other", "vocals"],
+                           "weights": [[1.0, 1.0, 1.0, 1.0]]}}
+    payload.update(sections)
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(_toy_payload(mwf={"iterations": 1.5}), id="mwf-iterations-float"),
+    pytest.param(_toy_payload(mwf={"iterations": "2"}), id="mwf-iterations-string"),
+    pytest.param(_toy_payload(mwf={"iterations": True}), id="mwf-iterations-bool"),
+    pytest.param(_toy_payload(mwf={"eps": "x"}), id="mwf-eps-string"),
+    pytest.param(_toy_payload(mwf={"mask_power": None}), id="mwf-mask-power-null"),
+    pytest.param(_toy_payload(mwf={"mask_power": 1e999}), id="mwf-mask-power-inf"),
+    pytest.param(_toy_payload(mwf={"bogus": 1}), id="mwf-unknown-key"),
+    pytest.param(_toy_payload(mwf=[1]), id="mwf-not-object"),
+    pytest.param(_toy_payload(mwf=None), id="mwf-null"),
+    pytest.param(_toy_payload(stft={"fft_size": "4096"}), id="stft-fft-size-string"),
+    pytest.param(_toy_payload(stft={"fft_size": 512.0, "hop": 128}), id="stft-fft-size-float"),
+    pytest.param(_toy_payload(stft={"fft_size": 512, "hop": 1.5}), id="stft-hop-float"),
+    pytest.param(_toy_payload(stft={"center_pad": "yes"}), id="stft-center-pad-string"),
+    pytest.param(_toy_payload(stft={"window": ["hann"]}), id="stft-window-list"),
+    pytest.param(_toy_payload(stft={"bogus": 1}), id="stft-unknown-key"),
+    pytest.param(_toy_payload(stft=5), id="stft-not-object"),
+    pytest.param(_toy_payload(models=[1, 2]), id="models-not-objects"),
+    pytest.param(_toy_payload(models="abc"), id="models-string"),
+    pytest.param(_toy_payload(models=[{"name": "a", "domain": "TF", "source": 5}]),
+                 id="model-source-number"),
+    pytest.param(_toy_payload(models=[{"name": "a", "domain": "TF", "source": "builtin-toy",
+                                       "leakage": None}]), id="model-leakage-null"),
+    pytest.param(_toy_payload(models=[{"name": "a", "domain": "TF", "source": "builtin-toy",
+                                       "leakage": "0.2"}]), id="model-leakage-string"),
+    pytest.param(_toy_payload(weights={"models": 5, "sources": ["drums"], "weights": [[1]]}),
+                 id="weights-models-number"),
+])
+def test_hostile_pipeline_config_is_one_error_line(tmp_path, capsys, payload):
+    rng = np.random.default_rng(13)
+    mix_path, _ = write_mix(tmp_path, rng, length=2048)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps(payload))
+    out_dir = tmp_path / "out"
+    code = main(["separate", "--input", str(mix_path), "--config", str(config),
+                 "--out", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error invalid-input: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_overflowing_initial_masks_are_one_error_line(tmp_path):
+    # A subprocess, so numpy warnings printed by the real CLI would show on stderr.
+    rng = np.random.default_rng(14)
+    mix_path, mix = write_mix(tmp_path, rng, length=2048)
+    mag_dir = tmp_path / "mags"
+    mag_dir.mkdir()
+    spec = stft(read_wav(mix_path), StftConfig(fft_size=512, hop=128))
+    for name, gain in (("a", 3.0), ("b", 0.5)):
+        write_magnitudes(mag_dir / f"{name}.mag", gain * np.abs(spec.bins))
+    python_path = [str(resources.files("stemfuse").parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, python_path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stemfuse.cli", "wiener", "--mix", str(mix_path),
+         "--mags", str(mag_dir), "--out", str(tmp_path / "out"), "--fft-size", "512",
+         "--stft-hop", "128", "--power", "1e308"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error invalid-input: initial masks are not finite")
+    assert proc.stderr.count("\n") == 1

@@ -49,6 +49,18 @@ class TestConfig:
     def test_half_overlap_allowed(self):
         assert StftConfig(fft_size=256, hop=128).num_bins == 129
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(fft_size=256.0, hop=64), dict(fft_size="256", hop=64), dict(fft_size=True, hop=1),
+        dict(fft_size=256, hop=64.0), dict(fft_size=256, hop=64, center_pad="yes"),
+        dict(fft_size=256, hop=64, center_pad=1),
+    ])
+    def test_rejects_values_of_the_wrong_type(self, kwargs):
+        with pytest.raises(ValueError):
+            StftConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        assert StftConfig(fft_size=np.int64(256), hop=np.int32(64)).num_bins == 129
+
 
 class TestForward:
     def test_zero_signal(self):
@@ -126,7 +138,33 @@ class TestForward:
         assert spec_energy / window_gain == pytest.approx(signal_energy, rel=0.01)
 
 
+def frame_loop_istft(s: Spectrogram, length: int) -> np.ndarray:
+    """Overlap-add one frame at a time, in frame order."""
+    n, hop = s.config.fft_size, s.config.hop
+    window = s.config.window_array()
+    frames_td = np.fft.irfft(s.bins, n=n, axis=-1) * window
+    total = (s.frames - 1) * hop + n
+    acc = np.zeros((s.channels, total))
+    envelope = np.zeros(total)
+    for t in range(s.frames):
+        acc[:, t * hop:t * hop + n] += frames_td[:, t]
+        envelope[t * hop:t * hop + n] += window * window
+    start = n // 2 if s.config.center_pad else 0
+    return (acc / np.maximum(envelope, 1e-12))[:, start:start + length]
+
+
 class TestInverse:
+    @pytest.mark.parametrize("fft_size, hop, center_pad", [
+        (16, 4, True), (16, 8, False), (256, 64, True), (8, 2, False), (2, 1, True)])
+    def test_blocked_overlap_add_equals_frame_loop_bitwise(self, fft_size, hop, center_pad):
+        cfg = StftConfig(fft_size=fft_size, hop=hop, center_pad=center_pad)
+        rng = np.random.default_rng(fft_size + hop)
+        shape = (2, 9, cfg.num_bins)
+        spec = Spectrogram(rng.normal(size=shape) + 1j * rng.normal(size=shape), cfg, 44100)
+        length = 8 * hop
+        np.testing.assert_array_equal(istft(spec, length=length).samples,
+                                      frame_loop_istft(spec, length))
+
     def test_zeros(self):
         spec = stft(Waveform(np.zeros((2, 700)), 44100), CFG)
         out = istft(spec, length=700)

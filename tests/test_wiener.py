@@ -85,6 +85,16 @@ class TestInitialEstimates:
         with pytest.raises(ValueError):
             initial_estimates(mags, mix)
 
+    @pytest.mark.parametrize("mask_power, bad", [(1e308, None), (2.0, np.nan), (2.0, np.inf)])
+    def test_non_finite_masks_raise_one_error(self, mask_power, bad):
+        rng = np.random.default_rng(5)
+        _, mix, mags = make_scene(rng)
+        mags[0] = mags[0] + 2.0  # > 1, so a huge power overflows
+        if bad is not None:
+            mags[1][0, 0, 0] = bad
+        with pytest.raises(ValueError, match="initial masks are not finite"):
+            initial_estimates(mags, mix, mask_power=mask_power)
+
 
 class TestEmIterate:
     def test_zero_iterations_is_identity(self):
@@ -246,7 +256,10 @@ class TestMwfConfig:
         assert cfg.iterations == 1 and cfg.mask_power == 2.0
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(iterations=-1), dict(eps=0.0), dict(eps=-1e-3), dict(mask_power=0.0)]
+        "kwargs", [dict(iterations=-1), dict(eps=0.0), dict(eps=-1e-3), dict(mask_power=0.0),
+                   dict(iterations=1.5), dict(iterations="2"), dict(iterations=True),
+                   dict(eps=float("inf")), dict(eps=float("nan")), dict(eps="x"), dict(eps=None),
+                   dict(mask_power=float("inf")), dict(mask_power=None), dict(mask_power=True)]
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
