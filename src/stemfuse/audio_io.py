@@ -20,6 +20,7 @@ _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
 
 ENCODINGS = ("pcm16", "float32")
+_WRITE_FRAMES = 1 << 16  # frames converted and written at a time
 
 
 def _parse_fmt(body: bytes, path) -> tuple:
@@ -56,7 +57,7 @@ def read_wav(path) -> Waveform:
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            blob = memoryview(fh.read())  # chunks are parsed as views, never copied
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
@@ -94,11 +95,11 @@ def read_wav(path) -> Waveform:
     frames = declared // bytes_per_frame
 
     if tag == _FORMAT_PCM and bits == 16:
-        flat = np.frombuffer(data[:declared], dtype="<i2").astype(np.float64) / float(1 << 15)
+        flat = np.frombuffer(data, dtype="<i2").astype(np.float64) / float(1 << 15)
     elif tag == _FORMAT_PCM:
-        flat = _decode_pcm24(data[:declared])
+        flat = _decode_pcm24(data)
     else:
-        flat = np.frombuffer(data[:declared], dtype="<f4").astype(np.float64)
+        flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
 
     samples = flat.reshape(frames, channels).T  # de-interleave to channel-major
     return Waveform(samples, rate)
@@ -113,30 +114,33 @@ def write_wav(w: Waveform, path, encoding: str = "float32") -> None:
     if encoding not in ENCODINGS:
         raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
 
-    interleaved = w.samples.T  # (frames, channels)
-    if encoding == "float32":
-        tag, bits = _FORMAT_IEEE_FLOAT, 32
-        payload = np.ascontiguousarray(interleaved, dtype="<f4").tobytes()
-    else:
-        tag, bits = _FORMAT_PCM, 16
-        scaled = np.round(interleaved * float(1 << 15))
-        clamped = np.clip(scaled, -(1 << 15), (1 << 15) - 1)
-        payload = np.ascontiguousarray(clamped, dtype="<i2").tobytes()
-
+    tag, bits = (_FORMAT_IEEE_FLOAT, 32) if encoding == "float32" else (_FORMAT_PCM, 16)
     channels = w.channels
     block_align = channels * bits // 8
+    payload_bytes = w.length * block_align  # even: no pad byte
     fmt_body = struct.pack(
         "<HHIIHH", tag, channels, w.sample_rate, w.sample_rate * block_align, block_align, bits
     )
-    chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
+    header = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
     if tag == _FORMAT_IEEE_FLOAT:
-        chunks += b"fact" + struct.pack("<II", 4, w.length)
-    chunks += b"data" + struct.pack("<I", len(payload)) + payload
-    if len(payload) & 1:
-        chunks += b"\x00"
-    blob = b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+        header += b"fact" + struct.pack("<II", 4, w.length)
+    header += b"data" + struct.pack("<I", payload_bytes)
+    riff = b"RIFF" + struct.pack("<I", 4 + len(header) + payload_bytes) + b"WAVE"
+
+    def parts():
+        yield riff + header
+        interleaved = w.samples.T  # (frames, channels)
+        for start in range(0, w.length, _WRITE_FRAMES):
+            block = interleaved[start:start + _WRITE_FRAMES]
+            if encoding == "float32":
+                yield np.ascontiguousarray(block, dtype="<f4")
+                continue
+            scaled = block * float(1 << 15)
+            np.round(scaled, out=scaled)
+            np.clip(scaled, -(1 << 15), (1 << 15) - 1, out=scaled)
+            yield np.ascontiguousarray(scaled, dtype="<i2")
 
     try:
-        _atomic_write(path, blob)
+        _atomic_write(path, parts())
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -212,7 +212,7 @@ def weights_to_json_dict(w: BlendWeights) -> dict:
 
 
 def save_weights(w: BlendWeights, path) -> None:
-    _atomic_write(path, json.dumps(weights_to_json_dict(w), indent=2) + "\n")
+    _atomic_write(path, [(json.dumps(weights_to_json_dict(w), indent=2) + "\n").encode()])
 
 
 def weights_from_json_dict(payload: dict) -> BlendWeights:

@@ -395,8 +395,8 @@ def report_to_csv(report) -> str:
 
 
 def save_report_json(report: SdrReport, path) -> None:
-    _atomic_write(path, json.dumps(report_to_json_dict(report), indent=2) + "\n")
+    _atomic_write(path, [(json.dumps(report_to_json_dict(report), indent=2) + "\n").encode()])
 
 
 def save_report_csv(report, path) -> None:
-    _atomic_write(path, report_to_csv(report))
+    _atomic_write(path, [report_to_csv(report).encode()])

@@ -14,7 +14,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List
+from typing import Iterable, List
 
 import numpy as np
 
@@ -247,13 +247,18 @@ class SourceSpectrogramSet:
         return np.stack([s.bins for s in self.sources])
 
 
-def _atomic_write(path, data) -> None:
-    """Write str or bytes to `path` through a temp file and a rename."""
+def _atomic_write(path, parts: Iterable) -> None:
+    """Write bytes-like `parts` in order to `path` through a temp file and a rename.
+
+    A part may be bytes or a C-contiguous array, whose memory is written
+    as is; `parts` may be a generator, so no part need outlive its write.
+    """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "wb") as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(tmp_name, path)
     except BaseException:
         os.unlink(tmp_name)

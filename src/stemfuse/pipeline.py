@@ -7,7 +7,9 @@ per-model stems are blended with the configured per-source weights.
 Every branch that yields spectrograms (TF models and builtin-toy T
 models) is blended in the spectral domain and synthesized with one
 inverse STFT per source; the inverse STFT is linear, so this equals
-blending the resynthesized stems up to rounding.
+blending the resynthesized stems up to rounding. `run` streams those
+branches through the mixture in blocks of a few frames, so it never
+holds a whole-track spectrogram.
 
 External models plug in through the file system: a T entry points at a
 directory of drums/bass/other/vocals WAV stems, a TF entry at a
@@ -20,10 +22,12 @@ band-mask toy model instead.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -54,13 +58,19 @@ from .core import (
     _atomic_write,
     _is_real,
 )
-from .stft import istft, stft
+from .stft import _analysis_frames, _OverlapAdd, frame_count, istft
 from .toy_models import BandMaskModel
-from .wiener import MwfConfig, mwf
+from .wiener import MwfConfig, _check_channels, _masked_mixture, _refilter, _SpatialSums, mwf
 
 BUILTIN_TOY = "builtin-toy"
 MAGNITUDE_SUFFIX = ".mag"
 _MAGIC = b"DSMAG1"
+_HEADER_BYTES = len(_MAGIC) + 12  # magic, then channels, frames, bins as u32
+
+# Mixture frames per streamed block: about this many bytes of
+# (sources, channels, frames, bins) complex spectra, small enough that a
+# block's working set stays in cache.
+_BLOCK_BYTES = 2_200_000
 
 T_DOMAIN = "T"
 TF_DOMAIN = "TF"
@@ -109,10 +119,14 @@ def _config_section(payload: dict, key: str, cls, path):
     raw = payload.get(key, {})
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: '{key}' must be an object, got {raw!r}")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"{path}: unknown '{key}' keys {unknown}")
+    _reject_unknown_keys(raw, (f.name for f in fields(cls)), f"'{key}'", path)
     return cls(**raw)
+
+
+def _reject_unknown_keys(raw: dict, known, where: str, path) -> None:
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"{path}: unknown {where} keys {unknown}")
 
 
 def load_pipeline_config(path) -> PipelineConfig:
@@ -120,10 +134,12 @@ def load_pipeline_config(path) -> PipelineConfig:
         payload = json.load(fh)
     if not isinstance(payload, dict) or not isinstance(payload.get("models"), list):
         raise ValueError(f"{path}: pipeline config must be an object with a 'models' list")
+    _reject_unknown_keys(payload, ("models", "stft", "mwf", "weights"), "top-level", path)
     entries = []
     for raw in payload["models"]:
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: model entry {raw!r} is not an object")
+        _reject_unknown_keys(raw, (f.name for f in fields(ModelEntry)), "model entry", path)
         try:
             entries.append(
                 ModelEntry(
@@ -155,23 +171,37 @@ def write_magnitudes(path, mags: np.ndarray) -> None:
     if mags.ndim != 3:
         raise ShapeMismatch(f"magnitude tensor must be 3-D, got shape {mags.shape}")
     header = _MAGIC + struct.pack("<III", *mags.shape)
-    _atomic_write(path, header + np.ascontiguousarray(mags, dtype="<f4").tobytes())
+    _atomic_write(path, [header, np.ascontiguousarray(mags, dtype="<f4")])
+
+
+def _magnitude_shape(fh, path) -> tuple:
+    """(channels, frames, bins) of an open DSMAG1 file whose payload is complete."""
+    head = fh.read(_HEADER_BYTES)
+    if len(head) < _HEADER_BYTES or head[:len(_MAGIC)] != _MAGIC:
+        raise MalformedHeader(f"{path} is not a DSMAG1 magnitude file")
+    shape = struct.unpack_from("<III", head, len(_MAGIC))
+    expected = 4 * shape[0] * shape[1] * shape[2]
+    found = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
+    if found < expected:
+        raise TruncatedData(f"{path}: header declares {expected} payload bytes, found {found}")
+    return shape
+
+
+def _read_frames(fh, path, shape: tuple, start: int, stop: int) -> np.ndarray:
+    """float64 (channels, stop - start, bins) frames of an open DSMAG1 file."""
+    channels, frames, bins = shape
+    out = np.empty((channels, stop - start, bins), dtype="<f4")
+    for c in range(channels):
+        fh.seek(_HEADER_BYTES + 4 * bins * (c * frames + start))
+        if fh.readinto(out[c]) != out[c].nbytes:
+            raise TruncatedData(f"{path}: payload ended early while it was being read")
+    return out.astype(np.float64)
 
 
 def read_magnitudes(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(_MAGIC) + 12 or blob[:len(_MAGIC)] != _MAGIC:
-        raise MalformedHeader(f"{path} is not a DSMAG1 magnitude file")
-    channels, frames, bins = struct.unpack_from("<III", blob, len(_MAGIC))
-    expected = channels * frames * bins * 4
-    body = blob[len(_MAGIC) + 12:]
-    if len(body) < expected:
-        raise TruncatedData(
-            f"{path}: header declares {expected} payload bytes, found {len(body)}"
-        )
-    flat = np.frombuffer(body[:expected], dtype="<f4").astype(np.float64)
-    return flat.reshape(channels, frames, bins)
+        shape = _magnitude_shape(fh, path)
+        return _read_frames(fh, path, shape, 0, shape[1])
 
 
 # --- stem-set ingestion -------------------------------------------------
@@ -219,21 +249,27 @@ def _conform(stem: Waveform, like: Waveform, tolerance: int, path) -> Waveform:
     return stem
 
 
-def _load_magnitude_dir(directory, mix_spec: Spectrogram) -> List[np.ndarray]:
+def _open_magnitude_dir(directory, shape: tuple, files: ExitStack) -> Callable:
+    """Validate each source's `.mag` file and keep it open in `files`.
+
+    Returns `frames(start, stop)`: the per-source float64 magnitudes of
+    frames start .. stop - 1, read from the files.
+    """
     directory = Path(directory)
-    mags = []
+    opened = []
     for name in SOURCE_NAMES:
         path = directory / f"{name}{MAGNITUDE_SUFFIX}"
         if not path.is_file():
             raise MissingStem(f"{directory} lacks {name}{MAGNITUDE_SUFFIX}")
-        tensor = read_magnitudes(path)
-        if tensor.shape != mix_spec.bins.shape:
+        fh = files.enter_context(open(path, "rb"))
+        found = _magnitude_shape(fh, path)
+        if found != shape:
             raise ShapeMismatch(
-                f"{path}: magnitude shape {tensor.shape} does not match "
-                f"mixture spectrogram {mix_spec.bins.shape}"
+                f"{path}: magnitude shape {found} does not match mixture spectrogram {shape}"
             )
-        mags.append(tensor)
-    return mags
+        opened.append((fh, path))
+    return lambda start, stop: [_read_frames(fh, path, shape, start, stop)
+                                for fh, path in opened]
 
 
 # --- branches and the full run ------------------------------------------
@@ -246,49 +282,103 @@ def tf_branch(
     return SourceWaveformSet([istft(s, length=length) for s in filtered.sources])
 
 
-def _toy_masks(entry: ModelEntry, mix_spec: Spectrogram) -> np.ndarray:
-    model = BandMaskModel.default(leakage=entry.leakage)
-    return model.bin_masks(mix_spec.sample_rate, mix_spec.config.fft_size)
+@dataclass
+class _SpectralBranch:
+    """A TF model or a builtin-toy T model, evaluated one block of frames at a time.
+
+    `masks` are the builtin-toy band masks, `mag_frames` reads the
+    magnitudes of an external TF model (see `_open_magnitude_dir`);
+    `spatial` holds the R of each EM pass finished so far.
+    """
+
+    weights: np.ndarray
+    domain: str
+    masks: Optional[np.ndarray] = None
+    mag_frames: Optional[Callable] = None
+    spatial: list = field(default_factory=list)
+
+    def stems(self, x: np.ndarray, start: int, stop: int, cfg: MwfConfig):
+        """Per-source complex stems of mixture frames x = frames start .. stop - 1."""
+        if self.domain == T_DOMAIN:  # mask the complex mixture directly
+            return (x * mask for mask in self.masks)
+        if self.mag_frames is None:
+            mag = np.abs(x)
+            mags = [mag * mask for mask in self.masks]
+        else:
+            mags = self.mag_frames(start, stop)
+        return _refilter(_masked_mixture(mags, x, cfg.mask_power), x, self.spatial, cfg.eps)
 
 
-def _magnitudes(entry: ModelEntry, mix_spec: Spectrogram) -> List[np.ndarray]:
-    if entry.source != BUILTIN_TOY:
-        return _load_magnitude_dir(entry.source, mix_spec)
-    mag = np.abs(mix_spec.bins)
-    return [mag * mask for mask in _toy_masks(entry, mix_spec)]
+def _spectral_branch(entry: ModelEntry, weights: np.ndarray, shape: tuple, sample_rate: int,
+                     cfg: PipelineConfig, files: ExitStack) -> _SpectralBranch:
+    branch = _SpectralBranch(weights, entry.domain)
+    if entry.source == BUILTIN_TOY:
+        model = BandMaskModel.default(leakage=entry.leakage)
+        branch.masks = model.bin_masks(sample_rate, cfg.stft.fft_size)
+    else:
+        branch.mag_frames = _open_magnitude_dir(entry.source, shape, files)
+    if entry.domain == TF_DOMAIN:
+        _check_channels(shape[0])
+    return branch
 
 
-def _spectral_stems(entry: ModelEntry, mix_spec: Spectrogram, cfg: PipelineConfig):
-    """Per-source complex stems of a TF model or a builtin-toy T model."""
-    if entry.domain == T_DOMAIN:  # builtin-toy T: mask the complex spectrogram directly
-        return (mix_spec.bins * mask for mask in _toy_masks(entry, mix_spec))
-    # No local name holds the magnitudes, so mwf can free them before its EM passes.
-    return (s.bins for s in mwf(_magnitudes(entry, mix_spec), mix_spec, cfg.mwf).sources)
+def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBranch],
+                  shape: tuple, fused: np.ndarray) -> None:
+    """Add the weighted sum of the spectral branches, synthesized, into `fused`.
+
+    Works on blocks of frames in frame order. Each EM pass of the TF
+    branches is one sweep that rebuilds every block's estimates and adds
+    them to that pass's sums over frames; a last sweep re-filters every
+    branch, weights and sums the blocks and overlap-adds them into `fused`.
+    """
+    num_sources, channels = fused.shape[:2]
+    frames, bins = shape[1:]
+    synthesis = _OverlapAdd((num_sources, channels), cfg.stft, frames, mix.length)
+    step = max(1, _BLOCK_BYTES // (num_sources * channels * bins * 16))
+    blocks = [(start, min(start + step, frames)) for start in range(0, frames, step)]
+    tf = [b for b in branches if b.domain == TF_DOMAIN]
+    for _ in range(cfg.mwf.iterations if tf else 0):
+        sums = [_SpatialSums() for _ in tf]
+        for start, stop in blocks:
+            x = _analysis_frames(mix.samples, cfg.stft, start, stop)
+            for branch, branch_sums in zip(tf, sums):
+                branch_sums.add(branch.stems(x, start, stop, cfg.mwf))
+        for branch, branch_sums in zip(tf, sums):
+            branch.spatial.append(branch_sums.spatial(cfg.mwf.eps))
+    for start, stop in blocks:
+        x = _analysis_frames(mix.samples, cfg.stft, start, stop)
+        spectral = np.zeros((num_sources,) + x.shape, dtype=np.complex128)
+        for branch in branches:
+            weighted_accumulate(spectral, branch.weights, branch.stems(x, start, stop, cfg.mwf))
+        offset, samples = synthesis.add(spectral)
+        fused[..., offset:offset + samples.shape[-1]] += samples
 
 
 def run(mix: Waveform, cfg: PipelineConfig) -> SourceWaveformSet:
     """Produce fused stems for a mixture. Deterministic for fixed inputs.
 
-    Spectral branches are summed with their weights into one
-    (sources, channels, frames, bins) array and synthesized once per
-    source; external T stems are weighted and added in the time domain.
+    External T stems are weighted and added in the time domain. The
+    other branches are streamed in blocks of frames (see `_add_spectral`):
+    beyond the returned stems, memory does not grow with the track.
+    Every model's inputs are checked before any block is filtered.
     """
     weights = cfg.weights
     num_sources = len(SOURCE_NAMES)
     check_weights_fit(weights, len(cfg.model_entries), num_sources)
     fused = np.zeros((num_sources, mix.channels, mix.length))
-    mix_spec = spectral = None
-    for m, entry in enumerate(cfg.model_entries):
-        if entry.domain == T_DOMAIN and entry.source != BUILTIN_TOY:
-            stems = load_stem_dir(entry.source, like=mix, length_tolerance=cfg.stft.hop)
-            weighted_accumulate(fused, weights.weights[m], (s.samples for s in stems.sources))
-            continue
-        if mix_spec is None:
-            mix_spec = stft(mix, cfg.stft)
-            spectral = np.zeros((num_sources,) + mix_spec.bins.shape, dtype=np.complex128)
-        weighted_accumulate(spectral, weights.weights[m], _spectral_stems(entry, mix_spec, cfg))
-    if spectral is not None:
-        for j in range(num_sources):
-            spec = Spectrogram(spectral[j], cfg.stft, mix.sample_rate)
-            fused[j] += istft(spec, length=mix.length).samples
+    with ExitStack() as files:
+        branches = []
+        shape = None  # (channels, frames, bins) of the mixture spectrogram
+        for m, entry in enumerate(cfg.model_entries):
+            if entry.domain == T_DOMAIN and entry.source != BUILTIN_TOY:
+                stems = load_stem_dir(entry.source, like=mix, length_tolerance=cfg.stft.hop)
+                weighted_accumulate(fused, weights.weights[m], (s.samples for s in stems.sources))
+                del stems  # not held while the spectral branches run
+                continue
+            if shape is None:
+                shape = (mix.channels, frame_count(mix.length, cfg.stft), cfg.stft.num_bins)
+            branches.append(_spectral_branch(entry, weights.weights[m], shape, mix.sample_rate,
+                                             cfg, files))
+        if branches:
+            _add_spectral(mix, cfg, branches, shape, fused)
     return SourceWaveformSet([Waveform(f, mix.sample_rate) for f in fused])

@@ -5,6 +5,10 @@ one-sided spectrum. Synthesis overlap-adds windowed inverse FFTs and
 divides by the overlap-added squared window, which reconstructs the
 input exactly (to rounding) for any config that passes the
 constant-overlap-add check in StftConfig.
+
+Both directions also work on a range of frames at a time
+(`_analysis_frames`, `_OverlapAdd`), with the same bits as the
+whole-signal transforms, so a caller can stream a long signal in blocks.
 """
 
 from __future__ import annotations
@@ -16,29 +20,117 @@ from .errors import ConfigMismatch, EmptySignal
 from .core import Spectrogram, StftConfig, Waveform
 
 
+def frame_count(length: int, cfg: StftConfig) -> int:
+    """Frames `stft` produces for a signal of `length` samples."""
+    if length < 1:
+        raise EmptySignal("cannot transform an empty signal")
+    if cfg.center_pad:
+        return length // cfg.hop + 1
+    if length < cfg.fft_size:
+        raise EmptySignal(
+            f"signal of {length} samples is shorter than one {cfg.fft_size}-sample frame; "
+            "enable center_pad"
+        )
+    return (length - cfg.fft_size) // cfg.hop + 1
+
+
+def _analysis_frames(samples: np.ndarray, cfg: StftConfig, start: int, stop: int) -> np.ndarray:
+    """(channels, stop - start, bins) spectra of frames start .. stop - 1.
+
+    Reads only the samples those frames cover; with center_pad the
+    signal is zero-extended by fft_size // 2 on both sides.
+    """
+    n, hop = cfg.fft_size, cfg.hop
+    shift = n // 2 if cfg.center_pad else 0
+    lo = start * hop - shift
+    hi = (stop - 1) * hop + n - shift
+    length = samples.shape[1]
+    x = samples[:, max(lo, 0):min(hi, length)]
+    if lo < 0 or hi > length:
+        x = np.pad(x, ((0, 0), (max(-lo, 0), max(hi - length, 0))))
+    segments = sliding_window_view(x, n, axis=-1)[:, ::hop] * cfg.window_array()
+    return np.fft.rfft(segments, axis=-1)
+
+
 def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> Spectrogram:
     """Forward transform to (channels, frames, fft_size // 2 + 1).
 
     With center_pad, frame t is centered on sample t * hop and the frame
     count is length // hop + 1.
     """
-    if w.length < 1:
-        raise EmptySignal("cannot transform an empty signal")
-    n, hop = cfg.fft_size, cfg.hop
-    window = cfg.window_array()
-    x = w.samples
-    if cfg.center_pad:
-        x = np.pad(x, ((0, 0), (n // 2, n // 2)))
-        frames = w.length // hop + 1
-    else:
-        if w.length < n:
-            raise EmptySignal(
-                f"signal of {w.length} samples is shorter than one {n}-sample frame; "
-                "enable center_pad"
+    frames = frame_count(w.length, cfg)
+    return Spectrogram(_analysis_frames(w.samples, cfg, 0, frames), cfg, w.sample_rate)
+
+
+class _OverlapAdd:
+    """Normalized overlap-add synthesis fed with spectra in frame order.
+
+    `add` takes the next block of frames, of any size, and returns the
+    output samples no later frame can change. Between calls only the
+    last ceil(fft_size / hop) - 1 hop-sample blocks of the sums are
+    carried. Each output sample adds its frames in increasing frame
+    order starting from zero, whatever the block sizes, so the output is
+    bitwise that of one call with every frame.
+    """
+
+    def __init__(self, lead_shape: tuple, cfg: StftConfig, frames: int, length: int | None = None):
+        n, hop = cfg.fft_size, cfg.hop
+        if frames < 1:
+            raise EmptySignal("spectrogram has no frames")
+        self._start = n // 2 if cfg.center_pad else 0
+        available = (frames - 1) * hop + n - self._start
+        if length is None:
+            length = (frames - 1) * hop
+        if length > available:
+            raise ConfigMismatch(
+                f"requested {length} samples but only {available} are reconstructable "
+                f"from {frames} frames"
             )
-        frames = (w.length - n) // hop + 1
-    segments = sliding_window_view(x, n, axis=-1)[:, ::hop][:, :frames] * window
-    return Spectrogram(np.fft.rfft(segments, axis=-1), cfg, w.sample_rate)
+        self._cfg = cfg
+        self._window = cfg.window_array()
+        self._frames_left = frames
+        self._stop = self._start + length  # output extent, in padded-signal samples
+        self._done = 0  # hop blocks already returned
+        carry = -(-n // hop) - 1
+        self._acc = np.zeros(tuple(lead_shape) + (carry, hop))
+        self._envelope = np.zeros((carry, hop))
+
+    def add(self, spectra: np.ndarray) -> tuple:
+        """Synthesize (..., frames, bins) spectra; return (offset, samples).
+
+        `samples` (..., count) are the finished output samples starting
+        at output sample `offset`; the call with the last frame returns
+        everything that is left.
+        """
+        n, hop = self._cfg.fft_size, self._cfg.hop
+        frames_td = np.fft.irfft(spectra, n=n, axis=-1)
+        frames_td *= self._window
+        frames = frames_td.shape[-2]
+        self._frames_left -= frames
+        carry = self._envelope.shape[0]
+        acc = np.zeros(self._acc.shape[:-2] + (frames + carry, hop))
+        acc[..., :carry, :] = self._acc
+        envelope = np.zeros((frames + carry, hop))
+        envelope[:carry] = self._envelope
+        # Hop-sample block k of every frame lands on blocks k .. k + frames - 1
+        # in one strided add. Going from the last block to the first adds
+        # each output sample's frames in increasing frame order.
+        wsq = self._window * self._window
+        for k in reversed(range(carry + 1)):
+            part = slice(k * hop, min((k + 1) * hop, n))
+            width = part.stop - part.start
+            acc[..., k:k + frames, :width] += frames_td[..., part]
+            envelope[k:k + frames, :width] += wsq[part]
+        finished = frames if self._frames_left else frames + carry
+        self._acc = acc[..., finished:, :].copy()
+        self._envelope = envelope[finished:].copy()
+        out = acc[..., :finished, :] / np.maximum(envelope[:finished], 1e-12)
+        first = self._done * hop
+        self._done += finished
+        lo = max(first, self._start)
+        hi = min(self._done * hop, self._stop)
+        out = out.reshape(out.shape[:-2] + (-1,))[..., lo - first:max(hi, lo) - first]
+        return lo - self._start, out
 
 
 def istft(s: Spectrogram, cfg: StftConfig | None = None, length: int | None = None) -> Waveform:
@@ -51,42 +143,8 @@ def istft(s: Spectrogram, cfg: StftConfig | None = None, length: int | None = No
     """
     if cfg is not None and cfg != s.config:
         raise ConfigMismatch(f"spectrogram was produced with {s.config}, not {cfg}")
-    cfg = s.config
-    n, hop = cfg.fft_size, cfg.hop
-    frames = s.frames
-    if frames < 1:
-        raise EmptySignal("spectrogram has no frames")
-    window = cfg.window_array()
-
-    frames_td = np.fft.irfft(s.bins, n=n, axis=-1)  # (channels, frames, n)
-    frames_td *= window
-    total = (frames - 1) * hop + n
-    # Overlap-add in hop-sample blocks: block k of every frame lands on
-    # output blocks k .. k + frames - 1 in one strided add. Going from the
-    # last block to the first adds each output sample's frames in
-    # increasing frame order, the order of a frame-by-frame loop.
-    blocks = -(-n // hop)
-    acc = np.zeros((s.channels, frames + blocks - 1, hop))
-    envelope = np.zeros((frames + blocks - 1, hop))
-    wsq = window * window
-    for k in reversed(range(blocks)):
-        part = slice(k * hop, min((k + 1) * hop, n))
-        width = part.stop - part.start
-        acc[:, k:k + frames, :width] += frames_td[:, :, part]
-        envelope[k:k + frames, :width] += wsq[part]
-    acc = acc.reshape(s.channels, -1)[:, :total]
-    out = acc / np.maximum(envelope.reshape(-1)[:total], 1e-12)
-
-    start = n // 2 if cfg.center_pad else 0
-    available = total - start
-    if length is None:
-        length = (frames - 1) * hop
-    if length > available:
-        raise ConfigMismatch(
-            f"requested {length} samples but only {available} are reconstructable "
-            f"from {frames} frames"
-        )
-    return Waveform(out[:, start:start + length], s.sample_rate)
+    _, samples = _OverlapAdd((s.channels,), s.config, s.frames, length).add(s.bins)
+    return Waveform(samples, s.sample_rate)
 
 
 def magnitude(s: Spectrogram) -> np.ndarray:

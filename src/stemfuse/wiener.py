@@ -13,6 +13,9 @@ array, and a spatial covariance is kept as its unique Hermitian entries:
 the real diagonal (sources, channels, bins) and, for stereo, the complex
 off-diagonal R01 (sources, bins), with R10 = conj(R01). The public
 functions wrap these arrays in `Spectrogram` and `SpatialModel` values.
+The model step only needs sums over frames (`_SpatialSums`) and the
+filter step treats each frame on its own, so the same steps also run on
+a long signal one block of frames at a time (see `pipeline.run`).
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ _EPS_DIV = 1e-12  # guards the initialization mask against all-zero bins
 _HERMITIAN_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
 
-# psd (J, T, F), diagonal of R (J, C, F) real, R01 (J, F) complex or None (mono)
-_Model = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+# diagonal of every R_j (J, C, F) real, R01 (J, F) complex or None (mono)
+_Spatial = Tuple[np.ndarray, Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -133,30 +136,75 @@ def _masked_mixture(mags: Sequence[np.ndarray], x: np.ndarray, mask_power: float
     return y
 
 
-def _model_step(y: np.ndarray, eps: float) -> _Model:
-    """EM model step on (J, C, T, F) estimates.
-
-    R_cc sums |y_c|^2 over frames and R01 = sum_t y0 conj(y1), each
-    times 1 / (sum_t v + eps); R10 = conj(R01) is exactly Hermitian.
-    """
-    num_sources, channels, frames, bins = y.shape
-    psd = np.empty((num_sources, frames, bins))
-    r_diag = np.empty((num_sources, channels, bins))
-    r01 = np.empty((num_sources, bins), dtype=np.complex128) if channels == 2 else None
+def _psd(y: np.ndarray) -> np.ndarray:
+    """(J, T, F) PSDs of (J, C, T, F) estimates: the channel mean of |y|^2."""
+    psd = np.empty(y.shape[:1] + y.shape[2:])
     with np.errstate(over="ignore", invalid="ignore"):
         for j, yj in enumerate(y):
-            power = yj.real ** 2 + yj.imag ** 2
-            psd[j] = np.mean(power, axis=0)
-            scale = 1.0 / (np.sum(psd[j], axis=0) + eps)
-            r_diag[j] = np.sum(power, axis=1) * scale
-            if r01 is not None:
-                r01[j] = np.einsum("tf,tf->f", yj[0], np.conj(yj[1])) * scale
-    finite = np.all(np.isfinite(psd)) and np.all(np.isfinite(r_diag))
-    if not (finite and (r01 is None or np.all(np.isfinite(r01)))):
-        raise SingularMixCovariance(
-            "covariance estimation overflowed; eps is too small for the input scale"
-        )
-    return psd, r_diag, r01
+            psd[j] = np.mean(yj.real ** 2 + yj.imag ** 2, axis=0)
+    return psd
+
+
+def _continue_sum(total, block: np.ndarray, axis: int) -> np.ndarray:
+    """np.sum(block, axis) continuing the running sum `total` (None at first).
+
+    The running sum enters as row 0 of the block's reduction, which adds
+    along `axis` in order, so the result is bitwise the whole-array sum.
+    """
+    if total is None:
+        return np.sum(block, axis=axis)
+    return np.sum(np.concatenate([np.expand_dims(total, axis), block], axis=axis), axis=axis)
+
+
+class _SpatialSums:
+    """The EM model step as per-bin sums over frames, fed in frame order.
+
+    `add` takes (J, C, b, F) estimates of the next b frames and keeps
+    sum_t v, sum_t |y_c|^2 and, for stereo, sum_t y0 conj(y1); `spatial`
+    normalizes them into R: R_cc = sum_t |y_c|^2 and
+    R01 = sum_t y0 conj(y1), each times 1 / (sum_t v + eps), with
+    R10 = conj(R01) exactly Hermitian. The sums are bitwise those of one
+    whole-array reduction, whatever the block sizes.
+    """
+
+    def __init__(self):
+        self._psd, self._power, self._cross = {}, {}, {}  # running sums per source
+
+    def add(self, y: np.ndarray) -> np.ndarray:
+        """Add a block of estimates; return its (J, b, F) PSD."""
+        num_sources, channels, frames, bins = y.shape
+        psd = np.empty((num_sources, frames, bins))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, yj in enumerate(y):
+                power = yj.real ** 2 + yj.imag ** 2
+                psd[j] = np.mean(power, axis=0)
+                self._psd[j] = _continue_sum(self._psd.get(j), psd[j], 0)
+                self._power[j] = _continue_sum(self._power.get(j), power, 1)
+                if channels == 2:
+                    y0, y1 = yj[0], yj[1]
+                    if j in self._cross:
+                        y0 = np.concatenate([self._cross[j][None], y0])
+                        y1 = np.concatenate([np.ones((1, bins)), y1])
+                    self._cross[j] = np.einsum("tf,tf->f", y0, np.conj(y1))
+        if not np.all(np.isfinite(psd)):
+            _overflowed()
+        return psd
+
+    def spatial(self, eps: float) -> _Spatial:
+        """The diagonal (J, C, F) and, for stereo, R01 (J, F) of every R_j."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = 1.0 / (np.stack(list(self._psd.values())) + eps)
+            r_diag = np.stack(list(self._power.values())) * scale[:, None]
+            r01 = np.stack(list(self._cross.values())) * scale if self._cross else None
+        if not (np.all(np.isfinite(r_diag)) and (r01 is None or np.all(np.isfinite(r01)))):
+            _overflowed()
+        return r_diag, r01
+
+
+def _overflowed():
+    raise SingularMixCovariance(
+        "covariance estimation overflowed; eps is too small for the input scale"
+    )
 
 
 def _require_invertible(det: np.ndarray) -> None:
@@ -166,14 +214,17 @@ def _require_invertible(det: np.ndarray) -> None:
         )
 
 
-def _filter_step(model: _Model, x: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+def _filter_step(
+    psd: np.ndarray, spatial: _Spatial, x: np.ndarray, eps: float, out: np.ndarray
+) -> np.ndarray:
     """Wiener step: y_j = v_j R_j (sum_k v_k R_k + eps I)^-1 x, into (J, C, T, F) `out`.
 
     The shared term z = (sum_k v_k R_k + eps I)^-1 x is computed once
     with the closed 1x1/2x2 inverse: real diagonal, real determinant,
-    one reciprocal.
+    one reciprocal. Every frame is filtered on its own, so any range of
+    frames can be filtered apart from the rest.
     """
-    psd, r_diag, r01 = model
+    r_diag, r01 = spatial
 
     def mix_cov(r):  # sum_k v_k r_k, accumulated in source order
         acc = psd[0] * r[0]
@@ -204,10 +255,24 @@ def _filter_step(model: _Model, x: np.ndarray, eps: float, out: np.ndarray) -> n
     return out
 
 
+def _refilter(y: np.ndarray, x: np.ndarray, spatials: Sequence[_Spatial], eps: float) -> np.ndarray:
+    """Apply the filter steps of finished EM passes, in order, to `y` in place.
+
+    An EM pass filters each frame with that frame's PSD and the R of the
+    whole signal, so given every earlier pass's R this rebuilds the
+    estimates of any range of frames from their initial masks.
+    """
+    for spatial in spatials:
+        _filter_step(_psd(y), spatial, x, eps, out=y)
+    return y
+
+
 def _em_passes(y: np.ndarray, x: np.ndarray, cfg: MwfConfig) -> np.ndarray:
     """cfg.iterations EM passes, each overwriting the (J, C, T, F) estimates `y`."""
     for _ in range(cfg.iterations):
-        _filter_step(_model_step(y, cfg.eps), x, cfg.eps, out=y)
+        sums = _SpatialSums()
+        psd = sums.add(y)
+        _filter_step(psd, sums.spatial(cfg.eps), x, cfg.eps, out=y)
     return y
 
 
@@ -231,7 +296,9 @@ def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[Spatia
     frames, normalized by the summed PSD plus eps, exactly Hermitian.
     """
     _check_channels(est.channels)
-    psd, r_diag, r01 = _model_step(est.stacked(), eps)
+    sums = _SpatialSums()
+    psd = sums.add(est.stacked())
+    r_diag, r01 = sums.spatial(eps)
     num_sources, channels, bins = r_diag.shape
     cov = np.zeros((num_sources, bins, channels, channels), dtype=np.complex128)
     for c in range(channels):
@@ -255,7 +322,7 @@ def apply_filter(
     r_diag = np.stack([cov[:, :, c, c].real for c in range(mix.channels)], axis=1)
     r01 = cov[:, :, 0, 1] if mix.channels == 2 else None
     out = np.empty((len(models),) + mix.bins.shape, dtype=np.complex128)
-    return _as_set(_filter_step((psd, r_diag, r01), mix.bins, eps, out), mix)
+    return _as_set(_filter_step(psd, (r_diag, r01), mix.bins, eps, out), mix)
 
 
 def em_iterate(

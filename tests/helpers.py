@@ -2,6 +2,7 @@
 independent brute-force oracles the derived expectations come from."""
 
 import itertools
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ from stemfuse import (
     istft,
     load_stem_dir,
     median_sdr,
+    mwf,
     read_magnitudes,
     stft,
     write_wav,
 )
+from stemfuse.blend import weighted_accumulate
 
 
 def make_waveform(rng, channels=2, length=256, sample_rate=44100, scale=0.5):
@@ -244,4 +247,92 @@ def oracle_run(mix, cfg):
                      for b in bins]
         for j, stem in enumerate(stems):
             fused[j] += cfg.weights.weights[m, j] * stem
+    return fused
+
+
+# --- WAV reader and writer built on whole-file bytes copies ---------------
+# The form before the reader parsed through a memoryview and the writer
+# wrote header and payload as separate parts: every chunk body is a bytes
+# slice, and the file is one concatenated blob.
+
+def bytes_read_wav(path):
+    """(samples (channels, frames) float64, rate) of a PCM16/PCM24/float32 WAV."""
+    blob = Path(path).read_bytes()
+    pos, fmt, data = 12, None, None
+    while pos + 8 <= len(blob):
+        size = struct.unpack_from("<I", blob, pos + 4)[0]
+        body = blob[pos + 8:pos + 8 + size]
+        if blob[pos:pos + 4] == b"fmt ":
+            fmt = struct.unpack_from("<HHIIHH", body, 0)
+        elif blob[pos:pos + 4] == b"data":
+            data = body[:size]
+        pos += 8 + size + (size & 1)
+    tag, channels, rate, _, _, bits = fmt
+    if tag == 1 and bits == 16:
+        flat = np.frombuffer(data, dtype="<i2").astype(np.float64) / float(1 << 15)
+    elif tag == 1:
+        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
+        value = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        flat = ((value ^ 0x800000) - 0x800000).astype(np.float64) / float(1 << 23)
+    else:
+        flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    return flat.reshape(-1, channels).T, rate
+
+
+def bytes_wav_blob(w, encoding):
+    """The complete WAV file write_wav produces, as one bytes object."""
+    interleaved = w.samples.T
+    if encoding == "float32":
+        tag, bits = 3, 32
+        payload = np.ascontiguousarray(interleaved, dtype="<f4").tobytes()
+    else:
+        tag, bits = 1, 16
+        clamped = np.clip(np.round(interleaved * float(1 << 15)), -(1 << 15), (1 << 15) - 1)
+        payload = np.ascontiguousarray(clamped, dtype="<i2").tobytes()
+    block_align = w.channels * bits // 8
+    fmt_body = struct.pack("<HHIIHH", tag, w.channels, w.sample_rate,
+                           w.sample_rate * block_align, block_align, bits)
+    chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
+    if tag == 3:
+        chunks += b"fact" + struct.pack("<II", 4, w.length)
+    chunks += b"data" + struct.pack("<I", len(payload)) + payload
+    if len(payload) & 1:
+        chunks += b"\x00"
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+# --- whole-track pipeline run ----------------------------------------------
+# The run before it streamed frame blocks: one STFT of the whole mixture,
+# every spectral branch filtered by the whole-array `mwf` and summed with
+# its weights into one (sources, channels, frames, bins) array, then one
+# istft per source; external T stems are weighted in the time domain first.
+
+def whole_array_run(mix, cfg):
+    """(sources, channels, length) fused stems, bitwise as `run` must give them."""
+    weights = cfg.weights.weights
+    fused = np.zeros((len(SOURCE_NAMES), mix.channels, mix.length))
+    spec = spectral = None
+    for m, entry in enumerate(cfg.model_entries):
+        if entry.domain == "T" and entry.source != "builtin-toy":
+            stems = load_stem_dir(entry.source, like=mix, length_tolerance=cfg.stft.hop)
+            weighted_accumulate(fused, weights[m], (s.samples for s in stems.sources))
+            continue
+        if spec is None:
+            spec = stft(mix, cfg.stft)
+            spectral = np.zeros((len(SOURCE_NAMES),) + spec.bins.shape, dtype=np.complex128)
+        if entry.source == "builtin-toy":
+            masks = BandMaskModel.default(leakage=entry.leakage).bin_masks(
+                mix.sample_rate, cfg.stft.fft_size)
+            mags = [np.abs(spec.bins) * mask for mask in masks]
+        else:
+            mags = [read_magnitudes(Path(entry.source) / f"{name}.mag") for name in SOURCE_NAMES]
+        if entry.domain == "T":
+            stems = [spec.bins * mask for mask in masks]
+        else:
+            stems = [s.bins for s in mwf(mags, spec, cfg.mwf).sources]
+        weighted_accumulate(spectral, weights[m], stems)
+    if spectral is not None:
+        for j in range(len(SOURCE_NAMES)):
+            fused[j] += istft(Spectrogram(spectral[j], cfg.stft, mix.sample_rate),
+                              length=mix.length).samples
     return fused

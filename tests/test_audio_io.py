@@ -1,10 +1,13 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from stemfuse import Waveform, read_wav, write_wav
 from stemfuse.errors import IoFailure, MalformedHeader, TruncatedData, UnsupportedEncoding
+
+from helpers import bytes_read_wav, bytes_wav_blob
 
 
 def build_wav(payload: bytes, tag=1, channels=2, rate=44100, bits=16,
@@ -158,3 +161,41 @@ class TestRoundTripProperties:
             w = Waveform(rng.uniform(-1, 1 - lsb, size=(channels, length)), 44100)
             write_wav(w, path, encoding="pcm16")
             assert np.max(np.abs(read_wav(path).samples - w.samples)) <= lsb
+
+
+class TestAgainstBytesCopies:
+    """Reader and writer against the whole-file bytes forms in helpers.py."""
+
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    @pytest.mark.parametrize("channels,length", [(1, 1), (1, 777), (2, 777), (3, 50)])
+    @pytest.mark.parametrize("write_frames", [64, None])
+    def test_written_bytes_unchanged(self, tmp_path, monkeypatch, encoding, channels, length,
+                                     write_frames):
+        if write_frames is not None:  # several payload blocks per file
+            monkeypatch.setattr(sys.modules["stemfuse.audio_io"], "_WRITE_FRAMES", write_frames)
+        rng = np.random.default_rng(channels * 1000 + length)
+        samples = rng.uniform(-1.2, 1.2, size=(channels, length))
+        for w in (Waveform(samples, 22050), Waveform(np.asfortranarray(samples), 22050)):
+            write_wav(w, tmp_path / "a.wav", encoding=encoding)
+            assert (tmp_path / "a.wav").read_bytes() == bytes_wav_blob(w, encoding)
+
+    @pytest.mark.parametrize("tag,bits,channels,frames", [
+        (1, 16, 2, 301), (1, 24, 1, 301), (1, 24, 3, 5), (3, 32, 2, 301)])
+    def test_read_samples_unchanged(self, tmp_path, tag, bits, channels, frames):
+        rng = np.random.default_rng(bits + channels)
+        payload = rng.integers(0, 256, size=frames * channels * bits // 8,
+                               dtype=np.uint8).tobytes()
+        if tag == 3:  # random bytes can be NaN/inf floats; use finite samples
+            payload = rng.normal(size=frames * channels).astype("<f4").tobytes()
+        blob = build_wav(payload, tag=tag, channels=channels, bits=bits,
+                         extra_chunk=b"LIST" + struct.pack("<I", 3) + b"abc\x00")
+        if len(payload) & 1:  # odd data chunk: pad byte, then one more chunk
+            blob += b"\x00" + b"junk" + struct.pack("<I", 2) + b"zz"
+            blob = blob[:4] + struct.pack("<I", len(blob) - 8) + blob[8:]
+        path = tmp_path / "r.wav"
+        path.write_bytes(blob)
+        samples, rate = bytes_read_wav(path)
+        w = read_wav(path)
+        assert w.sample_rate == rate
+        assert w.samples.shape == (channels, frames)
+        assert w.samples.tobytes() == samples.tobytes()

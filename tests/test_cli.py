@@ -298,6 +298,12 @@ def _toy_payload(**sections):
                                        "leakage": "0.2"}]), id="model-leakage-string"),
     pytest.param(_toy_payload(weights={"models": 5, "sources": ["drums"], "weights": [[1]]}),
                  id="weights-models-number"),
+    pytest.param(_toy_payload(models=[{"name": "a", "domain": "TF", "source": "builtin-toy",
+                                       "leakge": 0.3}]), id="model-unknown-key"),
+    pytest.param(_toy_payload(weigths={"models": ["a"]}), id="top-level-unknown-key"),
+    pytest.param(_toy_payload(models=[{"name": "a", "domain": "TF", "source": "builtin-toy",
+                                       "leakage": 0.3, "Leakage": 0.2}]),
+                 id="model-key-wrong-case"),
 ])
 def test_hostile_pipeline_config_is_one_error_line(tmp_path, capsys, payload):
     rng = np.random.default_rng(13)

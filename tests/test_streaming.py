@@ -1,0 +1,170 @@
+"""pipeline.run streams the mixture in blocks of frames: its stems are
+bitwise those of the whole-track run in helpers.py at every block size,
+and its memory does not grow with the track beyond the returned stems."""
+
+import sys
+import tempfile
+import tracemalloc
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stemfuse import (
+    ModelEntry,
+    MwfConfig,
+    PipelineConfig,
+    SourceWaveformSet,
+    StftConfig,
+    Waveform,
+    load_pipeline_config,
+    run,
+    stft,
+    validate_weights,
+    write_magnitudes,
+)
+from stemfuse.errors import ConfigMismatch, TruncatedData
+
+from helpers import whole_array_run, write_stem_dir
+
+pipeline = sys.modules["stemfuse.pipeline"]
+SR = 44100
+NUM_SOURCES = 4
+SOURCES = ("drums", "bass", "other", "vocals")
+
+
+def stems_of(mix, cfg, block_frames=None):
+    """run() as one (sources, channels, length) array; None keeps the default blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block_frames is not None:
+            unit = NUM_SOURCES * mix.channels * cfg.stft.num_bins * 16
+            mp.setattr(pipeline, "_BLOCK_BYTES", block_frames * unit)
+        return np.stack([s.samples for s in run(mix, cfg).sources])
+
+
+def write_model_dirs(root: Path, rng, mix, stft_cfg):
+    """A T stem directory and a TF magnitude directory that fit `mix`."""
+    stem_dir = write_stem_dir(root / "stems", SourceWaveformSet(
+        [Waveform(0.3 * rng.normal(size=mix.samples.shape), SR) for _ in SOURCES]))
+    mag_dir = root / "mags"
+    mag_dir.mkdir()
+    shape = stft(mix, stft_cfg).bins.shape
+    for name in SOURCES:
+        write_magnitudes(mag_dir / f"{name}.mag", rng.uniform(0.0, 1.0, size=shape))
+    return stem_dir, mag_dir
+
+
+MODEL_KINDS = ("tf_toy", "t_toy", "t_dir", "tf_dir")
+
+
+def entry_for(kind, stem_dir, mag_dir, leakage):
+    return {
+        "tf_toy": ModelEntry("tf_toy", "TF", "builtin-toy", leakage=leakage),
+        "t_toy": ModelEntry("t_toy", "T", "builtin-toy", leakage=leakage),
+        "t_dir": ModelEntry("t_dir", "T", str(stem_dir)),
+        "tf_dir": ModelEntry("tf_dir", "TF", str(mag_dir)),
+    }[kind]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), channels=st.sampled_from([1, 2]),
+       iterations=st.integers(0, 3), center_pad=st.booleans(),
+       kinds=st.lists(st.sampled_from(MODEL_KINDS), min_size=1, max_size=4),
+       frames=st.integers(1, 40), extra=st.integers(0, 15), data=st.data())
+def test_run_is_bitwise_the_whole_track_run_at_every_block_size(
+        seed, channels, iterations, center_pad, kinds, frames, extra, data):
+    stft_cfg = StftConfig(fft_size=64, hop=16, center_pad=center_pad)
+    # without center padding only lengths that frames tile exactly can be resynthesized
+    length = (frames - 1) * 16 + (1 + extra if center_pad else 64)
+    rng = np.random.default_rng(seed)
+    mix = Waveform(rng.normal(size=(channels, length)), SR)
+    raw = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=NUM_SOURCES, max_size=NUM_SOURCES),
+        min_size=len(kinds), max_size=len(kinds))), dtype=float)
+    raw[0, raw.sum(axis=0) == 0] = 1.0  # some weights are zero, no column is
+    leakage = data.draw(st.sampled_from([0.0, 0.1, 0.3]))
+    with tempfile.TemporaryDirectory() as tmp:
+        stem_dir, mag_dir = write_model_dirs(Path(tmp), rng, mix, stft_cfg)
+        cfg = PipelineConfig(
+            [entry_for(kind, stem_dir, mag_dir, leakage) for kind in kinds], stft_cfg,
+            MwfConfig(iterations=iterations), validate_weights(raw / raw.sum(axis=0)))
+        want = whole_array_run(mix, cfg).tobytes()
+        total = stft(mix, stft_cfg).frames
+        for block_frames in (1, 3, None, total, total + 5):
+            assert stems_of(mix, cfg, block_frames).tobytes() == want
+
+
+def toy_mix(seconds, channels=2, seed=0):
+    rng = np.random.default_rng(seed)
+    # read_wav de-interleaves, so its samples are a transposed (Fortran-ordered) array
+    return Waveform(0.3 * rng.normal(size=(int(seconds * SR), channels)).T, SR)
+
+
+def shipped_config():
+    return load_pipeline_config(resources.files("stemfuse") / "data" / "toy_pipeline.json")
+
+
+def test_unaligned_length_without_center_pad_fails_before_any_block(monkeypatch):
+    cfg = shipped_config()
+    cfg.stft = StftConfig(fft_size=64, hop=16, center_pad=False)
+    mix = Waveform(np.ones((2, 64 + 16 * 5 + 3)), SR)
+    with pytest.raises(ConfigMismatch) as want:
+        whole_array_run(mix, cfg)
+    monkeypatch.setattr(pipeline, "_analysis_frames", None)  # any block would fail here
+    with pytest.raises(ConfigMismatch) as got:
+        run(mix, cfg)
+    assert str(got.value) == str(want.value)
+
+
+def test_truncated_magnitudes_of_a_later_model_fail_before_any_block(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    mix = Waveform(rng.normal(size=(2, 2000)), SR)
+    stft_cfg = StftConfig(fft_size=64, hop=16)
+    _, mag_dir = write_model_dirs(tmp_path, rng, mix, stft_cfg)
+    path = mag_dir / "other.mag"
+    path.write_bytes(path.read_bytes()[:-4])
+    cfg = PipelineConfig(
+        [ModelEntry("a", "TF", "builtin-toy"), ModelEntry("b", "TF", str(mag_dir))],
+        stft_cfg, MwfConfig(iterations=2), validate_weights([[0.5] * 4, [0.5] * 4]))
+    monkeypatch.setattr(pipeline, "_analysis_frames", None)
+    with pytest.raises(TruncatedData, match="other.mag"):
+        run(mix, cfg)
+
+
+def test_no_transform_sees_more_than_one_block(monkeypatch):
+    cfg = shipped_config()
+    mix = toy_mix(2.0)
+    block = pipeline._BLOCK_BYTES // (NUM_SOURCES * mix.channels * cfg.stft.num_bins * 16)
+    total = stft(mix, cfg.stft).frames
+    seen = []
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def wrapper(a, *args, _original=original, _name=name, **kwargs):
+            seen.append((_name, a.shape[-2]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, wrapper)
+    run(mix, cfg)
+    assert {name for name, _ in seen} == {"rfft", "irfft"}
+    assert max(frames for _, frames in seen) <= block and 10 * block < total
+
+
+def traced_peak(mix, cfg) -> int:
+    tracemalloc.start()
+    try:
+        run(mix, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_grows_only_with_the_returned_stems():
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic
+    cfg = shipped_config()
+    short, long = toy_mix(2.0), toy_mix(6.0)
+    growth = (traced_peak(long, cfg) - traced_peak(short, cfg)) / (long.length - short.length)
+    # returned float64 stems plus a copy of the input, with a factor 2 of slack
+    assert growth <= 2 * (NUM_SOURCES + 1) * long.channels * 8

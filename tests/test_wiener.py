@@ -143,6 +143,16 @@ class TestEmIterate:
         with pytest.raises(SingularMixCovariance):
             em_iterate(est, mix, MwfConfig(iterations=1))
 
+    def test_overflowing_psd_of_one_frame_is_reported_as_overflow(self):
+        # Each channel's power and every sum over frames stay finite, but the
+        # channel sum of one bin overflows, so that frame's PSD is infinite.
+        bins = np.ones((2, 4, CFG.num_bins), dtype=complex)
+        bins[:, 0, 0] = 1.1e154
+        mix = Spectrogram(bins, CFG, SR)
+        est = as_set([bins.copy(), np.ones_like(bins)], mix)
+        with pytest.raises(SingularMixCovariance, match="overflowed"):
+            em_iterate(est, mix, MwfConfig(iterations=1))
+
 
 class TestSpatialModel:
     def test_covariances_hermitian_psd(self):
