@@ -13,7 +13,13 @@ import struct
 
 import numpy as np
 
-from .errors import IoFailure, MalformedHeader, TruncatedData, UnsupportedEncoding
+from .errors import (
+    IoFailure,
+    MalformedHeader,
+    NonFiniteSamples,
+    TruncatedData,
+    UnsupportedEncoding,
+)
 from .core import Waveform, _atomic_write
 
 _FORMAT_PCM = 0x0001
@@ -102,7 +108,10 @@ def read_wav(path) -> Waveform:
         flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
 
     samples = flat.reshape(frames, channels).T  # de-interleave to channel-major
-    return Waveform(samples, rate)
+    try:
+        return Waveform(samples, rate)
+    except NonFiniteSamples as exc:
+        raise NonFiniteSamples(f"{path}: {exc}") from exc
 
 
 def write_wav(w: Waveform, path, encoding: str = "float32") -> None:

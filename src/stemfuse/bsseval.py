@@ -10,9 +10,11 @@ others enter only the interference split of `project_subspace`.
 Silent-reference frames are excluded and perfect frames are reported at
 a +300 dB sentinel.
 
-The Gram matrix of delayed references is block-Toeplitz; it is built
-from FFT cross-correlations and solved densely, which keeps the result
-identical to explicit normal equations.
+The Gram matrix of delayed references is block-Toeplitz and built from
+FFT cross-correlations. `project_subspace` solves it densely; the
+framewise scores go through `BlendScorer`, which solves every window's
+Toeplitz system at once by a Levinson recursion and falls back to the
+dense solve where that recursion breaks down.
 """
 
 from __future__ import annotations
@@ -84,6 +86,45 @@ def _lagged_corr(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
     head = full[..., :max_lag]  # d = 0 .. max_lag-1
     tail = full[..., nfft - max_lag + 1:]  # d = -(max_lag-1) .. -1
     return np.concatenate([tail, head], axis=-1)
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: an FFT length with only small prime factors."""
+    odd = (3 ** b * 5 ** c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    # the least m * 2^a >= n has 2^a >= ceil(n / m)
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
+
+
+def _levinson(first_row: np.ndarray, rhs: np.ndarray):
+    """Solve toeplitz(first_row[s]) x[s, m] = rhs[s, m] for all systems s at once.
+
+    first_row : (systems, taps) with a positive diagonal; rhs : (systems,
+    count, taps). O(taps^2) per system (Golub & Van Loan, Alg. 4.7.2). Also
+    returns a mask of the systems whose reflection coefficients all have
+    |rho| < 1 and whose x is finite; the others' x is garbage.
+    """
+    count, taps = first_row.shape
+    r = first_row[:, 1:] / first_row[:, :1]
+    r_rev = np.ascontiguousarray(r[:, ::-1])
+    b = rhs / first_row[:, :1, None]
+    x = np.zeros_like(b)
+    x[..., 0] = b[..., 0]
+    y = np.zeros((count, taps))  # after step k, y[:k] solves toeplitz([1, r[:k - 1]]) y = -r[:k]
+    rho = np.zeros((count, taps))
+    beta = np.ones(count)
+    with np.errstate(all="ignore"):  # a broken-down system is flagged below
+        for k in range(1, taps):
+            dot = np.einsum("sj,sj->s", r_rev[:, taps - k:], y[:, :k - 1])
+            rho[:, k] = -(r[:, k - 1] + dot) / beta
+            y[:, :k - 1] += rho[:, k, None] * y[:, :k - 1][:, ::-1]
+            y[:, k - 1] = rho[:, k]
+            beta *= 1.0 - rho[:, k] ** 2
+            mu = b[..., k] - np.einsum("sj,smj->sm", r_rev[:, taps - 1 - k:], x[..., :k])
+            mu /= beta[:, None]
+            x[..., :k] += mu[:, :, None] * y[:, None, :k][..., ::-1]
+            x[..., k] = mu
+    ok = np.all(np.abs(rho) < 1.0, axis=1) & np.all(np.isfinite(x), axis=(1, 2))
+    return x, ok
 
 
 def _gram(refs: np.ndarray, filter_len: int) -> np.ndarray:
@@ -201,12 +242,15 @@ def _windows(reference: Waveform, cfg: EvalConfig) -> List[Optional[slice]]:
     """cfg's win/hop windows over `reference`, None where it is silent.
 
     A window is silent when the reference energy in it is below 1e-12.
-    A signal shorter than one window is scored whole.
+    A signal shorter than one window is scored whole. A filter longer
+    than the scored window is a ValueError.
     """
     length, rate = reference.length, reference.sample_rate
     # capped at length + 1 samples: any finite win/hop converts, the windows stay the same
     win = max(1, round(min(cfg.win * rate, length + 1)))
     hop = max(1, round(min(cfg.hop * rate, length + 1)))
+    if cfg.filter_len > min(win, length):
+        raise ValueError(f"filter_len {cfg.filter_len} exceeds the {min(win, length)}-sample frame")
     starts = range(0, length - win + 1, hop) if length >= win else range(1)
     windows = []
     for start in starts:
@@ -218,12 +262,8 @@ def _windows(reference: Waveform, cfg: EvalConfig) -> List[Optional[slice]]:
 
 def _source_frames(reference: Waveform, estimate: Waveform, cfg: EvalConfig) -> List[float]:
     """Framewise SDR of one source's estimate; NaN marks a silent frame."""
-    return [
-        math.nan if window is None else _frame_sdr(
-            reference.samples[:, window], estimate.samples[:, window], cfg.filter_len
-        )
-        for window in _windows(reference, cfg)
-    ]
+    scorer = BlendScorer(reference, estimate.samples[None], cfg)
+    return scorer.frame_sdr([[1.0]], BlendScorer.REPORT_TOL)[:, 0].tolist()
 
 
 def sdr_frames(
@@ -264,75 +304,89 @@ def median_sdr(
 
 
 class BlendScorer:
-    """Median framewise SDR of weighted blends of one source's model stems.
+    """Framewise SDR of weighted blends of one source's model stems.
 
     For one frame and channel, with r the reference and E the
     (num_models, n) model stems, a blend e = E^T w has projection
-    coefficients K w, where K = (G + ridge)^-1 B solves the Gram G of
-    r's delayed copies against the stems' right-hand sides B once.
-    Summed over channels, the target energy is w^T (K^T G K) w and the
-    error energy w^T (E E^T - B^T K - K^T B + K^T G K) w; both are exact
-    because the projection keeps its full ring-out. So one solve per
-    frame and channel scores every weight column, where `median_sdr` on
-    each synthesised blend solves once per column.
+    coefficients K w, where K = (G + ridge)^-1 B. G, the Gram of r's
+    delayed copies, is symmetric Toeplitz: its first row and B are lags
+    of one FFT correlation, and `_levinson` solves every frame and
+    channel at once (`_gram` densely where the recursion breaks down).
+    Summed over channels, the target energy is w^T (K^T G K) w, with
+    K^T G K = B^T K - ridge K^T K, and the error energy
+    w^T (E E^T - B^T K - K^T B + K^T G K) w; both are exact because the
+    projection keeps its full ring-out. So one solve per frame and
+    channel scores every weight column.
 
     The forms carry a rounding error of a few ulps of the blend's energy
-    bound (sum_m w_m |E_m|)^2, which is 1e-9 dB of SDR near 60 dB. Where a
-    form is at most CANCELLATION_TOL times that bound (exact matches,
-    zero estimates, blends above ~50 dB), the frame is scored instead by
-    `_frame_sdr` on the synthesised blend, exactly as `median_sdr` does,
-    so the cap and the sentinel come from the same code.
+    bound (sum_m w_m |E_m|)^2: 1e-9 dB of SDR near 60 dB, 1e-12 relative
+    up to 30 dB. Where a form is at most `tol` times that bound (exact
+    matches, zero estimates, blends past ~50 dB for the search's 1e-9 dB
+    ties, past ~+-30 dB for reported frames), the frame is scored instead
+    by `_frame_sdr` on the synthesised blend, so the cap and the sentinel
+    come from the same code.
     """
 
-    CANCELLATION_TOL = 1e-5
+    CANCELLATION_TOL = 1e-5  # ranking blends: one solve per frame for any good grid
+    REPORT_TOL = 1e-3  # reported frames: at most one projection per frame
 
     def __init__(self, reference: Waveform, stems: np.ndarray, cfg: EvalConfig = EvalConfig()):
         """stems : (num_models, channels, length), one model's stem per row."""
         self._ref = reference.samples
         self._stems = stems
-        self._filter_len = cfg.filter_len
-        self._windows = [window for window in _windows(reference, cfg) if window is not None]
-        num_models = stems.shape[0]
-        self._target = np.zeros((len(self._windows), num_models, num_models))
-        self._error = np.zeros_like(self._target)
-        self._norms = np.zeros((len(self._windows), num_models))
+        self._filter_len = taps = cfg.filter_len
+        windows = _windows(reference, cfg)
+        self._scored = np.array([window is not None for window in windows], dtype=bool)
+        self._windows = [window for window in windows if window is not None]
+        num_models, channels = stems.shape[:2]
+        frames = len(self._windows)
+        self._error = np.zeros((frames, num_models, num_models))
+        lags = np.empty((frames, channels, 1 + num_models, taps))
         for f, window in enumerate(self._windows):
             seg = stems[:, :, window]
-            self._norms[f] = np.sqrt(np.sum(seg ** 2, axis=(1, 2)))
-            for c in range(seg.shape[1]):
-                self._add_channel(f, self._ref[c, window], seg[:, c])
+            if f == 0:  # every window has the same length
+                nfft = _fft_size(seg.shape[-1] + taps)
+            self._error[f] = np.einsum("mcn,kcn->mk", seg, seg)
+            spec = np.fft.rfft(np.concatenate([self._ref[None, :, window], seg]), nfft)
+            corr = np.fft.irfft(np.conj(spec[0]) * spec, nfft)  # lag d of r with r, then E
+            lags[f] = np.moveaxis(corr[..., :taps], 0, 1)  # copied, so corr is freed
+        self._norms = np.sqrt(np.diagonal(self._error, axis1=1, axis2=2))  # |E_m| per frame
+        systems = lags.reshape(frames * channels, 1 + num_models, taps)
+        acf, rhs = systems[:, 0], systems[:, 1:]
+        ridge = GRAM_REG * acf[:, 0]  # GRAM_REG * trace / size, as `_ridge_solve` adds it
+        coef = np.zeros_like(rhs)  # zero where the reference channel is silent
+        live = np.flatnonzero(acf[:, 0] > 0.0)
+        first_row = acf[live]
+        first_row[:, 0] += ridge[live]
+        coef[live], solved = _levinson(first_row, rhs[live])
+        for s in live[~solved]:
+            gram = _gram(self._ref[s % channels, self._windows[s // channels]][None], taps)
+            coef[s] = _ridge_solve(gram, float(np.trace(gram)), rhs[s].T).T
+        cross = np.einsum("sml,skl->smk", rhs, coef)  # B^T K
+        projected = cross - ridge[:, None, None] * np.einsum("sml,skl->smk", coef, coef)
+        per_channel = (frames, channels, num_models, num_models)
+        self._target = projected.reshape(per_channel).sum(axis=1)
+        self._error += (projected - cross - cross.transpose(0, 2, 1)).reshape(per_channel).sum(1)
 
-    def _add_channel(self, frame: int, ref: np.ndarray, stems: np.ndarray) -> None:
-        """Accumulate one channel's forms: (n,) reference, (num_models, n) stems."""
-        filter_len = self._filter_len
-        self._error[frame] += stems @ stems.T
-        gram = _gram(ref[None], filter_len)
-        trace = float(np.trace(gram))
-        if trace <= 0.0:  # the projection is zero: everything is error
-            return
-        rhs = _lagged_corr(ref, stems, filter_len)[:, filter_len - 1:].T
-        coef = _ridge_solve(gram, trace, rhs)
-        projected = coef.T @ gram @ coef
-        cross = rhs.T @ coef
-        self._target[frame] += projected
-        self._error[frame] += projected - cross - cross.T
-
-    def median_sdr(self, columns: np.ndarray) -> np.ndarray:
-        """Median SDR of each blend; columns is (count, num_models) weights.
-
-        NaN for every column when every frame is silent.
-        """
+    def frame_sdr(self, columns: np.ndarray, tol: float = CANCELLATION_TOL) -> np.ndarray:
+        """(windows, count) SDR of each blend of columns (count, num_models), in
+        `_windows` order; a window where the reference is silent is a row of NaN."""
         columns = np.asarray(columns, dtype=np.float64)
-        if not self._windows:
-            return np.full(columns.shape[0], math.nan)
         target = np.sum((columns @ self._target) * columns, axis=-1)  # (frames, count)
         error = np.sum((columns @ self._error) * columns, axis=-1)
-        bound = self.CANCELLATION_TOL * (self._norms @ columns.T) ** 2
+        bound = tol * (self._norms @ columns.T) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             sdr = np.clip(10.0 * np.log10(target / error), -SDR_CAP_DB, SDR_CAP_DB)
         for f, n in zip(*np.nonzero((error <= bound) | (target <= bound))):
             sdr[f, n] = self._synthesised_sdr(f, columns[n])
-        return np.median(sdr, axis=0)
+        frames = np.full((self._scored.size, columns.shape[0]), math.nan)
+        frames[self._scored] = sdr
+        return frames
+
+    def median_sdr(self, columns: np.ndarray) -> np.ndarray:
+        """Median over the scored windows of `frame_sdr`; NaN when every one is silent."""
+        frames = self.frame_sdr(columns)[self._scored]
+        return np.median(frames, axis=0) if self._windows else np.full(frames.shape[1], math.nan)
 
     def _synthesised_sdr(self, frame: int, weights: np.ndarray) -> float:
         window = self._windows[frame]

@@ -18,7 +18,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from .errors import ConfigMismatch, SampleRateMismatch, ShapeMismatch
+from .errors import ConfigMismatch, NonFiniteSamples, SampleRateMismatch, ShapeMismatch
 
 SOURCE_NAMES = ("drums", "bass", "other", "vocals")
 
@@ -63,7 +63,7 @@ class Waveform:
         if samples.shape[0] < 1:
             raise ValueError("waveform needs at least one channel")
         if not np.all(np.isfinite(samples)):
-            raise ValueError("waveform contains non-finite samples")
+            raise NonFiniteSamples("waveform contains non-finite samples")
         rate = self.sample_rate
         if not isinstance(rate, (int, np.integer)) or rate <= 0:
             raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")

@@ -71,6 +71,12 @@ class LengthMismatch(StemfuseError):
     code = "length-mismatch"
 
 
+class NonFiniteSamples(StemfuseError, ValueError):
+    """A waveform holds NaN or infinite samples; also a ValueError, like other bad values."""
+
+    code = "non-finite-samples"
+
+
 # --- wiener ------------------------------------------------------------
 
 class SingularMixCovariance(StemfuseError):

@@ -180,6 +180,8 @@ def _magnitude_shape(fh, path) -> tuple:
     if len(head) < _HEADER_BYTES or head[:len(_MAGIC)] != _MAGIC:
         raise MalformedHeader(f"{path} is not a DSMAG1 magnitude file")
     shape = struct.unpack_from("<III", head, len(_MAGIC))
+    if 0 in shape:  # an empty tensor would still be read one channel at a time
+        raise MalformedHeader(f"{path}: zero dimension in shape {shape}")
     expected = 4 * shape[0] * shape[1] * shape[2]
     found = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
     if found < expected:

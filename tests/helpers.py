@@ -2,6 +2,7 @@
 independent brute-force oracles the derived expectations come from."""
 
 import itertools
+import math
 import struct
 from pathlib import Path
 
@@ -15,12 +16,12 @@ from stemfuse import (
     Waveform,
     istft,
     load_stem_dir,
-    median_sdr,
     mwf,
     read_magnitudes,
     stft,
     write_wav,
 )
+from stemfuse import bsseval
 from stemfuse.blend import weighted_accumulate
 
 
@@ -76,6 +77,53 @@ def dense_frame_sdr(ref_frames: np.ndarray, est_frame: np.ndarray, filter_len: i
         num += float(np.sum(proj ** 2))
         den += float(np.sum((padded - proj) ** 2))
     return 10.0 * np.log10(num / den)
+
+
+# --- framewise SDR by one projection per frame and channel -----------------
+# The scoring path before `sdr_frames` went through `BlendScorer`'s closed
+# form: `_frame_sdr` projects every window and channel on its own and
+# measures both energies on the projected signal.
+
+def oracle_source_frames(reference, estimate, cfg):
+    """Framewise SDR of one source's estimate; NaN marks a silent frame."""
+    return [
+        math.nan if window is None else bsseval._frame_sdr(
+            reference.samples[:, window], estimate.samples[:, window], cfg.filter_len)
+        for window in bsseval._windows(reference, cfg)
+    ]
+
+
+def oracle_median_sdr(references, estimate, source_index, cfg):
+    """Median of `oracle_source_frames` over the non-silent frames."""
+    kept = [v for v in oracle_source_frames(references.sources[source_index], estimate, cfg)
+            if not math.isnan(v)]
+    return float(np.median(kept)) if kept else math.nan
+
+
+def longdouble_frame_sdr(ref: np.ndarray, est: np.ndarray, filter_len: int) -> float:
+    """SDR of one (ch, n) window in long double: time-domain correlations,
+    the ridge of `_ridge_solve`, Gaussian elimination with partial pivoting
+    and energies measured on the convolved projection."""
+    target = error = np.longdouble(0)
+    for r, e in zip(ref.astype(np.longdouble), est.astype(np.longdouble)):
+        n = r.size
+        acf = np.array([np.dot(r[:n - d], r[d:]) for d in range(filter_len)])
+        rhs = np.array([np.dot(r[:n - d], e[d:]) for d in range(filter_len)])
+        lags = np.abs(np.subtract.outer(np.arange(filter_len), np.arange(filter_len)))
+        system = np.hstack([acf[lags] + bsseval.GRAM_REG * acf[0] * np.eye(filter_len),
+                            rhs[:, None]])
+        for k in range(filter_len):
+            pivot = k + int(np.argmax(np.abs(system[k:, k])))
+            system[[k, pivot]] = system[[pivot, k]]
+            system[k + 1:] -= np.outer(system[k + 1:, k] / system[k, k], system[k])
+        coef = np.zeros(filter_len, dtype=np.longdouble)
+        for k in reversed(range(filter_len)):
+            coef[k] = (system[k, -1] - np.dot(system[k, k + 1:-1], coef[k + 1:])) / system[k, k]
+        projected = np.convolve(r, coef)
+        target += np.sum(projected ** 2)
+        error += np.sum((np.concatenate([e, np.zeros(filter_len - 1, np.longdouble)])
+                         - projected) ** 2)
+    return float(10 * np.log10(target / error))
 
 
 # --- scalar EM oracle (pure Python, mirrors the three MWF steps) ----------
@@ -152,8 +200,9 @@ def em_once_oracle(est_bins, mix_bins, eps):
 # --- brute-force blend-weight search oracle -------------------------------
 
 def brute_force_column_scores(per_model_stems, references, source_index, steps, cfg):
-    """Simplex columns in lexicographic order, each scored by median_sdr on
-    the synthesised blend, as the search did before its closed form."""
+    """Simplex columns in lexicographic order, each scored by one projection
+    per frame of the synthesised blend, as the search did before its
+    closed form."""
     num_models = len(per_model_stems)
     columns = [c for c in itertools.product(range(steps + 1), repeat=num_models)
                if sum(c) == steps]
@@ -164,8 +213,8 @@ def brute_force_column_scores(per_model_stems, references, source_index, steps, 
         for m in range(num_models):
             if column[m]:
                 candidate += (column[m] / steps) * stems[m]
-        scores.append(median_sdr(references, Waveform(candidate, references.sample_rate),
-                                 source_index, cfg))
+        scores.append(oracle_median_sdr(references, Waveform(candidate, references.sample_rate),
+                                        source_index, cfg))
     return columns, np.array(scores)
 
 

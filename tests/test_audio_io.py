@@ -3,9 +3,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stemfuse import Waveform, read_wav, write_wav
-from stemfuse.errors import IoFailure, MalformedHeader, TruncatedData, UnsupportedEncoding
+from stemfuse import Waveform, read_magnitudes, read_wav, write_magnitudes, write_wav
+from stemfuse.errors import (
+    IoFailure,
+    MalformedHeader,
+    NonFiniteSamples,
+    StemfuseError,
+    TruncatedData,
+    UnsupportedEncoding,
+)
 
 from helpers import bytes_read_wav, bytes_wav_blob
 
@@ -199,3 +207,97 @@ class TestAgainstBytesCopies:
         assert w.sample_rate == rate
         assert w.samples.shape == (channels, frames)
         assert w.samples.tobytes() == samples.tobytes()
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_float_wav_with_non_finite_sample_names_the_file(self, tmp_path, value):
+        payload = np.array([0.25, value, -0.5, 0.0], dtype="<f4").tobytes()
+        path = tmp_path / "bad.wav"
+        path.write_bytes(build_wav(payload, tag=3, bits=32))
+        with pytest.raises(NonFiniteSamples, match=f"^{path}: .*non-finite") as err:
+            read_wav(path)
+        assert err.value.code == "non-finite-samples"
+        assert isinstance(err.value, ValueError)
+
+    def test_waveform_constructor_raises_it_too(self):
+        with pytest.raises(NonFiniteSamples):
+            Waveform(np.array([[0.0, np.nan]]), 44100)
+
+
+# --- hostile bytes: each file reader parses or raises a StemfuseError ------
+
+@pytest.fixture(scope="module")
+def valid_blobs(tmp_path_factory):
+    """(reader, bytes) of small valid PCM24, PCM16 and float32 WAVs and a DSMAG1 file."""
+    rng = np.random.default_rng(7)
+    directory = tmp_path_factory.mktemp("valid")
+    samples = rng.uniform(-0.9, 0.9, size=(2, 12))
+    blobs = [(read_wav, build_wav(rng.integers(0, 256, size=2 * 12 * 3, dtype=np.uint8)
+                                  .tobytes(), channels=2, bits=24))]
+    for encoding in ("pcm16", "float32"):
+        write_wav(Waveform(samples, 8000), directory / "x.wav", encoding=encoding)
+        blobs.append((read_wav, (directory / "x.wav").read_bytes()))
+    write_magnitudes(directory / "x.mag", rng.uniform(0, 1, size=(2, 3, 5)))
+    blobs.append((read_magnitudes, (directory / "x.mag").read_bytes()))
+    return blobs
+
+
+# 32-bit words that tend to matter: zero and huge sizes, NaN, +-inf, -0.0
+INTERESTING_WORDS = (0, 1, 0xFFFF, 0x7FFFFFFF, 0xFFFFFFFF, 0x7FC00000, 0x7F800000, 0xFF800000,
+                     0x80000000)
+
+
+@st.composite
+def mutations(draw, blob):
+    """`blob` with a few bytes or 32-bit words set, bytes cut out or
+    inserted, or the file cut short."""
+    data = bytearray(blob)
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, len(data)))
+        action = draw(st.sampled_from(["set", "word", "cut", "insert", "truncate"]))
+        if action == "set" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        elif action == "word":
+            data[pos:pos + 4] = struct.pack("<I", draw(st.sampled_from(INTERESTING_WORDS)))
+        elif action == "cut":
+            del data[pos:pos + draw(st.integers(1, 8))]
+        elif action == "insert":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+        else:
+            del data[pos:]
+    return bytes(data)
+
+
+def parses_or_raises_stemfuse_error(reader, path, blob):
+    path.write_bytes(blob)
+    try:
+        reader(path)
+    except StemfuseError:
+        pass
+
+
+@pytest.mark.parametrize("reader", [read_wav, read_magnitudes], ids=["wav", "dsmag1"])
+@settings(max_examples=200, deadline=None)
+@given(blob=st.binary(max_size=96) | st.binary(max_size=40).map(
+    lambda tail: b"RIFF\x00\x00\x00\x00WAVEfmt " + tail) | st.binary(max_size=40).map(
+    lambda tail: b"DSMAG1" + tail))
+def test_any_bytes_parse_or_raise_stemfuse_error(tmp_path_factory, reader, blob):
+    path = tmp_path_factory.getbasetemp() / "any.bin"
+    parses_or_raises_stemfuse_error(reader, path, blob)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_files_parse_or_raise_stemfuse_error(tmp_path_factory, valid_blobs, data):
+    reader, blob = data.draw(st.sampled_from(valid_blobs))
+    path = tmp_path_factory.getbasetemp() / "mutated.bin"
+    parses_or_raises_stemfuse_error(reader, path, data.draw(mutations(blob)))
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 5), (2, 0, 5), (2, 3, 0), (0xFFFF, 1, 0)])
+def test_magnitude_header_with_a_zero_dimension_is_malformed(tmp_path, shape):
+    path = tmp_path / "empty.mag"
+    path.write_bytes(b"DSMAG1" + struct.pack("<III", *shape))
+    with pytest.raises(MalformedHeader, match="zero dimension"):
+        read_magnitudes(path)

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stemfuse import bsseval
 from stemfuse import (
     EvalConfig,
     SdrReport,
@@ -26,7 +28,13 @@ from stemfuse.errors import (
     SilentReference,
 )
 
-from helpers import dense_frame_sdr, dense_projection, make_waveform_set
+from helpers import (
+    dense_frame_sdr,
+    dense_projection,
+    longdouble_frame_sdr,
+    make_waveform_set,
+    oracle_source_frames,
+)
 
 SR = 44100
 
@@ -247,6 +255,198 @@ class TestSdrFrames:
         refs = make_waveform_set(rng, channels=1, length=1000)
         report = sdr_frames(refs, refs, EvalConfig(filter_len=2, win=1e306, hop=1e306))
         assert report.per_source_frames["drums"] == [300.0]
+
+
+def assert_frames_match_oracle(got, want):
+    """NaN, the +300 sentinel and the +-300 cap exactly; other frames within
+    1e-12 relative (of 1 dB for frames within 1 dB of 0)."""
+    assert [math.isnan(v) for v in got] == [math.isnan(v) for v in want]
+    for g, w in zip(got, want):
+        if math.isnan(w):
+            continue
+        if abs(w) == 300.0 or abs(g) == 300.0:
+            assert g == w
+        else:
+            assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (g, w)
+
+
+SEGMENT_KINDS = ("noisy", "silent", "near-silent", "exact", "zero-estimate", "scaled")
+
+
+def segment_scene(rng, channels, hop, tail, kinds, noise_gain):
+    """(reference, estimate) built from one hop-long segment per kind and a
+    tail that extends the last kind, so window k starts in segment k."""
+    refs, ests = [], []
+    for n, kind in zip([hop] * (len(kinds) - 1) + [hop + tail], kinds):
+        ref = rng.normal(size=(channels, n))
+        est = ref + noise_gain * rng.normal(size=ref.shape)
+        if kind == "silent":
+            ref = np.zeros_like(ref)
+        elif kind == "near-silent":
+            ref = 2e-7 * ref
+        elif kind == "exact":
+            est = ref
+        elif kind == "zero-estimate":
+            est = np.zeros_like(ref)
+        elif kind == "scaled":
+            est = 2.0 * ref
+        refs.append(ref)
+        ests.append(est)
+    return Waveform(np.hstack(refs), SR), Waveform(np.hstack(ests), SR)
+
+
+class TestClosedFormScorer:
+    """`sdr_frames` scores through `BlendScorer`; the per-frame projection
+    it replaced (`helpers.oracle_source_frames`) is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        channels=st.integers(1, 2),
+        filter_len=st.integers(1, 64),
+        extra=st.integers(0, 96),
+        overlap=st.sampled_from([1, 2, 3]),
+        kinds=st.lists(st.sampled_from(SEGMENT_KINDS), min_size=1, max_size=5),
+        noise_db=st.floats(-45.0, 15.0),
+    )
+    def test_matches_per_frame_projection(self, seed, channels, filter_len, extra, overlap,
+                                          kinds, noise_db):
+        rng = np.random.default_rng(seed)
+        win = filter_len + extra + 8
+        hop = -(-win // overlap)
+        ref, est = segment_scene(rng, channels, hop, win - hop, kinds, 10.0 ** (noise_db / 20))
+        cfg = EvalConfig(filter_len, win / SR, hop / SR)
+        report = sdr_frames(SourceWaveformSet([ref]), SourceWaveformSet([est]), cfg)
+        (got,) = report.per_source_frames.values()
+        assert len(got) == len(kinds)
+        assert_frames_match_oracle(got, oracle_source_frames(ref, est, cfg))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("kind", ["tone", "two-tones", "low-pass"])
+    @pytest.mark.parametrize("filter_len", [16, 64])
+    def test_ill_conditioned_grams_against_long_double(self, kind, filter_len):
+        rng = np.random.default_rng(filter_len)
+        n = np.arange(3 * 1024)
+        phase = 2 * np.pi * n / SR
+        if kind == "tone":
+            ref = np.sin(440.0 * phase)[None]
+        elif kind == "two-tones":
+            ref = np.stack([np.sin(440.0 * phase + 0.3),
+                            np.sin(1000.0 * phase) + 0.5 * np.cos(60.0 * phase)])
+        else:  # noise low-passed at 100 Hz
+            spec = np.fft.rfft(rng.normal(size=(2, n.size)))
+            spec[:, np.fft.rfftfreq(n.size, 1 / SR) > 100.0] = 0.0
+            ref = np.fft.irfft(spec, n.size)
+        est = ref + 0.05 * np.std(ref) * rng.normal(size=ref.shape)
+        cfg = EvalConfig(filter_len, 1024 / SR, 512 / SR)
+        reference, estimate = Waveform(ref, SR), Waveform(est, SR)
+        new = sdr_frames(SourceWaveformSet([reference]), SourceWaveformSet([estimate]), cfg)
+        (new,) = new.per_source_frames.values()
+        old = oracle_source_frames(reference, estimate, cfg)
+        for window, got, want in zip(bsseval._windows(reference, cfg), new, old):
+            exact = longdouble_frame_sdr(ref[:, window], est[:, window], filter_len)
+            assert abs(got - exact) <= abs(want - exact) + 1e-11
+
+    @pytest.mark.parametrize("noise_db", [-20.0, -40.0])
+    def test_frames_above_30_db_are_rescored_by_projection(self, noise_db):
+        # the closed form's rounding grows as 1 / error energy, so a frame
+        # past 30 dB takes `_frame_sdr`, bitwise the oracle's
+        rng = np.random.default_rng(22)
+        ref = Waveform(rng.normal(size=(2, 2048)), SR)
+        est = Waveform(ref.samples + 10.0 ** (noise_db / 20) * rng.normal(size=(2, 2048)), SR)
+        cfg = EvalConfig(filter_len=32, win=2048 / SR, hop=2048 / SR)
+        report = sdr_frames(SourceWaveformSet([ref]), SourceWaveformSet([est]), cfg)
+        (got,) = report.per_source_frames.values()
+        want = oracle_source_frames(ref, est, cfg)
+        assert_frames_match_oracle(got, want)
+        assert (got == want) == (noise_db < -30.0)
+
+    def test_search_ranks_40_db_blends_without_projection(self, monkeypatch):
+        # a search rescores only past ~50 dB, so good models cost no projection
+        # per column; reporting one such frame does take one
+        calls = []
+        frame_sdr = bsseval._frame_sdr
+        monkeypatch.setattr(bsseval, "_frame_sdr",
+                            lambda *args: calls.append(args) or frame_sdr(*args))
+        rng = np.random.default_rng(23)
+        ref = Waveform(rng.normal(size=(2, 2048)), SR)
+        stems = np.stack([ref.samples + 0.01 * rng.normal(size=(2, 2048)) for _ in range(2)])
+        cfg = EvalConfig(filter_len=32, win=1024 / SR, hop=1024 / SR)
+        scores = bsseval.BlendScorer(ref, stems, cfg).median_sdr([[1.0, 0.0], [0.5, 0.5]])
+        assert np.all(scores > 39.0) and calls == []
+        sdr_frames(SourceWaveformSet([ref]), SourceWaveformSet([Waveform(stems[0], SR)]), cfg)
+        assert len(calls) == 2
+
+    def test_no_gram_or_dense_solve_for_well_conditioned_frames(self, monkeypatch):
+        calls = []
+        solve, gram = np.linalg.solve, bsseval._gram
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: calls.append("solve") or solve(*args))
+        monkeypatch.setattr(bsseval, "_gram", lambda *args: calls.append("gram") or gram(*args))
+        rng = np.random.default_rng(18)
+        refs = make_waveform_set(rng, channels=2, length=4 * 512)
+        noisy = SourceWaveformSet([Waveform(s.samples + 0.3 * rng.normal(size=s.samples.shape), SR)
+                                   for s in refs.sources])
+        cfg = EvalConfig(filter_len=48, win=1024 / SR, hop=512 / SR)
+        report = sdr_frames(refs, noisy, cfg)
+        assert calls == []
+        for label, ref, est in zip(report.per_source_frames, refs.sources, noisy.sources):
+            assert_frames_match_oracle(report.per_source_frames[label],
+                                       oracle_source_frames(ref, est, cfg))
+
+    def test_broken_down_recursion_takes_the_dense_path(self, monkeypatch):
+        flags, grams = [], []
+        levinson, gram = bsseval._levinson, bsseval._gram
+
+        def reflection_beyond_one(first_row, rhs):
+            first_row = first_row.copy()
+            first_row[0, 1] = 2.0 * first_row[0, 0]  # the first system's rho_1 is -2
+            coef, ok = levinson(first_row, rhs)
+            flags.append(ok)
+            return coef, ok
+
+        monkeypatch.setattr(bsseval, "_levinson", reflection_beyond_one)
+        monkeypatch.setattr(bsseval, "_gram", lambda *args: grams.append(args) or gram(*args))
+        rng = np.random.default_rng(19)
+        ref = Waveform(rng.normal(size=(2, 3 * 256)), SR)
+        est = Waveform(ref.samples + 0.2 * rng.normal(size=ref.samples.shape), SR)
+        cfg = EvalConfig(filter_len=12, win=256 / SR, hop=256 / SR)
+        report = sdr_frames(SourceWaveformSet([ref]), SourceWaveformSet([est]), cfg)
+        assert [list(ok) for ok in flags] == [[False] + [True] * 5]
+        assert len(grams) == 1
+        np.testing.assert_array_equal(grams[0][0], ref.samples[:1, :256])
+        (got,) = report.per_source_frames.values()
+        assert_frames_match_oracle(got, oracle_source_frames(ref, est, cfg))
+
+    def test_levinson_matches_dense_solve(self):
+        rng = np.random.default_rng(20)
+        signals = rng.normal(size=(5, 300))
+        taps = 24
+        first_row = np.array([[np.dot(x[:300 - d], x[d:]) for d in range(taps)]
+                              for x in signals])
+        rhs = rng.normal(size=(5, 3, taps))
+        coef, ok = bsseval._levinson(first_row, rhs)
+        assert ok.all()
+        lags = np.abs(np.subtract.outer(np.arange(taps), np.arange(taps)))
+        for s in range(5):
+            want = np.linalg.solve(first_row[s][lags], rhs[s].T).T
+            np.testing.assert_allclose(coef[s], want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+        indefinite = np.array([[1.0, 0.9, 0.1, 0.0]])  # rho_2 = 0.71 / 0.19: not positive definite
+        assert not bsseval._levinson(indefinite, np.ones((1, 1, 4)))[1][0]
+
+    @pytest.mark.parametrize("length, filter_len, ok", [
+        (3 * 1024, 1024, True), (3 * 1024, 1025, False), (700, 700, True), (700, 701, False),
+    ])
+    def test_filter_longer_than_the_frame_is_rejected(self, length, filter_len, ok):
+        rng = np.random.default_rng(21)
+        refs = make_waveform_set(rng, channels=1, length=length)
+        cfg = EvalConfig(filter_len=filter_len, win=1024 / SR, hop=1024 / SR)
+        if ok:
+            assert sdr_frames(refs, refs, cfg).overall_avg == 300.0
+        else:
+            with pytest.raises(ValueError, match=f"filter_len {filter_len} exceeds"):
+                sdr_frames(refs, refs, cfg)
 
 
 class TestMedianSdr:

@@ -7,7 +7,15 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from stemfuse import Waveform, load_weights, read_wav, stft, write_magnitudes, write_wav
+from stemfuse import (
+    SourceWaveformSet,
+    Waveform,
+    load_weights,
+    read_wav,
+    stft,
+    write_magnitudes,
+    write_wav,
+)
 from stemfuse.cli import main
 from stemfuse.core import StftConfig
 
@@ -339,3 +347,57 @@ def test_overflowing_initial_masks_are_one_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error invalid-input: initial masks are not finite")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("filter_len", ["1025", "1000000"])
+@pytest.mark.parametrize("command", ["eval", "search-weights"])
+def test_filter_longer_than_the_frame_is_one_error_line(tmp_path, capsys, command, filter_len):
+    # 1024-sample stems are shorter than the 1-s window, so they are scored whole
+    rng = np.random.default_rng(15)
+    refs = write_stem_dir(tmp_path / "refs", make_waveform_set(rng, length=1024, scale=0.3))
+    out = tmp_path / "out.json"
+    head = (["eval", "--estimates", str(refs)] if command == "eval"
+            else ["search-weights", "--stems", str(refs), "--grid-step", "0.5"])
+    code = main(head + ["--references", str(refs), "--out", str(out), "--filter-len", filter_len])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error invalid-input: filter_len {filter_len} exceeds the 1024-sample frame\n"
+    assert not out.exists()
+
+
+def test_non_finite_stem_is_one_error_line_naming_the_file(tmp_path, capsys):
+    rng = np.random.default_rng(16)
+    refs = write_stem_dir(tmp_path / "refs", make_waveform_set(rng, length=512, scale=0.3))
+    est = write_stem_dir(tmp_path / "est", make_waveform_set(rng, length=512, scale=0.3))
+    blob = bytearray((est / "bass.wav").read_bytes())
+    first_sample = blob.index(b"data") + 8
+    blob[first_sample:first_sample + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    (est / "bass.wav").write_bytes(bytes(blob))
+    code = main(["eval", "--estimates", str(est), "--references", str(refs),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error non-finite-samples: {est / 'bass.wav'}: ")
+    assert err.count("\n") == 1
+
+
+def test_eval_report_is_byte_identical_across_blas_thread_counts(tmp_path):
+    rng = np.random.default_rng(17)
+    refs = make_waveform_set(rng, length=2 * SR, scale=0.3)
+    noisy = SourceWaveformSet([Waveform(s.samples + 0.1 * rng.normal(size=s.samples.shape), SR)
+                               for s in refs.sources])
+    ref_dir = write_stem_dir(tmp_path / "refs", refs)
+    est_dir = write_stem_dir(tmp_path / "est", noisy)
+    args = ["eval", "--estimates", str(est_dir), "--references", str(ref_dir)]
+    assert main(args + ["--out", str(tmp_path / "in_process.json")]) == 0
+    python_path = [str(resources.files("stemfuse").parent), os.environ.get("PYTHONPATH")]
+    for threads in ("1", "4"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, python_path)))
+        proc = subprocess.run([sys.executable, "-m", "stemfuse.cli", *args, "--out",
+                               str(tmp_path / f"threads{threads}.json")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    blobs = [(tmp_path / name).read_bytes()
+             for name in ("in_process.json", "threads1.json", "threads4.json")]
+    assert blobs[0] == blobs[1] == blobs[2]
