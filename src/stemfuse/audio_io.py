@@ -105,7 +105,8 @@ def read_wav(path) -> Waveform:
     elif tag == _FORMAT_PCM:
         flat = _decode_pcm24(data)
     else:
-        flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN is reported below, by name
+            flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
 
     samples = flat.reshape(frames, channels).T  # de-interleave to channel-major
     try:

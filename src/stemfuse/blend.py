@@ -182,23 +182,19 @@ def search_weights(
 
     num_models = len(per_model_stems)
     num_sources = references.num_sources
+    scorer = bsseval.BlendScorer(references, per_model_stems, cfg)
+    columns = _simplex_columns(num_models, steps)
+    blocks = []
+    while block := list(itertools.islice(columns, _COLUMN_BLOCK)):
+        blocks.append(scorer.median_sdr(np.asarray(block) / steps))
     weights = np.zeros((num_models, num_sources))
-    for j in range(num_sources):
-        stems_j = np.stack([stems.sources[j].samples for stems in per_model_stems])
-        scorer = bsseval.BlendScorer(references.sources[j], stems_j, cfg)
-        columns = _simplex_columns(num_models, steps)
-        scores = []
-        while block := list(itertools.islice(columns, _COLUMN_BLOCK)):
-            scores.append(scorer.median_sdr(np.asarray(block) / steps))
-        scores = np.concatenate(scores)
+    for j, scores in enumerate(np.concatenate(blocks, axis=1)):
         best = 0  # every frame excluded: fall back to uniform-lex
         if not np.all(np.isnan(scores)):
             best = int(np.argmax(scores >= np.nanmax(scores) - TIE_TOL_DB))
         column = next(itertools.islice(_simplex_columns(num_models, steps), best, None))
         weights[:, j] = np.asarray(column, dtype=np.float64) / steps
-    if model_names is None:
-        model_names = tuple(f"model_{i}" for i in range(num_models))
-    return BlendWeights(weights, tuple(model_names), source_labels(num_sources))
+    return validate_weights(weights, model_names, source_labels(num_sources))
 
 
 # --- weights file I/O ---------------------------------------------------
@@ -216,16 +212,14 @@ def save_weights(w: BlendWeights, path) -> None:
 
 
 def weights_from_json_dict(payload: dict) -> BlendWeights:
-    try:
-        models = payload["models"]
-        sources = payload["sources"]
-        weights = payload["weights"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"weights JSON lacks required key: {exc}") from exc
+    if not isinstance(payload, dict) or set(payload) != {"models", "sources", "weights"}:
+        found = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
+        raise ValueError(f"weights JSON must hold exactly models, sources and weights, got {found}")
+    models, sources = payload["models"], payload["sources"]
     for key, names in (("models", models), ("sources", sources)):
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise ValueError(f"weights JSON '{key}' must be a list of strings, got {names!r}")
-    return validate_weights(weights, model_names=models, source_names=sources)
+    return validate_weights(payload["weights"], model_names=models, source_names=sources)
 
 
 def load_weights(path) -> BlendWeights:

@@ -11,10 +11,10 @@ Silent-reference frames are excluded and perfect frames are reported at
 a +300 dB sentinel.
 
 The Gram matrix of delayed references is block-Toeplitz and built from
-FFT cross-correlations. `project_subspace` solves it densely; the
-framewise scores go through `BlendScorer`, which solves every window's
-Toeplitz system at once by a Levinson recursion and falls back to the
-dense solve where that recursion breaks down.
+FFT cross-correlations; `project_subspace` solves it densely. Framewise
+scores go through `BlendScorer`, which correlates every source's windows
+in short overlap-save FFT blocks and solves all their Toeplitz systems in
+one Levinson recursion, densely where that recursion breaks down.
 """
 
 from __future__ import annotations
@@ -93,6 +93,29 @@ def _fft_size(n: int) -> int:
     odd = (3 ** b * 5 ** c for b in range(n.bit_length()) for c in range(n.bit_length()))
     # the least m * 2^a >= n has 2^a >= ceil(n / m)
     return min(m << (-(-n // m) - 1).bit_length() for m in odd)
+
+
+def _block_plan(n: int, taps: int) -> tuple:
+    """(nfft, step) of `_block_lags` for n-sample windows: a power of two set by
+    taps alone, or one 5-smooth transform >= n + taps if the window fits in it."""
+    nfft = max(1024, 4 << (taps - 1).bit_length())  # >= 4 taps; 1024 was fastest at 32 taps
+    return (_fft_size(n + taps), n) if n <= nfft - taps + 1 else (nfft, nfft - taps + 1)
+
+
+def _block_lags(padded: np.ndarray, nfft: int, step: int, taps: int) -> np.ndarray:
+    """(count, channels, taps): lag d < taps of sum_u x[0, c, u] x[k, c, u + d].
+
+    padded : (count, channels, blocks * step + taps - 1), the signals x and
+    then zeros, the reference x[0] first. Overlap-save: each `step`-sample
+    block of the reference meets the step + taps - 1 samples of every
+    signal that start with it in nfft-point transforms, and the products
+    are summed over blocks before one inverse transform.
+    """
+    heads = padded[0, :, :padded.shape[-1] - taps + 1].reshape(padded.shape[1], -1, step)
+    spans = np.lib.stride_tricks.sliding_window_view(padded, step + taps - 1, axis=-1)
+    spec = np.fft.rfft(spans[..., ::step, :], nfft)
+    spec *= np.conj(np.fft.rfft(heads, nfft))
+    return np.fft.irfft(spec.sum(axis=-2), nfft)[..., :taps]
 
 
 def _levinson(first_row: np.ndarray, rhs: np.ndarray):
@@ -260,12 +283,6 @@ def _windows(reference: Waveform, cfg: EvalConfig) -> List[Optional[slice]]:
     return windows
 
 
-def _source_frames(reference: Waveform, estimate: Waveform, cfg: EvalConfig) -> List[float]:
-    """Framewise SDR of one source's estimate; NaN marks a silent frame."""
-    scorer = BlendScorer(reference, estimate.samples[None], cfg)
-    return scorer.frame_sdr([[1.0]], BlendScorer.REPORT_TOL)[:, 0].tolist()
-
-
 def sdr_frames(
     references: SourceWaveformSet, estimates: SourceWaveformSet, cfg: EvalConfig = EvalConfig()
 ) -> SdrReport:
@@ -280,14 +297,10 @@ def sdr_frames(
             f"source counts differ: {references.num_sources} vs {estimates.num_sources}"
         )
     _check_pair(references, estimates)
-    labels = source_labels(references.num_sources)
-    frames = {
-        label: _source_frames(ref, est, cfg)
-        for label, ref, est in zip(labels, references.sources, estimates.sources)
-    }
+    rows = BlendScorer(references, [estimates], cfg).frame_sdr([[1.0]], BlendScorer.REPORT_TOL)
+    frames = {label: row[:, 0].tolist() for label, row in zip(source_labels(len(rows)), rows)}
     medians = {label: _median_ignoring_nan(values) for label, values in frames.items()}
-    overall = float(np.mean(list(medians.values())))
-    return SdrReport(frames, medians, overall)
+    return SdrReport(frames, medians, float(np.mean(list(medians.values()))))
 
 
 def median_sdr(
@@ -299,24 +312,24 @@ def median_sdr(
     """Median framewise SDR of a single source's estimate."""
     if not 0 <= source_index < references.num_sources:
         raise ValueError(f"source_index {source_index} out of range")
-    _check_pair(references, estimate)
-    return _median_ignoring_nan(_source_frames(references.sources[source_index], estimate, cfg))
+    target = SourceWaveformSet([references.sources[source_index]])
+    return sdr_frames(target, SourceWaveformSet([estimate]), cfg).overall_avg
 
 
 class BlendScorer:
-    """Framewise SDR of weighted blends of one source's model stems.
+    """Framewise SDR of weighted blends of model stems, every source at once.
 
-    For one frame and channel, with r the reference and E the
+    For one source, frame and channel, with r the reference and E the
     (num_models, n) model stems, a blend e = E^T w has projection
     coefficients K w, where K = (G + ridge)^-1 B. G, the Gram of r's
     delayed copies, is symmetric Toeplitz: its first row and B are lags
-    of one FFT correlation, and `_levinson` solves every frame and
-    channel at once (`_gram` densely where the recursion breaks down).
-    Summed over channels, the target energy is w^T (K^T G K) w, with
-    K^T G K = B^T K - ridge K^T K, and the error energy
-    w^T (E E^T - B^T K - K^T B + K^T G K) w; both are exact because the
-    projection keeps its full ring-out. So one solve per frame and
-    channel scores every weight column.
+    of r's correlations with itself and with E (`_block_lags`), and one
+    `_levinson` call solves every source's frames and channels (`_gram`
+    densely where the recursion breaks down). Summed over channels, the
+    target energy is w^T (K^T G K) w, with K^T G K = B^T K - ridge K^T K,
+    and the error energy w^T (E E^T - B^T K - K^T B + K^T G K) w; both
+    are exact because the projection keeps its full ring-out. So one
+    solve per frame and channel scores every weight column.
 
     The forms carry a rounding error of a few ulps of the blend's energy
     bound (sum_m w_m |E_m|)^2: 1e-9 dB of SDR near 60 dB, 1e-12 relative
@@ -330,26 +343,31 @@ class BlendScorer:
     CANCELLATION_TOL = 1e-5  # ranking blends: one solve per frame for any good grid
     REPORT_TOL = 1e-3  # reported frames: at most one projection per frame
 
-    def __init__(self, reference: Waveform, stems: np.ndarray, cfg: EvalConfig = EvalConfig()):
-        """stems : (num_models, channels, length), one model's stem per row."""
-        self._ref = reference.samples
-        self._stems = stems
+    def __init__(self, references: SourceWaveformSet,
+                 per_model_stems: Sequence[SourceWaveformSet], cfg: EvalConfig = EvalConfig()):
+        """per_model_stems[m].sources[j] is model m's stem of source j."""
+        # per source: the reference, then every model's stem
+        self._signals = [[ref.samples] + [stems.sources[j].samples for stems in per_model_stems]
+                         for j, ref in enumerate(references.sources)]
         self._filter_len = taps = cfg.filter_len
-        windows = _windows(reference, cfg)
-        self._scored = np.array([window is not None for window in windows], dtype=bool)
-        self._windows = [window for window in windows if window is not None]
-        num_models, channels = stems.shape[:2]
-        frames = len(self._windows)
+        windows = [_windows(ref, cfg) for ref in references.sources]
+        self._scored = np.array([[w is not None for w in row] for row in windows], dtype=bool)
+        # (source, window) of each scored frame, in the order of `_scored`'s True entries
+        self._frames = [(j, w) for j, row in enumerate(windows) for w in row if w is not None]
+        num_models, channels = len(per_model_stems), references.channels
+        frames = len(self._frames)
         self._error = np.zeros((frames, num_models, num_models))
         lags = np.empty((frames, channels, 1 + num_models, taps))
-        for f, window in enumerate(self._windows):
-            seg = stems[:, :, window]
-            if f == 0:  # every window has the same length
-                nfft = _fft_size(seg.shape[-1] + taps)
-            self._error[f] = np.einsum("mcn,kcn->mk", seg, seg)
-            spec = np.fft.rfft(np.concatenate([self._ref[None, :, window], seg]), nfft)
-            corr = np.fft.irfft(np.conj(spec[0]) * spec, nfft)  # lag d of r with r, then E
-            lags[f] = np.moveaxis(corr[..., :taps], 0, 1)  # copied, so corr is freed
+        for f, (j, window) in enumerate(self._frames):
+            if f == 0:  # every window has the same length; one buffer serves them all
+                n = self._signals[j][0][:, window].shape[-1]
+                nfft, step = _block_plan(n, taps)
+                padded = np.zeros((1 + num_models, channels, -(-n // step) * step + taps - 1))
+            for row, signal in zip(padded, self._signals[j]):
+                row[:, :n] = signal[:, window]
+            seg = padded[1:, :, :n]
+            self._error[f] = [[np.sum(a * b) for b in seg] for a in seg]
+            lags[f] = np.moveaxis(_block_lags(padded, nfft, step, taps), 0, 1)
         self._norms = np.sqrt(np.diagonal(self._error, axis1=1, axis2=2))  # |E_m| per frame
         systems = lags.reshape(frames * channels, 1 + num_models, taps)
         acf, rhs = systems[:, 0], systems[:, 1:]
@@ -360,7 +378,8 @@ class BlendScorer:
         first_row[:, 0] += ridge[live]
         coef[live], solved = _levinson(first_row, rhs[live])
         for s in live[~solved]:
-            gram = _gram(self._ref[s % channels, self._windows[s // channels]][None], taps)
+            j, window = self._frames[s // channels]
+            gram = _gram(self._signals[j][0][s % channels, window][None], taps)
             coef[s] = _ridge_solve(gram, float(np.trace(gram)), rhs[s].T).T
         cross = np.einsum("sml,skl->smk", rhs, coef)  # B^T K
         projected = cross - ridge[:, None, None] * np.einsum("sml,skl->smk", coef, coef)
@@ -369,8 +388,8 @@ class BlendScorer:
         self._error += (projected - cross - cross.transpose(0, 2, 1)).reshape(per_channel).sum(1)
 
     def frame_sdr(self, columns: np.ndarray, tol: float = CANCELLATION_TOL) -> np.ndarray:
-        """(windows, count) SDR of each blend of columns (count, num_models), in
-        `_windows` order; a window where the reference is silent is a row of NaN."""
+        """(sources, windows, count) SDR of each blend of columns (count, num_models),
+        windows in `_windows` order; NaN where the source's reference is silent."""
         columns = np.asarray(columns, dtype=np.float64)
         target = np.sum((columns @ self._target) * columns, axis=-1)  # (frames, count)
         error = np.sum((columns @ self._error) * columns, axis=-1)
@@ -379,30 +398,38 @@ class BlendScorer:
             sdr = np.clip(10.0 * np.log10(target / error), -SDR_CAP_DB, SDR_CAP_DB)
         for f, n in zip(*np.nonzero((error <= bound) | (target <= bound))):
             sdr[f, n] = self._synthesised_sdr(f, columns[n])
-        frames = np.full((self._scored.size, columns.shape[0]), math.nan)
+        frames = np.full(self._scored.shape + (columns.shape[0],), math.nan)
         frames[self._scored] = sdr
         return frames
 
     def median_sdr(self, columns: np.ndarray) -> np.ndarray:
-        """Median over the scored windows of `frame_sdr`; NaN when every one is silent."""
-        frames = self.frame_sdr(columns)[self._scored]
-        return np.median(frames, axis=0) if self._windows else np.full(frames.shape[1], math.nan)
+        """(sources, count) median of `frame_sdr` over each source's scored
+        windows; NaN for a source that is silent in every window."""
+        frames = self.frame_sdr(columns)
+        return np.stack([_median(rows[scored]) for rows, scored in zip(frames, self._scored)])
 
     def _synthesised_sdr(self, frame: int, weights: np.ndarray) -> float:
-        window = self._windows[frame]
-        seg = self._stems[:, :, window]
-        blend = np.zeros(seg.shape[1:])
-        for m, weight in enumerate(weights):
+        j, window = self._frames[frame]
+        ref = self._signals[j][0][:, window]
+        blend = np.zeros(ref.shape)
+        for stem, weight in zip(self._signals[j][1:], weights):
             if weight:
-                blend += weight * seg[m]
-        return _frame_sdr(self._ref[:, window], blend, self._filter_len)
+                blend += weight * stem[:, window]
+        return _frame_sdr(ref, blend, self._filter_len)
+
+
+def _median(values: np.ndarray) -> np.ndarray:
+    """np.median over axis 0 bit for bit (NaN for no values), without its numpy.ma import."""
+    if not len(values):
+        return np.full(values.shape[1:], math.nan)
+    ordered = np.sort(values, axis=0)  # a NaN sorts last and makes its column's median NaN
+    half = len(ordered) // 2
+    middle = ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+    return np.where(np.isnan(ordered[-1]), math.nan, middle)
 
 
 def _median_ignoring_nan(values: Sequence[float]) -> float:
-    kept = [v for v in values if not math.isnan(v)]
-    if not kept:
-        return math.nan
-    return float(np.median(kept))
+    return float(_median(np.array([v for v in values if not math.isnan(v)])))
 
 
 def aggregate(reports: Sequence[SdrReport]) -> AggregateReport:

@@ -72,7 +72,7 @@ class LengthMismatch(StemfuseError):
 
 
 class NonFiniteSamples(StemfuseError, ValueError):
-    """A waveform holds NaN or infinite samples; also a ValueError, like other bad values."""
+    """A waveform or magnitude file holds NaN or infinite values; also a ValueError."""
 
     code = "non-finite-samples"
 

@@ -43,6 +43,7 @@ from .errors import (
     LengthMismatch,
     MalformedHeader,
     MissingStem,
+    NonFiniteSamples,
     SampleRateMismatch,
     ShapeMismatch,
     TruncatedData,
@@ -197,6 +198,8 @@ def _read_frames(fh, path, shape: tuple, start: int, stop: int) -> np.ndarray:
         fh.seek(_HEADER_BYTES + 4 * bins * (c * frames + start))
         if fh.readinto(out[c]) != out[c].nbytes:
             raise TruncatedData(f"{path}: payload ended early while it was being read")
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteSamples(f"{path}: NaN or infinite magnitudes in frames {start}..{stop - 1}")
     return out.astype(np.float64)
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from helpers import (
     longdouble_frame_sdr,
     make_waveform_set,
     oracle_source_frames,
+    write_stem_dir,
 )
 
 SR = 44100
@@ -371,11 +376,13 @@ class TestClosedFormScorer:
                             lambda *args: calls.append(args) or frame_sdr(*args))
         rng = np.random.default_rng(23)
         ref = Waveform(rng.normal(size=(2, 2048)), SR)
-        stems = np.stack([ref.samples + 0.01 * rng.normal(size=(2, 2048)) for _ in range(2)])
+        stems = [SourceWaveformSet([Waveform(ref.samples + 0.01 * rng.normal(size=(2, 2048)), SR)])
+                 for _ in range(2)]
         cfg = EvalConfig(filter_len=32, win=1024 / SR, hop=1024 / SR)
-        scores = bsseval.BlendScorer(ref, stems, cfg).median_sdr([[1.0, 0.0], [0.5, 0.5]])
+        scorer = bsseval.BlendScorer(SourceWaveformSet([ref]), stems, cfg)
+        scores = scorer.median_sdr([[1.0, 0.0], [0.5, 0.5]])
         assert np.all(scores > 39.0) and calls == []
-        sdr_frames(SourceWaveformSet([ref]), SourceWaveformSet([Waveform(stems[0], SR)]), cfg)
+        sdr_frames(SourceWaveformSet([ref]), stems[0], cfg)
         assert len(calls) == 2
 
     def test_no_gram_or_dense_solve_for_well_conditioned_frames(self, monkeypatch):
@@ -447,6 +454,133 @@ class TestClosedFormScorer:
         else:
             with pytest.raises(ValueError, match=f"filter_len {filter_len} exceeds"):
                 sdr_frames(refs, refs, cfg)
+
+
+class TestBlockedScorer:
+    """Windows longer than one overlap-save block, and every source in one
+    scorer; `oracle_source_frames` and direct dot products are the oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        channels=st.integers(1, 2),
+        count=st.integers(1, 3),
+        taps=st.integers(1, 48),
+        widen=st.integers(0, 2),
+        blocks=st.integers(1, 3),
+        tail=st.floats(0.0, 1.0, exclude_max=True),
+        silent=st.lists(st.booleans(), min_size=2, max_size=2),
+    )
+    def test_block_lags_match_direct_correlation(self, seed, channels, count, taps, widen,
+                                                 blocks, tail, silent):
+        nfft = 1 << ((taps - 1).bit_length() + widen)  # any power of two >= taps
+        step = nfft - taps + 1
+        n = (blocks - 1) * step + 1 + int(tail * step)  # 1 to 3 blocks, the last partial or full
+        if n < taps:
+            n = taps  # the scorer rejects a filter longer than the window
+        blocks = -(-n // step)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(count + 1, channels, n))
+        for c in range(channels):
+            if silent[c]:
+                x[c % (count + 1), c] = 0.0  # silences the reference or one signal
+        padded = np.zeros((count + 1, channels, blocks * step + taps - 1))
+        padded[..., :n] = x
+        got = bsseval._block_lags(padded, nfft, step, taps)
+        want = np.array([[[np.dot(x[0, c, :n - d], x[k, c, d:]) for d in range(taps)]
+                          for c in range(channels)] for k in range(count + 1)])
+        scale = np.linalg.norm(x[0], axis=-1)[None, :, None] * np.linalg.norm(x, axis=-1)[..., None]
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)  # exactly 0 for a silent channel
+
+    @pytest.mark.parametrize("n, taps, want", [
+        (5000, 64, (1024, 961)), (5000, 512, (2048, 1537)), (44100, 32, (1024, 993)),
+        (44100, 512, (2048, 1537)), (961, 64, (1080, 961)), (962, 64, (1024, 961)),
+    ])
+    def test_block_plan(self, n, taps, want):
+        # a power of two from the taps alone; a window that fits in one block is one
+        # transform at the 5-smooth size >= n + taps (1080 = 2^3 3^3 5 for 961 + 64)
+        assert bsseval._block_plan(n, taps) == want
+
+    @pytest.mark.parametrize("filter_len", [64, 512])
+    def test_long_windows_match_per_frame_projection(self, filter_len, monkeypatch):
+        # 5000-sample windows span 4 to 6 blocks; each source is silent in
+        # another window, and one system is forced onto the dense solve
+        grams, levinson, gram = [], bsseval._levinson, bsseval._gram
+
+        def first_system_breaks_down(first_row, rhs):
+            coef, ok = levinson(first_row, rhs)
+            coef[0] *= 0.5  # garbage that the dense solve must replace
+            ok[0] = False
+            return coef, ok
+
+        monkeypatch.setattr(bsseval, "_levinson", first_system_breaks_down)
+        monkeypatch.setattr(bsseval, "_gram", lambda *args: grams.append(args) or gram(*args))
+        rng = np.random.default_rng(filter_len)
+        win = 5000
+        refs, ests = [], []
+        for j in range(3):
+            ref = rng.normal(size=(2, 3 * win + 123))
+            ref[:, j * win:(j + 1) * win] = 0.0
+            refs.append(Waveform(ref, SR))
+            ests.append(Waveform(ref + 0.2 * rng.normal(size=ref.shape), SR))
+        cfg = EvalConfig(filter_len, win / SR, win / SR)
+        report = sdr_frames(SourceWaveformSet(refs), SourceWaveformSet(ests), cfg)
+        assert len(grams) == 1
+        for got, ref, est in zip(report.per_source_frames.values(), refs, ests):
+            assert_frames_match_oracle(got, oracle_source_frames(ref, est, cfg))
+        nan = [[math.isnan(v) for v in values] for values in report.per_source_frames.values()]
+        assert nan == np.eye(3, dtype=bool).tolist()
+
+    def test_a_source_scores_the_same_alone_or_with_others(self):
+        rng = np.random.default_rng(24)
+        refs = make_waveform_set(rng, channels=2, length=3 * 3000)
+        silent = refs.sources[2].samples.copy()
+        silent[:, :3000] = 0.0
+        refs = SourceWaveformSet(refs.sources[:2] + [Waveform(silent, SR)] + refs.sources[3:])
+        models = [SourceWaveformSet([Waveform(s.samples + gain * rng.normal(size=s.samples.shape),
+                                              SR) for s in refs.sources])
+                  for gain in (0.1, 0.4)]
+        cfg = EvalConfig(filter_len=40, win=3000 / SR, hop=1500 / SR)
+        columns = [[1.0, 0.0], [0.3, 0.7], [0.5, 0.5]]
+        together = bsseval.BlendScorer(refs, models, cfg).frame_sdr(columns)
+        for j in range(refs.num_sources):
+            alone = bsseval.BlendScorer(SourceWaveformSet([refs.sources[j]]),
+                                        [SourceWaveformSet([m.sources[j]]) for m in models], cfg)
+            np.testing.assert_array_equal(alone.frame_sdr(columns)[0], together[j])
+        report = sdr_frames(refs, models[0], cfg)
+        for j, values in enumerate(report.per_source_frames.values()):
+            single = sdr_frames(SourceWaveformSet([refs.sources[j]]),
+                                SourceWaveformSet([models[0].sources[j]]), cfg)
+            np.testing.assert_array_equal(*single.per_source_frames.values(), values)
+
+
+class TestMedian:
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.lists(st.one_of(st.floats(-300.0, 300.0), st.just(math.nan)),
+                                    min_size=3, max_size=3), min_size=1, max_size=9))
+    def test_sort_median_is_np_median_bit_for_bit(self, values):
+        values = np.array(values)
+        np.testing.assert_array_equal(bsseval._median(values), np.median(values, axis=0))
+        for column in values.T:
+            kept = column[~np.isnan(column)]
+            want = float(np.median(kept)) if kept.size else math.nan
+            np.testing.assert_array_equal(bsseval._median_ignoring_nan(column), want)
+
+    def test_eval_does_not_import_numpy_ma(self, tmp_path):
+        rng = np.random.default_rng(25)
+        refs = write_stem_dir(tmp_path / "refs", make_waveform_set(rng, length=4096, scale=0.3))
+        script = (
+            "import sys\n"
+            "from stemfuse.cli import main\n"
+            f"code = main(['eval', '--estimates', {str(refs)!r}, '--references', {str(refs)!r},"
+            f" '--out', {str(tmp_path / 'r.json')!r}, '--filter-len', '8'])\n"
+            "assert code == 0 and 'numpy.ma' not in sys.modules, code\n"
+        )
+        python_path = [str(resources.files("stemfuse").parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, python_path)))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMedianSdr:

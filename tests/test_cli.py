@@ -401,3 +401,41 @@ def test_eval_report_is_byte_identical_across_blas_thread_counts(tmp_path):
     blobs = [(tmp_path / name).read_bytes()
              for name in ("in_process.json", "threads1.json", "threads4.json")]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_non_finite_magnitude_is_one_error_line_naming_the_file(tmp_path, capsys):
+    rng = np.random.default_rng(18)
+    mix_path, _ = write_mix(tmp_path, rng, length=2048)
+    mag_dir = tmp_path / "mags"
+    mag_dir.mkdir()
+    mags = np.abs(stft(read_wav(mix_path), StftConfig(fft_size=512, hop=128)).bins)
+    write_magnitudes(mag_dir / "a.mag", mags)
+    mags[1, 3, 40] = np.nan
+    write_magnitudes(mag_dir / "b.mag", mags)
+    out_dir = tmp_path / "out"
+    code = main(["wiener", "--mix", str(mix_path), "--mags", str(mag_dir), "--out", str(out_dir),
+                 "--fft-size", "512", "--stft-hop", "128"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error non-finite-samples: {mag_dir / 'b.mag'}: ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_unknown_weights_key_is_one_error_line(tmp_path, capsys):
+    rng = np.random.default_rng(19)
+    stems = make_waveform_set(rng, length=200, scale=0.3)
+    dirs = [str(write_stem_dir(tmp_path / f"m{i}", stems)) for i in range(3)]
+    payload = json.loads(resources.files("stemfuse").joinpath("data/default_weights.json")
+                         .read_text())
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(dict(payload, extra=1)))
+    out_dir = tmp_path / "fused"
+    code = main(["blend", "--stems", *dirs, "--weights", str(weights), "--out", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error invalid-input: weights JSON") and "'extra'" in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+    weights.write_text(json.dumps(payload))  # the shipped defaults, as a file, still load
+    assert main(["blend", "--stems", *dirs, "--weights", str(weights), "--out", str(out_dir)]) == 0
