@@ -88,18 +88,12 @@ def _lagged_corr(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
     return np.concatenate([tail, head], axis=-1)
 
 
-def _fft_size(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: an FFT length with only small prime factors."""
-    odd = (3 ** b * 5 ** c for b in range(n.bit_length()) for c in range(n.bit_length()))
-    # the least m * 2^a >= n has 2^a >= ceil(n / m)
-    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
-
-
 def _block_plan(n: int, taps: int) -> tuple:
     """(nfft, step) of `_block_lags` for n-sample windows: a power of two set by
-    taps alone, or one 5-smooth transform >= n + taps if the window fits in it."""
+    taps alone, or the least power of two >= n + taps - 1 if that is smaller."""
     nfft = max(1024, 4 << (taps - 1).bit_length())  # >= 4 taps; 1024 was fastest at 32 taps
-    return (_fft_size(n + taps), n) if n <= nfft - taps + 1 else (nfft, nfft - taps + 1)
+    nfft = min(nfft, 1 << (n + taps - 2).bit_length())
+    return nfft, nfft - taps + 1
 
 
 def _block_lags(padded: np.ndarray, nfft: int, step: int, taps: int) -> np.ndarray:

@@ -494,11 +494,11 @@ class TestBlockedScorer:
 
     @pytest.mark.parametrize("n, taps, want", [
         (5000, 64, (1024, 961)), (5000, 512, (2048, 1537)), (44100, 32, (1024, 993)),
-        (44100, 512, (2048, 1537)), (961, 64, (1080, 961)), (962, 64, (1024, 961)),
+        (44100, 512, (2048, 1537)), (962, 64, (1024, 961)), (100, 64, (256, 193)),
     ])
     def test_block_plan(self, n, taps, want):
-        # a power of two from the taps alone; a window that fits in one block is one
-        # transform at the 5-smooth size >= n + taps (1080 = 2^3 3^3 5 for 961 + 64)
+        # a power of two from the taps alone; a window that fits in a smaller
+        # power of two >= n + taps - 1 is one block of that size
         assert bsseval._block_plan(n, taps) == want
 
     @pytest.mark.parametrize("filter_len", [64, 512])
