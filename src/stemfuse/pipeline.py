@@ -11,6 +11,16 @@ blending the resynthesized stems up to rounding. `run` streams those
 branches through the mixture in blocks of a few frames, so it never
 holds a whole-track spectrogram.
 
+Within one sweep over the blocks, a block's work depends only on the
+block and on the spatial covariances of finished EM passes: the Wiener
+filter needs per-bin sums over frames and filters each frame on its
+own. So that work runs on a small thread pool, one thread per CPU the
+process may use, and the calling thread consumes the results strictly
+in block order: it alone adds them to the running sums and overlap-adds
+them into the output. Each sum therefore adds the same numbers in the
+same order whatever the number of threads, and the stems are the same
+bytes on one CPU or many.
+
 External models plug in through the file system: a T entry points at a
 directory of drums/bass/other/vocals WAV stems, a TF entry at a
 directory of ``<source>.mag`` magnitude tensors (DSMAG1 format: 6 ASCII
@@ -21,9 +31,11 @@ band-mask toy model instead.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import struct
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -61,7 +73,15 @@ from .core import (
 )
 from .stft import _analysis_frames, _OverlapAdd, frame_count, istft
 from .toy_models import BandMaskModel
-from .wiener import MwfConfig, _check_channels, _masked_mixture, _refilter, _SpatialSums, mwf
+from .wiener import (
+    MwfConfig,
+    _block_terms,
+    _check_channels,
+    _masked_mixture,
+    _refilter,
+    _SpatialSums,
+    mwf,
+)
 
 BUILTIN_TOY = "builtin-toy"
 MAGNITUDE_SUFFIX = ".mag"
@@ -72,6 +92,7 @@ _HEADER_BYTES = len(_MAGIC) + 12  # magic, then channels, frames, bins as u32
 # (sources, channels, frames, bins) complex spectra, small enough that a
 # block's working set stays in cache.
 _BLOCK_BYTES = 2_200_000
+_THREAD_PREFIX = "stemfuse-block"
 
 T_DOMAIN = "T"
 TF_DOMAIN = "TF"
@@ -131,6 +152,18 @@ def _reject_unknown_keys(raw: dict, known, where: str, path) -> None:
 
 
 def load_pipeline_config(path) -> PipelineConfig:
+    """Read a pipeline JSON config.
+
+    A relative `weights` path or model `source` directory is taken
+    relative to the directory of the config file, so a config works from
+    any working directory; absolute paths and `builtin-toy` are kept.
+    """
+
+    def beside_config(value):
+        if not isinstance(value, str) or value == BUILTIN_TOY:
+            return value  # a non-string is rejected by the caller's checks
+        return os.path.join(os.path.dirname(path), value)
+
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or not isinstance(payload.get("models"), list):
@@ -146,7 +179,7 @@ def load_pipeline_config(path) -> PipelineConfig:
                 ModelEntry(
                     name=raw["name"],
                     domain=raw["domain"],
-                    source=raw["source"],
+                    source=beside_config(raw["source"]),
                     leakage=raw.get("leakage", 0.1),
                 )
             )
@@ -158,7 +191,7 @@ def load_pipeline_config(path) -> PipelineConfig:
     if weights_raw is None:
         weights = None
     elif isinstance(weights_raw, str):
-        weights = load_weights(weights_raw)
+        weights = load_weights(beside_config(weights_raw))
     else:
         weights = weights_from_json_dict(weights_raw)
     return PipelineConfig(entries, stft_cfg, mwf_cfg, weights)
@@ -191,12 +224,16 @@ def _magnitude_shape(fh, path) -> tuple:
 
 
 def _read_frames(fh, path, shape: tuple, start: int, stop: int) -> np.ndarray:
-    """float64 (channels, stop - start, bins) frames of an open DSMAG1 file."""
+    """float64 (channels, stop - start, bins) frames of an open DSMAG1 file.
+
+    Reads at explicit offsets and never moves the file position, so
+    threads can read blocks of one file at the same time.
+    """
     channels, frames, bins = shape
     out = np.empty((channels, stop - start, bins), dtype="<f4")
     for c in range(channels):
-        fh.seek(_HEADER_BYTES + 4 * bins * (c * frames + start))
-        if fh.readinto(out[c]) != out[c].nbytes:
+        offset = _HEADER_BYTES + 4 * bins * (c * frames + start)
+        if os.preadv(fh.fileno(), [out[c]], offset) != out[c].nbytes:
             raise TruncatedData(f"{path}: payload ended early while it was being read")
     if not np.all(np.isfinite(out)):
         raise NonFiniteSamples(f"{path}: NaN or infinite magnitudes in frames {start}..{stop - 1}")
@@ -327,36 +364,81 @@ def _spectral_branch(entry: ModelEntry, weights: np.ndarray, shape: tuple, sampl
     return branch
 
 
+def _worker_count() -> int:
+    """Threads for the per-block work: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(pool, work: Callable, blocks: list, depth: int):
+    """Yield work(start, stop) for every block, in block order.
+
+    The calls run on `pool`, with the caller's context. At most `depth`
+    blocks are submitted and not yet consumed, counting the one being
+    consumed, so memory does not grow with the number of blocks. A
+    failing block raises when its turn comes, so the first failure in
+    frame order is the one seen.
+    """
+    pending = deque()
+    for start, stop in blocks:
+        if len(pending) == depth:
+            yield pending.popleft().result()
+        pending.append(pool.submit(contextvars.copy_context().run, work, start, stop))
+    while pending:
+        yield pending.popleft().result()
+
+
 def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBranch],
                   shape: tuple, fused: np.ndarray) -> None:
     """Add the weighted sum of the spectral branches, synthesized, into `fused`.
 
-    Works on blocks of frames in frame order. Each EM pass of the TF
-    branches is one sweep that rebuilds every block's estimates and adds
-    them to that pass's sums over frames; a last sweep re-filters every
-    branch, weights and sums the blocks and overlap-adds them into `fused`.
+    Works on blocks of frames. Each EM pass of the TF branches is one
+    sweep that rebuilds every block's estimates and adds them to that
+    pass's sums over frames; a last sweep re-filters every branch, weights
+    and sums the blocks and overlap-adds them into `fused`. Within a sweep
+    a block's work needs only the block and the R of finished passes, so
+    it runs on a thread pool; this thread adds the results to the sums and
+    to `fused` strictly in block order, so the bytes do not depend on the
+    number of threads.
     """
+    from concurrent.futures import ThreadPoolExecutor  # ~9 ms to import; only runs need it
+
     num_sources, channels = fused.shape[:2]
     frames, bins = shape[1:]
     synthesis = _OverlapAdd((num_sources, channels), cfg.stft, frames, mix.length)
     step = max(1, _BLOCK_BYTES // (num_sources * channels * bins * 16))
     blocks = [(start, min(start + step, frames)) for start in range(0, frames, step)]
+    window = cfg.stft.window_array()
     tf = [b for b in branches if b.domain == TF_DOMAIN]
-    for _ in range(cfg.mwf.iterations if tf else 0):
-        sums = [_SpatialSums() for _ in tf]
-        for start, stop in blocks:
-            x = _analysis_frames(mix.samples, cfg.stft, start, stop)
-            for branch, branch_sums in zip(tf, sums):
-                branch_sums.add(branch.stems(x, start, stop, cfg.mwf))
-        for branch, branch_sums in zip(tf, sums):
-            branch.spatial.append(branch_sums.spatial(cfg.mwf.eps))
-    for start, stop in blocks:
-        x = _analysis_frames(mix.samples, cfg.stft, start, stop)
+
+    def em_terms(start, stop):
+        x = _analysis_frames(mix.samples, cfg.stft, start, stop, window)
+        return [_block_terms(branch.stems(x, start, stop, cfg.mwf), first=start == 0)
+                for branch in tf]
+
+    def fused_frames(start, stop):
+        x = _analysis_frames(mix.samples, cfg.stft, start, stop, window)
         spectral = np.zeros((num_sources,) + x.shape, dtype=np.complex128)
         for branch in branches:
             weighted_accumulate(spectral, branch.weights, branch.stems(x, start, stop, cfg.mwf))
-        offset, samples = synthesis.add(spectral)
-        fused[..., offset:offset + samples.shape[-1]] += samples
+        return synthesis.synthesize(spectral)
+
+    workers = _worker_count()
+    pool = ThreadPoolExecutor(workers, thread_name_prefix=_THREAD_PREFIX)
+    try:
+        for _ in range(cfg.mwf.iterations if tf else 0):
+            sums = [_SpatialSums() for _ in tf]
+            for terms in _in_order(pool, em_terms, blocks, workers + 1):
+                for branch_sums, branch_terms in zip(sums, terms):
+                    branch_sums.add_terms(branch_terms)
+            for branch, branch_sums in zip(tf, sums):
+                branch.spatial.append(branch_sums.spatial(cfg.mwf.eps))
+        for frames_td in _in_order(pool, fused_frames, blocks, workers + 1):
+            offset, samples = synthesis.add(frames_td)
+            fused[..., offset:offset + samples.shape[-1]] += samples
+    finally:  # blocks queued behind a failure are dropped, running ones joined
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run(mix: Waveform, cfg: PipelineConfig) -> SourceWaveformSet:

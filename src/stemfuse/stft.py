@@ -9,6 +9,9 @@ constant-overlap-add check in StftConfig.
 Both directions also work on a range of frames at a time
 (`_analysis_frames`, `_OverlapAdd`), with the same bits as the
 whole-signal transforms, so a caller can stream a long signal in blocks.
+The per-block parts (analysis, and synthesis up to the windowed inverse
+FFTs) depend on nothing but the block; only the overlap-add needs the
+blocks in frame order.
 """
 
 from __future__ import annotations
@@ -34,11 +37,13 @@ def frame_count(length: int, cfg: StftConfig) -> int:
     return (length - cfg.fft_size) // cfg.hop + 1
 
 
-def _analysis_frames(samples: np.ndarray, cfg: StftConfig, start: int, stop: int) -> np.ndarray:
+def _analysis_frames(samples: np.ndarray, cfg: StftConfig, start: int, stop: int,
+                     window: np.ndarray) -> np.ndarray:
     """(channels, stop - start, bins) spectra of frames start .. stop - 1.
 
-    Reads only the samples those frames cover; with center_pad the
-    signal is zero-extended by fft_size // 2 on both sides.
+    `window` is `cfg.window_array()`, computed once by the caller. Reads
+    only the samples those frames cover; with center_pad the signal is
+    zero-extended by fft_size // 2 on both sides.
     """
     n, hop = cfg.fft_size, cfg.hop
     shift = n // 2 if cfg.center_pad else 0
@@ -48,7 +53,7 @@ def _analysis_frames(samples: np.ndarray, cfg: StftConfig, start: int, stop: int
     x = samples[:, max(lo, 0):min(hi, length)]
     if lo < 0 or hi > length:
         x = np.pad(x, ((0, 0), (max(-lo, 0), max(hi - length, 0))))
-    segments = sliding_window_view(x, n, axis=-1)[:, ::hop] * cfg.window_array()
+    segments = sliding_window_view(x, n, axis=-1)[:, ::hop] * window
     return np.fft.rfft(segments, axis=-1)
 
 
@@ -59,14 +64,17 @@ def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> Spectrogram:
     count is length // hop + 1.
     """
     frames = frame_count(w.length, cfg)
-    return Spectrogram(_analysis_frames(w.samples, cfg, 0, frames), cfg, w.sample_rate)
+    return Spectrogram(_analysis_frames(w.samples, cfg, 0, frames, cfg.window_array()), cfg,
+                       w.sample_rate)
 
 
 class _OverlapAdd:
-    """Normalized overlap-add synthesis fed with spectra in frame order.
+    """Normalized overlap-add synthesis fed with blocks of frames in frame order.
 
-    `add` takes the next block of frames, of any size, and returns the
-    output samples no later frame can change. Between calls only the
+    `synthesize` turns a block of spectra into windowed time frames; it
+    keeps no state, so blocks can be synthesized in any order or at once.
+    `add` takes the next block's time frames, of any size, and returns
+    the output samples no later frame can change. Between calls only the
     last ceil(fft_size / hop) - 1 hop-sample blocks of the sums are
     carried. Each output sample adds its frames in increasing frame
     order starting from zero, whatever the block sizes, so the output is
@@ -95,16 +103,20 @@ class _OverlapAdd:
         self._acc = np.zeros(tuple(lead_shape) + (carry, hop))
         self._envelope = np.zeros((carry, hop))
 
-    def add(self, spectra: np.ndarray) -> tuple:
-        """Synthesize (..., frames, bins) spectra; return (offset, samples).
+    def synthesize(self, spectra: np.ndarray) -> np.ndarray:
+        """(..., frames, fft_size) windowed inverse FFTs of (..., frames, bins) spectra."""
+        frames_td = np.fft.irfft(spectra, n=self._cfg.fft_size, axis=-1)
+        frames_td *= self._window
+        return frames_td
+
+    def add(self, frames_td: np.ndarray) -> tuple:
+        """Overlap-add the next block of `synthesize` output; return (offset, samples).
 
         `samples` (..., count) are the finished output samples starting
         at output sample `offset`; the call with the last frame returns
         everything that is left.
         """
         n, hop = self._cfg.fft_size, self._cfg.hop
-        frames_td = np.fft.irfft(spectra, n=n, axis=-1)
-        frames_td *= self._window
         frames = frames_td.shape[-2]
         self._frames_left -= frames
         carry = self._envelope.shape[0]
@@ -143,7 +155,8 @@ def istft(s: Spectrogram, cfg: StftConfig | None = None, length: int | None = No
     """
     if cfg is not None and cfg != s.config:
         raise ConfigMismatch(f"spectrogram was produced with {s.config}, not {cfg}")
-    _, samples = _OverlapAdd((s.channels,), s.config, s.frames, length).add(s.bins)
+    synthesis = _OverlapAdd((s.channels,), s.config, s.frames, length)
+    _, samples = synthesis.add(synthesis.synthesize(s.bins))
     return Waveform(samples, s.sample_rate)
 
 

@@ -145,15 +145,38 @@ def _psd(y: np.ndarray) -> np.ndarray:
     return psd
 
 
-def _continue_sum(total, block: np.ndarray, axis: int) -> np.ndarray:
-    """np.sum(block, axis) continuing the running sum `total` (None at first).
+def _block_terms(y: np.ndarray, first: bool) -> tuple:
+    """What `_SpatialSums` needs of (J, C, b, F) estimates, from the block alone.
 
-    The running sum enters as row 0 of the block's reduction, which adds
-    along `axis` in order, so the result is bitwise the whole-array sum.
+    Returns (psd, v, p, cross): the (J, b, F) PSD, then the terms of
+    sum_t v, sum_t |y_c|^2 and, for stereo, sum_t y0 conj(y1). For the
+    `first` block of a sweep, nothing comes before it, so these are
+    already its sums, made one source at a time. For a later block they
+    are the PSD, the (J, C, b, F) |y|^2 and the cross sum's operands, y0
+    below a free row 0 for the running sum and conj of y1 below a row of
+    ones, each (J, b + 1, F). Nothing here depends on other blocks, so
+    blocks can be prepared in any order, on any thread.
     """
-    if total is None:
-        return np.sum(block, axis=axis)
-    return np.sum(np.concatenate([np.expand_dims(total, axis), block], axis=axis), axis=axis)
+    num_sources, channels, frames, bins = y.shape
+    psd = np.empty((num_sources, frames, bins))
+    power = np.empty((num_sources, channels) + ((bins,) if first else (frames, bins)))
+    psd_terms, cross = psd, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, yj in enumerate(y):
+            power_j = yj.real ** 2 + yj.imag ** 2
+            psd[j] = np.mean(power_j, axis=0)
+            power[j] = np.sum(power_j, axis=1) if first else power_j
+        if first:
+            psd_terms = np.stack([np.sum(v, axis=0) for v in psd])
+            if channels == 2:
+                cross = np.stack([np.einsum("tf,tf->f", yj[0], np.conj(yj[1])) for yj in y])
+    if not np.all(np.isfinite(psd)):
+        _overflowed()
+    if not first and channels == 2:
+        y0 = np.empty((num_sources, frames + 1, bins), dtype=np.complex128)
+        y0[:, 1:] = y[:, 0]
+        cross = y0, np.conj(np.concatenate([np.ones((num_sources, 1, bins)), y[:, 1]], axis=1))
+    return psd, psd_terms, power, cross
 
 
 class _SpatialSums:
@@ -164,38 +187,42 @@ class _SpatialSums:
     normalizes them into R: R_cc = sum_t |y_c|^2 and
     R01 = sum_t y0 conj(y1), each times 1 / (sum_t v + eps), with
     R10 = conj(R01) exactly Hermitian. The sums are bitwise those of one
-    whole-array reduction, whatever the block sizes.
+    whole-array reduction, whatever the block sizes: numpy sums a frame
+    axis of rows of two or more bins one frame at a time, so a later
+    block adds its frames to the sums in place, and the cross sum is one
+    `einsum` whose row 0 is the sum so far.
     """
 
     def __init__(self):
-        self._psd, self._power, self._cross = {}, {}, {}  # running sums per source
+        self._psd = self._power = self._cross = None  # running sums, one row per source
 
     def add(self, y: np.ndarray) -> np.ndarray:
         """Add a block of estimates; return its (J, b, F) PSD."""
-        num_sources, channels, frames, bins = y.shape
-        psd = np.empty((num_sources, frames, bins))
+        terms = _block_terms(y, first=self._psd is None)
+        self.add_terms(terms)
+        return terms[0]
+
+    def add_terms(self, terms: tuple) -> None:
+        """Add the `_block_terms` of the next block."""
+        _, psd, power, cross = terms
+        if self._psd is None:
+            self._psd, self._power, self._cross = psd, power, cross
+            return
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, yj in enumerate(y):
-                power = yj.real ** 2 + yj.imag ** 2
-                psd[j] = np.mean(power, axis=0)
-                self._psd[j] = _continue_sum(self._psd.get(j), psd[j], 0)
-                self._power[j] = _continue_sum(self._power.get(j), power, 1)
-                if channels == 2:
-                    y0, y1 = yj[0], yj[1]
-                    if j in self._cross:
-                        y0 = np.concatenate([self._cross[j][None], y0])
-                        y1 = np.concatenate([np.ones((1, bins)), y1])
-                    self._cross[j] = np.einsum("tf,tf->f", y0, np.conj(y1))
-        if not np.all(np.isfinite(psd)):
-            _overflowed()
-        return psd
+            for t in range(psd.shape[1]):
+                self._psd += psd[:, t]
+                self._power += power[:, :, t]
+            if cross is not None:
+                y0, y1 = cross
+                y0[:, 0] = self._cross
+                self._cross = np.einsum("jtf,jtf->jf", y0, y1)
 
     def spatial(self, eps: float) -> _Spatial:
         """The diagonal (J, C, F) and, for stereo, R01 (J, F) of every R_j."""
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = 1.0 / (np.stack(list(self._psd.values())) + eps)
-            r_diag = np.stack(list(self._power.values())) * scale[:, None]
-            r01 = np.stack(list(self._cross.values())) * scale if self._cross else None
+            scale = 1.0 / (self._psd + eps)
+            r_diag = self._power * scale[:, None]
+            r01 = None if self._cross is None else self._cross * scale
         if not (np.all(np.isfinite(r_diag)) and (r01 is None or np.all(np.isfinite(r01)))):
             _overflowed()
         return r_diag, r01

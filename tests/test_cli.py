@@ -439,3 +439,23 @@ def test_unknown_weights_key_is_one_error_line(tmp_path, capsys):
     assert not out_dir.exists()
     weights.write_text(json.dumps(payload))  # the shipped defaults, as a file, still load
     assert main(["blend", "--stems", *dirs, "--weights", str(weights), "--out", str(out_dir)]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_separate_is_byte_identical_on_one_cpu_and_on_all(tmp_path):
+    rng = np.random.default_rng(20)
+    mix_path, _ = write_mix(tmp_path, rng, length=SR)  # several blocks of frames
+    config = small_toy_config(tmp_path)
+    one_cpu = min(os.sched_getaffinity(0))
+    python_path = [str(resources.files("stemfuse").parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, python_path)))
+    for out, pin in (("one_cpu", lambda: os.sched_setaffinity(0, {one_cpu})), ("all", None)):
+        proc = subprocess.run([sys.executable, "-m", "stemfuse.cli", "separate", "--input",
+                               str(mix_path), "--config", str(config), "--out",
+                               str(tmp_path / out)],
+                              env=env, preexec_fn=pin, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("drums", "bass", "other", "vocals"):
+        assert ((tmp_path / "one_cpu" / f"{name}.wav").read_bytes()
+                == (tmp_path / "all" / f"{name}.wav").read_bytes())

@@ -200,6 +200,39 @@ class TestConfigLoading:
         with pytest.raises(ValueError):
             ModelEntry("x", "QT", "builtin-toy")
 
+    def test_relative_paths_are_read_beside_the_config_from_any_cwd(self, tmp_path,
+                                                                     monkeypatch):
+        rng = np.random.default_rng(23)
+        mix = make_waveform(rng, length=2000)
+        sub = tmp_path / "sub"
+        stem_dir = write_stem_dir(sub / "stems", make_waveform_set(rng, length=2000))
+        mag_dir = sub / "mags"
+        mag_dir.mkdir()
+        for name in ("drums", "bass", "other", "vocals"):
+            write_magnitudes(mag_dir / f"{name}.mag",
+                             rng.uniform(size=stft(mix, CFG).bins.shape))
+        weights = {"models": ["t", "tf", "toy", "abs"],
+                   "sources": ["drums", "bass", "other", "vocals"],
+                   "weights": [[0.25] * 4] * 4}
+        (sub / "weights.json").write_text(json.dumps(weights))
+        models = [{"name": "t", "domain": "T", "source": "stems"},
+                  {"name": "tf", "domain": "TF", "source": "mags"},
+                  {"name": "toy", "domain": "T", "source": "builtin-toy"},
+                  {"name": "abs", "domain": "T", "source": str(stem_dir)}]
+        (sub / "pipeline.json").write_text(json.dumps(
+            {"models": models, "stft": {"fft_size": 512, "hop": 128},
+             "weights": "weights.json"}))
+        monkeypatch.chdir(sub)
+        want = run(mix, load_pipeline_config("pipeline.json"))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        cfg = load_pipeline_config("../sub/pipeline.json")
+        assert [e.source for e in cfg.model_entries[2:]] == ["builtin-toy", str(stem_dir)]
+        got = run(mix, cfg)
+        assert all(a.samples.tobytes() == b.samples.tobytes()
+                   for a, b in zip(got.sources, want.sources))
+
 
 class TestRun:
     def test_single_t_model_is_passthrough(self, tmp_path):

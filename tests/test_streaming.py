@@ -1,9 +1,11 @@
 """pipeline.run streams the mixture in blocks of frames: its stems are
-bitwise those of the whole-track run in helpers.py at every block size,
-and its memory does not grow with the track beyond the returned stems."""
+bitwise those of the whole-track run in helpers.py at every block size
+and every number of worker threads, and its memory does not grow with
+the track beyond the returned stems."""
 
 import sys
 import tempfile
+import threading
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -25,7 +27,7 @@ from stemfuse import (
     validate_weights,
     write_magnitudes,
 )
-from stemfuse.errors import ConfigMismatch, TruncatedData
+from stemfuse.errors import ConfigMismatch, NonFiniteSamples, TruncatedData
 
 from helpers import whole_array_run, write_stem_dir
 
@@ -35,13 +37,24 @@ NUM_SOURCES = 4
 SOURCES = ("drums", "bass", "other", "vocals")
 
 
-def stems_of(mix, cfg, block_frames=None):
-    """run() as one (sources, channels, length) array; None keeps the default blocks."""
+def set_blocks(mp, mix, cfg, block_frames=None, workers=None):
+    """Use blocks of `block_frames` frames and `workers` threads; None keeps the default."""
+    if block_frames is not None:
+        unit = NUM_SOURCES * mix.channels * cfg.stft.num_bins * 16
+        mp.setattr(pipeline, "_BLOCK_BYTES", block_frames * unit)
+    if workers is not None:
+        mp.setattr(pipeline, "_worker_count", lambda: workers)
+
+
+def stems_of(mix, cfg, block_frames=None, workers=None):
+    """run() as one (sources, channels, length) array (see `set_blocks`)."""
     with pytest.MonkeyPatch.context() as mp:
-        if block_frames is not None:
-            unit = NUM_SOURCES * mix.channels * cfg.stft.num_bins * 16
-            mp.setattr(pipeline, "_BLOCK_BYTES", block_frames * unit)
+        set_blocks(mp, mix, cfg, block_frames, workers)
         return np.stack([s.samples for s in run(mix, cfg).sources])
+
+
+def block_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(pipeline._THREAD_PREFIX)]
 
 
 def write_model_dirs(root: Path, rng, mix, stft_cfg):
@@ -72,9 +85,10 @@ def entry_for(kind, stem_dir, mag_dir, leakage):
 @given(seed=st.integers(0, 2**32 - 1), channels=st.sampled_from([1, 2]),
        iterations=st.integers(0, 3), center_pad=st.booleans(),
        kinds=st.lists(st.sampled_from(MODEL_KINDS), min_size=1, max_size=4),
-       frames=st.integers(1, 40), extra=st.integers(0, 15), data=st.data())
+       frames=st.integers(1, 40), extra=st.integers(0, 15), workers=st.sampled_from([1, 2]),
+       data=st.data())
 def test_run_is_bitwise_the_whole_track_run_at_every_block_size(
-        seed, channels, iterations, center_pad, kinds, frames, extra, data):
+        seed, channels, iterations, center_pad, kinds, frames, extra, workers, data):
     stft_cfg = StftConfig(fft_size=64, hop=16, center_pad=center_pad)
     # without center padding only lengths that frames tile exactly can be resynthesized
     length = (frames - 1) * 16 + (1 + extra if center_pad else 64)
@@ -93,7 +107,88 @@ def test_run_is_bitwise_the_whole_track_run_at_every_block_size(
         want = whole_array_run(mix, cfg).tobytes()
         total = stft(mix, stft_cfg).frames
         for block_frames in (1, 3, None, total, total + 5):
-            assert stems_of(mix, cfg, block_frames).tobytes() == want
+            assert stems_of(mix, cfg, block_frames, workers).tobytes() == want
+
+
+def magnitude_model(tmp_path, rng, mix, stft_cfg):
+    """A config of one TF `.mag` model and one builtin-toy TF model, two EM passes."""
+    _, mag_dir = write_model_dirs(tmp_path, rng, mix, stft_cfg)
+    return PipelineConfig(
+        [ModelEntry("mags", "TF", str(mag_dir)), ModelEntry("toy", "TF", "builtin-toy")],
+        stft_cfg, MwfConfig(iterations=2), validate_weights([[0.6] * 4, [0.4] * 4])), mag_dir
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_magnitude_blocks_read_by_many_threads_are_bitwise_the_whole_track_run(
+        tmp_path, workers):
+    rng = np.random.default_rng(21)
+    mix = Waveform(rng.normal(size=(2, 16 * 300)), SR)
+    cfg, _ = magnitude_model(tmp_path, rng, mix, StftConfig(fft_size=64, hop=16))
+    want = whole_array_run(mix, cfg).tobytes()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads interleave between any two reads
+    try:
+        got = stems_of(mix, cfg, block_frames=3, workers=workers)
+    finally:
+        sys.setswitchinterval(switch)
+    assert got.tobytes() == want
+    assert not block_threads()
+
+
+def test_first_failing_block_in_frame_order_wins(tmp_path):
+    # frames 8..11 hold a NaN magnitude and frames 12..15 a negative one;
+    # the earlier block is held back, so the later one fails first in time
+    rng = np.random.default_rng(22)
+    mix = Waveform(rng.normal(size=(2, 16 * 60)), SR)
+    stft_cfg = StftConfig(fft_size=64, hop=16)
+    cfg, mag_dir = magnitude_model(tmp_path, rng, mix, stft_cfg)
+    mags = np.abs(rng.normal(size=stft(mix, stft_cfg).bins.shape))
+    mags[1, 9, 5] = np.nan
+    write_magnitudes(mag_dir / "bass.mag", mags)
+    mags = np.abs(rng.normal(size=mags.shape))
+    mags[0, 13, 7] = -1.0
+    write_magnitudes(mag_dir / "other.mag", mags)
+    read_frames = pipeline._read_frames
+    failed_later = threading.Event()
+
+    def slow_early_block(fh, path, shape, start, stop):
+        if start == 8 and path.name == "bass.mag":
+            failed_later.wait(timeout=5)
+        return read_frames(fh, path, shape, start, stop)
+
+    def masked_mixture(*args, _original=pipeline._masked_mixture):
+        try:
+            return _original(*args)
+        except ValueError:
+            failed_later.set()
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        set_blocks(mp, mix, cfg, block_frames=4, workers=2)
+        mp.setattr(pipeline, "_read_frames", slow_early_block)
+        mp.setattr(pipeline, "_masked_mixture", masked_mixture)
+        with pytest.raises(NonFiniteSamples, match=r"bass\.mag: .* frames 8\.\.11"):
+            run(mix, cfg)
+    assert failed_later.is_set()
+    assert not block_threads()
+
+
+def test_blocks_run_under_the_callers_numpy_error_state(monkeypatch):
+    seen = []
+    analysis = pipeline._analysis_frames
+
+    def recording(*args):
+        seen.append(np.geterr()["under"])
+        return analysis(*args)
+
+    monkeypatch.setattr(pipeline, "_analysis_frames", recording)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda: 2)
+    mix = Waveform(np.random.default_rng(24).normal(size=(2, 16 * 40)), SR)
+    with np.errstate(under="call", call=lambda *_: None):
+        run(mix, PipelineConfig([ModelEntry("toy", "TF", "builtin-toy")],
+                                StftConfig(fft_size=64, hop=16), MwfConfig(),
+                                validate_weights([[1.0] * 4])))
+    assert seen and set(seen) == {"call"}
 
 
 def toy_mix(seconds, channels=2, seed=0):
