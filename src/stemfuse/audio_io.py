@@ -2,7 +2,9 @@
 
 Stems are exchanged with external separation models as one WAV file per
 source. Only little-endian RIFF/WAVE containers are handled: PCM16,
-PCM24 and IEEE float32 for reading, PCM16 and float32 for writing.
+PCM24 and IEEE float32 for reading, also when the fmt chunk is
+WAVE_FORMAT_EXTENSIBLE with the PCM or IEEE-float sub-format, and PCM16
+and float32 for writing.
 Chunks other than ``fmt `` and ``data`` are skipped. Writes are atomic
 (temp file + rename).
 """
@@ -24,6 +26,10 @@ from .core import Waveform, _atomic_write
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
+_FORMAT_EXTENSIBLE = 0xFFFE
+# the sub-format GUIDs of WAVE_FORMAT_EXTENSIBLE share these last 14 bytes
+# after the little-endian 16-bit format tag: {tag-0000-0010-8000-00AA00389B71}
+_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 ENCODINGS = ("pcm16", "float32")
 _WRITE_FRAMES = 1 << 16  # frames converted and written at a time
@@ -37,6 +43,14 @@ def _parse_fmt(body: bytes, path) -> tuple:
         raise MalformedHeader(f"{path}: zero channels in fmt chunk")
     if rate <= 0:
         raise MalformedHeader(f"{path}: non-positive sample rate {rate}")
+    if tag == _FORMAT_EXTENSIBLE:  # cbSize, valid bits, channel mask, sub-format GUID
+        if len(body) < 40 or struct.unpack_from("<H", body, 16)[0] < 22:
+            raise MalformedHeader(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk lacks its extension")
+        guid = bytes(body[24:40])
+        tag = struct.unpack_from("<H", guid)[0]
+        if guid[2:] != _GUID_TAIL or tag not in (_FORMAT_PCM, _FORMAT_IEEE_FLOAT):
+            raise UnsupportedEncoding(
+                f"{path}: WAVE_FORMAT_EXTENSIBLE sub-format {guid.hex()} is not PCM or IEEE float")
     if tag == _FORMAT_PCM:
         if bits not in (16, 24):
             raise UnsupportedEncoding(f"{path}: PCM {bits}-bit is not supported (use 16 or 24)")

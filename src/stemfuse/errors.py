@@ -77,6 +77,12 @@ class NonFiniteSamples(StemfuseError, ValueError):
     code = "non-finite-samples"
 
 
+class NegativeMagnitude(StemfuseError, ValueError):
+    """A magnitude file holds a negative magnitude; also a ValueError."""
+
+    code = "negative-magnitude"
+
+
 # --- wiener ------------------------------------------------------------
 
 class SingularMixCovariance(StemfuseError):

@@ -14,19 +14,24 @@ holds a whole-track spectrogram.
 Within one sweep over the blocks, a block's work depends only on the
 block and on the spatial covariances of finished EM passes: the Wiener
 filter needs per-bin sums over frames and filters each frame on its
-own. So that work runs on a small thread pool, one thread per CPU the
-process may use, and the calling thread consumes the results strictly
-in block order: it alone adds them to the running sums and overlap-adds
-them into the output. Each sum therefore adds the same numbers in the
-same order whatever the number of threads, and the stems are the same
-bytes on one CPU or many.
+own. A block's STFT frames, |x| and the mixture products of the first
+EM pass are made once and shared by every branch; each TF branch turns
+its magnitudes into real mask gains, and its first pass's per-frame
+terms come from those gains without forming complex estimates. That
+work runs on a small thread pool, one thread per CPU the process may
+use, and the calling thread consumes the results strictly in block
+order: it alone adds them to the running sums, row by row, and
+overlap-adds them into the output. Each sum therefore adds the same
+numbers in the same order whatever the number of threads, and the stems
+are the same bytes on one CPU or many.
 
 External models plug in through the file system: a T entry points at a
 directory of drums/bass/other/vocals WAV stems, a TF entry at a
 directory of ``<source>.mag`` magnitude tensors (DSMAG1 format: 6 ASCII
 magic bytes, three little-endian u32 dims channels/frames/bins, then
-float32 values with bins fastest). ``builtin-toy`` entries run the
-band-mask toy model instead.
+float32 values with bins fastest; NaN, infinite and negative values are
+rejected as they are read). ``builtin-toy`` entries run the band-mask
+toy model instead.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .errors import (
     LengthMismatch,
     MalformedHeader,
     MissingStem,
+    NegativeMagnitude,
     NonFiniteSamples,
     SampleRateMismatch,
     ShapeMismatch,
@@ -77,7 +83,9 @@ from .wiener import (
     MwfConfig,
     _block_terms,
     _check_channels,
-    _masked_mixture,
+    _gain_terms,
+    _mask_gains,
+    _Mixture,
     _refilter,
     _SpatialSums,
     mwf,
@@ -224,10 +232,12 @@ def _magnitude_shape(fh, path) -> tuple:
 
 
 def _read_frames(fh, path, shape: tuple, start: int, stop: int) -> np.ndarray:
-    """float64 (channels, stop - start, bins) frames of an open DSMAG1 file.
+    """float32 (channels, stop - start, bins) frames of an open DSMAG1 file.
 
     Reads at explicit offsets and never moves the file position, so
-    threads can read blocks of one file at the same time.
+    threads can read blocks of one file at the same time. NaN, infinite
+    and negative magnitudes are rejected here, with the frames they are
+    in, so nothing downstream checks them again.
     """
     channels, frames, bins = shape
     out = np.empty((channels, stop - start, bins), dtype="<f4")
@@ -237,13 +247,15 @@ def _read_frames(fh, path, shape: tuple, start: int, stop: int) -> np.ndarray:
             raise TruncatedData(f"{path}: payload ended early while it was being read")
     if not np.all(np.isfinite(out)):
         raise NonFiniteSamples(f"{path}: NaN or infinite magnitudes in frames {start}..{stop - 1}")
-    return out.astype(np.float64)
+    if np.any(out < 0):
+        raise NegativeMagnitude(f"{path}: negative magnitudes in frames {start}..{stop - 1}")
+    return out
 
 
 def read_magnitudes(path) -> np.ndarray:
     with open(path, "rb") as fh:
         shape = _magnitude_shape(fh, path)
-        return _read_frames(fh, path, shape, 0, shape[1])
+        return _read_frames(fh, path, shape, 0, shape[1]).astype(np.float64)
 
 
 # --- stem-set ingestion -------------------------------------------------
@@ -294,8 +306,9 @@ def _conform(stem: Waveform, like: Waveform, tolerance: int, path) -> Waveform:
 def _open_magnitude_dir(directory, shape: tuple, files: ExitStack) -> Callable:
     """Validate each source's `.mag` file and keep it open in `files`.
 
-    Returns `frames(start, stop)`: the per-source float64 magnitudes of
-    frames start .. stop - 1, read from the files.
+    Returns `frames(start, stop)`: the float64 (sources, channels,
+    stop - start, bins) magnitudes of frames start .. stop - 1, read from
+    the files.
     """
     directory = Path(directory)
     opened = []
@@ -310,8 +323,14 @@ def _open_magnitude_dir(directory, shape: tuple, files: ExitStack) -> Callable:
                 f"{path}: magnitude shape {found} does not match mixture spectrogram {shape}"
             )
         opened.append((fh, path))
-    return lambda start, stop: [_read_frames(fh, path, shape, start, stop)
-                                for fh, path in opened]
+
+    def frames(start, stop):
+        mags = np.empty((len(opened), shape[0], stop - start, shape[2]))
+        for out, (fh, path) in zip(mags, opened):
+            out[...] = _read_frames(fh, path, shape, start, stop)
+        return mags
+
+    return frames
 
 
 # --- branches and the full run ------------------------------------------
@@ -339,16 +358,26 @@ class _SpectralBranch:
     mag_frames: Optional[Callable] = None
     spatial: list = field(default_factory=list)
 
-    def stems(self, x: np.ndarray, start: int, stop: int, cfg: MwfConfig):
-        """Per-source complex stems of mixture frames x = frames start .. stop - 1."""
-        if self.domain == T_DOMAIN:  # mask the complex mixture directly
-            return (x * mask for mask in self.masks)
-        if self.mag_frames is None:
-            mag = np.abs(x)
-            mags = [mag * mask for mask in self.masks]
+    def gains(self, mixture: _Mixture, start: int, stop: int, cfg: MwfConfig) -> np.ndarray:
+        """(J, C, b, F) mask gains of a TF branch for mixture frames start .. stop - 1."""
+        if self.mag_frames is None:  # |x| times each band mask, straight into the gains
+            mags = np.multiply(mixture.magnitude, self.masks[:, None, None, :])
         else:
             mags = self.mag_frames(start, stop)
-        return _refilter(_masked_mixture(mags, x, cfg.mask_power), x, self.spatial, cfg.eps)
+        return _mask_gains(mags, cfg.mask_power)
+
+    def em_terms(self, mixture: _Mixture, start: int, stop: int, cfg: MwfConfig):
+        """The `_SpatialSums` terms of the next EM pass for frames start .. stop - 1."""
+        g = self.gains(mixture, start, stop, cfg)
+        if not self.spatial:  # the first pass runs on the real gains
+            return _gain_terms(g, mixture, first=start == 0)
+        return _block_terms(_refilter(g, mixture, self.spatial, cfg.eps), first=start == 0)
+
+    def stems(self, mixture: _Mixture, start: int, stop: int, cfg: MwfConfig):
+        """Per-source complex stems of mixture frames start .. stop - 1."""
+        if self.domain == T_DOMAIN:  # mask the complex mixture directly
+            return (mixture.x * mask for mask in self.masks)
+        return _refilter(self.gains(mixture, start, stop, cfg), mixture, self.spatial, cfg.eps)
 
 
 def _spectral_branch(entry: ModelEntry, weights: np.ndarray, shape: tuple, sample_rate: int,
@@ -412,16 +441,21 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
     window = cfg.stft.window_array()
     tf = [b for b in branches if b.domain == TF_DOMAIN]
 
-    def em_terms(start, stop):
+    def mixture(start, stop):
+        # frames of a Fortran-ordered input (as read_wav gives) have the
+        # channel axis fastest; in C order every product of them is contiguous
         x = _analysis_frames(mix.samples, cfg.stft, start, stop, window)
-        return [_block_terms(branch.stems(x, start, stop, cfg.mwf), first=start == 0)
-                for branch in tf]
+        return _Mixture(np.ascontiguousarray(x))
+
+    def em_terms(start, stop):
+        block = mixture(start, stop)
+        return [branch.em_terms(block, start, stop, cfg.mwf) for branch in tf]
 
     def fused_frames(start, stop):
-        x = _analysis_frames(mix.samples, cfg.stft, start, stop, window)
-        spectral = np.zeros((num_sources,) + x.shape, dtype=np.complex128)
+        block = mixture(start, stop)
+        spectral = np.zeros((num_sources,) + block.x.shape, dtype=np.complex128)
         for branch in branches:
-            weighted_accumulate(spectral, branch.weights, branch.stems(x, start, stop, cfg.mwf))
+            weighted_accumulate(spectral, branch.weights, branch.stems(block, start, stop, cfg.mwf))
         return synthesis.synthesize(spectral)
 
     workers = _worker_count()
@@ -431,7 +465,7 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
             sums = [_SpatialSums() for _ in tf]
             for terms in _in_order(pool, em_terms, blocks, workers + 1):
                 for branch_sums, branch_terms in zip(sums, terms):
-                    branch_sums.add_terms(branch_terms)
+                    branch_sums.add(branch_terms)
             for branch, branch_sums in zip(tf, sums):
                 branch.spatial.append(branch_sums.spatial(cfg.mwf.eps))
         for frames_td in _in_order(pool, fused_frames, blocks, workers + 1):

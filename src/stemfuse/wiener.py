@@ -13,9 +13,17 @@ array, and a spatial covariance is kept as its unique Hermitian entries:
 the real diagonal (sources, channels, bins) and, for stereo, the complex
 off-diagonal R01 (sources, bins), with R10 = conj(R01). The public
 functions wrap these arrays in `Spectrogram` and `SpatialModel` values.
-The model step only needs sums over frames (`_SpatialSums`) and the
-filter step treats each frame on its own, so the same steps also run on
-a long signal one block of frames at a time (see `pipeline.run`).
+
+The initial estimates are y_j = g_j x with real mask gains
+g_j = v_j**a / (sum_k v_k**a + eps), each power raised once. Since g_j
+is real, the first pass needs only |y_jc|^2 = g_jc^2 |x_c|^2 and
+y_j0 conj(y_j1) = g_j0 g_j1 x0 conj(x1): it runs on the gains and the
+mixture products |x_c|^2 and x0 conj(x1), shared by every source, and
+the complex g x is formed only when no pass runs. Later passes work on
+the filtered estimates. The model step only needs sums over frames
+(`_SpatialSums`) and the filter step treats each frame on its own, so
+the same steps also run on a long signal one block of frames at a time
+(see `pipeline.run`).
 """
 
 from __future__ import annotations
@@ -99,28 +107,15 @@ def _as_set(y: np.ndarray, mix: Spectrogram) -> SourceSpectrogramSet:
 
 # --- array steps ----------------------------------------------------------
 
-def _masked_mixture(mags: Sequence[np.ndarray], x: np.ndarray, mask_power: float) -> np.ndarray:
-    """(J, C, T, F) soft-masked mixture from J (C, T, F) magnitude arrays.
+def _mask_gains(g: np.ndarray, mask_power: float) -> np.ndarray:
+    """Turn J stacked (J, C, T, F) magnitudes into mask gains, in place.
 
-    Works one source at a time (each power is formed twice) so that no
-    (J, C, T, F) real temporary is allocated.
+    g_j = v_j**a / (sum_k v_k**a + eps), each power raised once; bins
+    where every magnitude is zero get a zero gain rather than 0/0.
     """
-    mags = [np.asarray(v, dtype=np.float64) for v in mags]
-    if not mags:
-        raise ValueError("need at least one magnitude estimate")
-    for v in mags:
-        if v.shape != x.shape:
-            raise ShapeMismatch(f"magnitudes of shape {v.shape} do not match mixture {x.shape}")
-        if np.any(v < 0):
-            raise ValueError("magnitudes must be nonnegative")
-
-    def power(v):
-        return v * v if mask_power == 2.0 else v ** mask_power
-
     with np.errstate(over="ignore", invalid="ignore"):
-        total = power(mags[0])
-        for v in mags[1:]:
-            total += power(v)
+        g **= mask_power
+        total = np.sum(g, axis=0)  # in source order, one source at a time
     # every term is >= 0 or NaN, so a finite total means finite masks
     if not np.all(np.isfinite(total)):
         raise ValueError(
@@ -128,94 +123,161 @@ def _masked_mixture(mags: Sequence[np.ndarray], x: np.ndarray, mask_power: float
             "the magnitudes contain non-finite values"
         )
     total += _EPS_DIV
-    y = np.empty((len(mags),) + x.shape, dtype=np.complex128)
+    g /= total
+    return g
+
+
+def _stacked_gains(mags: Sequence[np.ndarray], shape: tuple, mask_power: float) -> np.ndarray:
+    """(J, C, T, F) mask gains of J magnitude arrays, checked against mixture `shape`."""
+    mags = list(mags)
+    if not mags:
+        raise ValueError("need at least one magnitude estimate")
+    g = np.empty((len(mags),) + shape)
     for j, v in enumerate(mags):
-        mask = power(v)
-        mask /= total
-        np.multiply(mask, x, out=y[j])
-    return y
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != shape:
+            raise ShapeMismatch(f"magnitudes of shape {v.shape} do not match mixture {shape}")
+        if np.any(v < 0):
+            raise ValueError("magnitudes must be nonnegative")
+        g[j] = v
+    return _mask_gains(g, mask_power)
 
 
-def _psd(y: np.ndarray) -> np.ndarray:
-    """(J, T, F) PSDs of (J, C, T, F) estimates: the channel mean of |y|^2."""
-    psd = np.empty(y.shape[:1] + y.shape[2:])
+class _Mixture:
+    """Mixture frames x (C, T, F) and the products of them that every
+    branch filtering these frames shares, each made once, when first
+    asked for: |x| for models that mask the mixture magnitude, and for
+    the first EM pass |x_c|^2 (C, T, F) and, for stereo, x0 conj(x1)
+    (T, F). Not shared between threads."""
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self._magnitude = self._power = self._cross = None
+
+    @property
+    def magnitude(self) -> np.ndarray:
+        if self._magnitude is None:
+            self._magnitude = np.abs(self.x)
+        return self._magnitude
+
+    @property
+    def power(self) -> np.ndarray:
+        if self._power is None:
+            with np.errstate(over="ignore"):
+                self._power = _power(self.x)
+        return self._power
+
+    @property
+    def cross(self) -> Optional[np.ndarray]:
+        if self._cross is None and self.x.shape[0] == 2:
+            self._cross = _cross(self.x[0], self.x[1])
+        return self._cross
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a conj(b), elementwise, with the rounding of one `einsum` sum over frames."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, yj in enumerate(y):
-            psd[j] = np.mean(yj.real ** 2 + yj.imag ** 2, axis=0)
+        return np.einsum("...,...->...", a, np.conj(b))
+
+
+def _power(y: np.ndarray) -> np.ndarray:
+    """|y|^2 of complex estimates."""
+    return y.real ** 2 + y.imag ** 2
+
+
+def _gain_power(g: np.ndarray, x_power: np.ndarray) -> np.ndarray:
+    """|y|^2 of the estimates y = g x: g^2 |x|^2."""
+    power = g * g
+    power *= x_power
+    return power
+
+
+def _psd(powers, shape: tuple) -> np.ndarray:
+    """(J, T, F) PSDs of (J, C, T, F) estimates: the channel mean of each
+    source's |y|^2 (C, T, F), yielded one source at a time by `powers`."""
+    psd = np.empty(shape[:1] + shape[2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, power in enumerate(powers):
+            psd[j] = np.mean(power, axis=0)
     return psd
 
 
-def _block_terms(y: np.ndarray, first: bool) -> tuple:
-    """What `_SpatialSums` needs of (J, C, b, F) estimates, from the block alone.
+def _terms(per_source, shape: tuple, first: bool) -> tuple:
+    """What `_SpatialSums` needs of a block of (J, C, b, F) estimates.
 
-    Returns (psd, v, p, cross): the (J, b, F) PSD, then the terms of
-    sum_t v, sum_t |y_c|^2 and, for stereo, sum_t y0 conj(y1). For the
-    `first` block of a sweep, nothing comes before it, so these are
-    already its sums, made one source at a time. For a later block they
-    are the PSD, the (J, C, b, F) |y|^2 and the cross sum's operands, y0
-    below a free row 0 for the running sum and conj of y1 below a row of
-    ones, each (J, b + 1, F). Nothing here depends on other blocks, so
+    `per_source` yields each source's |y_c|^2 (C, b, F) and, for stereo,
+    y0 conj(y1) (b, F). Returns (psd, p, cross): the (J, b, F) PSD, then
+    the terms of sum_t |y_c|^2 and sum_t y0 conj(y1). For the `first`
+    block of a sweep nothing comes before it, so these are already its
+    sums; for a later block they are the per-frame terms.
+    Work goes one source at a time, so a whole-signal block makes no
+    (J, C, T, F) temporary. Nothing here depends on other blocks, so
     blocks can be prepared in any order, on any thread.
     """
-    num_sources, channels, frames, bins = y.shape
+    num_sources, channels, frames, bins = shape
+    kept = (bins,) if first else (frames, bins)
     psd = np.empty((num_sources, frames, bins))
-    power = np.empty((num_sources, channels) + ((bins,) if first else (frames, bins)))
-    psd_terms, cross = psd, None
+    power = np.empty((num_sources, channels) + kept)
+    cross = None if channels == 1 else np.empty((num_sources,) + kept, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, yj in enumerate(y):
-            power_j = yj.real ** 2 + yj.imag ** 2
+        for j, (power_j, cross_j) in enumerate(per_source):
             psd[j] = np.mean(power_j, axis=0)
             power[j] = np.sum(power_j, axis=1) if first else power_j
-        if first:
-            psd_terms = np.stack([np.sum(v, axis=0) for v in psd])
-            if channels == 2:
-                cross = np.stack([np.einsum("tf,tf->f", yj[0], np.conj(yj[1])) for yj in y])
+            if cross is not None:
+                cross[j] = np.sum(cross_j, axis=0) if first else cross_j
     if not np.all(np.isfinite(psd)):
         _overflowed()
-    if not first and channels == 2:
-        y0 = np.empty((num_sources, frames + 1, bins), dtype=np.complex128)
-        y0[:, 1:] = y[:, 0]
-        cross = y0, np.conj(np.concatenate([np.ones((num_sources, 1, bins)), y[:, 1]], axis=1))
-    return psd, psd_terms, power, cross
+    return psd, power, cross
+
+
+def _block_terms(y: np.ndarray, first: bool) -> tuple:
+    """`_terms` of complex (J, C, b, F) estimates."""
+    stereo = y.shape[1] == 2
+    per_source = ((_power(yj), _cross(yj[0], yj[1]) if stereo else None) for yj in y)
+    return _terms(per_source, y.shape, first)
+
+
+def _gain_terms(g: np.ndarray, mixture: _Mixture, first: bool) -> tuple:
+    """`_terms` of the estimates y = g x of the first EM pass, from the real gains.
+
+    g is real, so |y_c|^2 = g_c^2 |x_c|^2 and y0 conj(y1) =
+    g0 g1 x0 conj(x1): the complex estimates are never formed.
+    """
+    x_power, x_cross = mixture.power, mixture.cross
+    per_source = ((_gain_power(gj, x_power), None if x_cross is None else gj[0] * gj[1] * x_cross)
+                  for gj in g)
+    return _terms(per_source, g.shape, first)
 
 
 class _SpatialSums:
     """The EM model step as per-bin sums over frames, fed in frame order.
 
-    `add` takes (J, C, b, F) estimates of the next b frames and keeps
+    `add` takes the `_terms` of the next block of estimates and keeps
     sum_t v, sum_t |y_c|^2 and, for stereo, sum_t y0 conj(y1); `spatial`
     normalizes them into R: R_cc = sum_t |y_c|^2 and
     R01 = sum_t y0 conj(y1), each times 1 / (sum_t v + eps), with
     R10 = conj(R01) exactly Hermitian. The sums are bitwise those of one
     whole-array reduction, whatever the block sizes: numpy sums a frame
     axis of rows of two or more bins one frame at a time, so a later
-    block adds its frames to the sums in place, and the cross sum is one
-    `einsum` whose row 0 is the sum so far.
+    block adds its frames to all three sums in place, row by row.
     """
 
     def __init__(self):
         self._psd = self._power = self._cross = None  # running sums, one row per source
 
-    def add(self, y: np.ndarray) -> np.ndarray:
-        """Add a block of estimates; return its (J, b, F) PSD."""
-        terms = _block_terms(y, first=self._psd is None)
-        self.add_terms(terms)
-        return terms[0]
-
-    def add_terms(self, terms: tuple) -> None:
-        """Add the `_block_terms` of the next block."""
-        _, psd, power, cross = terms
-        if self._psd is None:
-            self._psd, self._power, self._cross = psd, power, cross
-            return
+    def add(self, terms: tuple) -> np.ndarray:
+        """Add the `_terms` of the next block; return its (J, b, F) PSD."""
+        psd, power, cross = terms
         with np.errstate(over="ignore", invalid="ignore"):
+            if self._psd is None:
+                self._psd, self._power, self._cross = np.sum(psd, axis=1), power, cross
+                return psd
             for t in range(psd.shape[1]):
                 self._psd += psd[:, t]
                 self._power += power[:, :, t]
-            if cross is not None:
-                y0, y1 = cross
-                y0[:, 0] = self._cross
-                self._cross = np.einsum("jtf,jtf->jf", y0, y1)
+                if cross is not None:
+                    self._cross += cross[:, t]
+        return psd
 
     def spatial(self, eps: float) -> _Spatial:
         """The diagonal (J, C, F) and, for stereo, R01 (J, F) of every R_j."""
@@ -282,24 +344,32 @@ def _filter_step(
     return out
 
 
-def _refilter(y: np.ndarray, x: np.ndarray, spatials: Sequence[_Spatial], eps: float) -> np.ndarray:
-    """Apply the filter steps of finished EM passes, in order, to `y` in place.
+def _refilter(g: np.ndarray, mixture: _Mixture, spatials: Sequence[_Spatial],
+              eps: float) -> np.ndarray:
+    """The estimates of some frames after the filter steps of finished EM passes.
 
-    An EM pass filters each frame with that frame's PSD and the R of the
-    whole signal, so given every earlier pass's R this rebuilds the
-    estimates of any range of frames from their initial masks.
+    Starts from their mask gains `g` and the `_Mixture` of those frames;
+    with no finished pass they are the masked mixture g x. An EM pass
+    filters each frame with that frame's PSD and the R of the whole
+    signal, so given every earlier pass's R this rebuilds the estimates
+    of any range of frames. The first step's PSD comes from the gains.
     """
-    for spatial in spatials:
-        _filter_step(_psd(y), spatial, x, eps, out=y)
+    if not spatials:
+        return np.multiply(g, mixture.x)
+    y = np.empty(g.shape, dtype=np.complex128)
+    psd = _psd((_gain_power(gj, mixture.power) for gj in g), g.shape)
+    _filter_step(psd, spatials[0], mixture.x, eps, out=y)
+    for spatial in spatials[1:]:
+        _filter_step(_psd((_power(yj) for yj in y), y.shape), spatial, mixture.x, eps, out=y)
     return y
 
 
-def _em_passes(y: np.ndarray, x: np.ndarray, cfg: MwfConfig) -> np.ndarray:
-    """cfg.iterations EM passes, each overwriting the (J, C, T, F) estimates `y`."""
-    for _ in range(cfg.iterations):
+def _em_passes(y: np.ndarray, x: np.ndarray, passes: int, eps: float) -> np.ndarray:
+    """`passes` EM passes, each overwriting the (J, C, T, F) estimates `y`."""
+    for _ in range(passes):
         sums = _SpatialSums()
-        psd = sums.add(y)
-        _filter_step(psd, sums.spatial(cfg.eps), x, cfg.eps, out=y)
+        psd = sums.add(_block_terms(y, first=True))
+        _filter_step(psd, sums.spatial(eps), x, eps, out=y)
     return y
 
 
@@ -313,7 +383,7 @@ def initial_estimates(
     All-zero bins across sources get a zero mask rather than 0/0.
     """
     _require_positive_finite("mask_power", mask_power)
-    return _as_set(_masked_mixture(mags, mix.bins, mask_power), mix)
+    return _as_set(np.multiply(_stacked_gains(mags, mix.bins.shape, mask_power), mix.bins), mix)
 
 
 def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[SpatialModel]:
@@ -324,7 +394,7 @@ def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[Spatia
     """
     _check_channels(est.channels)
     sums = _SpatialSums()
-    psd = sums.add(est.stacked())
+    psd = sums.add(_block_terms(est.stacked(), first=True))
     r_diag, r01 = sums.spatial(eps)
     num_sources, channels, bins = r_diag.shape
     cov = np.zeros((num_sources, bins, channels, channels), dtype=np.complex128)
@@ -364,14 +434,27 @@ def em_iterate(
     _check_channels(mix.channels)
     if cfg.iterations == 0:
         return est
-    return _as_set(_em_passes(est.stacked(), mix.bins, cfg), mix)
+    return _as_set(_em_passes(est.stacked(), mix.bins, cfg.iterations, cfg.eps), mix)
 
 
 def mwf(
     mags: Sequence[np.ndarray], mix: Spectrogram, cfg: MwfConfig = MwfConfig()
 ) -> SourceSpectrogramSet:
-    """Full filter: mask initialization followed by cfg.iterations EM passes."""
+    """Full filter: mask initialization followed by cfg.iterations EM passes.
+
+    The first pass runs on the real mask gains; the complex masked
+    mixture is formed only when there is no pass to run.
+    """
     _check_channels(mix.channels)
-    y = _masked_mixture(mags, mix.bins, cfg.mask_power)
+    x = mix.bins
+    g = _stacked_gains(mags, x.shape, cfg.mask_power)
     del mags  # freed here unless the caller keeps them
-    return _as_set(_em_passes(y, mix.bins, cfg), mix)
+    if cfg.iterations == 0:
+        return _as_set(np.multiply(g, x), mix)
+    sums = _SpatialSums()
+    psd = sums.add(_gain_terms(g, _Mixture(x), first=True))
+    del g  # the first filter step needs only the PSD and R
+    y = _filter_step(psd, sums.spatial(cfg.eps), x, cfg.eps,
+                     out=np.empty((len(psd),) + x.shape, dtype=np.complex128))
+    del psd
+    return _as_set(_em_passes(y, x, cfg.iterations - 1, cfg.eps), mix)

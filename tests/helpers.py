@@ -23,6 +23,7 @@ from stemfuse import (
 )
 from stemfuse import bsseval
 from stemfuse.blend import weighted_accumulate
+from stemfuse.wiener import _filter_step
 
 
 def make_waveform(rng, channels=2, length=256, sample_rate=44100, scale=0.5):
@@ -268,6 +269,50 @@ def oracle_mwf(mags, mix_bins, cfg):
     for _ in range(cfg.iterations):
         est = complex_det_filter_step(einsum_model_step(est, cfg.eps), mix_bins, cfg.eps)
     return est
+
+
+# --- Wiener filter on materialised masked estimates ------------------------
+# The form before the first EM pass ran on real mask gains: the complex
+# masked mixture y_j = g_j x is built, every pass takes its sums of |y|^2
+# and y0 conj(y1), and the library's own filter step re-filters y.
+
+def masked_mixture(mags, x, mask_power):
+    """(J, C, T, F) soft-masked mixture, each power formed twice."""
+    def power(v):
+        return v * v if mask_power == 2.0 else v ** mask_power
+
+    total = power(mags[0])
+    for v in mags[1:]:
+        total += power(v)
+    total += 1e-12
+    y = np.empty((len(mags),) + x.shape, dtype=np.complex128)
+    for j, v in enumerate(mags):
+        mask = power(v)
+        mask /= total
+        np.multiply(mask, x, out=y[j])
+    return y
+
+
+def materialised_model_step(y, eps):
+    """(psd (J, T, F), (R diagonal (J, C, F), R01 (J, F) or None)) of estimates y."""
+    psd = np.stack([np.mean(yj.real ** 2 + yj.imag ** 2, axis=0) for yj in y])
+    power = np.stack([np.sum(yj.real ** 2 + yj.imag ** 2, axis=1) for yj in y])
+    scale = 1.0 / (np.stack([np.sum(v, axis=0) for v in psd]) + eps)
+    r01 = None
+    if y.shape[1] == 2:
+        r01 = np.stack([np.einsum("tf,tf->f", yj[0], np.conj(yj[1])) for yj in y]) * scale
+    return psd, (power * scale[:, None], r01)
+
+
+def materialised_mwf(mags, x, cfg):
+    """(stems, [(psd, (R diagonal, R01)) of every pass]) of the materialised filter."""
+    y = masked_mixture(mags, x, cfg.mask_power)
+    passes = []
+    for _ in range(cfg.iterations):
+        psd, spatial = materialised_model_step(y, cfg.eps)
+        passes.append((psd, spatial))
+        _filter_step(psd, spatial, x, cfg.eps, out=y)
+    return y, passes
 
 
 def oracle_run(mix, cfg):

@@ -1,6 +1,10 @@
 """The array Wiener filter and spectral-domain fusion against the
 matrix-form oracles in helpers.py (complex einsum, complex determinant,
-one inverse STFT per model and source, then a time-domain blend)."""
+one inverse STFT per model and source, then a time-domain blend), and
+the first EM pass on real mask gains against the materialised masked
+estimates it replaced."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from stemfuse import (
     Waveform,
     apply_filter,
     estimate_spatial_model,
+    initial_estimates,
     mwf,
     run,
     stft,
@@ -30,11 +35,14 @@ from helpers import (
     einsum_model_step,
     make_complex,
     make_waveform_set,
+    masked_mixture,
+    materialised_mwf,
     oracle_mwf,
     oracle_run,
     write_stem_dir,
 )
 
+wiener = sys.modules["stemfuse.wiener"]
 CFG = StftConfig(fft_size=16, hop=4)
 SR = 44100
 # Rounding-level bound on max|array - oracle| / max|oracle|. Both forms lose
@@ -91,6 +99,59 @@ def test_apply_filter_matches_complex_determinant(seed, channels, sources, frame
     got = [s.bins for s in apply_filter(models, mix, 1e-10).sources]
     want = complex_det_filter_step(oracle_models, mix.bins, 1e-10)
     assert rel_diff(got, want) <= REL_TOL
+
+
+def condition_number(passes, eps):
+    """Largest condition number of the mixture covariances the filter steps invert."""
+    worst = 1.0
+    for psd, (r_diag, r01) in passes:
+        if r01 is None:
+            continue
+        c00, c11 = (np.einsum("jtf,jf->tf", psd, r_diag[:, c]) + eps for c in (0, 1))
+        c01 = np.einsum("jtf,jf->tf", psd, r01)
+        mid, radius = 0.5 * (c00 + c11), np.sqrt(0.25 * (c00 - c11) ** 2 + np.abs(c01) ** 2)
+        worst = max(worst, float(np.max((mid + radius) / (mid - radius))))
+    return worst
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=seeds, channels=channel_counts, sources=source_counts,
+       iterations=st.integers(0, 3), mask_power=st.sampled_from([1.0, 2.0, 3.0]),
+       frames=st.integers(1, 40), silent=st.sampled_from([0.0, 0.3, 1.0]))
+def test_gain_pass_matches_materialised_estimates(seed, channels, sources, iterations,
+                                                  mask_power, frames, silent):
+    mix, mags, _ = scene(seed, channels, sources, frames)
+    zero = np.random.default_rng(seed).uniform(size=mix.bins.shape) < silent
+    for v in mags:
+        v[zero] = 0.0  # bins where every source is silent
+    cfg = MwfConfig(iterations=iterations, mask_power=mask_power)
+    want, passes = materialised_mwf(mags, mix.bins, cfg)
+    masked = [s.bins for s in initial_estimates(mags, mix, mask_power).sources]
+    assert np.array_equal(masked, masked_mixture(mags, mix.bins, mask_power))
+
+    steps = []  # the PSD and R that each of mwf's filter steps is given
+    filter_step = wiener._filter_step
+
+    def recording(psd, spatial, x, eps, out):
+        steps.append((psd.copy(), spatial))
+        return filter_step(psd, spatial, x, eps, out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wiener, "_filter_step", recording)
+        got = np.array([s.bins for s in mwf(mags, mix, cfg).sources])
+    assert len(steps) == iterations
+
+    # The first pass's PSD and R are sums of the same terms rounded
+    # differently. A filter step's rounding grows with the condition number
+    # of the covariance it inverts (rank one plus eps for one frame of one
+    # stereo source), and so does everything computed after one.
+    tol = REL_TOL
+    for (psd, (r_diag, r01)), (want_psd, (want_diag, want_r01)) in zip(steps, passes):
+        for a, b in ((psd, want_psd), (r_diag, want_diag), (r01, want_r01)):
+            assert (a is None) == (b is None)
+            assert a is None or np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+        tol = REL_TOL + 16 * condition_number(passes, cfg.eps) * np.finfo(float).eps
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 # --- spectral-domain fusion in pipeline.run --------------------------------

@@ -104,6 +104,64 @@ class TestReadWav:
             read_wav(tmp_path / "nope.wav")
 
 
+def extensible_wav(payload: bytes, sub_format: int, bits: int, channels=2, rate=44100,
+                   cb_size=22, guid_tail=bytes.fromhex("000000001000800000aa00389b71")):
+    """Hand-assembled WAVE_FORMAT_EXTENSIBLE bytes: the 16-byte fmt fields,
+    then cbSize, valid bits, channel mask and the sub-format GUID."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE, channels, rate, rate * block, block, bits)
+    fmt += struct.pack("<HHI", cb_size, bits, 3) + struct.pack("<H", sub_format) + guid_tail
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+class TestWaveFormatExtensible:
+    @pytest.mark.parametrize("tag, bits", [(1, 16), (1, 24), (3, 32)])
+    def test_reads_as_the_plain_format(self, tmp_path, tag, bits):
+        rng = np.random.default_rng(9)
+        if tag == 3:
+            payload = rng.uniform(-1, 1, size=2 * 7).astype("<f4").tobytes()
+        else:
+            payload = rng.integers(0, 256, size=2 * 7 * bits // 8, dtype=np.uint8).tobytes()
+        (tmp_path / "plain.wav").write_bytes(build_wav(payload, tag=tag, bits=bits))
+        (tmp_path / "ext.wav").write_bytes(extensible_wav(payload, tag, bits))
+        plain, ext = read_wav(tmp_path / "plain.wav"), read_wav(tmp_path / "ext.wav")
+        assert ext.sample_rate == plain.sample_rate
+        assert np.array_equal(ext.samples, plain.samples)
+
+    @pytest.mark.parametrize("sub_format, guid_tail", [
+        (2, bytes.fromhex("000000001000800000aa00389b71")),  # ADPCM
+        (1, bytes.fromhex("000000001000800000aa00389b72")),  # PCM tag, foreign GUID
+    ])
+    def test_other_sub_formats_are_unsupported(self, tmp_path, sub_format, guid_tail):
+        path = tmp_path / "x.wav"
+        path.write_bytes(extensible_wav(b"\x00" * 8, sub_format, 16, guid_tail=guid_tail))
+        with pytest.raises(UnsupportedEncoding, match="sub-format"):
+            read_wav(path)
+
+    def test_unsupported_bit_depth(self, tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(extensible_wav(b"\x00" * 8, 1, 32))
+        with pytest.raises(UnsupportedEncoding, match="PCM 32-bit"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("cb_size", [0, 21])
+    def test_too_short_extension_is_malformed(self, tmp_path, cb_size):
+        path = tmp_path / "x.wav"
+        path.write_bytes(extensible_wav(b"\x00" * 8, 1, 16, cb_size=cb_size))
+        with pytest.raises(MalformedHeader, match="extension"):
+            read_wav(path)
+
+    def test_fmt_chunk_that_ends_after_cb_size_is_malformed(self, tmp_path):
+        fmt = struct.pack("<HHIIHHH", 0xFFFE, 2, 44100, 44100 * 4, 4, 16, 22)
+        chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 0)
+        path = tmp_path / "x.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        with pytest.raises(MalformedHeader, match="extension"):
+            read_wav(path)
+
+
 class TestWriteWav:
     def test_zeros_roundtrip(self, tmp_path):
         w = Waveform(np.zeros((2, 50)), 48000)
@@ -229,7 +287,8 @@ class TestNonFiniteSamples:
 
 @pytest.fixture(scope="module")
 def valid_blobs(tmp_path_factory):
-    """(reader, bytes) of small valid PCM24, PCM16 and float32 WAVs and a DSMAG1 file."""
+    """(reader, bytes) of small valid PCM24, PCM16 and float32 WAVs (one of them
+    WAVE_FORMAT_EXTENSIBLE) and a DSMAG1 file."""
     rng = np.random.default_rng(7)
     directory = tmp_path_factory.mktemp("valid")
     samples = rng.uniform(-0.9, 0.9, size=(2, 12))
@@ -238,6 +297,7 @@ def valid_blobs(tmp_path_factory):
     for encoding in ("pcm16", "float32"):
         write_wav(Waveform(samples, 8000), directory / "x.wav", encoding=encoding)
         blobs.append((read_wav, (directory / "x.wav").read_bytes()))
+    blobs.append((read_wav, extensible_wav(samples.T.astype("<f4").tobytes(), 3, 32)))
     write_magnitudes(directory / "x.mag", rng.uniform(0, 1, size=(2, 3, 5)))
     blobs.append((read_magnitudes, (directory / "x.mag").read_bytes()))
     return blobs

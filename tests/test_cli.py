@@ -422,6 +422,37 @@ def test_non_finite_magnitude_is_one_error_line_naming_the_file(tmp_path, capsys
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["separate", "wiener"])
+def test_negative_magnitude_is_one_error_line_naming_the_file(tmp_path, capsys, command):
+    rng = np.random.default_rng(23)
+    mix_path, _ = write_mix(tmp_path, rng, length=SR // 2)  # 173 frames, several blocks
+    mag_dir = tmp_path / "mags"
+    mag_dir.mkdir()
+    mags = np.abs(stft(read_wav(mix_path), StftConfig(fft_size=512, hop=128)).bins)
+    for name in ("drums", "bass", "vocals"):
+        write_magnitudes(mag_dir / f"{name}.mag", mags)
+    mags[0, 150, 7] = -0.5
+    write_magnitudes(mag_dir / "other.mag", mags)
+    out_dir = tmp_path / "out"
+    if command == "separate":
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({
+            "models": [{"name": "m", "domain": "TF", "source": str(mag_dir)}],
+            "stft": {"fft_size": 512, "hop": 128},
+            "weights": {"models": ["m"], "sources": ["drums", "bass", "other", "vocals"],
+                        "weights": [[1.0] * 4]}}))
+        args = ["separate", "--input", str(mix_path), "--config", str(config)]
+    else:
+        args = ["wiener", "--mix", str(mix_path), "--mags", str(mag_dir),
+                "--fft-size", "512", "--stft-hop", "128"]
+    assert main(args + ["--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error negative-magnitude: {mag_dir / 'other.mag'}: "
+                          "negative magnitudes in frames ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_unknown_weights_key_is_one_error_line(tmp_path, capsys):
     rng = np.random.default_rng(19)
     stems = make_waveform_set(rng, length=200, scale=0.3)

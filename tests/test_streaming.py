@@ -135,6 +135,17 @@ def test_magnitude_blocks_read_by_many_threads_are_bitwise_the_whole_track_run(
     assert not block_threads()
 
 
+@pytest.mark.parametrize("block_frames", [1, 3, None])
+def test_fortran_ordered_mixture_is_bitwise_the_whole_track_run(tmp_path, block_frames):
+    # read_wav de-interleaves, so its samples are a transposed array and the
+    # whole-track STFT has its channel axis fastest; blocks are made C-ordered
+    rng = np.random.default_rng(25)
+    mix = Waveform(rng.normal(size=(16 * 40, 2)).T, SR)
+    cfg, _ = magnitude_model(tmp_path, rng, mix, StftConfig(fft_size=64, hop=16))
+    want = whole_array_run(mix, cfg)
+    assert stems_of(mix, cfg, block_frames).tobytes() == want.tobytes()
+
+
 def test_first_failing_block_in_frame_order_wins(tmp_path):
     # frames 8..11 hold a NaN magnitude and frames 12..15 a negative one;
     # the earlier block is held back, so the later one fails first in time
@@ -154,19 +165,15 @@ def test_first_failing_block_in_frame_order_wins(tmp_path):
     def slow_early_block(fh, path, shape, start, stop):
         if start == 8 and path.name == "bass.mag":
             failed_later.wait(timeout=5)
-        return read_frames(fh, path, shape, start, stop)
-
-    def masked_mixture(*args, _original=pipeline._masked_mixture):
         try:
-            return _original(*args)
-        except ValueError:
+            return read_frames(fh, path, shape, start, stop)
+        except ValueError:  # the negative magnitude is rejected as it is read
             failed_later.set()
             raise
 
     with pytest.MonkeyPatch.context() as mp:
         set_blocks(mp, mix, cfg, block_frames=4, workers=2)
         mp.setattr(pipeline, "_read_frames", slow_early_block)
-        mp.setattr(pipeline, "_masked_mixture", masked_mixture)
         with pytest.raises(NonFiniteSamples, match=r"bass\.mag: .* frames 8\.\.11"):
             run(mix, cfg)
     assert failed_later.is_set()
@@ -247,19 +254,32 @@ def test_no_transform_sees_more_than_one_block(monkeypatch):
     assert max(frames for _, frames in seen) <= block and 10 * block < total
 
 
-def traced_peak(mix, cfg) -> int:
-    tracemalloc.start()
-    try:
-        run(mix, cfg)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def traced_peak(mix, cfg, workers) -> int:
+    with pytest.MonkeyPatch.context() as mp:
+        set_blocks(mp, mix, cfg, workers=workers)
+        tracemalloc.start()
+        try:
+            run(mix, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def test_memory_grows_only_with_the_returned_stems():
-    # numpy reports its buffers to tracemalloc, so the peak is deterministic
+    # numpy reports its buffers to tracemalloc; with one worker at most two
+    # blocks are in flight, so the peak hardly depends on thread timing
     cfg = shipped_config()
     short, long = toy_mix(2.0), toy_mix(6.0)
-    growth = (traced_peak(long, cfg) - traced_peak(short, cfg)) / (long.length - short.length)
+    growth = ((traced_peak(long, cfg, 1) - traced_peak(short, cfg, 1))
+              / (long.length - short.length))
     # returned float64 stems plus a copy of the input, with a factor 2 of slack
     assert growth <= 2 * (NUM_SOURCES + 1) * long.channels * 8
+
+
+def test_a_second_worker_adds_a_bounded_number_of_blocks():
+    # one more block in flight and one more block being worked on: the
+    # extra is a few blocks' spectra, at 11 blocks and at 33 alike
+    cfg = shipped_config()
+    for mix in (toy_mix(2.0), toy_mix(6.0)):
+        extra = traced_peak(mix, cfg, 2) - traced_peak(mix, cfg, 1)
+        assert extra <= 10 * pipeline._BLOCK_BYTES

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,21 @@ class TestMwf:
                 rel = np.max(np.abs(got.bins - scale * want.bins))
                 rel /= np.max(np.abs(scale * want.bins))
                 assert rel < 1e-9
+
+    def test_first_pass_overflows_once_the_mixture_power_does(self):
+        # The first pass sums g^2 |x|^2, so it overflows as soon as |x|^2
+        # does, whatever the gains: one bin of x = s, two sources of gain 1/2.
+        limit = math.sqrt(np.finfo(float).max)
+        mags = [np.ones((1, 1, CFG.num_bins))] * 2
+        for scale in (limit * (1 - 1e-9), limit * (1 + 1e-9)):
+            mix = Spectrogram(np.full((1, 1, CFG.num_bins), scale + 0j), CFG, SR)
+            assert np.isfinite((0.5 * scale) ** 2)  # (g x)^2 is finite at both scales
+            if scale < limit:
+                out = mwf(mags, mix, MwfConfig(iterations=1))
+                assert all(np.all(np.isfinite(s.bins)) for s in out.sources)
+            else:
+                with pytest.raises(SingularMixCovariance, match="overflowed"):
+                    mwf(mags, mix, MwfConfig(iterations=1))
 
     def test_hard_panned_sources_recover_their_channels(self):
         rng = np.random.default_rng(18)
