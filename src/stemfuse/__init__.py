@@ -69,7 +69,6 @@ from .pipeline import (
     load_stem_dir,
     read_magnitudes,
     run,
-    tf_branch,
     write_magnitudes,
 )
 
@@ -130,7 +129,6 @@ __all__ = [
     "search_weights",
     "source_labels",
     "stft",
-    "tf_branch",
     "time_domain_loss",
     "validate_weights",
     "write_magnitudes",

@@ -20,18 +20,16 @@ from .blend import (
     load_weights,
     save_weights,
     search_weights,
+    validate_weights,
 )
 from .errors import StemfuseError
 from .audio_io import read_wav, write_wav
-from .core import SourceWaveformSet, StftConfig, source_labels
-from .stft import stft
+from .core import SOURCE_NAMES, SourceWaveformSet, StftConfig
 from .wiener import MwfConfig
 
 
-def _write_stem_set(stems: SourceWaveformSet, out_dir: Path, names=None) -> None:
+def _write_stem_set(stems: SourceWaveformSet, out_dir: Path, names=SOURCE_NAMES) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    if names is None:
-        names = source_labels(stems.num_sources)
     for name, stem in zip(names, stems.sources):
         write_wav(stem, out_dir / f"{name}.wav", encoding="float32")
 
@@ -116,12 +114,14 @@ def cmd_wiener(args) -> int:
     if not mag_paths:
         return _usage_error(f"no *{pipeline_mod.MAGNITUDE_SUFFIX} files in {args.mags}")
     mix = read_wav(args.mix)
-    stft_cfg = StftConfig(fft_size=args.fft_size, hop=args.stft_hop)
-    mix_spec = stft(mix, stft_cfg)
-    mags = [pipeline_mod.read_magnitudes(p) for p in mag_paths]
-    cfg = MwfConfig(iterations=args.iterations, eps=args.eps, mask_power=args.power)
-    stems = pipeline_mod.tf_branch(mags, mix_spec, cfg, mix.length)
-    _write_stem_set(stems, Path(args.out), names=[p.stem for p in mag_paths])
+    names = tuple(p.stem for p in mag_paths)
+    cfg = pipeline_mod.PipelineConfig(
+        [pipeline_mod.ModelEntry("mags", pipeline_mod.TF_DOMAIN, args.mags)],
+        StftConfig(fft_size=args.fft_size, hop=args.stft_hop),
+        MwfConfig(iterations=args.iterations, eps=args.eps, mask_power=args.power),
+        validate_weights([[1.0] * len(names)], ["mags"], names),
+    )
+    _write_stem_set(pipeline_mod.run(mix, cfg, names), Path(args.out), names)
     return 0
 
 

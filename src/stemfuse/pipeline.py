@@ -9,7 +9,9 @@ models) is blended in the spectral domain and synthesized with one
 inverse STFT per source; the inverse STFT is linear, so this equals
 blending the resynthesized stems up to rounding. `run` streams those
 branches through the mixture in blocks of a few frames, so it never
-holds a whole-track spectrogram.
+holds a whole-track spectrogram. `stemfuse wiener` enters the same
+engine with one TF model and its own source names, those of its `.mag`
+files.
 
 Within one sweep over the blocks, a block's work depends only on the
 block and on the spatial covariances of finished EM passes: the Wiener
@@ -71,13 +73,12 @@ from .audio_io import read_wav
 from .core import (
     SOURCE_NAMES,
     SourceWaveformSet,
-    Spectrogram,
     StftConfig,
     Waveform,
     _atomic_write,
     _is_real,
 )
-from .stft import _analysis_frames, _OverlapAdd, frame_count, istft
+from .stft import _analysis_frames, _OverlapAdd, frame_count
 from .toy_models import BandMaskModel
 from .wiener import (
     MwfConfig,
@@ -88,7 +89,6 @@ from .wiener import (
     _Mixture,
     _refilter,
     _SpatialSums,
-    mwf,
 )
 
 BUILTIN_TOY = "builtin-toy"
@@ -217,7 +217,7 @@ def write_magnitudes(path, mags: np.ndarray) -> None:
 
 
 def _magnitude_shape(fh, path) -> tuple:
-    """(channels, frames, bins) of an open DSMAG1 file whose payload is complete."""
+    """(channels, frames, bins) of an open DSMAG1 file whose payload has the declared size."""
     head = fh.read(_HEADER_BYTES)
     if len(head) < _HEADER_BYTES or head[:len(_MAGIC)] != _MAGIC:
         raise MalformedHeader(f"{path} is not a DSMAG1 magnitude file")
@@ -226,8 +226,9 @@ def _magnitude_shape(fh, path) -> tuple:
         raise MalformedHeader(f"{path}: zero dimension in shape {shape}")
     expected = 4 * shape[0] * shape[1] * shape[2]
     found = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
-    if found < expected:
-        raise TruncatedData(f"{path}: header declares {expected} payload bytes, found {found}")
+    if found != expected:  # trailing bytes are as wrong as missing ones
+        error = TruncatedData if found < expected else MalformedHeader
+        raise error(f"{path}: header declares {expected} payload bytes, found {found}")
     return shape
 
 
@@ -303,8 +304,8 @@ def _conform(stem: Waveform, like: Waveform, tolerance: int, path) -> Waveform:
     return stem
 
 
-def _open_magnitude_dir(directory, shape: tuple, files: ExitStack) -> Callable:
-    """Validate each source's `.mag` file and keep it open in `files`.
+def _open_magnitude_dir(directory, names, shape: tuple, files: ExitStack) -> Callable:
+    """Validate the `.mag` file of each source in `names` and keep it open in `files`.
 
     Returns `frames(start, stop)`: the float64 (sources, channels,
     stop - start, bins) magnitudes of frames start .. stop - 1, read from
@@ -312,7 +313,7 @@ def _open_magnitude_dir(directory, shape: tuple, files: ExitStack) -> Callable:
     """
     directory = Path(directory)
     opened = []
-    for name in SOURCE_NAMES:
+    for name in names:
         path = directory / f"{name}{MAGNITUDE_SUFFIX}"
         if not path.is_file():
             raise MissingStem(f"{directory} lacks {name}{MAGNITUDE_SUFFIX}")
@@ -334,14 +335,6 @@ def _open_magnitude_dir(directory, shape: tuple, files: ExitStack) -> Callable:
 
 
 # --- branches and the full run ------------------------------------------
-
-def tf_branch(
-    mags, mix_spec: Spectrogram, mwf_cfg: MwfConfig, length: int
-) -> SourceWaveformSet:
-    """TF model path: magnitudes through MWF, then per-source resynthesis."""
-    filtered = mwf(mags, mix_spec, mwf_cfg)
-    return SourceWaveformSet([istft(s, length=length) for s in filtered.sources])
-
 
 @dataclass
 class _SpectralBranch:
@@ -380,16 +373,16 @@ class _SpectralBranch:
         return _refilter(self.gains(mixture, start, stop, cfg), mixture, self.spatial, cfg.eps)
 
 
-def _spectral_branch(entry: ModelEntry, weights: np.ndarray, shape: tuple, sample_rate: int,
-                     cfg: PipelineConfig, files: ExitStack) -> _SpectralBranch:
+def _spectral_branch(entry: ModelEntry, weights: np.ndarray, names, shape: tuple,
+                     sample_rate: int, cfg: PipelineConfig, files: ExitStack) -> _SpectralBranch:
+    if entry.domain == TF_DOMAIN:  # before any file, so the mixture is blamed first
+        _check_channels(shape[0])
     branch = _SpectralBranch(weights, entry.domain)
     if entry.source == BUILTIN_TOY:
         model = BandMaskModel.default(leakage=entry.leakage)
         branch.masks = model.bin_masks(sample_rate, cfg.stft.fft_size)
     else:
-        branch.mag_frames = _open_magnitude_dir(entry.source, shape, files)
-    if entry.domain == TF_DOMAIN:
-        _check_channels(shape[0])
+        branch.mag_frames = _open_magnitude_dir(entry.source, names, shape, files)
     return branch
 
 
@@ -475,17 +468,23 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def run(mix: Waveform, cfg: PipelineConfig) -> SourceWaveformSet:
+def run(mix: Waveform, cfg: PipelineConfig, names=SOURCE_NAMES) -> SourceWaveformSet:
     """Produce fused stems for a mixture. Deterministic for fixed inputs.
 
+    `names` are the sources, one stem each: a TF directory holds one
+    `<name>.mag` file per source. T directories and builtin-toy models
+    give the four `SOURCE_NAMES` stems, so they need the default.
     External T stems are weighted and added in the time domain. The
     other branches are streamed in blocks of frames (see `_add_spectral`):
     beyond the returned stems, memory does not grow with the track.
     Every model's inputs are checked before any block is filtered.
     """
     weights = cfg.weights
-    num_sources = len(SOURCE_NAMES)
+    num_sources = len(names)
     check_weights_fit(weights, len(cfg.model_entries), num_sources)
+    fixed = [e.name for e in cfg.model_entries if e.domain == T_DOMAIN or e.source == BUILTIN_TOY]
+    if fixed and tuple(names) != SOURCE_NAMES:
+        raise ShapeMismatch(f"models {fixed} give the sources {SOURCE_NAMES}, not {tuple(names)}")
     fused = np.zeros((num_sources, mix.channels, mix.length))
     with ExitStack() as files:
         branches = []
@@ -498,8 +497,8 @@ def run(mix: Waveform, cfg: PipelineConfig) -> SourceWaveformSet:
                 continue
             if shape is None:
                 shape = (mix.channels, frame_count(mix.length, cfg.stft), cfg.stft.num_bins)
-            branches.append(_spectral_branch(entry, weights.weights[m], shape, mix.sample_rate,
-                                             cfg, files))
+            branches.append(_spectral_branch(entry, weights.weights[m], names, shape,
+                                             mix.sample_rate, cfg, files))
         if branches:
             _add_spectral(mix, cfg, branches, shape, fused)
     return SourceWaveformSet([Waveform(f, mix.sample_rate) for f in fused])

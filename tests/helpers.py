@@ -395,6 +395,16 @@ def bytes_wav_blob(w, encoding):
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
 
+# --- whole-track `stemfuse wiener` -------------------------------------------
+# The TF path `wiener` ran before it went through the streamed engine: one
+# STFT of the whole mixture, whole-array `mwf`, then one istft per source.
+
+def whole_track_wiener(mix, mags, stft_cfg, mwf_cfg):
+    """(sources, channels, length) stems of `mags`, bitwise as `run` must give them."""
+    filtered = mwf(mags, stft(mix, stft_cfg), mwf_cfg)
+    return np.stack([istft(s, length=mix.length).samples for s in filtered.sources])
+
+
 # --- whole-track pipeline run ----------------------------------------------
 # The run before it streamed frame blocks: one STFT of the whole mixture,
 # every spectral branch filtered by the whole-array `mwf` and summed with

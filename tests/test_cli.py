@@ -473,20 +473,71 @@ def test_unknown_weights_key_is_one_error_line(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_separate_is_byte_identical_on_one_cpu_and_on_all(tmp_path):
+@pytest.mark.parametrize("command", ["separate", "wiener"])
+def test_separate_is_byte_identical_on_one_cpu_and_on_all(tmp_path, command):
     rng = np.random.default_rng(20)
     mix_path, _ = write_mix(tmp_path, rng, length=SR)  # several blocks of frames
-    config = small_toy_config(tmp_path)
+    if command == "separate":
+        args = ["separate", "--input", str(mix_path), "--config", str(small_toy_config(tmp_path))]
+        names = ("drums", "bass", "other", "vocals")
+    else:
+        names = ("lead", "rest", "zz")
+        mag_dir = tmp_path / "mags"
+        mag_dir.mkdir()
+        shape = stft(read_wav(mix_path), StftConfig(fft_size=512, hop=128)).bins.shape
+        for name in names:
+            write_magnitudes(mag_dir / f"{name}.mag", rng.uniform(0.0, 1.0, size=shape))
+        args = ["wiener", "--mix", str(mix_path), "--mags", str(mag_dir), "--fft-size", "512",
+                "--stft-hop", "128", "--iterations", "2"]
     one_cpu = min(os.sched_getaffinity(0))
     python_path = [str(resources.files("stemfuse").parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, python_path)))
     for out, pin in (("one_cpu", lambda: os.sched_setaffinity(0, {one_cpu})), ("all", None)):
-        proc = subprocess.run([sys.executable, "-m", "stemfuse.cli", "separate", "--input",
-                               str(mix_path), "--config", str(config), "--out",
+        proc = subprocess.run([sys.executable, "-m", "stemfuse.cli", *args, "--out",
                                str(tmp_path / out)],
                               env=env, preexec_fn=pin, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-    for name in ("drums", "bass", "other", "vocals"):
+    for name in names:
         assert ((tmp_path / "one_cpu" / f"{name}.wav").read_bytes()
                 == (tmp_path / "all" / f"{name}.wav").read_bytes())
+    written = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert written == sorted(f"{name}.wav" for name in names)
+
+
+def test_wiener_magnitudes_of_another_fft_size_are_one_error_line_naming_the_file(
+        tmp_path, capsys):
+    rng = np.random.default_rng(26)
+    mix_path, _ = write_mix(tmp_path, rng, length=2048)
+    mag_dir = tmp_path / "mags"
+    mag_dir.mkdir()
+    for name, fft_size in (("a", 512), ("b", 256)):
+        cfg = StftConfig(fft_size=fft_size, hop=128)
+        write_magnitudes(mag_dir / f"{name}.mag", np.abs(stft(read_wav(mix_path), cfg).bins))
+    out_dir = tmp_path / "out"
+    code = main(["wiener", "--mix", str(mix_path), "--mags", str(mag_dir), "--out", str(out_dir),
+                 "--fft-size", "512", "--stft-hop", "128"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error shape-mismatch: {mag_dir / 'b.mag'}: magnitude shape ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_wiener_on_three_channels_blames_the_mixture_before_any_magnitude_file(
+        tmp_path, capsys):
+    rng = np.random.default_rng(27)
+    mix_path = tmp_path / "mix.wav"
+    write_wav(make_waveform(rng, channels=3, length=2048, scale=0.4), mix_path)
+    mag_dir = tmp_path / "mags"
+    mag_dir.mkdir()
+    # stereo magnitudes, which do not fit the mixture either
+    stereo = stft(make_waveform(rng, length=2048), StftConfig(fft_size=512, hop=128))
+    write_magnitudes(mag_dir / "a.mag", np.abs(stereo.bins))
+    out_dir = tmp_path / "out"
+    code = main(["wiener", "--mix", str(mix_path), "--mags", str(mag_dir), "--out", str(out_dir),
+                 "--fft-size", "512", "--stft-hop", "128"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error shape-mismatch: only mono and stereo are supported, got 3 channels\n"
+    assert not out_dir.exists()

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from stemfuse import (
     read_magnitudes,
     run,
     stft,
-    tf_branch,
     validate_weights,
     write_magnitudes,
 )
@@ -70,6 +70,23 @@ class TestDsMag:
         write_magnitudes(good, np.ones((1, 4, 4)))
         path.write_bytes(good.read_bytes()[:-8])
         with pytest.raises(TruncatedData):
+            read_magnitudes(path)
+
+    @pytest.mark.parametrize("tail", [1, 4, 64])
+    def test_trailing_bytes_are_a_malformed_header(self, tmp_path, tail):
+        path = tmp_path / "long.mag"
+        write_magnitudes(path, np.ones((1, 4, 4)))
+        path.write_bytes(path.read_bytes() + b"\x00" * tail)
+        with pytest.raises(MalformedHeader,
+                           match=f"header declares 64 payload bytes, found {64 + tail}"):
+            read_magnitudes(path)
+
+    def test_float64_payload_under_a_dsmag1_header_is_malformed(self, tmp_path):
+        # read as float32 these bytes are finite garbage, not an error
+        path = tmp_path / "f64.mag"
+        mags = np.full((2, 3, 5), 0.25)
+        path.write_bytes(b"DSMAG1" + struct.pack("<III", *mags.shape) + mags.tobytes())
+        with pytest.raises(MalformedHeader, match="declares 120 payload bytes, found 240"):
             read_magnitudes(path)
 
 
@@ -250,12 +267,14 @@ class TestRun:
         for got, want in zip(fused.sources, expected.sources):
             assert np.array_equal(got.samples, want.samples)
 
-    def test_tf_branch_oracle_single_source_recovers_mix(self):
+    def test_tf_branch_oracle_single_source_recovers_mix(self, tmp_path):
+        # one `.mag` source of any name, as `stemfuse wiener` runs it
         rng = np.random.default_rng(8)
         mix = make_waveform(rng, length=4096, scale=0.5)
-        mix_spec = stft(mix, CFG)
-        mags = [np.abs(mix_spec.bins)]
-        out = tf_branch(mags, mix_spec, MwfConfig(iterations=1), mix.length)
+        write_magnitudes(tmp_path / "all.mag", np.abs(stft(mix, CFG).bins))
+        cfg = PipelineConfig([ModelEntry("mags", "TF", str(tmp_path))], CFG,
+                             MwfConfig(iterations=1), validate_weights([[1.0]], ["mags"], ["all"]))
+        out = run(mix, cfg, ["all"])
         assert out.num_sources == 1
         err = np.max(np.abs(out.sources[0].samples - mix.samples))
         assert err <= 1e-4

@@ -1,7 +1,8 @@
 """pipeline.run streams the mixture in blocks of frames: its stems are
-bitwise those of the whole-track run in helpers.py at every block size
-and every number of worker threads, and its memory does not grow with
-the track beyond the returned stems."""
+bitwise those of the whole-track runs in helpers.py (the pipeline's and
+`stemfuse wiener`'s) at every block size and every number of worker
+threads, and its memory does not grow with the track beyond the
+returned stems."""
 
 import sys
 import tempfile
@@ -22,14 +23,15 @@ from stemfuse import (
     StftConfig,
     Waveform,
     load_pipeline_config,
+    read_magnitudes,
     run,
     stft,
     validate_weights,
     write_magnitudes,
 )
-from stemfuse.errors import ConfigMismatch, NonFiniteSamples, TruncatedData
+from stemfuse.errors import ConfigMismatch, NonFiniteSamples, ShapeMismatch, TruncatedData
 
-from helpers import whole_array_run, write_stem_dir
+from helpers import whole_array_run, whole_track_wiener, write_stem_dir
 
 pipeline = sys.modules["stemfuse.pipeline"]
 SR = 44100
@@ -40,17 +42,17 @@ SOURCES = ("drums", "bass", "other", "vocals")
 def set_blocks(mp, mix, cfg, block_frames=None, workers=None):
     """Use blocks of `block_frames` frames and `workers` threads; None keeps the default."""
     if block_frames is not None:
-        unit = NUM_SOURCES * mix.channels * cfg.stft.num_bins * 16
+        unit = cfg.weights.num_sources * mix.channels * cfg.stft.num_bins * 16
         mp.setattr(pipeline, "_BLOCK_BYTES", block_frames * unit)
     if workers is not None:
         mp.setattr(pipeline, "_worker_count", lambda: workers)
 
 
-def stems_of(mix, cfg, block_frames=None, workers=None):
+def stems_of(mix, cfg, block_frames=None, workers=None, names=SOURCES):
     """run() as one (sources, channels, length) array (see `set_blocks`)."""
     with pytest.MonkeyPatch.context() as mp:
         set_blocks(mp, mix, cfg, block_frames, workers)
-        return np.stack([s.samples for s in run(mix, cfg).sources])
+        return np.stack([s.samples for s in run(mix, cfg, names).sources])
 
 
 def block_threads():
@@ -108,6 +110,51 @@ def test_run_is_bitwise_the_whole_track_run_at_every_block_size(
         total = stft(mix, stft_cfg).frames
         for block_frames in (1, 3, None, total, total + 5):
             assert stems_of(mix, cfg, block_frames, workers).tobytes() == want
+
+
+# names `stemfuse wiener` may meet: any `.mag` file in the directory
+OTHER_NAMES = ("a", "guitar", "keys", "lead_vox", "piano 2", "z9")
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), channels=st.sampled_from([1, 2]),
+       fortran=st.booleans(), iterations=st.integers(0, 3),
+       names=st.lists(st.sampled_from(OTHER_NAMES), min_size=1, max_size=5, unique=True),
+       frames=st.integers(1, 40), extra=st.integers(0, 15), silent_bins=st.booleans(),
+       workers=st.sampled_from([1, 2]))
+def test_wiener_run_is_bitwise_the_whole_track_tf_branch(
+        seed, channels, fortran, iterations, names, frames, extra, silent_bins, workers):
+    names = sorted(names)  # as `stemfuse wiener` lists its `.mag` files
+    stft_cfg = StftConfig(fft_size=64, hop=16)
+    length = (frames - 1) * 16 + 1 + extra
+    rng = np.random.default_rng(seed)
+    if fortran:  # as read_wav gives them: a transposed array
+        mix = Waveform(rng.normal(size=(length, channels)).T, SR)
+    else:
+        mix = Waveform(rng.normal(size=(channels, length)), SR)
+    total = stft(mix, stft_cfg).frames
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            mags = rng.uniform(0.0, 1.0, size=(channels, total, stft_cfg.num_bins))
+            if silent_bins:
+                mags[..., ::5] = 0.0
+            write_magnitudes(Path(tmp) / f"{name}.mag", mags)
+        cfg = PipelineConfig(
+            [ModelEntry("mags", "TF", tmp)], stft_cfg, MwfConfig(iterations=iterations),
+            validate_weights([[1.0] * len(names)], ["mags"], names))
+        mags = [read_magnitudes(Path(tmp) / f"{name}.mag") for name in names]
+        want = whole_track_wiener(mix, mags, stft_cfg, cfg.mwf).tobytes()
+        for block_frames in (1, 3, None, total, total + 5):
+            assert stems_of(mix, cfg, block_frames, workers, names).tobytes() == want
+
+
+def test_other_source_names_fit_only_magnitude_directories(tmp_path):
+    mix = Waveform(np.ones((2, 640)), SR)
+    cfg = PipelineConfig([ModelEntry("toy", "TF", "builtin-toy")],
+                         StftConfig(fft_size=64, hop=16), MwfConfig(),
+                         validate_weights([[1.0, 1.0]], ["toy"], ["a", "b"]))
+    with pytest.raises(ShapeMismatch, match=r"models \['toy'\] give the sources"):
+        run(mix, cfg, ["a", "b"])
 
 
 def magnitude_model(tmp_path, rng, mix, stft_cfg):
