@@ -284,7 +284,7 @@ def sdr_frames(
 
     Frames whose reference energy falls below 1e-12 are recorded as NaN
     and excluded from the median; the overall average is the arithmetic
-    mean of the per-source medians.
+    mean of the per-source medians (see `_mean_of_medians`).
     """
     if references.num_sources != estimates.num_sources:
         raise ShapeMismatch(
@@ -294,7 +294,7 @@ def sdr_frames(
     rows = BlendScorer(references, [estimates], cfg).frame_sdr([[1.0]], BlendScorer.REPORT_TOL)
     frames = {label: row[:, 0].tolist() for label, row in zip(source_labels(len(rows)), rows)}
     medians = {label: _median_ignoring_nan(values) for label, values in frames.items()}
-    return SdrReport(frames, medians, float(np.mean(list(medians.values()))))
+    return SdrReport(frames, medians, _mean_of_medians(medians.values()))
 
 
 def median_sdr(
@@ -426,6 +426,13 @@ def _median_ignoring_nan(values: Sequence[float]) -> float:
     return float(_median(np.array([v for v in values if not math.isnan(v)])))
 
 
+def _mean_of_medians(medians) -> float:
+    """The mean of the finite per-source medians: a source silent in every
+    frame has none and is left out. NaN only when no source has one."""
+    finite = [m for m in medians if math.isfinite(m)]
+    return float(np.mean(finite)) if finite else math.nan
+
+
 def aggregate(reports: Sequence[SdrReport]) -> AggregateReport:
     """Median over tracks of per-source track medians; Avg is their mean."""
     if not reports:
@@ -438,8 +445,7 @@ def aggregate(reports: Sequence[SdrReport]) -> AggregateReport:
     for label in labels:
         values = [r.per_source_median[label] for r in reports]
         medians[label] = _median_ignoring_nan(values)
-    overall = float(np.mean(list(medians.values())))
-    return AggregateReport(medians, overall)
+    return AggregateReport(medians, _mean_of_medians(medians.values()))
 
 
 # --- serialization -----------------------------------------------------

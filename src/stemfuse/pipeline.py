@@ -13,19 +13,16 @@ holds a whole-track spectrogram. `stemfuse wiener` enters the same
 engine with one TF model and its own source names, those of its `.mag`
 files.
 
-Within one sweep over the blocks, a block's work depends only on the
-block and on the spatial covariances of finished EM passes: the Wiener
-filter needs per-bin sums over frames and filters each frame on its
-own. A block's STFT frames, |x| and the mixture products of the first
-EM pass are made once and shared by every branch; each TF branch turns
-its magnitudes into real mask gains, and its first pass's per-frame
-terms come from those gains without forming complex estimates. That
-work runs on a small thread pool, one thread per CPU the process may
-use, and the calling thread consumes the results strictly in block
-order: it alone adds them to the running sums, row by row, and
-overlap-adds them into the output. Each sum therefore adds the same
-numbers in the same order whatever the number of threads, and the stems
-are the same bytes on one CPU or many.
+Within one sweep over the blocks (`wiener._Sweeps`), a block's work
+depends only on the block and on the spatial covariances of finished EM
+passes. A block's STFT frames, |x| and the mixture products of the
+first EM pass are made once and shared by every branch; each TF branch
+turns its magnitudes into real mask gains, and its first pass's
+per-frame terms come from those gains without forming complex
+estimates. That work runs on a small thread pool, one thread per CPU
+the process may use, and the calling thread alone adds the results to
+the running sums and overlap-adds them into the output, strictly in
+block order, so the stems are the same bytes on one CPU or many.
 
 External models plug in through the file system: a T entry points at a
 directory of drums/bass/other/vocals WAV stems, a TF entry at a
@@ -38,11 +35,9 @@ toy model instead.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import os
 import struct
-from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -81,6 +76,7 @@ from .core import (
 from .stft import _analysis_frames, _OverlapAdd, frame_count
 from .toy_models import BandMaskModel
 from .wiener import (
+    _BLOCK_BYTES,
     MwfConfig,
     _block_terms,
     _check_channels,
@@ -88,19 +84,14 @@ from .wiener import (
     _mask_gains,
     _Mixture,
     _refilter,
-    _SpatialSums,
+    _Sweeps,
+    _worker_count,
 )
 
 BUILTIN_TOY = "builtin-toy"
 MAGNITUDE_SUFFIX = ".mag"
 _MAGIC = b"DSMAG1"
 _HEADER_BYTES = len(_MAGIC) + 12  # magic, then channels, frames, bins as u32
-
-# Mixture frames per streamed block: about this many bytes of
-# (sources, channels, frames, bins) complex spectra, small enough that a
-# block's working set stays in cache.
-_BLOCK_BYTES = 2_200_000
-_THREAD_PREFIX = "stemfuse-block"
 
 T_DOMAIN = "T"
 TF_DOMAIN = "TF"
@@ -165,6 +156,9 @@ def load_pipeline_config(path) -> PipelineConfig:
     A relative `weights` path or model `source` directory is taken
     relative to the directory of the config file, so a config works from
     any working directory; absolute paths and `builtin-toy` are kept.
+    Weight rows are matched to the model entries by name (see
+    `_rows_by_entry`); with no weights, the shipped defaults apply by
+    position.
     """
 
     def beside_config(value):
@@ -195,14 +189,28 @@ def load_pipeline_config(path) -> PipelineConfig:
             raise ValueError(f"{path}: model entry lacks required key {exc}") from exc
     stft_cfg = _config_section(payload, "stft", StftConfig, path)
     mwf_cfg = _config_section(payload, "mwf", MwfConfig, path)
-    weights_raw = payload.get("weights")
-    if weights_raw is None:
-        weights = None
-    elif isinstance(weights_raw, str):
-        weights = load_weights(beside_config(weights_raw))
-    else:
-        weights = weights_from_json_dict(weights_raw)
+    weights = payload.get("weights")
+    if weights is not None:
+        weights = _rows_by_entry(load_weights(beside_config(weights)) if isinstance(weights, str)
+                                 else weights_from_json_dict(weights), entries, path)
     return PipelineConfig(entries, stft_cfg, mwf_cfg, weights)
+
+
+def _rows_by_entry(weights: BlendWeights, entries: List[ModelEntry], path) -> BlendWeights:
+    """`weights` with one row per model entry, in entry order, matched by name."""
+    names = [e.name for e in entries]
+    for listed, where in ((names, "model entries"), (weights.model_names, "weights")):
+        repeated = sorted({n for n in listed if listed.count(n) > 1})
+        if repeated:
+            raise WeightModelMismatch(f"{path}: {where} repeat the model names {repeated}")
+    unknown = [n for n in weights.model_names if n not in names]
+    if unknown:
+        raise WeightModelMismatch(f"{path}: weights name models {unknown} that are not entries")
+    missing = [n for n in names if n not in weights.model_names]
+    if missing:
+        raise WeightModelMismatch(f"{path}: model entries {missing} have no weight row")
+    rows = [weights.model_names.index(n) for n in names]
+    return BlendWeights(weights.weights[rows], tuple(names), weights.source_names)
 
 
 # --- DSMAG1 magnitude tensors ------------------------------------------
@@ -363,8 +371,8 @@ class _SpectralBranch:
         """The `_SpatialSums` terms of the next EM pass for frames start .. stop - 1."""
         g = self.gains(mixture, start, stop, cfg)
         if not self.spatial:  # the first pass runs on the real gains
-            return _gain_terms(g, mixture, first=start == 0)
-        return _block_terms(_refilter(g, mixture, self.spatial, cfg.eps), first=start == 0)
+            return _gain_terms(g, mixture)
+        return _block_terms(_refilter(g, mixture, self.spatial, cfg.eps))
 
     def stems(self, mixture: _Mixture, start: int, stop: int, cfg: MwfConfig):
         """Per-source complex stems of mixture frames start .. stop - 1."""
@@ -386,31 +394,6 @@ def _spectral_branch(entry: ModelEntry, weights: np.ndarray, names, shape: tuple
     return branch
 
 
-def _worker_count() -> int:
-    """Threads for the per-block work: the CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_order(pool, work: Callable, blocks: list, depth: int):
-    """Yield work(start, stop) for every block, in block order.
-
-    The calls run on `pool`, with the caller's context. At most `depth`
-    blocks are submitted and not yet consumed, counting the one being
-    consumed, so memory does not grow with the number of blocks. A
-    failing block raises when its turn comes, so the first failure in
-    frame order is the one seen.
-    """
-    pending = deque()
-    for start, stop in blocks:
-        if len(pending) == depth:
-            yield pending.popleft().result()
-        pending.append(pool.submit(contextvars.copy_context().run, work, start, stop))
-    while pending:
-        yield pending.popleft().result()
-
-
 def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBranch],
                   shape: tuple, fused: np.ndarray) -> None:
     """Add the weighted sum of the spectral branches, synthesized, into `fused`.
@@ -418,19 +401,11 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
     Works on blocks of frames. Each EM pass of the TF branches is one
     sweep that rebuilds every block's estimates and adds them to that
     pass's sums over frames; a last sweep re-filters every branch, weights
-    and sums the blocks and overlap-adds them into `fused`. Within a sweep
-    a block's work needs only the block and the R of finished passes, so
-    it runs on a thread pool; this thread adds the results to the sums and
-    to `fused` strictly in block order, so the bytes do not depend on the
-    number of threads.
+    and sums the blocks and overlap-adds them into `fused`.
     """
-    from concurrent.futures import ThreadPoolExecutor  # ~9 ms to import; only runs need it
-
     num_sources, channels = fused.shape[:2]
-    frames, bins = shape[1:]
+    frames = shape[1]
     synthesis = _OverlapAdd((num_sources, channels), cfg.stft, frames, mix.length)
-    step = max(1, _BLOCK_BYTES // (num_sources * channels * bins * 16))
-    blocks = [(start, min(start + step, frames)) for start in range(0, frames, step)]
     window = cfg.stft.window_array()
     tf = [b for b in branches if b.domain == TF_DOMAIN]
 
@@ -451,21 +426,13 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
             weighted_accumulate(spectral, branch.weights, branch.stems(block, start, stop, cfg.mwf))
         return synthesis.synthesize(spectral)
 
-    workers = _worker_count()
-    pool = ThreadPoolExecutor(workers, thread_name_prefix=_THREAD_PREFIX)
-    try:
+    with _Sweeps(num_sources, shape, _BLOCK_BYTES, _worker_count()) as sweeps:
         for _ in range(cfg.mwf.iterations if tf else 0):
-            sums = [_SpatialSums() for _ in tf]
-            for terms in _in_order(pool, em_terms, blocks, workers + 1):
-                for branch_sums, branch_terms in zip(sums, terms):
-                    branch_sums.add(branch_terms)
-            for branch, branch_sums in zip(tf, sums):
-                branch.spatial.append(branch_sums.spatial(cfg.mwf.eps))
-        for frames_td in _in_order(pool, fused_frames, blocks, workers + 1):
+            for branch, spatial in zip(tf, sweeps.em_pass(em_terms, cfg.mwf.eps)):
+                branch.spatial.append(spatial)
+        for frames_td in sweeps.in_order(fused_frames):
             offset, samples = synthesis.add(frames_td)
             fused[..., offset:offset + samples.shape[-1]] += samples
-    finally:  # blocks queued behind a failure are dropped, running ones joined
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run(mix: Waveform, cfg: PipelineConfig, names=SOURCE_NAMES) -> SourceWaveformSet:

@@ -8,9 +8,12 @@ outer products over time into a per-bin spatial covariance, and (3)
 re-filters the mixture with the resulting Wiener gains. Mono and stereo
 mixtures are supported; the 2x2 inversion uses the closed adjugate form.
 
-Internally every step works on one (sources, channels, frames, bins)
-array, and a spatial covariance is kept as its unique Hermitian entries:
-the real diagonal (sources, channels, bins) and, for stereo, the complex
+The model step only needs per-bin sums over frames and the filter step
+treats each frame on its own, so every step works on (sources,
+channels, frames, bins) blocks of a few frames, and each EM pass is one
+sweep over them (`_Sweeps.em_pass`, also run by `pipeline.run`). A
+spatial covariance is kept as its unique Hermitian entries: the real
+diagonal (sources, channels, bins) and, for stereo, the complex
 off-diagonal R01 (sources, bins), with R10 = conj(R01). The public
 functions wrap these arrays in `Spectrogram` and `SpatialModel` values.
 
@@ -20,17 +23,17 @@ is real, the first pass needs only |y_jc|^2 = g_jc^2 |x_c|^2 and
 y_j0 conj(y_j1) = g_j0 g_j1 x0 conj(x1): it runs on the gains and the
 mixture products |x_c|^2 and x0 conj(x1), shared by every source, and
 the complex g x is formed only when no pass runs. Later passes work on
-the filtered estimates. The model step only needs sums over frames
-(`_SpatialSums`) and the filter step treats each frame on its own, so
-the same steps also run on a long signal one block of frames at a time
-(see `pipeline.run`).
+the filtered estimates.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +43,12 @@ from .core import Spectrogram, SourceSpectrogramSet, _is_int, _is_real
 _EPS_DIV = 1e-12  # guards the initialization mask against all-zero bins
 _HERMITIAN_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
+
+# Frames per block: about this many bytes of (sources, channels, frames,
+# bins) complex spectra, small enough that a block's working set stays in
+# cache.
+_BLOCK_BYTES = 2_200_000
+_THREAD_PREFIX = "stemfuse-block"
 
 # diagonal of every R_j (J, C, F) real, R01 (J, F) complex or None (mono)
 _Spatial = Tuple[np.ndarray, Optional[np.ndarray]]
@@ -127,22 +136,6 @@ def _mask_gains(g: np.ndarray, mask_power: float) -> np.ndarray:
     return g
 
 
-def _stacked_gains(mags: Sequence[np.ndarray], shape: tuple, mask_power: float) -> np.ndarray:
-    """(J, C, T, F) mask gains of J magnitude arrays, checked against mixture `shape`."""
-    mags = list(mags)
-    if not mags:
-        raise ValueError("need at least one magnitude estimate")
-    g = np.empty((len(mags),) + shape)
-    for j, v in enumerate(mags):
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != shape:
-            raise ShapeMismatch(f"magnitudes of shape {v.shape} do not match mixture {shape}")
-        if np.any(v < 0):
-            raise ValueError("magnitudes must be nonnegative")
-        g[j] = v
-    return _mask_gains(g, mask_power)
-
-
 class _Mixture:
     """Mixture frames x (C, T, F) and the products of them that every
     branch filtering these frames shares, each made once, when first
@@ -163,8 +156,7 @@ class _Mixture:
     @property
     def power(self) -> np.ndarray:
         if self._power is None:
-            with np.errstate(over="ignore"):
-                self._power = _power(self.x)
+            self._power = _power(self.x)
         return self._power
 
     @property
@@ -182,102 +174,83 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _power(y: np.ndarray) -> np.ndarray:
     """|y|^2 of complex estimates."""
-    return y.real ** 2 + y.imag ** 2
+    with np.errstate(over="ignore"):
+        return y.real ** 2 + y.imag ** 2
 
 
 def _gain_power(g: np.ndarray, x_power: np.ndarray) -> np.ndarray:
     """|y|^2 of the estimates y = g x: g^2 |x|^2."""
     power = g * g
-    power *= x_power
+    with np.errstate(over="ignore", invalid="ignore"):
+        power *= x_power
     return power
 
 
-def _psd(powers, shape: tuple) -> np.ndarray:
-    """(J, T, F) PSDs of (J, C, T, F) estimates: the channel mean of each
-    source's |y|^2 (C, T, F), yielded one source at a time by `powers`."""
-    psd = np.empty(shape[:1] + shape[2:])
+def _psd(power: np.ndarray) -> np.ndarray:
+    """(J, b, F) PSDs of (J, C, b, F) estimates from their |y|^2: the channel mean."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, power in enumerate(powers):
-            psd[j] = np.mean(power, axis=0)
-    return psd
+        return np.mean(power, axis=1)
 
 
-def _terms(per_source, shape: tuple, first: bool) -> tuple:
-    """What `_SpatialSums` needs of a block of (J, C, b, F) estimates.
-
-    `per_source` yields each source's |y_c|^2 (C, b, F) and, for stereo,
-    y0 conj(y1) (b, F). Returns (psd, p, cross): the (J, b, F) PSD, then
-    the terms of sum_t |y_c|^2 and sum_t y0 conj(y1). For the `first`
-    block of a sweep nothing comes before it, so these are already its
-    sums; for a later block they are the per-frame terms.
-    Work goes one source at a time, so a whole-signal block makes no
-    (J, C, T, F) temporary. Nothing here depends on other blocks, so
-    blocks can be prepared in any order, on any thread.
+def _terms(power: np.ndarray, cross: Optional[np.ndarray]) -> tuple:
+    """What `_SpatialSums` needs of a block of (J, C, b, F) estimates, once
+    every frame's PSD is found finite: the per-frame terms of
+    sum_t |y_c|^2 (J, C, b, F) and, for stereo, sum_t y0 conj(y1) (J, b, F).
     """
-    num_sources, channels, frames, bins = shape
-    kept = (bins,) if first else (frames, bins)
-    psd = np.empty((num_sources, frames, bins))
-    power = np.empty((num_sources, channels) + kept)
-    cross = None if channels == 1 else np.empty((num_sources,) + kept, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, (power_j, cross_j) in enumerate(per_source):
-            psd[j] = np.mean(power_j, axis=0)
-            power[j] = np.sum(power_j, axis=1) if first else power_j
-            if cross is not None:
-                cross[j] = np.sum(cross_j, axis=0) if first else cross_j
-    if not np.all(np.isfinite(psd)):
+    if not np.all(np.isfinite(_psd(power))):
         _overflowed()
-    return psd, power, cross
+    return power, cross
 
 
-def _block_terms(y: np.ndarray, first: bool) -> tuple:
+def _block_terms(y: np.ndarray) -> tuple:
     """`_terms` of complex (J, C, b, F) estimates."""
-    stereo = y.shape[1] == 2
-    per_source = ((_power(yj), _cross(yj[0], yj[1]) if stereo else None) for yj in y)
-    return _terms(per_source, y.shape, first)
+    return _terms(_power(y), _cross(y[:, 0], y[:, 1]) if y.shape[1] == 2 else None)
 
 
-def _gain_terms(g: np.ndarray, mixture: _Mixture, first: bool) -> tuple:
+def _gain_terms(g: np.ndarray, mixture: _Mixture) -> tuple:
     """`_terms` of the estimates y = g x of the first EM pass, from the real gains.
 
     g is real, so |y_c|^2 = g_c^2 |x_c|^2 and y0 conj(y1) =
     g0 g1 x0 conj(x1): the complex estimates are never formed.
     """
-    x_power, x_cross = mixture.power, mixture.cross
-    per_source = ((_gain_power(gj, x_power), None if x_cross is None else gj[0] * gj[1] * x_cross)
-                  for gj in g)
-    return _terms(per_source, g.shape, first)
+    x_cross = mixture.cross
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = None if x_cross is None else g[:, 0] * g[:, 1] * x_cross
+    return _terms(_gain_power(g, mixture.power), cross)
 
 
 class _SpatialSums:
     """The EM model step as per-bin sums over frames, fed in frame order.
 
     `add` takes the `_terms` of the next block of estimates and keeps
-    sum_t v, sum_t |y_c|^2 and, for stereo, sum_t y0 conj(y1); `spatial`
+    sum_t v, sum_t |y_c|^2 and, for stereo, sum_t y0 conj(y1), taking
+    each frame's PSD v from its |y_c|^2 row, so that blocks waiting to
+    be added carry no PSD; `spatial`
     normalizes them into R: R_cc = sum_t |y_c|^2 and
     R01 = sum_t y0 conj(y1), each times 1 / (sum_t v + eps), with
     R10 = conj(R01) exactly Hermitian. The sums are bitwise those of one
-    whole-array reduction, whatever the block sizes: numpy sums a frame
+    whole-array `np.sum`, whatever the block sizes: numpy sums a frame
     axis of rows of two or more bins one frame at a time, so a later
-    block adds its frames to all three sums in place, row by row.
+    block adds its frames in place, row by row. The first block is
+    summed by `np.sum` itself, which sets where a sum starts: from +0.0
+    in numpy 2.4, so a sum of -0.0 terms is +0.0, not a copy of a row.
     """
 
     def __init__(self):
         self._psd = self._power = self._cross = None  # running sums, one row per source
 
-    def add(self, terms: tuple) -> np.ndarray:
-        """Add the `_terms` of the next block; return its (J, b, F) PSD."""
-        psd, power, cross = terms
+    def add(self, terms: tuple) -> None:
+        power, cross = terms
         with np.errstate(over="ignore", invalid="ignore"):
             if self._psd is None:
-                self._psd, self._power, self._cross = np.sum(psd, axis=1), power, cross
-                return psd
-            for t in range(psd.shape[1]):
-                self._psd += psd[:, t]
+                self._psd, self._power = np.sum(_psd(power), axis=1), np.sum(power, axis=2)
+                self._cross = None if cross is None else np.sum(cross, axis=1)
+                return
+            for t in range(power.shape[2]):
+                self._psd += np.mean(power[:, :, t], axis=1)
                 self._power += power[:, :, t]
                 if cross is not None:
                     self._cross += cross[:, t]
-        return psd
 
     def spatial(self, eps: float) -> _Spatial:
         """The diagonal (J, C, F) and, for stereo, R01 (J, F) of every R_j."""
@@ -344,33 +317,118 @@ def _filter_step(
     return out
 
 
-def _refilter(g: np.ndarray, mixture: _Mixture, spatials: Sequence[_Spatial],
+def _refilter(y: np.ndarray, mixture: _Mixture, spatials: Sequence[_Spatial],
               eps: float) -> np.ndarray:
     """The estimates of some frames after the filter steps of finished EM passes.
 
-    Starts from their mask gains `g` and the `_Mixture` of those frames;
-    with no finished pass they are the masked mixture g x. An EM pass
-    filters each frame with that frame's PSD and the R of the whole
-    signal, so given every earlier pass's R this rebuilds the estimates
-    of any range of frames. The first step's PSD comes from the gains.
+    `y` holds their estimates before those passes: real mask gains g,
+    for the masked mixture g x of the `_Mixture` frames, whose first PSD
+    comes from the gains, or complex estimates, which are overwritten.
+    An EM pass filters each frame with that frame's PSD and the R of the
+    whole signal, so this rebuilds the estimates of any range of frames.
     """
-    if not spatials:
-        return np.multiply(g, mixture.x)
-    y = np.empty(g.shape, dtype=np.complex128)
-    psd = _psd((_gain_power(gj, mixture.power) for gj in g), g.shape)
-    _filter_step(psd, spatials[0], mixture.x, eps, out=y)
-    for spatial in spatials[1:]:
-        _filter_step(_psd((_power(yj) for yj in y), y.shape), spatial, mixture.x, eps, out=y)
+    if np.iscomplexobj(y):
+        power = _power(y)
+    elif not spatials:
+        return np.multiply(y, mixture.x)
+    else:
+        power, y = _gain_power(y, mixture.power), np.empty(y.shape, dtype=np.complex128)
+    for k, spatial in enumerate(spatials):
+        _filter_step(_psd(_power(y) if k else power), spatial, mixture.x, eps, out=y)
     return y
 
 
-def _em_passes(y: np.ndarray, x: np.ndarray, passes: int, eps: float) -> np.ndarray:
-    """`passes` EM passes, each overwriting the (J, C, T, F) estimates `y`."""
-    for _ in range(passes):
-        sums = _SpatialSums()
-        psd = sums.add(_block_terms(y, first=True))
-        _filter_step(psd, sums.spatial(eps), x, eps, out=y)
-    return y
+# --- sweeps over blocks of frames -----------------------------------------
+
+def _worker_count() -> int:
+    """Threads for the per-block work: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Sweeps:
+    """Sweeps over the frames of (C, T, F) spectra of `sources` sources, in
+    blocks of about `block_bytes` of complex (sources, C, frames, F)
+    spectra (no frames are one empty block). Per-block work runs on a
+    pool of `workers` threads; this thread takes the results strictly in
+    block order, so what it sums does not depend on the number of
+    threads. Leaving the `with` block drops queued blocks and joins
+    running ones."""
+
+    def __init__(self, sources: int, shape: tuple, block_bytes: int, workers: int):
+        from concurrent.futures import ThreadPoolExecutor  # ~9 ms to import; only sweeps need it
+
+        channels, frames, bins = shape
+        step = max(1, block_bytes // (sources * channels * bins * 16))
+        self.blocks = [(start, min(start + step, frames))
+                       for start in range(0, max(frames, 1), step)]
+        self.window = 2 * workers + 1
+        self._pool = ThreadPoolExecutor(workers, thread_name_prefix=_THREAD_PREFIX)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def in_order(self, work: Callable):
+        """Yield work(start, stop) for every block, in block order.
+
+        The calls run on the pool, with the caller's context. At most
+        `window` blocks are submitted and not yet consumed, counting the
+        one being consumed, so memory does not grow with the number of
+        blocks and one slow block leaves the other workers busy. A
+        failing block raises when its turn comes, so the first failure
+        in frame order is the one seen.
+        """
+        pending = deque()
+        for start, stop in self.blocks:
+            if len(pending) == self.window:
+                yield pending.popleft().result()
+            pending.append(self._pool.submit(contextvars.copy_context().run, work, start, stop))
+        while pending:
+            yield pending.popleft().result()
+
+    def em_pass(self, terms: Callable, eps: float) -> List[_Spatial]:
+        """The R of one EM pass of each of several filters, where
+        `terms(start, stop)` gives, one per filter, the `_terms` of its
+        estimates of frames start .. stop - 1."""
+        sums = None
+        for block in self.in_order(terms):
+            sums = sums or [_SpatialSums() for _ in block]
+            for filter_sums, filter_terms in zip(sums, block):
+                filter_sums.add(filter_terms)
+        return [filter_sums.spatial(eps) for filter_sums in sums]
+
+
+def _em(x: np.ndarray, num_sources: int, first: Callable, iterations: int,
+        eps: float) -> np.ndarray:
+    """(J, C, T, F) estimates after `iterations` EM passes over mixture x (C, T, F).
+
+    `first(start, stop)` gives the estimates of frames start .. stop - 1
+    before the first pass, in either form `_refilter` takes. A sweep over
+    C-ordered copies of the blocks filters each block with the R of the
+    last finished pass, keeps the result in the returned array for the
+    next sweep and, but for the last sweep, gives the terms of its pass.
+    """
+    out = np.empty((num_sources,) + x.shape, dtype=np.complex128)
+    spatials = []
+
+    def sweep(start, stop):
+        mixture = _Mixture(np.ascontiguousarray(x[:, start:stop]))
+        y = first(start, stop) if len(spatials) < 2 else out[:, :, start:stop].copy()
+        if spatials or iterations == 0:
+            y = out[:, :, start:stop] = _refilter(y, mixture, spatials[-1:], eps)
+        if len(spatials) < iterations:
+            return [_block_terms(y) if np.iscomplexobj(y) else _gain_terms(y, mixture)]
+
+    with _Sweeps(num_sources, x.shape, _BLOCK_BYTES, _worker_count()) as sweeps:
+        for _ in range(iterations):
+            spatials += sweeps.em_pass(sweep, eps)
+        for _ in sweeps.in_order(sweep):
+            pass
+    return out
 
 
 # --- public entry points --------------------------------------------------
@@ -382,8 +440,7 @@ def initial_estimates(
 
     All-zero bins across sources get a zero mask rather than 0/0.
     """
-    _require_positive_finite("mask_power", mask_power)
-    return _as_set(np.multiply(_stacked_gains(mags, mix.bins.shape, mask_power), mix.bins), mix)
+    return _masked(mags, mix, MwfConfig(iterations=0, mask_power=mask_power))
 
 
 def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[SpatialModel]:
@@ -393,11 +450,18 @@ def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[Spatia
     frames, normalized by the summed PSD plus eps, exactly Hermitian.
     """
     _check_channels(est.channels)
-    sums = _SpatialSums()
-    psd = sums.add(_block_terms(est.stacked(), first=True))
-    r_diag, r01 = sums.spatial(eps)
-    num_sources, channels, bins = r_diag.shape
-    cov = np.zeros((num_sources, bins, channels, channels), dtype=np.complex128)
+    bins = [s.bins for s in est.sources]
+    psd = np.empty((len(bins),) + bins[0].shape[1:])
+
+    def terms(start, stop):
+        block = _block_terms(np.stack([b[:, start:stop] for b in bins]))
+        psd[:, start:stop] = _psd(block[0])
+        return [block]
+
+    with _Sweeps(len(bins), bins[0].shape, _BLOCK_BYTES, _worker_count()) as sweeps:
+        [(r_diag, r01)] = sweeps.em_pass(terms, eps)
+    num_sources, channels, num_bins = r_diag.shape
+    cov = np.zeros((num_sources, num_bins, channels, channels), dtype=np.complex128)
     for c in range(channels):
         cov[:, :, c, c] = r_diag[:, c]
     if r01 is not None:
@@ -434,7 +498,9 @@ def em_iterate(
     _check_channels(mix.channels)
     if cfg.iterations == 0:
         return est
-    return _as_set(_em_passes(est.stacked(), mix.bins, cfg.iterations, cfg.eps), mix)
+    bins = [s.bins for s in est.sources]
+    return _as_set(_em(mix.bins, len(bins), lambda start, stop: np.stack(
+        [b[:, start:stop] for b in bins]), cfg.iterations, cfg.eps), mix)
 
 
 def mwf(
@@ -446,15 +512,23 @@ def mwf(
     mixture is formed only when there is no pass to run.
     """
     _check_channels(mix.channels)
-    x = mix.bins
-    g = _stacked_gains(mags, x.shape, cfg.mask_power)
-    del mags  # freed here unless the caller keeps them
-    if cfg.iterations == 0:
-        return _as_set(np.multiply(g, x), mix)
-    sums = _SpatialSums()
-    psd = sums.add(_gain_terms(g, _Mixture(x), first=True))
-    del g  # the first filter step needs only the PSD and R
-    y = _filter_step(psd, sums.spatial(cfg.eps), x, cfg.eps,
-                     out=np.empty((len(psd),) + x.shape, dtype=np.complex128))
-    del psd
-    return _as_set(_em_passes(y, x, cfg.iterations - 1, cfg.eps), mix)
+    return _masked(mags, mix, cfg)
+
+
+def _masked(mags: Sequence[np.ndarray], mix: Spectrogram, cfg: MwfConfig) -> SourceSpectrogramSet:
+    """`mwf` without the channel check: `initial_estimates` takes any channel count."""
+    mags = [np.asarray(v) for v in mags]
+    if not mags:
+        raise ValueError("need at least one magnitude estimate")
+    for v in mags:
+        if v.shape != mix.bins.shape:
+            raise ShapeMismatch(
+                f"magnitudes of shape {v.shape} do not match mixture {mix.bins.shape}")
+        if np.any(v < 0):
+            raise ValueError("magnitudes must be nonnegative")
+
+    def gains(start, stop):
+        return _mask_gains(np.stack([v[:, start:stop] for v in mags], dtype=np.float64),
+                           cfg.mask_power)
+
+    return _as_set(_em(mix.bins, len(mags), gains, cfg.iterations, cfg.eps), mix)

@@ -16,14 +16,13 @@ from stemfuse import (
     Waveform,
     istft,
     load_stem_dir,
-    mwf,
     read_magnitudes,
     stft,
     write_wav,
 )
 from stemfuse import bsseval
 from stemfuse.blend import weighted_accumulate
-from stemfuse.wiener import _filter_step
+from stemfuse.wiener import _cross, _filter_step, _gain_power, _mask_gains, _Mixture, _power
 
 
 def make_waveform(rng, channels=2, length=256, sample_rate=44100, scale=0.5):
@@ -196,6 +195,74 @@ def em_once_oracle(est_bins, mix_bins, eps):
                     gain = sum(cov[j][f][a][b] * z[b] for b in range(channels))
                     out[j][a][t][f] = psd[j][t][f] * gain
     return out
+
+
+# --- whole-array Wiener filter ---------------------------------------------
+# `mwf`, `em_iterate` and `estimate_spatial_model` before they swept
+# blocks of frames: every step runs on whole (J, C, T, F) arrays, one
+# source at a time, and each sum over frames is one `np.sum` of the whole
+# signal. The library's elementwise steps (mask gains, |y|^2, y0 conj(y1),
+# the filter step) are reused; the sums and the order of the passes are
+# this form's own.
+
+def whole_array_model_step(per_source, shape, eps):
+    """(psd (J, T, F), (R diagonal (J, C, F), R01 (J, F) or None)) of
+    estimates whose |y_c|^2 (C, T, F) and y0 conj(y1) (T, F) `per_source` yields."""
+    num_sources, channels, _, bins = shape
+    psd = np.empty((num_sources,) + shape[2:])
+    power = np.empty((num_sources, channels, bins))
+    cross = None if channels == 1 else np.empty((num_sources, bins), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (power_j, cross_j) in enumerate(per_source):
+            psd[j] = np.mean(power_j, axis=0)
+            power[j] = np.sum(power_j, axis=1)
+            if cross is not None:
+                cross[j] = np.sum(cross_j, axis=0)
+        scale = 1.0 / (np.sum(psd, axis=1) + eps)
+        return psd, (power * scale[:, None], None if cross is None else cross * scale)
+
+
+def whole_array_passes(y, x, passes, eps):
+    """`passes` EM passes, each overwriting the (J, C, T, F) estimates `y`."""
+    for _ in range(passes):
+        per_source = ((_power(yj), _cross(yj[0], yj[1]) if y.shape[1] == 2 else None)
+                      for yj in y)
+        psd, spatial = whole_array_model_step(per_source, y.shape, eps)
+        _filter_step(psd, spatial, x, eps, out=y)
+    return y
+
+
+def whole_array_mwf(mags, x, cfg):
+    """(J, C, T, F) stems of `mwf`: the first pass on the real mask gains."""
+    g = _mask_gains(np.stack([np.asarray(v, dtype=np.float64) for v in mags]), cfg.mask_power)
+    if cfg.iterations == 0:
+        return np.multiply(g, x)
+    mixture = _Mixture(x)
+    per_source = ((_gain_power(gj, mixture.power),
+                   None if mixture.cross is None else gj[0] * gj[1] * mixture.cross) for gj in g)
+    psd, spatial = whole_array_model_step(per_source, g.shape, cfg.eps)
+    y = _filter_step(psd, spatial, x, cfg.eps, out=np.empty(g.shape, dtype=np.complex128))
+    return whole_array_passes(y, x, cfg.iterations - 1, cfg.eps)
+
+
+def whole_array_em_iterate(est_bins, x, cfg):
+    """(J, C, T, F) result of `em_iterate` on estimates (J, C, T, F)."""
+    return whole_array_passes(np.array(est_bins, dtype=np.complex128), x, cfg.iterations, cfg.eps)
+
+
+def whole_array_spatial_model(est_bins, eps):
+    """[(psd (T, F), R (F, C, C))] per source, as `estimate_spatial_model` gives them."""
+    y = np.asarray(est_bins)
+    per_source = ((_power(yj), _cross(yj[0], yj[1]) if y.shape[1] == 2 else None) for yj in y)
+    psd, (r_diag, r01) = whole_array_model_step(per_source, y.shape, eps)
+    num_sources, channels, bins = r_diag.shape
+    cov = np.zeros((num_sources, bins, channels, channels), dtype=np.complex128)
+    for c in range(channels):
+        cov[:, :, c, c] = r_diag[:, c]
+    if r01 is not None:
+        cov[:, :, 0, 1] = r01
+        cov[:, :, 1, 0] = np.conj(r01)
+    return list(zip(psd, cov))
 
 
 # --- brute-force blend-weight search oracle -------------------------------
@@ -397,17 +464,19 @@ def bytes_wav_blob(w, encoding):
 
 # --- whole-track `stemfuse wiener` -------------------------------------------
 # The TF path `wiener` ran before it went through the streamed engine: one
-# STFT of the whole mixture, whole-array `mwf`, then one istft per source.
+# STFT of the whole mixture, the whole-array Wiener filter, then one istft
+# per source.
 
 def whole_track_wiener(mix, mags, stft_cfg, mwf_cfg):
     """(sources, channels, length) stems of `mags`, bitwise as `run` must give them."""
-    filtered = mwf(mags, stft(mix, stft_cfg), mwf_cfg)
-    return np.stack([istft(s, length=mix.length).samples for s in filtered.sources])
+    filtered = whole_array_mwf(mags, stft(mix, stft_cfg).bins, mwf_cfg)
+    return np.stack([istft(Spectrogram(s, stft_cfg, mix.sample_rate), length=mix.length).samples
+                     for s in filtered])
 
 
 # --- whole-track pipeline run ----------------------------------------------
 # The run before it streamed frame blocks: one STFT of the whole mixture,
-# every spectral branch filtered by the whole-array `mwf` and summed with
+# every spectral branch filtered by the whole-array Wiener filter and summed with
 # its weights into one (sources, channels, frames, bins) array, then one
 # istft per source; external T stems are weighted in the time domain first.
 
@@ -433,7 +502,7 @@ def whole_array_run(mix, cfg):
         if entry.domain == "T":
             stems = [spec.bins * mask for mask in masks]
         else:
-            stems = [s.bins for s in mwf(mags, spec, cfg.mwf).sources]
+            stems = whole_array_mwf(mags, spec.bins, cfg.mwf)
         weighted_accumulate(spectral, weights[m], stems)
     if spectral is not None:
         for j in range(len(SOURCE_NAMES)):

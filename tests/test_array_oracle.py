@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stemfuse import (
     ModelEntry,
@@ -21,6 +21,7 @@ from stemfuse import (
     StftConfig,
     Waveform,
     apply_filter,
+    em_iterate,
     estimate_spatial_model,
     initial_estimates,
     mwf,
@@ -39,6 +40,9 @@ from helpers import (
     materialised_mwf,
     oracle_mwf,
     oracle_run,
+    whole_array_em_iterate,
+    whole_array_mwf,
+    whole_array_spatial_model,
     write_stem_dir,
 )
 
@@ -152,6 +156,46 @@ def test_gain_pass_matches_materialised_estimates(seed, channels, sources, itera
             assert a is None or np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
         tol = REL_TOL + 16 * condition_number(passes, cfg.eps) * np.finfo(float).eps
     assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, channels=channel_counts, sources=source_counts,
+       channel_fastest=st.booleans(), iterations=st.integers(0, 3), frames=st.integers(1, 40),
+       silent_bins=st.booleans(), workers=st.sampled_from([1, 2]))
+# one frame and silent bins: np.sum turns a lone -0.0 cross term into +0.0
+@example(seed=1, channels=2, sources=2, channel_fastest=False, iterations=1, frames=1,
+         silent_bins=True, workers=1)
+def test_library_functions_are_bitwise_the_whole_array_form(
+        seed, channels, sources, channel_fastest, iterations, frames, silent_bins, workers):
+    rng = np.random.default_rng(seed)
+    shape = (frames, CFG.num_bins, channels) if channel_fastest else (channels, frames, CFG.num_bins)
+    truths = np.array([make_complex(rng, shape) for _ in range(sources)])
+    if channel_fastest:  # as `stft` of a `read_wav` input lays them out
+        truths = truths.transpose(0, 3, 1, 2)
+    if silent_bins:  # zero gains: their cross terms are -0.0 where x0 conj(x1) is negative
+        truths[..., ::5] = 0.0
+    mix = Spectrogram(make_complex(rng, shape).transpose(2, 0, 1) if channel_fastest
+                      else make_complex(rng, shape), CFG, SR)
+    mags = list(np.abs(truths))
+    est = SourceSpectrogramSet([Spectrogram(t, CFG, SR) for t in truths])
+    cfg = MwfConfig(iterations=iterations)
+    want_mwf = whole_array_mwf(mags, mix.bins, cfg).tobytes()
+    want_em = whole_array_em_iterate(truths, mix.bins, cfg).tobytes()
+    want_models = whole_array_spatial_model(truths, cfg.eps)
+    for block_frames in (1, 3, None, frames, frames + 5):
+        with pytest.MonkeyPatch.context() as mp:
+            if block_frames is not None:
+                frame_bytes = sources * channels * CFG.num_bins * 16
+                mp.setattr(wiener, "_BLOCK_BYTES", block_frames * frame_bytes)
+            mp.setattr(wiener, "_worker_count", lambda: workers)
+            got_mwf = np.array([s.bins for s in mwf(mags, mix, cfg).sources])
+            got_em = np.array([s.bins for s in em_iterate(est, mix, cfg).sources])
+            models = estimate_spatial_model(est, cfg.eps)
+        assert got_mwf.tobytes() == want_mwf
+        assert got_em.tobytes() == want_em
+        for model, (psd, cov) in zip(models, want_models):
+            assert model.psd.tobytes() == psd.tobytes()
+            assert model.spatial_cov.tobytes() == cov.tobytes()
 
 
 # --- spectral-domain fusion in pipeline.run --------------------------------

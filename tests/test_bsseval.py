@@ -197,6 +197,26 @@ class TestSdrFrames:
         assert frames[0] == 300.0
         assert report.per_source_median["drums"] == 300.0
 
+    @pytest.mark.parametrize("silent", [(0,), (0, 1, 2, 3)])
+    def test_sources_silent_in_every_frame_leave_the_average(self, silent):
+        rng = np.random.default_rng(26)
+        refs = make_waveform_set(rng, channels=1, length=2 * SR)
+        refs = SourceWaveformSet([Waveform(np.zeros_like(s.samples), SR) if j in silent else s
+                                  for j, s in enumerate(refs.sources)])
+        noisy = SourceWaveformSet([Waveform(s.samples + 0.1 * rng.normal(size=s.samples.shape), SR)
+                                   for s in refs.sources])
+        report = sdr_frames(refs, noisy, EvalConfig(filter_len=4, win=1.0, hop=1.0))
+        medians = list(report.per_source_median.values())
+        assert [math.isnan(m) for m in medians] == [j in silent for j in range(4)]
+        kept = [m for m in medians if not math.isnan(m)]
+        if kept:
+            assert report.overall_avg == float(np.mean(kept))
+        else:
+            assert math.isnan(report.overall_avg)
+        agg = aggregate([report, report])
+        assert agg.per_source_median == pytest.approx(report.per_source_median, nan_ok=True)
+        assert agg.overall_avg == pytest.approx(report.overall_avg, nan_ok=True)
+
     def test_scale_invariance(self):
         refs, est = orthogonal_scene(noise_gain=0.05)
         cfg = full_window_cfg(4096, filter_len=4)

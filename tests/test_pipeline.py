@@ -208,6 +208,37 @@ class TestConfigLoading:
         with pytest.raises(WeightModelMismatch):
             load_pipeline_config(path)  # default weights have 3 rows
 
+    def weights_config(self, tmp_path, models, rows, as_file):
+        weights = {"models": models, "sources": ["drums", "bass", "other", "vocals"],
+                   "weights": rows}
+        if as_file:
+            (tmp_path / "w.json").write_text(json.dumps(weights))
+            weights = "w.json"
+        return self.write_config(tmp_path, {
+            "models": [{"name": "a", "domain": "T", "source": "builtin-toy"},
+                       {"name": "b", "domain": "TF", "source": "builtin-toy"}],
+            "weights": weights})
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    @pytest.mark.parametrize("order", [["b", "a"], ["a", "b"]])
+    def test_weight_rows_are_matched_to_entries_by_name(self, tmp_path, order, as_file):
+        rows = {"a": [1.0, 0.0, 0.25, 0.5], "b": [0.0, 1.0, 0.75, 0.5]}
+        cfg = load_pipeline_config(
+            self.weights_config(tmp_path, order, [rows[n] for n in order], as_file))
+        assert cfg.weights.model_names == ("a", "b")
+        assert cfg.weights.weights.tolist() == [rows["a"], rows["b"]]
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    @pytest.mark.parametrize("models, named", [
+        (["a", "zzz"], r"weights name models \['zzz'\] that are not entries"),
+        (["a"], r"model entries \['b'\] have no weight row"),
+        (["b", "b"], r"weights repeat the model names \['b'\]"),
+    ])
+    def test_weights_must_name_every_entry_once(self, tmp_path, models, named, as_file):
+        rows = [[1.0 / len(models)] * 4] * len(models)
+        with pytest.raises(WeightModelMismatch, match=named):
+            load_pipeline_config(self.weights_config(tmp_path, models, rows, as_file))
+
     def test_missing_entry_key(self, tmp_path):
         path = self.write_config(tmp_path, {"models": [{"name": "a", "domain": "T"}]})
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stemfuse import (
+    BandMaskModel,
     ModelEntry,
     MwfConfig,
     PipelineConfig,
@@ -23,6 +24,7 @@ from stemfuse import (
     StftConfig,
     Waveform,
     load_pipeline_config,
+    mwf,
     read_magnitudes,
     run,
     stft,
@@ -34,6 +36,7 @@ from stemfuse.errors import ConfigMismatch, NonFiniteSamples, ShapeMismatch, Tru
 from helpers import whole_array_run, whole_track_wiener, write_stem_dir
 
 pipeline = sys.modules["stemfuse.pipeline"]
+wiener = sys.modules["stemfuse.wiener"]
 SR = 44100
 NUM_SOURCES = 4
 SOURCES = ("drums", "bass", "other", "vocals")
@@ -56,7 +59,7 @@ def stems_of(mix, cfg, block_frames=None, workers=None, names=SOURCES):
 
 
 def block_threads():
-    return [t for t in threading.enumerate() if t.name.startswith(pipeline._THREAD_PREFIX)]
+    return [t for t in threading.enumerate() if t.name.startswith(wiener._THREAD_PREFIX)]
 
 
 def write_model_dirs(root: Path, rng, mix, stft_cfg):
@@ -330,3 +333,38 @@ def test_a_second_worker_adds_a_bounded_number_of_blocks():
     for mix in (toy_mix(2.0), toy_mix(6.0)):
         extra = traced_peak(mix, cfg, 2) - traced_peak(mix, cfg, 1)
         assert extra <= 10 * pipeline._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("iterations", [1, 0])
+def test_library_mwf_holds_its_output_and_a_few_blocks(iterations):
+    # mwf walks the in-memory spectrogram in blocks, as run does: with two
+    # workers up to five blocks are in flight, and nothing else grows with
+    # the track (the whole-array form peaked at 241 MB here, 171 MB with
+    # no EM pass)
+    cfg = shipped_config()
+    spec = stft(toy_mix(10.0), cfg.stft)
+    masks = BandMaskModel.default().bin_masks(SR, cfg.stft.fft_size)
+    mags = [np.abs(spec.bins) * mask for mask in masks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wiener, "_worker_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            mwf(mags, spec, MwfConfig(iterations=iterations))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= len(mags) * spec.bins.nbytes + 10 * wiener._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocks_submitted_and_not_consumed_never_exceed_the_window(workers):
+    with wiener._Sweeps(1, (1, 40, 1), 3 * 16, workers) as sweeps:  # 14 blocks of 3 frames
+        submitted = []
+        submit = sweeps._pool.submit
+        sweeps._pool.submit = lambda *args: submitted.append(args) or submit(*args)
+        outstanding = []  # counting the block being consumed
+        for consumed, start in enumerate(sweeps.in_order(lambda start, stop: start), 1):
+            assert start == sweeps.blocks[consumed - 1][0]
+            outstanding.append(len(submitted) - consumed + 1)
+    assert sweeps.window == 2 * workers + 1
+    assert max(outstanding) == sweeps.window and len(submitted) == len(sweeps.blocks) == 14
