@@ -12,17 +12,18 @@ a +300 dB sentinel.
 
 The Gram matrix of delayed references is block-Toeplitz and built from
 FFT cross-correlations; `project_subspace` solves it densely. Framewise
-scores go through `BlendScorer`, which correlates every source's windows
-in short overlap-save FFT blocks and solves all their Toeplitz systems in
-one Levinson recursion, densely where that recursion breaks down.
+scores go through `BlendScorer`, which reads one window of every signal
+at a time (in memory or from a WAV file), correlates it in overlap-save
+FFT blocks and solves batches of windows in one Levinson recursion each.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .core import SourceWaveformSet, Waveform, _atomic_write, source_labels
 SDR_CAP_DB = 300.0
 SILENT_FRAME_ENERGY = 1e-12
 GRAM_REG = 1e-10
+_SOLVE_VALUES = 1 << 17  # systems times taps per `_levinson` call, to bound its memory
 
 
 @dataclass(frozen=True)
@@ -78,14 +80,10 @@ def _lagged_corr(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
 
     `b` may stack several signals along leading axes; `a` is 1-D.
     """
-    needed = a.size + max_lag
-    nfft = 1 << (needed - 1).bit_length()
-    fa = np.fft.rfft(a, nfft)
-    fb = np.fft.rfft(b, nfft)
-    full = np.fft.irfft(np.conj(fa) * fb, nfft)
-    head = full[..., :max_lag]  # d = 0 .. max_lag-1
-    tail = full[..., nfft - max_lag + 1:]  # d = -(max_lag-1) .. -1
-    return np.concatenate([tail, head], axis=-1)
+    nfft = 1 << (a.size + max_lag - 1).bit_length()
+    full = np.fft.irfft(np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft), nfft)
+    # d = -(max_lag-1) .. -1, then d = 0 .. max_lag-1
+    return np.concatenate([full[..., nfft - max_lag + 1:], full[..., :max_lag]], axis=-1)
 
 
 def _block_plan(n: int, taps: int) -> tuple:
@@ -96,19 +94,21 @@ def _block_plan(n: int, taps: int) -> tuple:
     return nfft, nfft - taps + 1
 
 
-def _block_lags(padded: np.ndarray, nfft: int, step: int, taps: int) -> np.ndarray:
+def _block_lags(padded: np.ndarray, nfft: int, step: int, taps: int, spec=None, head=None):
     """(count, channels, taps): lag d < taps of sum_u x[0, c, u] x[k, c, u + d].
 
     padded : (count, channels, blocks * step + taps - 1), the signals x and
     then zeros, the reference x[0] first. Overlap-save: each `step`-sample
     block of the reference meets the step + taps - 1 samples of every
     signal that start with it in nfft-point transforms, and the products
-    are summed over blocks before one inverse transform.
+    are summed over blocks before one inverse transform, which `spec` and
+    `head` take if given (buffers of the forward transforms' shapes).
     """
     heads = padded[0, :, :padded.shape[-1] - taps + 1].reshape(padded.shape[1], -1, step)
     spans = np.lib.stride_tricks.sliding_window_view(padded, step + taps - 1, axis=-1)
-    spec = np.fft.rfft(spans[..., ::step, :], nfft)
-    spec *= np.conj(np.fft.rfft(heads, nfft))
+    spec = np.fft.rfft(spans[..., ::step, :], nfft, out=spec)
+    head = np.fft.rfft(heads, nfft, out=head)
+    spec *= np.conj(head, out=head)
     return np.fft.irfft(spec.sum(axis=-2), nfft)[..., :taps]
 
 
@@ -144,21 +144,17 @@ def _levinson(first_row: np.ndarray, rhs: np.ndarray):
     return x, ok
 
 
-def _gram(refs: np.ndarray, filter_len: int) -> np.ndarray:
-    """Block-Toeplitz Gram of the delayed copies of `refs` (num_refs, length)."""
-    num_refs = refs.shape[0]
-    size = num_refs * filter_len
-    gram = np.empty((size, size))
-    for i in range(num_refs):
-        for k in range(i, num_refs):
-            corr = _lagged_corr(refs[i], refs[k], filter_len)
-            # block[a, b] = corr[a - b + filter_len - 1], a view of the lag vector
-            block = np.lib.stride_tricks.sliding_window_view(corr, filter_len)[:, ::-1]
-            gram[i * filter_len:(i + 1) * filter_len, k * filter_len:(k + 1) * filter_len] = block
+def _gram(refs: np.ndarray, taps: int) -> np.ndarray:
+    """Block-Toeplitz Gram of the `taps` delayed copies of `refs` (num_refs, length)."""
+    gram = np.empty((len(refs) * taps,) * 2)
+    for i in range(len(refs)):
+        for k in range(i, len(refs)):
+            corr = _lagged_corr(refs[i], refs[k], taps)
+            # block[a, b] = corr[a - b + taps - 1], a view of the lag vector
+            block = np.lib.stride_tricks.sliding_window_view(corr, taps)[:, ::-1]
+            gram[i * taps:(i + 1) * taps, k * taps:(k + 1) * taps] = block
             if k != i:
-                gram[k * filter_len:(k + 1) * filter_len, i * filter_len:(i + 1) * filter_len] = (
-                    block.T
-                )
+                gram[k * taps:(k + 1) * taps, i * taps:(i + 1) * taps] = block.T
     return gram
 
 
@@ -183,9 +179,7 @@ def _projection(refs: np.ndarray, est: np.ndarray, filter_len: int) -> np.ndarra
     signal of length length + filter_len - 1 (full ring-out).
     """
     num_refs, length = refs.shape
-    rhs = np.concatenate(
-        [_lagged_corr(refs[i], est, filter_len)[filter_len - 1:] for i in range(num_refs)]
-    )
+    rhs = np.concatenate([_lagged_corr(r, est, filter_len)[filter_len - 1:] for r in refs])
     gram = _gram(refs, filter_len)
     trace = float(np.trace(gram))
     if trace <= 0.0:
@@ -207,9 +201,8 @@ def _check_pair(refs, est) -> None:
         raise SampleRateMismatch(f"rates differ: {refs.sample_rate} vs {est.sample_rate}")
 
 
-def project_subspace(
-    references: SourceWaveformSet, estimate: Waveform, filter_len: int, source_index: int
-):
+def project_subspace(references: SourceWaveformSet, estimate: Waveform, filter_len: int,
+                     source_index: int):
     """Decompose `estimate` into (s_target, e_interf, e_artif).
 
     Each part has shape (channels, length + filter_len - 1); their sum
@@ -226,12 +219,10 @@ def project_subspace(
         raise SilentReference(f"reference of source {source_index} is identically zero")
 
     stacked = references.stacked()  # (J, channels, length): interference needs every source
-    padded_len = references.length + filter_len - 1
-    s_target = np.zeros((estimate.channels, padded_len))
-    p_all = np.zeros_like(s_target)
-    for c in range(estimate.channels):
-        s_target[c] = _projection(target.samples[c:c + 1], estimate.samples[c], filter_len)
-        p_all[c] = _projection(stacked[:, c], estimate.samples[c], filter_len)
+    s_target = np.stack([_projection(target.samples[c:c + 1], e, filter_len)
+                         for c, e in enumerate(estimate.samples)])
+    p_all = np.stack([_projection(stacked[:, c], e, filter_len)
+                      for c, e in enumerate(estimate.samples)])
     est_padded = np.pad(estimate.samples, ((0, 0), (0, filter_len - 1)))
     return s_target, p_all - s_target, est_padded - p_all
 
@@ -240,8 +231,7 @@ def _frame_sdr(ref: np.ndarray, est: np.ndarray, filter_len: int) -> float:
     """SDR of one window: (ch, n) target reference vs (ch, n) estimate."""
     if np.array_equal(est, ref):
         return SDR_CAP_DB  # exact match short-circuits to the sentinel
-    target_energy = 0.0
-    error_energy = 0.0
+    target_energy = error_energy = 0.0
     for c in range(est.shape[0]):
         projected = _projection(ref[c:c + 1], est[c], filter_len)
         padded = np.concatenate([est[c], np.zeros(filter_len - 1)])
@@ -255,10 +245,9 @@ def _frame_sdr(ref: np.ndarray, est: np.ndarray, filter_len: int) -> float:
     return float(min(max(value, -SDR_CAP_DB), SDR_CAP_DB))
 
 
-def _windows(reference: Waveform, cfg: EvalConfig) -> List[Optional[slice]]:
-    """cfg's win/hop windows over `reference`, None where it is silent.
+def _windows(reference, cfg: EvalConfig) -> List[slice]:
+    """cfg's win/hop windows over `reference`, all of one length.
 
-    A window is silent when the reference energy in it is below 1e-12.
     A signal shorter than one window is scored whole. A filter longer
     than the scored window is a ValueError.
     """
@@ -266,20 +255,15 @@ def _windows(reference: Waveform, cfg: EvalConfig) -> List[Optional[slice]]:
     # capped at length + 1 samples: any finite win/hop converts, the windows stay the same
     win = max(1, round(min(cfg.win * rate, length + 1)))
     hop = max(1, round(min(cfg.hop * rate, length + 1)))
-    if cfg.filter_len > min(win, length):
-        raise ValueError(f"filter_len {cfg.filter_len} exceeds the {min(win, length)}-sample frame")
+    n = min(win, length)
+    if cfg.filter_len > n:
+        raise ValueError(f"filter_len {cfg.filter_len} exceeds the {n}-sample frame")
     starts = range(0, length - win + 1, hop) if length >= win else range(1)
-    windows = []
-    for start in starts:
-        window = slice(start, start + win)
-        silent = float(np.sum(reference.samples[:, window] ** 2)) < SILENT_FRAME_ENERGY
-        windows.append(None if silent else window)
-    return windows
+    return [slice(start, start + n) for start in starts]
 
 
-def sdr_frames(
-    references: SourceWaveformSet, estimates: SourceWaveformSet, cfg: EvalConfig = EvalConfig()
-) -> SdrReport:
+def sdr_frames(references: SourceWaveformSet, estimates: SourceWaveformSet,
+               cfg: EvalConfig = EvalConfig()) -> SdrReport:
     """Framewise SDR per source with median aggregation.
 
     Frames whose reference energy falls below 1e-12 are recorded as NaN
@@ -287,9 +271,8 @@ def sdr_frames(
     mean of the per-source medians (see `_mean_of_medians`).
     """
     if references.num_sources != estimates.num_sources:
-        raise ShapeMismatch(
-            f"source counts differ: {references.num_sources} vs {estimates.num_sources}"
-        )
+        raise ShapeMismatch(f"source counts differ: {references.num_sources} vs "
+                            f"{estimates.num_sources}")
     _check_pair(references, estimates)
     rows = BlendScorer(references, [estimates], cfg).frame_sdr([[1.0]], BlendScorer.REPORT_TOL)
     frames = {label: row[:, 0].tolist() for label, row in zip(source_labels(len(rows)), rows)}
@@ -297,12 +280,8 @@ def sdr_frames(
     return SdrReport(frames, medians, _mean_of_medians(medians.values()))
 
 
-def median_sdr(
-    references: SourceWaveformSet,
-    estimate: Waveform,
-    source_index: int,
-    cfg: EvalConfig = EvalConfig(),
-) -> float:
+def median_sdr(references: SourceWaveformSet, estimate: Waveform, source_index: int,
+               cfg: EvalConfig = EvalConfig()) -> float:
     """Median framewise SDR of a single source's estimate."""
     if not 0 <= source_index < references.num_sources:
         raise ValueError(f"source_index {source_index} out of range")
@@ -317,13 +296,13 @@ class BlendScorer:
     (num_models, n) model stems, a blend e = E^T w has projection
     coefficients K w, where K = (G + ridge)^-1 B. G, the Gram of r's
     delayed copies, is symmetric Toeplitz: its first row and B are lags
-    of r's correlations with itself and with E (`_block_lags`), and one
-    `_levinson` call solves every source's frames and channels (`_gram`
-    densely where the recursion breaks down). Summed over channels, the
-    target energy is w^T (K^T G K) w, with K^T G K = B^T K - ridge K^T K,
-    and the error energy w^T (E E^T - B^T K - K^T B + K^T G K) w; both
-    are exact because the projection keeps its full ring-out. So one
-    solve per frame and channel scores every weight column.
+    of r's correlations with itself and with E (`_block_lags`), and a
+    `_levinson` call solves a batch of frames and channels (`_gram` where
+    the recursion breaks down). Summed over channels, the target energy
+    is w^T (K^T G K) w, with K^T G K = B^T K - ridge K^T K, and the error
+    energy w^T (E E^T - B^T K - K^T B + K^T G K) w; both are exact because
+    the projection keeps its full ring-out. So one solve per frame and
+    channel scores every weight column.
 
     The forms carry a rounding error of a few ulps of the blend's energy
     bound (sum_m w_m |E_m|)^2: 1e-9 dB of SDR near 60 dB, 1e-12 relative
@@ -341,29 +320,54 @@ class BlendScorer:
                  per_model_stems: Sequence[SourceWaveformSet], cfg: EvalConfig = EvalConfig()):
         """per_model_stems[m].sources[j] is model m's stem of source j."""
         # per source: the reference, then every model's stem
-        self._signals = [[ref.samples] + [stems.sources[j].samples for stems in per_model_stems]
+        self._signals = [[ref] + [stems.sources[j] for stems in per_model_stems]
                          for j, ref in enumerate(references.sources)]
         self._filter_len = taps = cfg.filter_len
-        windows = [_windows(ref, cfg) for ref in references.sources]
-        self._scored = np.array([[w is not None for w in row] for row in windows], dtype=bool)
-        # (source, window) of each scored frame, in the order of `_scored`'s True entries
-        self._frames = [(j, w) for j, row in enumerate(windows) for w in row if w is not None]
+        windows = _windows(references, cfg)
+        n = windows[0].stop - windows[0].start
+        # the windows, then what no window covers: a file's every sample is read, so checked
+        gaps = zip([w.stop for w in windows], [w.start for w in windows[1:]] + [references.length])
+        spans = windows + [slice(a, min(a + n, b)) for stop, b in gaps for a in range(stop, b, n)]
         num_models, channels = len(per_model_stems), references.channels
-        frames = len(self._frames)
-        self._error = np.zeros((frames, num_models, num_models))
-        lags = np.empty((frames, channels, 1 + num_models, taps))
-        for f, (j, window) in enumerate(self._frames):
-            if f == 0:  # every window has the same length; one buffer serves them all
-                n = self._signals[j][0][:, window].shape[-1]
-                nfft, step = _block_plan(n, taps)
-                padded = np.zeros((1 + num_models, channels, -(-n // step) * step + taps - 1))
-            for row, signal in zip(padded, self._signals[j]):
-                row[:, :n] = signal[:, window]
-            seg = padded[1:, :, :n]
-            self._error[f] = [[np.sum(a * b) for b in seg] for a in seg]
-            lags[f] = np.moveaxis(_block_lags(padded, nfft, step, taps), 0, 1)
-        self._norms = np.sqrt(np.diagonal(self._error, axis1=1, axis2=2))  # |E_m| per frame
-        systems = lags.reshape(frames * channels, 1 + num_models, taps)
+        nfft, step = _block_plan(n, taps)
+        # every window is read into and worked on in buffers allocated once, here
+        padded = np.zeros((1 + num_models, channels, -(-n // step) * step + taps - 1))
+        spec = np.empty(padded.shape[:2] + (-(-n // step), nfft // 2 + 1), dtype=np.complex128)
+        head = np.empty(spec.shape[1:], dtype=np.complex128)
+        product = np.empty((channels, n))
+        self._scored = np.zeros((len(self._signals), len(windows)), dtype=bool)
+        # (source, window) of each scored frame, in the order of `_scored`'s True entries
+        self._frames = []
+        self._error = error = np.zeros((self._scored.size, num_models, num_models))
+        self._target, self._norms = np.empty_like(error), np.empty(error.shape[:2])
+        # the lags of frames done .. f, solved in batches that bound a solve's memory
+        lags = np.empty((max(1, _SOLVE_VALUES // (channels * taps)),) + padded.shape[:2] + (taps,))
+        done = 0
+        for j, signals in enumerate(self._signals):
+            for w, span in enumerate(spans):
+                for row, signal in zip(padded, signals):
+                    signal.frames(span.start, span.stop, out=row[:, :span.stop - span.start])
+                r, seg = padded[0, :, :n], padded[1:, :, :n]
+                if w >= len(windows) or np.sum(np.multiply(r, r, product)) < SILENT_FRAME_ENERGY:
+                    continue
+                f = len(self._frames)
+                self._scored[j, w] = True
+                self._frames.append((j, span))
+                for a, b in itertools.combinations_with_replacement(range(num_models), 2):
+                    error[f, a, b] = error[f, b, a] = np.sum(np.multiply(seg[a], seg[b], product))
+                lags[f - done] = _block_lags(padded, nfft, step, taps, spec, head)
+                if f + 1 - done == len(lags):
+                    done = self._solve(lags, done)
+        frames = self._solve(lags[:len(self._frames) - done], done)
+        self._error, self._target, self._norms = (
+            a[:frames] for a in (error, self._target, self._norms))
+
+    def _solve(self, lags: np.ndarray, start: int) -> int:
+        """The forms of the frames from `start` on from their (frames, 1 + num_models,
+        channels, taps) `_block_lags`, in one `_levinson` call; returns the next frame."""
+        frames, count, channels, taps = lags.shape
+        done = slice(start, start + frames)
+        systems = lags.transpose(0, 2, 1, 3).reshape(frames * channels, count, taps)
         acf, rhs = systems[:, 0], systems[:, 1:]
         ridge = GRAM_REG * acf[:, 0]  # GRAM_REG * trace / size, as `_ridge_solve` adds it
         coef = np.zeros_like(rhs)  # zero where the reference channel is silent
@@ -371,15 +375,18 @@ class BlendScorer:
         first_row = acf[live]
         first_row[:, 0] += ridge[live]
         coef[live], solved = _levinson(first_row, rhs[live])
-        for s in live[~solved]:
-            j, window = self._frames[s // channels]
-            gram = _gram(self._signals[j][0][s % channels, window][None], taps)
+        for s in live[~solved]:  # its reference window is read again
+            j, w = self._frames[start + s // channels]
+            gram = _gram(self._signals[j][0].frames(w.start, w.stop)[s % channels][None], taps)
             coef[s] = _ridge_solve(gram, float(np.trace(gram)), rhs[s].T).T
         cross = np.einsum("sml,skl->smk", rhs, coef)  # B^T K
         projected = cross - ridge[:, None, None] * np.einsum("sml,skl->smk", coef, coef)
-        per_channel = (frames, channels, num_models, num_models)
-        self._target = projected.reshape(per_channel).sum(axis=1)
-        self._error += (projected - cross - cross.transpose(0, 2, 1)).reshape(per_channel).sum(1)
+        per_channel = (frames, channels, count - 1, count - 1)
+        self._norms[done] = np.sqrt(np.diagonal(self._error[done], axis1=1, axis2=2))  # |E_m|
+        self._target[done] = projected.reshape(per_channel).sum(axis=1)
+        extra = projected - cross - cross.transpose(0, 2, 1)
+        self._error[done] += extra.reshape(per_channel).sum(axis=1)
+        return done.stop
 
     def frame_sdr(self, columns: np.ndarray, tol: float = CANCELLATION_TOL) -> np.ndarray:
         """(sources, windows, count) SDR of each blend of columns (count, num_models),
@@ -404,11 +411,11 @@ class BlendScorer:
 
     def _synthesised_sdr(self, frame: int, weights: np.ndarray) -> float:
         j, window = self._frames[frame]
-        ref = self._signals[j][0][:, window]
+        ref, *stems = (signal.frames(window.start, window.stop) for signal in self._signals[j])
         blend = np.zeros(ref.shape)
-        for stem, weight in zip(self._signals[j][1:], weights):
+        for stem, weight in zip(stems, weights):
             if weight:
-                blend += weight * stem[:, window]
+                blend += weight * stem
         return _frame_sdr(ref, blend, self._filter_len)
 
 
@@ -438,13 +445,10 @@ def aggregate(reports: Sequence[SdrReport]) -> AggregateReport:
     if not reports:
         raise EmptyInput("no reports to aggregate")
     labels = list(reports[0].per_source_median)
-    for report in reports[1:]:
-        if list(report.per_source_median) != labels:
-            raise ValueError("reports carry different source labels")
-    medians = {}
-    for label in labels:
-        values = [r.per_source_median[label] for r in reports]
-        medians[label] = _median_ignoring_nan(values)
+    if any(list(report.per_source_median) != labels for report in reports[1:]):
+        raise ValueError("reports carry different source labels")
+    medians = {label: _median_ignoring_nan([r.per_source_median[label] for r in reports])
+               for label in labels}
     return AggregateReport(medians, _mean_of_medians(medians.values()))
 
 
@@ -456,13 +460,9 @@ def report_to_json_dict(report: SdrReport) -> dict:
         return None if math.isnan(value) else value
 
     return {
-        "per_source_frames": {
-            label: [clean(v) for v in values]
-            for label, values in report.per_source_frames.items()
-        },
-        "per_source_median": {
-            label: clean(v) for label, v in report.per_source_median.items()
-        },
+        "per_source_frames": {label: [clean(v) for v in values]
+                              for label, values in report.per_source_frames.items()},
+        "per_source_median": {label: clean(v) for label, v in report.per_source_median.items()},
         "overall_avg": clean(report.overall_avg),
     }
 

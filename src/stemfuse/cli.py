@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import bsseval
@@ -78,16 +79,17 @@ def cmd_search_weights(args) -> int:
     bad = _require_files(*args.stems, args.references)
     if bad is not None:
         return bad
-    stem_sets = [pipeline_mod.load_stem_dir(d) for d in args.stems]
-    references = pipeline_mod.load_stem_dir(args.references)
-    cfg = bsseval.EvalConfig(filter_len=args.filter_len, win=args.win, hop=args.hop)
-    weights = search_weights(
-        stem_sets,
-        references,
-        grid_step=args.grid_step,
-        eval_config=cfg,
-        model_names=[Path(d).name for d in args.stems],
-    )
+    with ExitStack() as files:
+        stem_sets = [pipeline_mod.open_stem_dir(d, files) for d in args.stems]
+        references = pipeline_mod.open_stem_dir(args.references, files)
+        cfg = bsseval.EvalConfig(filter_len=args.filter_len, win=args.win, hop=args.hop)
+        weights = search_weights(
+            stem_sets,
+            references,
+            grid_step=args.grid_step,
+            eval_config=cfg,
+            model_names=[Path(d).name for d in args.stems],
+        )
     save_weights(weights, args.out)
     return 0
 
@@ -96,10 +98,11 @@ def cmd_eval(args) -> int:
     bad = _require_files(args.estimates, args.references)
     if bad is not None:
         return bad
-    estimates = pipeline_mod.load_stem_dir(args.estimates)
-    references = pipeline_mod.load_stem_dir(args.references)
-    cfg = bsseval.EvalConfig(filter_len=args.filter_len, win=args.win, hop=args.hop)
-    report = bsseval.sdr_frames(references, estimates, cfg)
+    with ExitStack() as files:  # stems are read window by window while they are scored
+        estimates = pipeline_mod.open_stem_dir(args.estimates, files)
+        references = pipeline_mod.open_stem_dir(args.references, files)
+        cfg = bsseval.EvalConfig(filter_len=args.filter_len, win=args.win, hop=args.hop)
+        report = bsseval.sdr_frames(references, estimates, cfg)
     bsseval.save_report_json(report, args.out)
     if args.csv is not None:
         bsseval.save_report_csv(report, args.csv)

@@ -82,6 +82,13 @@ class Waveform:
     def duration(self) -> float:
         return self.length / self.sample_rate
 
+    def frames(self, start: int, stop: int, out=None) -> np.ndarray:
+        """samples[:, start:stop], copied into `out` if given (as `WavReader.frames`)."""
+        if out is None:
+            return self.samples[:, start:stop]
+        np.copyto(out, self.samples[:, start:stop])
+        return out
+
 
 def _cola_deviation(window: np.ndarray, hop: int) -> float:
     # Overlap-add the window over enough frames that the middle of the
@@ -175,7 +182,11 @@ class Spectrogram:
 
 @dataclass
 class SourceWaveformSet:
-    """Ordered per-source waveforms with identical shapes and rates."""
+    """Ordered per-source waveforms with identical shapes and rates.
+
+    A member may also be an open `audio_io.WavReader`: it has the same
+    channels, length, sample_rate and `frames`, but no `samples`.
+    """
 
     sources: List[Waveform]
 
@@ -184,10 +195,9 @@ class SourceWaveformSet:
             raise ValueError("source set needs at least one member")
         first = self.sources[0]
         for w in self.sources[1:]:
-            if w.samples.shape != first.samples.shape:
-                raise ShapeMismatch(
-                    f"source shapes differ: {w.samples.shape} vs {first.samples.shape}"
-                )
+            shape, first_shape = (w.channels, w.length), (first.channels, first.length)
+            if shape != first_shape:
+                raise ShapeMismatch(f"source shapes differ: {shape} vs {first_shape}")
             if w.sample_rate != first.sample_rate:
                 raise SampleRateMismatch(
                     f"source rates differ: {w.sample_rate} vs {first.sample_rate}"

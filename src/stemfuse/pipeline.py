@@ -64,7 +64,7 @@ from .errors import (
     TruncatedData,
     WeightModelMismatch,
 )
-from .audio_io import read_wav
+from .audio_io import WavReader, read_wav
 from .core import (
     SOURCE_NAMES,
     SourceWaveformSet,
@@ -269,6 +269,16 @@ def read_magnitudes(path) -> np.ndarray:
 
 # --- stem-set ingestion -------------------------------------------------
 
+def _stem_paths(directory):
+    """The drums/bass/other/vocals WAV paths of a directory; a missing one is a MissingStem."""
+    directory = Path(directory)
+    for name in SOURCE_NAMES:
+        path = directory / f"{name}.wav"
+        if not path.is_file():
+            raise MissingStem(f"{directory} lacks {name}.wav")
+        yield path
+
+
 def load_stem_dir(directory, like: Optional[Waveform] = None,
                   length_tolerance: int = 0) -> SourceWaveformSet:
     """Read drums/bass/other/vocals WAVs from a directory.
@@ -277,17 +287,20 @@ def load_stem_dir(directory, like: Optional[Waveform] = None,
     channel count, and lengths within `length_tolerance` samples are
     padded/truncated to match; larger deviations are errors.
     """
-    directory = Path(directory)
     stems = []
-    for name in SOURCE_NAMES:
-        path = directory / f"{name}.wav"
-        if not path.is_file():
-            raise MissingStem(f"{directory} lacks {name}.wav")
+    for path in _stem_paths(directory):
         stem = read_wav(path)
         if like is not None:
             stem = _conform(stem, like, length_tolerance, path)
         stems.append(stem)
     return SourceWaveformSet(stems)
+
+
+def open_stem_dir(directory, files: ExitStack) -> SourceWaveformSet:
+    """The drums/bass/other/vocals WAVs of a directory as readers kept open
+    in `files`, their headers checked as `load_stem_dir` checks them; the
+    samples are read, and checked, when they are used."""
+    return SourceWaveformSet([files.enter_context(WavReader(p)) for p in _stem_paths(directory)])
 
 
 def _conform(stem: Waveform, like: Waveform, tolerance: int, path) -> Waveform:
@@ -410,7 +423,7 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
     tf = [b for b in branches if b.domain == TF_DOMAIN]
 
     def mixture(start, stop):
-        # frames of a Fortran-ordered input (as read_wav gives) have the
+        # frames of a Fortran-ordered input (a transposed array) have the
         # channel axis fastest; in C order every product of them is contiguous
         x = _analysis_frames(mix.samples, cfg.stft, start, stop, window)
         return _Mixture(np.ascontiguousarray(x))

@@ -194,12 +194,14 @@ def _psd(power: np.ndarray) -> np.ndarray:
 
 def _terms(power: np.ndarray, cross: Optional[np.ndarray]) -> tuple:
     """What `_SpatialSums` needs of a block of (J, C, b, F) estimates, once
-    every frame's PSD is found finite: the per-frame terms of
-    sum_t |y_c|^2 (J, C, b, F) and, for stereo, sum_t y0 conj(y1) (J, b, F).
+    every frame's PSD is found finite: the per-frame terms of sum_t v
+    (J, b, F), sum_t |y_c|^2 (J, C, b, F) and, for stereo,
+    sum_t y0 conj(y1) (J, b, F).
     """
-    if not np.all(np.isfinite(_psd(power))):
+    psd = _psd(power)
+    if not np.all(np.isfinite(psd)):
         _overflowed()
-    return power, cross
+    return psd, power, cross
 
 
 def _block_terms(y: np.ndarray) -> tuple:
@@ -222,42 +224,41 @@ def _gain_terms(g: np.ndarray, mixture: _Mixture) -> tuple:
 class _SpatialSums:
     """The EM model step as per-bin sums over frames, fed in frame order.
 
-    `add` takes the `_terms` of the next block of estimates and keeps
-    sum_t v, sum_t |y_c|^2 and, for stereo, sum_t y0 conj(y1), taking
-    each frame's PSD v from its |y_c|^2 row, so that blocks waiting to
-    be added carry no PSD; `spatial`
+    `add` takes the `_terms` of the next block of estimates, which it
+    overwrites, and keeps sum_t v, sum_t |y_c|^2 and, for stereo,
+    sum_t y0 conj(y1); `spatial`
     normalizes them into R: R_cc = sum_t |y_c|^2 and
     R01 = sum_t y0 conj(y1), each times 1 / (sum_t v + eps), with
     R10 = conj(R01) exactly Hermitian. The sums are bitwise those of one
     whole-array `np.sum`, whatever the block sizes: numpy sums a frame
     axis of rows of two or more bins one frame at a time, so a later
-    block adds its frames in place, row by row. The first block is
-    summed by `np.sum` itself, which sets where a sum starts: from +0.0
-    in numpy 2.4, so a sum of -0.0 terms is +0.0, not a copy of a row.
+    block's first row takes the running sum (addition commutes) and one
+    `np.sum` over the block's frames goes on from there. The first block
+    is summed by `np.sum` itself, which sets where a sum starts: from
+    +0.0 in numpy 2.4, so a sum of -0.0 terms is +0.0, not a copy of a
+    row, and no running sum is -0.0.
     """
 
     def __init__(self):
-        self._psd = self._power = self._cross = None  # running sums, one row per source
+        self._sums = None  # sum_t v, sum_t |y_c|^2, sum_t y0 conj(y1) (None for mono)
 
     def add(self, terms: tuple) -> None:
-        power, cross = terms
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self._psd is None:
-                self._psd, self._power = np.sum(_psd(power), axis=1), np.sum(power, axis=2)
-                self._cross = None if cross is None else np.sum(cross, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # every term's frame axis is -2
+            if self._sums is None:
+                self._sums = [None if t is None else np.sum(t, axis=-2) for t in terms]
                 return
-            for t in range(power.shape[2]):
-                self._psd += np.mean(power[:, :, t], axis=1)
-                self._power += power[:, :, t]
-                if cross is not None:
-                    self._cross += cross[:, t]
+            for total, t in zip(self._sums, terms):
+                if total is not None:
+                    t[..., 0, :] += total
+                    np.sum(t, axis=-2, out=total)
 
     def spatial(self, eps: float) -> _Spatial:
         """The diagonal (J, C, F) and, for stereo, R01 (J, F) of every R_j."""
+        psd, power, cross = self._sums
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = 1.0 / (self._psd + eps)
-            r_diag = self._power * scale[:, None]
-            r01 = None if self._cross is None else self._cross * scale
+            scale = 1.0 / (psd + eps)
+            r_diag = power * scale[:, None]
+            r01 = None if cross is None else cross * scale
         if not (np.all(np.isfinite(r_diag)) and (r01 is None or np.all(np.isfinite(r01)))):
             _overflowed()
         return r_diag, r01
@@ -455,7 +456,7 @@ def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[Spatia
 
     def terms(start, stop):
         block = _block_terms(np.stack([b[:, start:stop] for b in bins]))
-        psd[:, start:stop] = _psd(block[0])
+        psd[:, start:stop] = block[0]
         return [block]
 
     with _Sweeps(len(bins), bins[0].shape, _BLOCK_BYTES, _worker_count()) as sweeps:
@@ -475,15 +476,29 @@ def apply_filter(
 ) -> SourceSpectrogramSet:
     """Wiener step: y_j = v_j R_j (sum_k v_k R_k + eps I)^-1 x.
 
-    Reads the diagonal and upper triangle of each (Hermitian) R_j.
+    Reads the diagonal and upper triangle of each (Hermitian) R_j. Filters
+    C-ordered copies of blocks of frames into the output, so beyond it
+    only the blocks in flight are held.
     """
     _check_channels(mix.channels)
-    psd = np.stack([m.psd for m in models])
+    for m in models:
+        if m.psd.shape != mix.bins.shape[1:]:
+            raise ShapeMismatch(f"psd of shape {m.psd.shape} does not match mixture "
+                                f"frames and bins {mix.bins.shape[1:]}")
     cov = np.stack([m.spatial_cov for m in models])
     r_diag = np.stack([cov[:, :, c, c].real for c in range(mix.channels)], axis=1)
     r01 = cov[:, :, 0, 1] if mix.channels == 2 else None
     out = np.empty((len(models),) + mix.bins.shape, dtype=np.complex128)
-    return _as_set(_filter_step(psd, (r_diag, r01), mix.bins, eps, out), mix)
+
+    def block(start, stop):
+        psd = np.stack([m.psd[start:stop] for m in models])
+        x = np.ascontiguousarray(mix.bins[:, start:stop])
+        _filter_step(psd, (r_diag, r01), x, eps, out[:, :, start:stop])
+
+    with _Sweeps(len(models), mix.bins.shape, _BLOCK_BYTES, _worker_count()) as sweeps:
+        for _ in sweeps.in_order(block):
+            pass
+    return _as_set(out, mix)
 
 
 def em_iterate(

@@ -86,11 +86,13 @@ def dense_frame_sdr(ref_frames: np.ndarray, est_frame: np.ndarray, filter_len: i
 
 def oracle_source_frames(reference, estimate, cfg):
     """Framewise SDR of one source's estimate; NaN marks a silent frame."""
-    return [
-        math.nan if window is None else bsseval._frame_sdr(
-            reference.samples[:, window], estimate.samples[:, window], cfg.filter_len)
-        for window in bsseval._windows(reference, cfg)
-    ]
+    frames = []
+    for window in bsseval._windows(reference, cfg):
+        ref = reference.samples[:, window]
+        silent = float(np.sum(ref ** 2)) < bsseval.SILENT_FRAME_ENERGY
+        frames.append(math.nan if silent else bsseval._frame_sdr(
+            ref, estimate.samples[:, window], cfg.filter_len))
+    return frames
 
 
 def oracle_median_sdr(references, estimate, source_index, cfg):

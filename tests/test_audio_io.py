@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stemfuse import Waveform, read_magnitudes, read_wav, write_magnitudes, write_wav
+from stemfuse import (
+    WavReader,
+    Waveform,
+    read_magnitudes,
+    read_wav,
+    write_magnitudes,
+    write_wav,
+)
 from stemfuse.errors import (
     IoFailure,
     MalformedHeader,
@@ -283,12 +290,100 @@ class TestNonFiniteSamples:
             Waveform(np.array([[0.0, np.nan]]), 44100)
 
 
+# --- WavReader: any range of frames, decoded in place --------------------
+
+@st.composite
+def wav_files(draw):
+    """(bytes, plain, channels, frames) of a PCM16, PCM24 or float32 WAV, plain
+    or WAVE_FORMAT_EXTENSIBLE, with or without a chunk before the data and a
+    pad byte and chunk after it; `plain` holds the same payload in a plain
+    fmt chunk and nothing else."""
+    tag, bits = draw(st.sampled_from([(1, 16), (1, 24), (3, 32)]))
+    channels = draw(st.integers(1, 2))
+    frames = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if tag == 3:
+        payload = rng.normal(size=frames * channels).astype("<f4").tobytes()
+    else:
+        payload = rng.integers(0, 256, size=frames * channels * bits // 8, dtype=np.uint8).tobytes()
+    plain = build_wav(payload, tag=tag, channels=channels, bits=bits)
+    if draw(st.booleans()):
+        blob = extensible_wav(payload, tag, bits, channels=channels)
+    else:
+        blob = build_wav(payload, tag=tag, channels=channels, bits=bits,
+                         extra_chunk=draw(st.sampled_from([b"", b"LIST" + struct.pack("<I", 3)
+                                                           + b"abc\x00"])))
+    if len(payload) & 1 or draw(st.booleans()):  # a pad byte if odd, then one more chunk
+        blob += b"\x00" * (len(payload) & 1) + b"junk" + struct.pack("<I", 2) + b"zz"
+        blob = blob[:4] + struct.pack("<I", len(blob) - 8) + blob[8:]
+    return blob, plain, channels, frames
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), wav=wav_files(), block_frames=st.sampled_from([1, 3, 7, 1 << 16, None]))
+def test_reader_frames_are_bitwise_the_whole_file_read(tmp_path_factory, data, wav,
+                                                        block_frames):
+    blob, plain, channels, frames = wav
+    path = tmp_path_factory.getbasetemp() / "frames.wav"
+    path.write_bytes(plain)
+    whole, _ = bytes_read_wav(path)  # the whole-file bytes parser knows no extensible fmt
+    path.write_bytes(blob)
+    assert read_wav(path).samples.tobytes() == np.ascontiguousarray(whole).tobytes()
+    with WavReader(path, block_frames) as reader:
+        assert (reader.channels, reader.length) == (channels, frames)
+        for _ in range(3):
+            start = data.draw(st.integers(0, frames))
+            stop = data.draw(st.integers(start, frames))
+            want = whole[:, start:stop]
+            assert reader.frames(start, stop).tobytes() == np.ascontiguousarray(want).tobytes()
+            out = np.full((channels, stop - start + 5), np.pi)[:, 2:-3]  # a strided destination
+            assert reader.frames(start, stop, out=out) is out
+            assert np.array_equal(out, want)
+
+
+def test_reader_names_the_frames_of_a_non_finite_sample(tmp_path):
+    samples = np.zeros((2, 10), dtype="<f4")
+    samples[1, 6] = np.inf
+    path = tmp_path / "late.wav"
+    path.write_bytes(build_wav(samples.T.tobytes(), tag=3, bits=32))
+    with WavReader(path, block_frames=4) as reader:
+        assert np.all(reader.frames(0, 4) == 0.0)  # the header is fine; the samples come later
+        with pytest.raises(NonFiniteSamples, match=f"^{path}: non-finite samples in frames 6..9$"):
+            reader.frames(2, 10)
+
+
+def test_reader_of_a_file_cut_after_it_was_opened_raises_truncated_data(tmp_path):
+    path = tmp_path / "cut.wav"
+    path.write_bytes(build_wav(b"\x00" * 400))
+    with WavReader(path) as reader:
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(TruncatedData, match="ended early"):
+            reader.frames(0, reader.length)
+
+
+def test_reader_rejects_frames_outside_the_file(tmp_path):
+    path = tmp_path / "a.wav"
+    path.write_bytes(build_wav(b"\x00" * 40))
+    with WavReader(path) as reader:
+        for start, stop in ((-1, 2), (3, 2), (0, 11)):
+            with pytest.raises(ValueError, match="outside"):
+                reader.frames(start, stop)
+
+
+def read_in_pieces(path):
+    """A WavReader's every frame, read as two ranges in blocks of 5 frames."""
+    with WavReader(path, block_frames=5) as reader:
+        half = reader.length // 2
+        return reader.frames(0, half), reader.frames(half, reader.length)
+
+
 # --- hostile bytes: each file reader parses or raises a StemfuseError ------
 
 @pytest.fixture(scope="module")
 def valid_blobs(tmp_path_factory):
     """(reader, bytes) of small valid PCM24, PCM16 and float32 WAVs (one of them
-    WAVE_FORMAT_EXTENSIBLE) and a DSMAG1 file."""
+    WAVE_FORMAT_EXTENSIBLE), each for `read_wav` and for a WavReader read in
+    pieces, and a DSMAG1 file."""
     rng = np.random.default_rng(7)
     directory = tmp_path_factory.mktemp("valid")
     samples = rng.uniform(-0.9, 0.9, size=(2, 12))
@@ -298,6 +393,7 @@ def valid_blobs(tmp_path_factory):
         write_wav(Waveform(samples, 8000), directory / "x.wav", encoding=encoding)
         blobs.append((read_wav, (directory / "x.wav").read_bytes()))
     blobs.append((read_wav, extensible_wav(samples.T.astype("<f4").tobytes(), 3, 32)))
+    blobs += [(read_in_pieces, blob) for _, blob in blobs]
     write_magnitudes(directory / "x.mag", rng.uniform(0, 1, size=(2, 3, 5)))
     blobs.append((read_magnitudes, (directory / "x.mag").read_bytes()))
     return blobs
@@ -337,7 +433,8 @@ def parses_or_raises_stemfuse_error(reader, path, blob):
         pass
 
 
-@pytest.mark.parametrize("reader", [read_wav, read_magnitudes], ids=["wav", "dsmag1"])
+@pytest.mark.parametrize("reader", [read_wav, read_in_pieces, read_magnitudes],
+                         ids=["wav", "wav-reader", "dsmag1"])
 @settings(max_examples=200, deadline=None)
 @given(blob=st.binary(max_size=96) | st.binary(max_size=40).map(
     lambda tail: b"RIFF\x00\x00\x00\x00WAVEfmt " + tail) | st.binary(max_size=40).map(

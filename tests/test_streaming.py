@@ -21,8 +21,12 @@ from stemfuse import (
     MwfConfig,
     PipelineConfig,
     SourceWaveformSet,
+    SpatialModel,
     StftConfig,
     Waveform,
+    apply_filter,
+    estimate_spatial_model,
+    initial_estimates,
     load_pipeline_config,
     mwf,
     read_magnitudes,
@@ -131,7 +135,7 @@ def test_wiener_run_is_bitwise_the_whole_track_tf_branch(
     stft_cfg = StftConfig(fft_size=64, hop=16)
     length = (frames - 1) * 16 + 1 + extra
     rng = np.random.default_rng(seed)
-    if fortran:  # as read_wav gives them: a transposed array
+    if fortran:  # a de-interleaved, transposed array
         mix = Waveform(rng.normal(size=(length, channels)).T, SR)
     else:
         mix = Waveform(rng.normal(size=(channels, length)), SR)
@@ -187,8 +191,8 @@ def test_magnitude_blocks_read_by_many_threads_are_bitwise_the_whole_track_run(
 
 @pytest.mark.parametrize("block_frames", [1, 3, None])
 def test_fortran_ordered_mixture_is_bitwise_the_whole_track_run(tmp_path, block_frames):
-    # read_wav de-interleaves, so its samples are a transposed array and the
-    # whole-track STFT has its channel axis fastest; blocks are made C-ordered
+    # de-interleaved samples as a transposed array give a whole-track STFT
+    # with its channel axis fastest; blocks are made C-ordered
     rng = np.random.default_rng(25)
     mix = Waveform(rng.normal(size=(16 * 40, 2)).T, SR)
     cfg, _ = magnitude_model(tmp_path, rng, mix, StftConfig(fft_size=64, hop=16))
@@ -250,7 +254,7 @@ def test_blocks_run_under_the_callers_numpy_error_state(monkeypatch):
 
 def toy_mix(seconds, channels=2, seed=0):
     rng = np.random.default_rng(seed)
-    # read_wav de-interleaves, so its samples are a transposed (Fortran-ordered) array
+    # de-interleaved samples as a transposed (Fortran-ordered) array
     return Waveform(0.3 * rng.normal(size=(int(seconds * SR), channels)).T, SR)
 
 
@@ -354,6 +358,61 @@ def test_library_mwf_holds_its_output_and_a_few_blocks(iterations):
         finally:
             tracemalloc.stop()
     assert peak <= len(mags) * spec.bins.nbytes + 10 * wiener._BLOCK_BYTES
+
+
+def toy_models(spec, cfg):
+    """The toy band masks' magnitudes and the spatial models of their first EM pass."""
+    masks = BandMaskModel.default().bin_masks(SR, cfg.stft.fft_size)
+    mags = [np.abs(spec.bins) * mask for mask in masks]
+    return mags, estimate_spatial_model(initial_estimates(mags, spec), cfg.mwf.eps)
+
+
+def test_library_apply_filter_holds_its_output_and_a_few_blocks():
+    # apply_filter filters blocks of frames into its output (the whole-array
+    # form peaked at 241 MB for this 113 MB output)
+    cfg = shipped_config()
+    spec = stft(toy_mix(10.0), cfg.stft)
+    _, models = toy_models(spec, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wiener, "_worker_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            apply_filter(models, spec, cfg.mwf.eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= len(models) * spec.bins.nbytes + 10 * wiener._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("block_frames, workers", [(1, 1), (3, 2), (7, 3), (None, 2)])
+def test_apply_filter_in_blocks_is_bitwise_the_whole_array_step(channels, block_frames, workers):
+    # the filter step treats every frame on its own: blocks of C-ordered
+    # copies give the bytes of one step over the whole (channel-fastest) spectrogram
+    cfg = shipped_config()
+    spec = stft(toy_mix(0.5, channels), cfg.stft)
+    mags, models = toy_models(spec, cfg)
+    cov = np.stack([m.spatial_cov for m in models])
+    spatial = (np.stack([cov[:, :, c, c].real for c in range(channels)], axis=1),
+               cov[:, :, 0, 1] if channels == 2 else None)
+    want = wiener._filter_step(np.stack([m.psd for m in models]), spatial, spec.bins,
+                               cfg.mwf.eps, np.empty((len(models),) + spec.bins.shape, complex))
+    with pytest.MonkeyPatch.context() as mp:
+        if block_frames is not None:
+            mp.setattr(wiener, "_BLOCK_BYTES", block_frames * len(models) * channels
+                       * cfg.stft.num_bins * 16)
+        mp.setattr(wiener, "_worker_count", lambda: workers)
+        got = np.stack([s.bins for s in apply_filter(models, spec, cfg.mwf.eps).sources])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_apply_filter_rejects_a_psd_of_other_frames():
+    cfg = shipped_config()
+    spec = stft(toy_mix(0.5), cfg.stft)
+    _, models = toy_models(spec, cfg)
+    models[1] = SpatialModel(models[1].psd[:-1], models[1].spatial_cov)
+    with pytest.raises(ShapeMismatch, match="psd of shape"):
+        apply_filter(models, spec, cfg.mwf.eps)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
