@@ -18,7 +18,7 @@ from .core import (
     Waveform,
     source_labels,
 )
-from .audio_io import WavReader, read_wav, write_wav
+from .audio_io import read_wav, write_wav
 from .stft import istft, magnitude, stft
 from .losses import combined_loss, freq_mse, freq_mse_grad, l1_waveform, time_domain_loss
 from .wiener import (
@@ -67,7 +67,6 @@ from .pipeline import (
     PipelineConfig,
     load_pipeline_config,
     load_stem_dir,
-    open_stem_dir,
     read_magnitudes,
     run,
     write_magnitudes,
@@ -91,7 +90,6 @@ __all__ = [
     "SpatialModel",
     "Spectrogram",
     "StftConfig",
-    "WavReader",
     "Waveform",
     "aggregate",
     "apply_filter",
@@ -118,7 +116,6 @@ __all__ = [
     "median_sdr",
     "multi_decoder_forward",
     "mwf",
-    "open_stem_dir",
     "project_subspace",
     "read_magnitudes",
     "read_wav",

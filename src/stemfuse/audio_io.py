@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 from typing import Optional
 
@@ -37,7 +38,6 @@ _GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 ENCODINGS = ("pcm16", "float32")
 _WRITE_FRAMES = 1 << 16  # frames converted and written at a time
-_READ_FRAMES = 1 << 16  # frames read and decoded at a time
 
 
 def _parse_fmt(body: bytes, path) -> tuple:
@@ -70,40 +70,51 @@ def _parse_fmt(body: bytes, path) -> tuple:
 class WavReader:
     """A WAV file opened once, its header checked, its frames decoded on demand.
 
-    `frames` reads at explicit offsets (`os.preadv`), so it never moves
-    the file position, and decodes `block_frames` frames at a time (all
-    of them if None) through a scratch buffer of the reader's own,
-    allocated once: one thread reads a reader at a time. Close it, or
+    `frames` reads a regular file at explicit offsets (`os.preadv`), so it
+    never moves the file position, through a scratch buffer of the
+    reader's own that grows to the largest range asked for: one thread
+    reads a reader at a time. A pipe or FIFO cannot be read at offsets,
+    so its bytes are read whole when it is opened. Close the reader, or
     use it as a context manager.
     """
 
-    def __init__(self, path, block_frames: Optional[int] = _READ_FRAMES):
+    def __init__(self, path):
         self.path = path
+        self._blob = None
+        self._scratch = np.empty(0, np.uint8)
         try:
             self._fh = open(path, "rb")
         except OSError as exc:
             raise IoFailure(f"cannot read {path}: {exc}") from exc
         try:
+            if not stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode):
+                self._blob = self._fh.read()
             self._parse_header()
+        except OSError as exc:
+            self._fh.close()
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
         except BaseException:
             self._fh.close()
             raise
-        self._block = max(1, self.length if block_frames is None else block_frames)
-        self._scratch = None
+
+    def _pread(self, offset: int, size: int) -> bytes:
+        """Up to `size` bytes at `offset`, fewer at the end of the file."""
+        if self._blob is not None:
+            return self._blob[offset:offset + size]
+        return os.pread(self._fh.fileno(), size, offset)
 
     def _parse_header(self) -> None:
-        fh, path = self._fh, self.path
-        end = os.fstat(fh.fileno()).st_size
-        head = fh.read(12)
+        path = self.path
+        end = len(self._blob) if self._blob is not None else os.fstat(self._fh.fileno()).st_size
+        head = self._pread(0, 12)
         if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
             raise MalformedHeader(f"{path} is not a RIFF/WAVE file")
         fmt = data = None
         pos = 12
         while pos + 8 <= end:
-            fh.seek(pos)
-            chunk_id, size = struct.unpack("<4sI", fh.read(8))
+            chunk_id, size = struct.unpack("<4sI", self._pread(pos, 8))
             if chunk_id == b"fmt ":
-                fmt = _parse_fmt(fh.read(min(size, end - pos - 8)), path)
+                fmt = _parse_fmt(self._pread(pos + 8, min(size, end - pos - 8)), path)
             elif chunk_id == b"data":
                 data = (pos + 8, size)
             pos += 8 + size + (size & 1)  # chunks are word-aligned
@@ -141,15 +152,20 @@ class WavReader:
             raise ValueError(f"{self.path}: frames {start}..{stop} outside 0..{self.length}")
         if out is None:
             out = np.empty((self.channels, stop - start))
-        if self._scratch is None:
-            self._scratch = np.empty(min(self.length, self._block) * self._frame_bytes, np.uint8)
-        for at in range(start, stop, self._block):
-            count = min(stop - at, self._block)
-            raw = self._scratch[:count * self._frame_bytes]
-            if os.preadv(self._fh.fileno(), [raw], self._offset + at * self._frame_bytes) \
-                    != raw.nbytes:
+        size, offset = (stop - start) * self._frame_bytes, self._offset + start * self._frame_bytes
+        if self._blob is not None:
+            raw = np.frombuffer(self._blob, np.uint8, size, offset)
+        else:
+            if self._scratch.size < size:
+                self._scratch = np.empty(size, np.uint8)
+            raw = self._scratch[:size]
+            try:
+                read = os.preadv(self._fh.fileno(), [raw], offset)
+            except OSError as exc:
+                raise IoFailure(f"cannot read {self.path}: {exc}") from exc
+            if read != size:
                 raise TruncatedData(f"{self.path}: data ended early while it was being read")
-            self._decode(raw, out[:, at - start:at - start + count].T, at)
+        self._decode(raw, out.T, start)
         return out
 
     def _decode(self, raw: np.ndarray, samples: np.ndarray, at: int) -> None:
@@ -181,7 +197,7 @@ def read_wav(path) -> Waveform:
     decoded in 65,536-frame pieces, `separate` on 10 s took ~2.7x the
     page faults and ~25% longer.
     """
-    with WavReader(path, block_frames=None) as reader:
+    with WavReader(path) as reader:
         return Waveform(reader.frames(0, reader.length), reader.sample_rate)
 
 

@@ -80,10 +80,14 @@ def _lagged_corr(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
 
     `b` may stack several signals along leading axes; `a` is 1-D.
     """
-    nfft = 1 << (a.size + max_lag - 1).bit_length()
-    full = np.fft.irfft(np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft), nfft)
-    # d = -(max_lag-1) .. -1, then d = 0 .. max_lag-1
-    return np.concatenate([full[..., nfft - max_lag + 1:], full[..., :max_lag]], axis=-1)
+    needed = a.size + max_lag
+    nfft = 1 << (needed - 1).bit_length()
+    fa = np.fft.rfft(a, nfft)
+    fb = np.fft.rfft(b, nfft)
+    full = np.fft.irfft(np.conj(fa) * fb, nfft)
+    head = full[..., :max_lag]  # d = 0 .. max_lag-1
+    tail = full[..., nfft - max_lag + 1:]  # d = -(max_lag-1) .. -1
+    return np.concatenate([tail, head], axis=-1)
 
 
 def _block_plan(n: int, taps: int) -> tuple:
@@ -144,17 +148,21 @@ def _levinson(first_row: np.ndarray, rhs: np.ndarray):
     return x, ok
 
 
-def _gram(refs: np.ndarray, taps: int) -> np.ndarray:
-    """Block-Toeplitz Gram of the `taps` delayed copies of `refs` (num_refs, length)."""
-    gram = np.empty((len(refs) * taps,) * 2)
-    for i in range(len(refs)):
-        for k in range(i, len(refs)):
-            corr = _lagged_corr(refs[i], refs[k], taps)
-            # block[a, b] = corr[a - b + taps - 1], a view of the lag vector
-            block = np.lib.stride_tricks.sliding_window_view(corr, taps)[:, ::-1]
-            gram[i * taps:(i + 1) * taps, k * taps:(k + 1) * taps] = block
+def _gram(refs: np.ndarray, filter_len: int) -> np.ndarray:
+    """Block-Toeplitz Gram of the delayed copies of `refs` (num_refs, length)."""
+    num_refs = refs.shape[0]
+    size = num_refs * filter_len
+    gram = np.empty((size, size))
+    for i in range(num_refs):
+        for k in range(i, num_refs):
+            corr = _lagged_corr(refs[i], refs[k], filter_len)
+            # block[a, b] = corr[a - b + filter_len - 1], a view of the lag vector
+            block = np.lib.stride_tricks.sliding_window_view(corr, filter_len)[:, ::-1]
+            gram[i * filter_len:(i + 1) * filter_len, k * filter_len:(k + 1) * filter_len] = block
             if k != i:
-                gram[k * taps:(k + 1) * taps, i * taps:(i + 1) * taps] = block.T
+                gram[k * filter_len:(k + 1) * filter_len, i * filter_len:(i + 1) * filter_len] = (
+                    block.T
+                )
     return gram
 
 
@@ -179,7 +187,9 @@ def _projection(refs: np.ndarray, est: np.ndarray, filter_len: int) -> np.ndarra
     signal of length length + filter_len - 1 (full ring-out).
     """
     num_refs, length = refs.shape
-    rhs = np.concatenate([_lagged_corr(r, est, filter_len)[filter_len - 1:] for r in refs])
+    rhs = np.concatenate(
+        [_lagged_corr(refs[i], est, filter_len)[filter_len - 1:] for i in range(num_refs)]
+    )
     gram = _gram(refs, filter_len)
     trace = float(np.trace(gram))
     if trace <= 0.0:
@@ -201,8 +211,9 @@ def _check_pair(refs, est) -> None:
         raise SampleRateMismatch(f"rates differ: {refs.sample_rate} vs {est.sample_rate}")
 
 
-def project_subspace(references: SourceWaveformSet, estimate: Waveform, filter_len: int,
-                     source_index: int):
+def project_subspace(
+    references: SourceWaveformSet, estimate: Waveform, filter_len: int, source_index: int
+):
     """Decompose `estimate` into (s_target, e_interf, e_artif).
 
     Each part has shape (channels, length + filter_len - 1); their sum
@@ -219,10 +230,12 @@ def project_subspace(references: SourceWaveformSet, estimate: Waveform, filter_l
         raise SilentReference(f"reference of source {source_index} is identically zero")
 
     stacked = references.stacked()  # (J, channels, length): interference needs every source
-    s_target = np.stack([_projection(target.samples[c:c + 1], e, filter_len)
-                         for c, e in enumerate(estimate.samples)])
-    p_all = np.stack([_projection(stacked[:, c], e, filter_len)
-                      for c, e in enumerate(estimate.samples)])
+    padded_len = references.length + filter_len - 1
+    s_target = np.zeros((estimate.channels, padded_len))
+    p_all = np.zeros_like(s_target)
+    for c in range(estimate.channels):
+        s_target[c] = _projection(target.samples[c:c + 1], estimate.samples[c], filter_len)
+        p_all[c] = _projection(stacked[:, c], estimate.samples[c], filter_len)
     est_padded = np.pad(estimate.samples, ((0, 0), (0, filter_len - 1)))
     return s_target, p_all - s_target, est_padded - p_all
 
@@ -231,7 +244,8 @@ def _frame_sdr(ref: np.ndarray, est: np.ndarray, filter_len: int) -> float:
     """SDR of one window: (ch, n) target reference vs (ch, n) estimate."""
     if np.array_equal(est, ref):
         return SDR_CAP_DB  # exact match short-circuits to the sentinel
-    target_energy = error_energy = 0.0
+    target_energy = 0.0
+    error_energy = 0.0
     for c in range(est.shape[0]):
         projected = _projection(ref[c:c + 1], est[c], filter_len)
         padded = np.concatenate([est[c], np.zeros(filter_len - 1)])
@@ -262,8 +276,9 @@ def _windows(reference, cfg: EvalConfig) -> List[slice]:
     return [slice(start, start + n) for start in starts]
 
 
-def sdr_frames(references: SourceWaveformSet, estimates: SourceWaveformSet,
-               cfg: EvalConfig = EvalConfig()) -> SdrReport:
+def sdr_frames(
+    references: SourceWaveformSet, estimates: SourceWaveformSet, cfg: EvalConfig = EvalConfig()
+) -> SdrReport:
     """Framewise SDR per source with median aggregation.
 
     Frames whose reference energy falls below 1e-12 are recorded as NaN
@@ -271,8 +286,9 @@ def sdr_frames(references: SourceWaveformSet, estimates: SourceWaveformSet,
     mean of the per-source medians (see `_mean_of_medians`).
     """
     if references.num_sources != estimates.num_sources:
-        raise ShapeMismatch(f"source counts differ: {references.num_sources} vs "
-                            f"{estimates.num_sources}")
+        raise ShapeMismatch(
+            f"source counts differ: {references.num_sources} vs {estimates.num_sources}"
+        )
     _check_pair(references, estimates)
     rows = BlendScorer(references, [estimates], cfg).frame_sdr([[1.0]], BlendScorer.REPORT_TOL)
     frames = {label: row[:, 0].tolist() for label, row in zip(source_labels(len(rows)), rows)}
@@ -280,8 +296,12 @@ def sdr_frames(references: SourceWaveformSet, estimates: SourceWaveformSet,
     return SdrReport(frames, medians, _mean_of_medians(medians.values()))
 
 
-def median_sdr(references: SourceWaveformSet, estimate: Waveform, source_index: int,
-               cfg: EvalConfig = EvalConfig()) -> float:
+def median_sdr(
+    references: SourceWaveformSet,
+    estimate: Waveform,
+    source_index: int,
+    cfg: EvalConfig = EvalConfig(),
+) -> float:
     """Median framewise SDR of a single source's estimate."""
     if not 0 <= source_index < references.num_sources:
         raise ValueError(f"source_index {source_index} out of range")
@@ -318,7 +338,9 @@ class BlendScorer:
 
     def __init__(self, references: SourceWaveformSet,
                  per_model_stems: Sequence[SourceWaveformSet], cfg: EvalConfig = EvalConfig()):
-        """per_model_stems[m].sources[j] is model m's stem of source j."""
+        """per_model_stems[m].sources[j] is model m's stem of source j. Every
+        signal is read through its `frames`: a Waveform's, or a `WavReader`'s
+        when `eval` and `search-weights` score stem files."""
         # per source: the reference, then every model's stem
         self._signals = [[ref] + [stems.sources[j] for stems in per_model_stems]
                          for j, ref in enumerate(references.sources)]
@@ -445,10 +467,13 @@ def aggregate(reports: Sequence[SdrReport]) -> AggregateReport:
     if not reports:
         raise EmptyInput("no reports to aggregate")
     labels = list(reports[0].per_source_median)
-    if any(list(report.per_source_median) != labels for report in reports[1:]):
-        raise ValueError("reports carry different source labels")
-    medians = {label: _median_ignoring_nan([r.per_source_median[label] for r in reports])
-               for label in labels}
+    for report in reports[1:]:
+        if list(report.per_source_median) != labels:
+            raise ValueError("reports carry different source labels")
+    medians = {}
+    for label in labels:
+        values = [r.per_source_median[label] for r in reports]
+        medians[label] = _median_ignoring_nan(values)
     return AggregateReport(medians, _mean_of_medians(medians.values()))
 
 
@@ -460,9 +485,13 @@ def report_to_json_dict(report: SdrReport) -> dict:
         return None if math.isnan(value) else value
 
     return {
-        "per_source_frames": {label: [clean(v) for v in values]
-                              for label, values in report.per_source_frames.items()},
-        "per_source_median": {label: clean(v) for label, v in report.per_source_median.items()},
+        "per_source_frames": {
+            label: [clean(v) for v in values]
+            for label, values in report.per_source_frames.items()
+        },
+        "per_source_median": {
+            label: clean(v) for label, v in report.per_source_median.items()
+        },
         "overall_avg": clean(report.overall_avg),
     }
 

@@ -80,8 +80,8 @@ def cmd_search_weights(args) -> int:
     if bad is not None:
         return bad
     with ExitStack() as files:
-        stem_sets = [pipeline_mod.open_stem_dir(d, files) for d in args.stems]
-        references = pipeline_mod.open_stem_dir(args.references, files)
+        stem_sets = [pipeline_mod._open_stem_dir(d, files) for d in args.stems]
+        references = pipeline_mod._open_stem_dir(args.references, files)
         cfg = bsseval.EvalConfig(filter_len=args.filter_len, win=args.win, hop=args.hop)
         weights = search_weights(
             stem_sets,
@@ -99,8 +99,8 @@ def cmd_eval(args) -> int:
     if bad is not None:
         return bad
     with ExitStack() as files:  # stems are read window by window while they are scored
-        estimates = pipeline_mod.open_stem_dir(args.estimates, files)
-        references = pipeline_mod.open_stem_dir(args.references, files)
+        estimates = pipeline_mod._open_stem_dir(args.estimates, files)
+        references = pipeline_mod._open_stem_dir(args.references, files)
         cfg = bsseval.EvalConfig(filter_len=args.filter_len, win=args.win, hop=args.hop)
         report = bsseval.sdr_frames(references, estimates, cfg)
     bsseval.save_report_json(report, args.out)

@@ -180,15 +180,8 @@ class Spectrogram:
         return self.bins.shape[2]
 
 
-@dataclass
-class SourceWaveformSet:
-    """Ordered per-source waveforms with identical shapes and rates.
-
-    A member may also be an open `audio_io.WavReader`: it has the same
-    channels, length, sample_rate and `frames`, but no `samples`.
-    """
-
-    sources: List[Waveform]
+class _SourceSet:
+    """Members of one shape and rate, and those shared sizes."""
 
     def __post_init__(self):
         if len(self.sources) < 1:
@@ -218,6 +211,13 @@ class SourceWaveformSet:
     @property
     def sample_rate(self) -> int:
         return self.sources[0].sample_rate
+
+
+@dataclass
+class SourceWaveformSet(_SourceSet):
+    """Ordered per-source waveforms with identical shapes and rates."""
+
+    sources: List[Waveform]
 
     def stacked(self) -> np.ndarray:
         """(num_sources, channels, length) copy of all samples."""

@@ -70,6 +70,7 @@ from .core import (
     SourceWaveformSet,
     StftConfig,
     Waveform,
+    _SourceSet,
     _atomic_write,
     _is_real,
 )
@@ -296,11 +297,23 @@ def load_stem_dir(directory, like: Optional[Waveform] = None,
     return SourceWaveformSet(stems)
 
 
-def open_stem_dir(directory, files: ExitStack) -> SourceWaveformSet:
-    """The drums/bass/other/vocals WAVs of a directory as readers kept open
-    in `files`, their headers checked as `load_stem_dir` checks them; the
-    samples are read, and checked, when they are used."""
-    return SourceWaveformSet([files.enter_context(WavReader(p)) for p in _stem_paths(directory)])
+@dataclass
+class _StemReaders(_SourceSet):
+    """A stem directory's WAVs as open `WavReader`s, in SOURCE_NAMES order.
+
+    `eval` and `search-weights` hand it to `bsseval.BlendScorer`, which
+    reads it window by window. It has a SourceWaveformSet's sizes and
+    checks but no samples, so it is no SourceWaveformSet.
+    """
+
+    sources: List[WavReader]
+
+
+def _open_stem_dir(directory, files: ExitStack) -> _StemReaders:
+    """The stems of a directory as readers kept open in `files`, their headers
+    checked as `load_stem_dir` checks them; the samples are read, and
+    checked, when they are used."""
+    return _StemReaders([files.enter_context(WavReader(p)) for p in _stem_paths(directory)])
 
 
 def _conform(stem: Waveform, like: Waveform, tolerance: int, path) -> Waveform:

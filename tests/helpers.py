@@ -95,6 +95,19 @@ def oracle_source_frames(reference, estimate, cfg):
     return frames
 
 
+def assert_frames_match_oracle(got, want):
+    """NaN, the +300 sentinel and the +-300 cap exactly; other frames within
+    1e-12 relative (of 1 dB for frames within 1 dB of 0)."""
+    assert [math.isnan(v) for v in got] == [math.isnan(v) for v in want]
+    for g, w in zip(got, want):
+        if math.isnan(w):
+            continue
+        if abs(w) == 300.0 or abs(g) == 300.0:
+            assert g == w
+        else:
+            assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (g, w)
+
+
 def oracle_median_sdr(references, estimate, source_index, cfg):
     """Median of `oracle_source_frames` over the non-silent frames."""
     kept = [v for v in oracle_source_frames(references.sources[source_index], estimate, cfg)

@@ -1,18 +1,20 @@
+import os
 import struct
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stemfuse import (
-    WavReader,
     Waveform,
     read_magnitudes,
     read_wav,
     write_magnitudes,
     write_wav,
 )
+from stemfuse.audio_io import WavReader
 from stemfuse.errors import (
     IoFailure,
     MalformedHeader,
@@ -320,18 +322,17 @@ def wav_files(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), wav=wav_files(), block_frames=st.sampled_from([1, 3, 7, 1 << 16, None]))
-def test_reader_frames_are_bitwise_the_whole_file_read(tmp_path_factory, data, wav,
-                                                        block_frames):
+@given(data=st.data(), wav=wav_files())
+def test_reader_frames_are_bitwise_the_whole_file_read(tmp_path_factory, data, wav):
     blob, plain, channels, frames = wav
     path = tmp_path_factory.getbasetemp() / "frames.wav"
     path.write_bytes(plain)
     whole, _ = bytes_read_wav(path)  # the whole-file bytes parser knows no extensible fmt
     path.write_bytes(blob)
     assert read_wav(path).samples.tobytes() == np.ascontiguousarray(whole).tobytes()
-    with WavReader(path, block_frames) as reader:
+    with WavReader(path) as reader:
         assert (reader.channels, reader.length) == (channels, frames)
-        for _ in range(3):
+        for _ in range(4):  # ranges of any size, in any order: the scratch grows and is reused
             start = data.draw(st.integers(0, frames))
             stop = data.draw(st.integers(start, frames))
             want = whole[:, start:stop]
@@ -346,10 +347,31 @@ def test_reader_names_the_frames_of_a_non_finite_sample(tmp_path):
     samples[1, 6] = np.inf
     path = tmp_path / "late.wav"
     path.write_bytes(build_wav(samples.T.tobytes(), tag=3, bits=32))
-    with WavReader(path, block_frames=4) as reader:
+    with WavReader(path) as reader:
         assert np.all(reader.frames(0, 4) == 0.0)  # the header is fine; the samples come later
-        with pytest.raises(NonFiniteSamples, match=f"^{path}: non-finite samples in frames 6..9$"):
+        with pytest.raises(NonFiniteSamples, match=f"^{path}: non-finite samples in frames 2..9$"):
             reader.frames(2, 10)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_wav_given_through_a_pipe_is_read_whole(tmp_path):
+    rng = np.random.default_rng(3)
+    write_wav(Waveform(rng.uniform(-1, 1, size=(2, 300)), 8000), tmp_path / "x.wav")
+    blob = (tmp_path / "x.wav").read_bytes()
+    fifo = tmp_path / "pipe.wav"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(blob)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        got = read_wav(fifo)
+    finally:
+        writer.join()
+    assert got.samples.tobytes() == read_wav(tmp_path / "x.wav").samples.tobytes()
 
 
 def test_reader_of_a_file_cut_after_it_was_opened_raises_truncated_data(tmp_path):
@@ -371,8 +393,8 @@ def test_reader_rejects_frames_outside_the_file(tmp_path):
 
 
 def read_in_pieces(path):
-    """A WavReader's every frame, read as two ranges in blocks of 5 frames."""
-    with WavReader(path, block_frames=5) as reader:
+    """A WavReader's every frame, read as two ranges."""
+    with WavReader(path) as reader:
         half = reader.length // 2
         return reader.frames(0, half), reader.frames(half, reader.length)
 

@@ -33,6 +33,7 @@ from stemfuse.errors import (
 )
 
 from helpers import (
+    assert_frames_match_oracle,
     dense_frame_sdr,
     dense_projection,
     longdouble_frame_sdr,
@@ -280,19 +281,6 @@ class TestSdrFrames:
         refs = make_waveform_set(rng, channels=1, length=1000)
         report = sdr_frames(refs, refs, EvalConfig(filter_len=2, win=1e306, hop=1e306))
         assert report.per_source_frames["drums"] == [300.0]
-
-
-def assert_frames_match_oracle(got, want):
-    """NaN, the +300 sentinel and the +-300 cap exactly; other frames within
-    1e-12 relative (of 1 dB for frames within 1 dB of 0)."""
-    assert [math.isnan(v) for v in got] == [math.isnan(v) for v in want]
-    for g, w in zip(got, want):
-        if math.isnan(w):
-            continue
-        if abs(w) == 300.0 or abs(g) == 300.0:
-            assert g == w
-        else:
-            assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (g, w)
 
 
 SEGMENT_KINDS = ("noisy", "silent", "near-silent", "exact", "zero-estimate", "scaled")

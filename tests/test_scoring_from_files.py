@@ -17,14 +17,14 @@ from stemfuse import (
     SourceWaveformSet,
     Waveform,
     bsseval,
-    open_stem_dir,
     report_to_json_dict,
     sdr_frames,
     search_weights,
 )
 from stemfuse.cli import main
+from stemfuse.pipeline import _open_stem_dir
 
-from helpers import write_stem_dir
+from helpers import assert_frames_match_oracle, oracle_source_frames, write_stem_dir
 
 SR = 8000
 
@@ -68,16 +68,21 @@ def assert_same_frames(got, want):
 
 
 @settings(max_examples=40, deadline=None)
-@given(scene=scenes(), fortran=st.booleans(), breakdown=st.booleans())
+@given(scene=scenes(), fortran=st.booleans(), breakdown=st.booleans(),
+       batch=st.sampled_from([None, 1, 3]))
 def test_scoring_from_readers_is_bitwise_scoring_in_memory(tmp_path_factory, scene, fortran,
-                                                           breakdown):
+                                                           breakdown, batch):
     refs, stems, cfg = scene
     root = tmp_path_factory.mktemp("scene")
     in_memory = float32_set(refs, fortran), [float32_set(s, fortran) for s in stems]
     ref_dir = write_stem_dir(root / "refs", in_memory[0])
     model_dirs = [write_stem_dir(root / f"model{m}", s) for m, s in enumerate(in_memory[1])]
     columns = [[1.0] + [0.0] * (len(stems) - 1), [1.0 / len(stems)] * len(stems)]
+    tols = (bsseval.BlendScorer.CANCELLATION_TOL, bsseval.BlendScorer.REPORT_TOL)
+    one_batch = [bsseval.BlendScorer(*in_memory, cfg).frame_sdr(columns, tol) for tol in tols]
     with pytest.MonkeyPatch.context() as mp, ExitStack() as files:
+        if batch is not None:  # `batch` frames per `_levinson` call: batches end mid-source
+            mp.setattr(bsseval, "_SOLVE_VALUES", in_memory[0].channels * cfg.filter_len * batch)
         if breakdown:  # every first system of a `_levinson` call takes the dense path
             levinson = bsseval._levinson
 
@@ -87,14 +92,20 @@ def test_scoring_from_readers_is_bitwise_scoring_in_memory(tmp_path_factory, sce
                 return coef, ok
 
             mp.setattr(bsseval, "_levinson", first_system_breaks_down)
-        from_files = (open_stem_dir(ref_dir, files),
-                      [open_stem_dir(d, files) for d in model_dirs])
-        for tol in (bsseval.BlendScorer.CANCELLATION_TOL, bsseval.BlendScorer.REPORT_TOL):
+        from_files = (_open_stem_dir(ref_dir, files),
+                      [_open_stem_dir(d, files) for d in model_dirs])
+        for tol, unbatched in zip(tols, one_batch):
             want = bsseval.BlendScorer(*in_memory, cfg).frame_sdr(columns, tol)
             assert_same_frames(bsseval.BlendScorer(*from_files, cfg).frame_sdr(columns, tol),
                                want)
+            if not breakdown:  # a system's solve does not depend on the batch it is in
+                assert_same_frames(want, unbatched)
+        report = sdr_frames(from_files[0], from_files[1][0], cfg)
         want = report_to_json_dict(sdr_frames(in_memory[0], in_memory[1][0], cfg))
-        assert report_to_json_dict(sdr_frames(from_files[0], from_files[1][0], cfg)) == want
+        assert report_to_json_dict(report) == want
+        for frames, ref, est in zip(report.per_source_frames.values(), in_memory[0].sources,
+                                    in_memory[1][0].sources):
+            assert_frames_match_oracle(frames, oracle_source_frames(ref, est, cfg))
         want = search_weights(in_memory[1], in_memory[0], 0.25, cfg)
         got = search_weights(from_files[1], from_files[0], 0.25, cfg)
         assert got.weights.tobytes() == want.weights.tobytes()
