@@ -22,10 +22,10 @@ from .errors import (
     ColumnSumViolation,
     ModelCountMismatch,
     NegativeWeight,
-    SampleRateMismatch,
     ShapeMismatch,
 )
 from .core import SOURCE_NAMES, SourceWaveformSet, Waveform, _atomic_write, source_labels
+from .core import _check_alike
 
 COLUMN_SUM_TOL = 1e-6
 # Search scores within this many dB of the best tie. Closed-form scores
@@ -99,18 +99,6 @@ def validate_weights(
     return BlendWeights(weights, tuple(model_names), tuple(source_names))
 
 
-def _check_stem_sets(per_model_stems: Sequence[SourceWaveformSet]) -> None:
-    first = per_model_stems[0]
-    shape = (first.num_sources, first.channels, first.length)
-    for stems in per_model_stems[1:]:
-        if (stems.num_sources, stems.channels, stems.length) != shape:
-            raise ShapeMismatch("per-model stem sets have different shapes")
-        if stems.sample_rate != first.sample_rate:
-            raise SampleRateMismatch(
-                f"stem sets have different rates: {stems.sample_rate} vs {first.sample_rate}"
-            )
-
-
 def check_weights_fit(w: BlendWeights, num_models: int, num_sources: int) -> None:
     """Raise unless `w` has one row per model and one column per source."""
     if num_models != w.num_models:
@@ -137,7 +125,7 @@ def blend(per_model_stems: Sequence[SourceWaveformSet], w: BlendWeights) -> Sour
     """fused_j = sum_m w[m, j] * stems_m[j], sample-wise."""
     num_sources = per_model_stems[0].num_sources if per_model_stems else w.num_sources
     check_weights_fit(w, len(per_model_stems), num_sources)
-    _check_stem_sets(per_model_stems)
+    _check_alike("stem sets", *(stems.sources for stems in per_model_stems))
     first = per_model_stems[0]
     fused = np.zeros((w.num_sources, first.channels, first.length))
     for m, stems in enumerate(per_model_stems):
@@ -177,7 +165,7 @@ def search_weights(
     steps = round(1.0 / grid_step)
     if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step {grid_step} does not divide 1 evenly")
-    _check_stem_sets(list(per_model_stems) + [references])
+    _check_alike("stem sets", *(stems.sources for stems in per_model_stems), references.sources)
     cfg = eval_config if eval_config is not None else bsseval.EvalConfig()
 
     num_models = len(per_model_stems)

@@ -29,13 +29,11 @@ import numpy as np
 
 from .errors import (
     EmptyInput,
-    LengthMismatch,
     RankDeficient,
-    SampleRateMismatch,
-    ShapeMismatch,
     SilentReference,
 )
-from .core import SourceWaveformSet, Waveform, _atomic_write, source_labels
+from .core import SourceWaveformSet, Waveform, _atomic_write, _check_alike, source_labels
+from .core import _is_int, _is_real
 
 SDR_CAP_DB = 300.0
 SILENT_FRAME_ENERGY = 1e-12
@@ -52,10 +50,11 @@ class EvalConfig:
     hop: float = 1.0
 
     def __post_init__(self):
-        if self.filter_len < 1:
-            raise ValueError(f"filter_len must be >= 1, got {self.filter_len}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.win, self.hop)):
-            raise ValueError(f"win/hop must be finite and positive, got {self.win}, {self.hop}")
+        if not (_is_int(self.filter_len) and self.filter_len >= 1):
+            raise ValueError(f"filter_len must be an integer >= 1, got {self.filter_len!r}")
+        if not all(_is_real(v) and math.isfinite(v) and v > 0 for v in (self.win, self.hop)):
+            raise ValueError(f"win/hop must be finite and positive, got {self.win!r}, {self.hop!r}")
+        object.__setattr__(self, "filter_len", int(self.filter_len))  # a numpy integer too
 
 
 @dataclass
@@ -201,16 +200,6 @@ def _projection(refs: np.ndarray, est: np.ndarray, filter_len: int) -> np.ndarra
     return projected
 
 
-def _check_pair(refs, est) -> None:
-    """An estimate (or set) must match its references in channels, length and rate."""
-    if refs.channels != est.channels:
-        raise ShapeMismatch(f"channel counts differ: {refs.channels} vs {est.channels}")
-    if refs.length != est.length:
-        raise LengthMismatch(f"lengths differ: {refs.length} vs {est.length}")
-    if refs.sample_rate != est.sample_rate:
-        raise SampleRateMismatch(f"rates differ: {refs.sample_rate} vs {est.sample_rate}")
-
-
 def project_subspace(
     references: SourceWaveformSet, estimate: Waveform, filter_len: int, source_index: int
 ):
@@ -224,7 +213,7 @@ def project_subspace(
         raise ValueError(f"filter_len must be >= 1, got {filter_len}")
     if not 0 <= source_index < references.num_sources:
         raise ValueError(f"source_index {source_index} out of range")
-    _check_pair(references, estimate)
+    _check_alike("references and estimate", references.sources[:1], [estimate])
     target = references.sources[source_index]
     if float(np.sum(target.samples ** 2)) <= 0.0:
         raise SilentReference(f"reference of source {source_index} is identically zero")
@@ -285,11 +274,7 @@ def sdr_frames(
     and excluded from the median; the overall average is the arithmetic
     mean of the per-source medians (see `_mean_of_medians`).
     """
-    if references.num_sources != estimates.num_sources:
-        raise ShapeMismatch(
-            f"source counts differ: {references.num_sources} vs {estimates.num_sources}"
-        )
-    _check_pair(references, estimates)
+    _check_alike("references and estimates", references.sources, estimates.sources)
     rows = BlendScorer(references, [estimates], cfg).frame_sdr([[1.0]], BlendScorer.REPORT_TOL)
     frames = {label: row[:, 0].tolist() for label, row in zip(source_labels(len(rows)), rows)}
     medians = {label: _median_ignoring_nan(values) for label, values in frames.items()}

@@ -4,7 +4,7 @@ Conventions: waveforms are channel-major float64 arrays of shape
 ``(channels, length)``; spectrograms are one-sided complex tensors of
 shape ``(channels, frames, fft_size // 2 + 1)``. Stems come in the fixed
 source order (drums, bass, other, vocals). Every file the toolkit writes
-goes through `_atomic_write`.
+goes through `_atomic_write`, every check that stem sets agree through `_check_alike`.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Iterable, List
 import numpy as np
 
 from .errors import ConfigMismatch, NonFiniteSamples, SampleRateMismatch, ShapeMismatch
+from .errors import LengthMismatch
 
 SOURCE_NAMES = ("drums", "bass", "other", "vocals")
 
@@ -180,21 +181,44 @@ class Spectrogram:
         return self.bins.shape[2]
 
 
+def _sizes(signal) -> tuple:
+    """(size, value, error) of every size in which alike signals agree, in checking order."""
+    if isinstance(signal, Spectrogram):
+        channels, frames, bins = signal.bins.shape
+        return (("channels", channels, ShapeMismatch), ("bins", bins, ShapeMismatch),
+                ("frames", frames, LengthMismatch), ("STFT config", signal.config, ConfigMismatch),
+                ("sample rate", signal.sample_rate, SampleRateMismatch))
+    return (("channels", signal.channels, ShapeMismatch), ("length", signal.length, LengthMismatch),
+            ("sample rate", signal.sample_rate, SampleRateMismatch))
+
+
+def _check_alike(what: str, *groups) -> None:
+    """Raise unless the groups of signals (Waveforms, WAV readers or Spectrograms:
+    one set's members, or the members of sets that meet) have one number of
+    members and every member agrees with the first in each of its `_sizes`.
+
+    The one shape contract of stem sets: a different source, channel or bin
+    count is a ShapeMismatch, a different length or frame count a
+    LengthMismatch, rate a SampleRateMismatch, STFT config a ConfigMismatch.
+    The message names `what`, the size and both values.
+    """
+    if not groups[0]:
+        raise ValueError("source set needs at least one member")
+    first = _sizes(groups[0][0])
+    for group in groups:
+        if len(group) != len(groups[0]):
+            raise ShapeMismatch(f"{what} differ in sources: {len(groups[0])} vs {len(group)}")
+        for signal in group:
+            for (size, a, error), (_, b, _) in zip(first, _sizes(signal)):
+                if a != b:
+                    raise error(f"{what} differ in {size}: {a} vs {b}")
+
+
 class _SourceSet:
     """Members of one shape and rate, and those shared sizes."""
 
     def __post_init__(self):
-        if len(self.sources) < 1:
-            raise ValueError("source set needs at least one member")
-        first = self.sources[0]
-        for w in self.sources[1:]:
-            shape, first_shape = (w.channels, w.length), (first.channels, first.length)
-            if shape != first_shape:
-                raise ShapeMismatch(f"source shapes differ: {shape} vs {first_shape}")
-            if w.sample_rate != first.sample_rate:
-                raise SampleRateMismatch(
-                    f"source rates differ: {w.sample_rate} vs {first.sample_rate}"
-                )
+        _check_alike("sources", self.sources)
 
     @property
     def num_sources(self) -> int:
@@ -231,18 +255,7 @@ class SourceSpectrogramSet:
     sources: List[Spectrogram]
 
     def __post_init__(self):
-        if len(self.sources) < 1:
-            raise ValueError("source set needs at least one member")
-        first = self.sources[0]
-        for s in self.sources[1:]:
-            if s.bins.shape != first.bins.shape:
-                raise ShapeMismatch(f"source shapes differ: {s.bins.shape} vs {first.bins.shape}")
-            if s.config != first.config:
-                raise ConfigMismatch("source spectrograms carry different STFT configs")
-            if s.sample_rate != first.sample_rate:
-                raise SampleRateMismatch(
-                    f"source rates differ: {s.sample_rate} vs {first.sample_rate}"
-                )
+        _check_alike("sources", self.sources)
 
     @property
     def num_sources(self) -> int:

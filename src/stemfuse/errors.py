@@ -65,8 +65,8 @@ class SampleRateMismatch(StemfuseError):
     code = "sample-rate-mismatch"
 
 
-class LengthMismatch(StemfuseError):
-    """Signals differ in length beyond the allowed tolerance."""
+class LengthMismatch(ShapeMismatch):
+    """Signals differ in length (or frames) beyond the allowed tolerance; a shape mismatch."""
 
     code = "length-mismatch"
 

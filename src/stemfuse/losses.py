@@ -11,28 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
-from .core import SourceSpectrogramSet, SourceWaveformSet
+from .core import SourceSpectrogramSet, SourceWaveformSet, _check_alike
 
 COSINE_EPS = 1e-8
 
 
-def _check_pair(truth, est) -> None:
-    if truth.num_sources != est.num_sources:
-        raise ShapeMismatch(
-            f"source counts differ: {truth.num_sources} vs {est.num_sources}"
-        )
-    a = truth.sources[0]
-    b = est.sources[0]
-    sa = a.bins.shape if hasattr(a, "bins") else a.samples.shape
-    sb = b.bins.shape if hasattr(b, "bins") else b.samples.shape
-    if sa != sb:
-        raise ShapeMismatch(f"shapes differ: {sa} vs {sb}")
-
-
 def freq_mse(truth: SourceSpectrogramSet, est: SourceSpectrogramSet) -> float:
     """Sum over sources, channels, frames and bins of |Y - Y_hat|^2."""
-    _check_pair(truth, est)
+    _check_alike("truth and estimate", truth.sources, est.sources)
     total = 0.0
     for t, e in zip(truth.sources, est.sources):
         diff = e.bins - t.bins
@@ -46,13 +32,13 @@ def freq_mse_grad(truth: SourceSpectrogramSet, est: SourceSpectrogramSet) -> lis
     A perturbation d of the estimate moves the loss by 2 * Re<g, d> to
     first order, with <a, b> = sum(conj(a) * b).
     """
-    _check_pair(truth, est)
+    _check_alike("truth and estimate", truth.sources, est.sources)
     return [e.bins - t.bins for t, e in zip(truth.sources, est.sources)]
 
 
 def l1_waveform(truth: SourceWaveformSet, est: SourceWaveformSet) -> float:
     """Aggregated L1 norm between per-source waveforms."""
-    _check_pair(truth, est)
+    _check_alike("truth and estimate", truth.sources, est.sources)
     total = 0.0
     for t, e in zip(truth.sources, est.sources):
         total += float(np.sum(np.abs(e.samples - t.samples)))
@@ -64,7 +50,7 @@ def time_domain_loss(truth: SourceWaveformSet, est: SourceWaveformSet) -> float:
 
     The epsilon in the denominator keeps silent estimates finite.
     """
-    _check_pair(truth, est)
+    _check_alike("truth and estimate", truth.sources, est.sources)
     total = 0.0
     for t, e in zip(truth.sources, est.sources):
         y = t.samples.ravel()

@@ -77,7 +77,6 @@ from .core import (
 from .stft import _analysis_frames, _OverlapAdd, frame_count
 from .toy_models import BandMaskModel
 from .wiener import (
-    _BLOCK_BYTES,
     MwfConfig,
     _block_terms,
     _check_channels,
@@ -86,7 +85,6 @@ from .wiener import (
     _Mixture,
     _refilter,
     _Sweeps,
-    _worker_count,
 )
 
 BUILTIN_TOY = "builtin-toy"
@@ -374,50 +372,44 @@ def _open_magnitude_dir(directory, names, shape: tuple, files: ExitStack) -> Cal
 class _SpectralBranch:
     """A TF model or a builtin-toy T model, evaluated one block of frames at a time.
 
-    `masks` are the builtin-toy band masks, `mag_frames` reads the
-    magnitudes of an external TF model (see `_open_magnitude_dir`);
-    `spatial` holds the R of each EM pass finished so far.
+    `gains(mixture, start, stop)` gives the real gains of mixture frames
+    start .. stop - 1, as (J, C, b, F) or broadcast to it; `spatial` holds
+    the R of each EM pass of a TF branch finished so far, and is None for
+    a T branch, whose stems are its gains times the mixture.
     """
 
     weights: np.ndarray
-    domain: str
-    masks: Optional[np.ndarray] = None
-    mag_frames: Optional[Callable] = None
-    spatial: list = field(default_factory=list)
-
-    def gains(self, mixture: _Mixture, start: int, stop: int, cfg: MwfConfig) -> np.ndarray:
-        """(J, C, b, F) mask gains of a TF branch for mixture frames start .. stop - 1."""
-        if self.mag_frames is None:  # |x| times each band mask, straight into the gains
-            mags = np.multiply(mixture.magnitude, self.masks[:, None, None, :])
-        else:
-            mags = self.mag_frames(start, stop)
-        return _mask_gains(mags, cfg.mask_power)
+    gains: Callable
+    spatial: Optional[list]
 
     def em_terms(self, mixture: _Mixture, start: int, stop: int, cfg: MwfConfig):
         """The `_SpatialSums` terms of the next EM pass for frames start .. stop - 1."""
-        g = self.gains(mixture, start, stop, cfg)
+        g = self.gains(mixture, start, stop)
         if not self.spatial:  # the first pass runs on the real gains
             return _gain_terms(g, mixture)
         return _block_terms(_refilter(g, mixture, self.spatial, cfg.eps))
 
     def stems(self, mixture: _Mixture, start: int, stop: int, cfg: MwfConfig):
         """Per-source complex stems of mixture frames start .. stop - 1."""
-        if self.domain == T_DOMAIN:  # mask the complex mixture directly
-            return (mixture.x * mask for mask in self.masks)
-        return _refilter(self.gains(mixture, start, stop, cfg), mixture, self.spatial, cfg.eps)
+        return _refilter(self.gains(mixture, start, stop), mixture, self.spatial, cfg.eps)
 
 
 def _spectral_branch(entry: ModelEntry, weights: np.ndarray, names, shape: tuple,
                      sample_rate: int, cfg: PipelineConfig, files: ExitStack) -> _SpectralBranch:
     if entry.domain == TF_DOMAIN:  # before any file, so the mixture is blamed first
         _check_channels(shape[0])
-    branch = _SpectralBranch(weights, entry.domain)
-    if entry.source == BUILTIN_TOY:
-        model = BandMaskModel.default(leakage=entry.leakage)
-        branch.masks = model.bin_masks(sample_rate, cfg.stft.fft_size)
-    else:
-        branch.mag_frames = _open_magnitude_dir(entry.source, names, shape, files)
-    return branch
+    power = cfg.mwf.mask_power
+    if entry.source != BUILTIN_TOY:
+        mag_frames = _open_magnitude_dir(entry.source, names, shape, files)
+        return _SpectralBranch(weights, lambda mixture, start, stop: _mask_gains(
+            mag_frames(start, stop), power), [])
+    model = BandMaskModel.default(leakage=entry.leakage)
+    masks = model.bin_masks(sample_rate, cfg.stft.fft_size)[:, None, None, :]
+    if entry.domain == T_DOMAIN:  # the band masks mask the complex mixture directly
+        return _SpectralBranch(weights, lambda mixture, start, stop: masks, None)
+    # |x| times each band mask, straight into the gains
+    return _SpectralBranch(weights, lambda mixture, start, stop: _mask_gains(
+        np.multiply(mixture.magnitude, masks), power), [])
 
 
 def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBranch],
@@ -433,7 +425,7 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
     frames = shape[1]
     synthesis = _OverlapAdd((num_sources, channels), cfg.stft, frames, mix.length)
     window = cfg.stft.window_array()
-    tf = [b for b in branches if b.domain == TF_DOMAIN]
+    tf = [b for b in branches if b.spatial is not None]
 
     def mixture(start, stop):
         # frames of a Fortran-ordered input (a transposed array) have the
@@ -452,7 +444,7 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
             weighted_accumulate(spectral, branch.weights, branch.stems(block, start, stop, cfg.mwf))
         return synthesis.synthesize(spectral)
 
-    with _Sweeps(num_sources, shape, _BLOCK_BYTES, _worker_count()) as sweeps:
+    with _Sweeps(num_sources, shape) as sweeps:
         for _ in range(cfg.mwf.iterations if tf else 0):
             for branch, spatial in zip(tf, sweeps.em_pass(em_terms, cfg.mwf.eps)):
                 branch.spatial.append(spatial)

@@ -350,18 +350,19 @@ def _worker_count() -> int:
 
 class _Sweeps:
     """Sweeps over the frames of (C, T, F) spectra of `sources` sources, in
-    blocks of about `block_bytes` of complex (sources, C, frames, F)
+    blocks of about `_BLOCK_BYTES` of complex (sources, C, frames, F)
     spectra (no frames are one empty block). Per-block work runs on a
-    pool of `workers` threads; this thread takes the results strictly in
+    pool of `_worker_count()` threads; this thread takes the results strictly in
     block order, so what it sums does not depend on the number of
     threads. Leaving the `with` block drops queued blocks and joins
     running ones."""
 
-    def __init__(self, sources: int, shape: tuple, block_bytes: int, workers: int):
+    def __init__(self, sources: int, shape: tuple):
         from concurrent.futures import ThreadPoolExecutor  # ~9 ms to import; only sweeps need it
 
         channels, frames, bins = shape
-        step = max(1, block_bytes // (sources * channels * bins * 16))
+        workers = _worker_count()
+        step = max(1, _BLOCK_BYTES // (sources * channels * bins * 16))
         self.blocks = [(start, min(start + step, frames))
                        for start in range(0, max(frames, 1), step)]
         self.window = 2 * workers + 1
@@ -424,7 +425,7 @@ def _em(x: np.ndarray, num_sources: int, first: Callable, iterations: int,
         if len(spatials) < iterations:
             return [_block_terms(y) if np.iscomplexobj(y) else _gain_terms(y, mixture)]
 
-    with _Sweeps(num_sources, x.shape, _BLOCK_BYTES, _worker_count()) as sweeps:
+    with _Sweeps(num_sources, x.shape) as sweeps:
         for _ in range(iterations):
             spatials += sweeps.em_pass(sweep, eps)
         for _ in sweeps.in_order(sweep):
@@ -459,7 +460,7 @@ def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[Spatia
         psd[:, start:stop] = block[0]
         return [block]
 
-    with _Sweeps(len(bins), bins[0].shape, _BLOCK_BYTES, _worker_count()) as sweeps:
+    with _Sweeps(len(bins), bins[0].shape) as sweeps:
         [(r_diag, r01)] = sweeps.em_pass(terms, eps)
     num_sources, channels, num_bins = r_diag.shape
     cov = np.zeros((num_sources, num_bins, channels, channels), dtype=np.complex128)
@@ -495,7 +496,7 @@ def apply_filter(
         x = np.ascontiguousarray(mix.bins[:, start:stop])
         _filter_step(psd, (r_diag, r01), x, eps, out[:, :, start:stop])
 
-    with _Sweeps(len(models), mix.bins.shape, _BLOCK_BYTES, _worker_count()) as sweeps:
+    with _Sweeps(len(models), mix.bins.shape) as sweeps:
         for _ in sweeps.in_order(block):
             pass
     return _as_set(out, mix)

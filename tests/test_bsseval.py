@@ -688,3 +688,25 @@ class TestSerialization:
         path = tmp_path / "table.csv"
         save_report_csv(report, path)
         assert path.read_text() == text
+
+
+class TestEvalConfigTypes:
+    def test_numpy_integer_filter_len_is_stored_as_int_and_scores(self):
+        cfg = EvalConfig(filter_len=np.int64(4), win=np.float64(256 / SR), hop=256 / SR)
+        assert type(cfg.filter_len) is int and cfg == EvalConfig(4, 256 / SR, 256 / SR)
+        refs = make_waveform_set(np.random.default_rng(30), length=512, scale=0.3)
+        want = sdr_frames(refs, refs, EvalConfig(4, 256 / SR, 256 / SR))
+        assert sdr_frames(refs, refs, cfg) == want
+
+    @pytest.mark.parametrize("filter_len", [2.5, 16.0, np.float64(16), True, np.bool_(True),
+                                            "16", None, 0, -3])
+    def test_filter_len_that_is_no_positive_integer_is_a_value_error(self, filter_len):
+        with pytest.raises(ValueError, match="filter_len must be an integer"):
+            EvalConfig(filter_len=filter_len)
+
+    @pytest.mark.parametrize("field", ["win", "hop"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1.0", 1j, None,
+                                       math.nan, math.inf, 0.0, -1.0])
+    def test_win_or_hop_that_is_no_positive_real_is_a_value_error(self, field, value):
+        with pytest.raises(ValueError, match="win/hop must be finite and positive"):
+            EvalConfig(filter_len=4, **{field: value})

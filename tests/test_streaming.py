@@ -50,9 +50,9 @@ def set_blocks(mp, mix, cfg, block_frames=None, workers=None):
     """Use blocks of `block_frames` frames and `workers` threads; None keeps the default."""
     if block_frames is not None:
         unit = cfg.weights.num_sources * mix.channels * cfg.stft.num_bins * 16
-        mp.setattr(pipeline, "_BLOCK_BYTES", block_frames * unit)
+        mp.setattr(wiener, "_BLOCK_BYTES", block_frames * unit)
     if workers is not None:
-        mp.setattr(pipeline, "_worker_count", lambda: workers)
+        mp.setattr(wiener, "_worker_count", lambda: workers)
 
 
 def stems_of(mix, cfg, block_frames=None, workers=None, names=SOURCES):
@@ -243,7 +243,7 @@ def test_blocks_run_under_the_callers_numpy_error_state(monkeypatch):
         return analysis(*args)
 
     monkeypatch.setattr(pipeline, "_analysis_frames", recording)
-    monkeypatch.setattr(pipeline, "_worker_count", lambda: 2)
+    monkeypatch.setattr(wiener, "_worker_count", lambda: 2)
     mix = Waveform(np.random.default_rng(24).normal(size=(2, 16 * 40)), SR)
     with np.errstate(under="call", call=lambda *_: None):
         run(mix, PipelineConfig([ModelEntry("toy", "TF", "builtin-toy")],
@@ -292,7 +292,7 @@ def test_truncated_magnitudes_of_a_later_model_fail_before_any_block(tmp_path, m
 def test_no_transform_sees_more_than_one_block(monkeypatch):
     cfg = shipped_config()
     mix = toy_mix(2.0)
-    block = pipeline._BLOCK_BYTES // (NUM_SOURCES * mix.channels * cfg.stft.num_bins * 16)
+    block = wiener._BLOCK_BYTES // (NUM_SOURCES * mix.channels * cfg.stft.num_bins * 16)
     total = stft(mix, cfg.stft).frames
     seen = []
     for name in ("rfft", "irfft"):
@@ -336,7 +336,7 @@ def test_a_second_worker_adds_a_bounded_number_of_blocks():
     cfg = shipped_config()
     for mix in (toy_mix(2.0), toy_mix(6.0)):
         extra = traced_peak(mix, cfg, 2) - traced_peak(mix, cfg, 1)
-        assert extra <= 10 * pipeline._BLOCK_BYTES
+        assert extra <= 10 * wiener._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("iterations", [1, 0])
@@ -416,8 +416,10 @@ def test_apply_filter_rejects_a_psd_of_other_frames():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_blocks_submitted_and_not_consumed_never_exceed_the_window(workers):
-    with wiener._Sweeps(1, (1, 40, 1), 3 * 16, workers) as sweeps:  # 14 blocks of 3 frames
+def test_blocks_submitted_and_not_consumed_never_exceed_the_window(workers, monkeypatch):
+    monkeypatch.setattr(wiener, "_BLOCK_BYTES", 3 * 16)
+    monkeypatch.setattr(wiener, "_worker_count", lambda: workers)
+    with wiener._Sweeps(1, (1, 40, 1)) as sweeps:  # 14 blocks of 3 frames
         submitted = []
         submit = sweeps._pool.submit
         sweeps._pool.submit = lambda *args: submitted.append(args) or submit(*args)
