@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -25,7 +24,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .core import SOURCE_NAMES, SourceWaveformSet, Waveform, _atomic_write, source_labels
-from .core import _check_alike
+from .core import _check_alike, _is_positive_finite
 
 COLUMN_SUM_TOL = 1e-6
 # Search scores within this many dB of the best tie. Closed-form scores
@@ -160,7 +159,7 @@ def search_weights(
     """
     if len(per_model_stems) < 1:
         raise ValueError("need at least one model")
-    if not (math.isfinite(grid_step) and grid_step > 0):
+    if not _is_positive_finite(grid_step):
         raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
     steps = round(1.0 / grid_step)
     if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:

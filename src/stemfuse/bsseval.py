@@ -33,7 +33,7 @@ from .errors import (
     SilentReference,
 )
 from .core import SourceWaveformSet, Waveform, _atomic_write, _check_alike, source_labels
-from .core import _is_int, _is_real
+from .core import _is_int, _is_positive_finite
 
 SDR_CAP_DB = 300.0
 SILENT_FRAME_ENERGY = 1e-12
@@ -52,7 +52,7 @@ class EvalConfig:
     def __post_init__(self):
         if not (_is_int(self.filter_len) and self.filter_len >= 1):
             raise ValueError(f"filter_len must be an integer >= 1, got {self.filter_len!r}")
-        if not all(_is_real(v) and math.isfinite(v) and v > 0 for v in (self.win, self.hop)):
+        if not all(_is_positive_finite(v) for v in (self.win, self.hop)):
             raise ValueError(f"win/hop must be finite and positive, got {self.win!r}, {self.hop!r}")
         object.__setattr__(self, "filter_len", int(self.filter_len))  # a numpy integer too
 
@@ -330,10 +330,11 @@ class BlendScorer:
         self._signals = [[ref] + [stems.sources[j] for stems in per_model_stems]
                          for j, ref in enumerate(references.sources)]
         self._filter_len = taps = cfg.filter_len
-        windows = _windows(references, cfg)
+        first = references.sources[0]
+        windows = _windows(first, cfg)
         n = windows[0].stop - windows[0].start
         # the windows, then what no window covers: a file's every sample is read, so checked
-        gaps = zip([w.stop for w in windows], [w.start for w in windows[1:]] + [references.length])
+        gaps = zip([w.stop for w in windows], [w.start for w in windows[1:]] + [first.length])
         spans = windows + [slice(a, min(a + n, b)) for stop, b in gaps for a in range(stop, b, n)]
         num_models, channels = len(per_model_stems), references.channels
         nfft, step = _block_plan(n, taps)

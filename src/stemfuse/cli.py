@@ -35,22 +35,18 @@ def _write_stem_set(stems: SourceWaveformSet, out_dir: Path, names=SOURCE_NAMES)
         write_wav(stem, out_dir / f"{name}.wav", encoding="float32")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error usage: {message}", file=sys.stderr)
-    return 2
+class _UsageError(Exception):
+    """A missing input path or an empty input directory: exit code 2."""
 
 
-def _require_files(*paths) -> int | None:
+def _require_files(*paths) -> None:
     for path in paths:
         if not Path(path).exists():
-            return _usage_error(f"no such path: {path}")
-    return None
+            raise _UsageError(f"no such path: {path}")
 
 
 def cmd_separate(args) -> int:
-    bad = _require_files(args.input, args.config)
-    if bad is not None:
-        return bad
+    _require_files(args.input, args.config)
     mix = read_wav(args.input)
     cfg = pipeline_mod.load_pipeline_config(args.config)
     fused = pipeline_mod.run(mix, cfg)
@@ -59,13 +55,9 @@ def cmd_separate(args) -> int:
 
 
 def cmd_blend(args) -> int:
-    bad = _require_files(*args.stems)
-    if bad is not None:
-        return bad
+    _require_files(*args.stems)
     if args.weights is not None:
-        bad = _require_files(args.weights)
-        if bad is not None:
-            return bad
+        _require_files(args.weights)
         weights = load_weights(args.weights)
     else:
         weights = default_weights()
@@ -76,9 +68,7 @@ def cmd_blend(args) -> int:
 
 
 def cmd_search_weights(args) -> int:
-    bad = _require_files(*args.stems, args.references)
-    if bad is not None:
-        return bad
+    _require_files(*args.stems, args.references)
     with ExitStack() as files:
         stem_sets = [pipeline_mod._open_stem_dir(d, files) for d in args.stems]
         references = pipeline_mod._open_stem_dir(args.references, files)
@@ -95,9 +85,7 @@ def cmd_search_weights(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    bad = _require_files(args.estimates, args.references)
-    if bad is not None:
-        return bad
+    _require_files(args.estimates, args.references)
     with ExitStack() as files:  # stems are read window by window while they are scored
         estimates = pipeline_mod._open_stem_dir(args.estimates, files)
         references = pipeline_mod._open_stem_dir(args.references, files)
@@ -110,12 +98,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_wiener(args) -> int:
-    bad = _require_files(args.mix, args.mags)
-    if bad is not None:
-        return bad
+    _require_files(args.mix, args.mags)
     mag_paths = sorted(Path(args.mags).glob(f"*{pipeline_mod.MAGNITUDE_SUFFIX}"))
     if not mag_paths:
-        return _usage_error(f"no *{pipeline_mod.MAGNITUDE_SUFFIX} files in {args.mags}")
+        raise _UsageError(f"no *{pipeline_mod.MAGNITUDE_SUFFIX} files in {args.mags}")
     mix = read_wav(args.mix)
     names = tuple(p.stem for p in mag_paths)
     cfg = pipeline_mod.PipelineConfig(
@@ -186,6 +172,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error usage: {exc}", file=sys.stderr)
+        return 2
     except StemfuseError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return 1

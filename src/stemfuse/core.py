@@ -9,6 +9,7 @@ goes through `_atomic_write`, every check that stem sets agree through `_check_a
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import tempfile
@@ -34,6 +35,14 @@ def _is_int(value) -> bool:
 def _is_real(value) -> bool:
     """True for a real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _is_positive_finite(value) -> bool:
+    """True for a real number > 0, not a bool, that a float holds finitely."""
+    try:
+        return _is_real(value) and value > 0 and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def source_labels(count: int) -> tuple:
@@ -192,15 +201,17 @@ def _sizes(signal) -> tuple:
             ("sample rate", signal.sample_rate, SampleRateMismatch))
 
 
-def _check_alike(what: str, *groups) -> None:
+def _check_alike(what: str, *groups, tolerance: int = 0) -> None:
     """Raise unless the groups of signals (Waveforms, WAV readers or Spectrograms:
     one set's members, or the members of sets that meet) have one number of
-    members and every member agrees with the first in each of its `_sizes`.
+    members and every member agrees with the first in each of its `_sizes`,
+    lengths within `tolerance` samples.
 
     The one shape contract of stem sets: a different source, channel or bin
     count is a ShapeMismatch, a different length or frame count a
     LengthMismatch, rate a SampleRateMismatch, STFT config a ConfigMismatch.
-    The message names `what`, the size and both values.
+    The message names `what`, the size, both values and the odd member's
+    file, if it has one.
     """
     if not groups[0]:
         raise ValueError("source set needs at least one member")
@@ -210,12 +221,16 @@ def _check_alike(what: str, *groups) -> None:
             raise ShapeMismatch(f"{what} differ in sources: {len(groups[0])} vs {len(group)}")
         for signal in group:
             for (size, a, error), (_, b, _) in zip(first, _sizes(signal)):
-                if a != b:
-                    raise error(f"{what} differ in {size}: {a} vs {b}")
+                if a != b and not (size == "length" and abs(a - b) <= tolerance):
+                    named = f" ({signal.path})" if hasattr(signal, "path") else ""
+                    raise error(f"{what} differ in {size}: {a} vs {b}{named}")
 
 
+@dataclass
 class _SourceSet:
-    """Members of one shape and rate, and those shared sizes."""
+    """Members of one shape and rate, and the sizes they all have."""
+
+    sources: list
 
     def __post_init__(self):
         _check_alike("sources", self.sources)
@@ -227,10 +242,6 @@ class _SourceSet:
     @property
     def channels(self) -> int:
         return self.sources[0].channels
-
-    @property
-    def length(self) -> int:
-        return self.sources[0].length
 
     @property
     def sample_rate(self) -> int:
@@ -243,27 +254,20 @@ class SourceWaveformSet(_SourceSet):
 
     sources: List[Waveform]
 
+    @property
+    def length(self) -> int:
+        return self.sources[0].length
+
     def stacked(self) -> np.ndarray:
         """(num_sources, channels, length) copy of all samples."""
         return np.stack([w.samples for w in self.sources])
 
 
 @dataclass
-class SourceSpectrogramSet:
+class SourceSpectrogramSet(_SourceSet):
     """Ordered per-source spectrograms with identical shapes and configs."""
 
     sources: List[Spectrogram]
-
-    def __post_init__(self):
-        _check_alike("sources", self.sources)
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.sources)
-
-    @property
-    def channels(self) -> int:
-        return self.sources[0].channels
 
     def stacked(self) -> np.ndarray:
         """(num_sources, channels, frames, bins) copy of all bins."""

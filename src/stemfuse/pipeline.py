@@ -54,17 +54,15 @@ from .blend import (
     weights_from_json_dict,
 )
 from .errors import (
-    LengthMismatch,
     MalformedHeader,
     MissingStem,
     NegativeMagnitude,
     NonFiniteSamples,
-    SampleRateMismatch,
     ShapeMismatch,
     TruncatedData,
     WeightModelMismatch,
 )
-from .audio_io import WavReader, read_wav
+from .audio_io import WavReader
 from .core import (
     SOURCE_NAMES,
     SourceWaveformSet,
@@ -72,6 +70,7 @@ from .core import (
     Waveform,
     _SourceSet,
     _atomic_write,
+    _check_alike,
     _is_real,
 )
 from .stft import _analysis_frames, _OverlapAdd, frame_count
@@ -282,53 +281,32 @@ def load_stem_dir(directory, like: Optional[Waveform] = None,
                   length_tolerance: int = 0) -> SourceWaveformSet:
     """Read drums/bass/other/vocals WAVs from a directory.
 
-    When `like` is given, each stem must match its sample rate and
-    channel count, and lengths within `length_tolerance` samples are
-    padded/truncated to match; larger deviations are errors.
+    Each stem is checked as it is opened, so a fault names its file: it
+    must match the first stem, or `like` when given. Against `like`,
+    lengths within `length_tolerance` samples are padded/truncated to
+    match; larger deviations are errors.
     """
     stems = []
     for path in _stem_paths(directory):
-        stem = read_wav(path)
-        if like is not None:
-            stem = _conform(stem, like, length_tolerance, path)
-        stems.append(stem)
+        with WavReader(path) as stem:
+            if like is None:
+                _check_alike("sources", [stems[0] if stems else stem, stem])
+            else:
+                _check_alike("mixture and stem", [like, stem], tolerance=length_tolerance)
+            stems.append(_conform(Waveform(stem.frames(0, stem.length), stem.sample_rate), like))
     return SourceWaveformSet(stems)
 
 
-@dataclass
-class _StemReaders(_SourceSet):
-    """A stem directory's WAVs as open `WavReader`s, in SOURCE_NAMES order.
-
-    `eval` and `search-weights` hand it to `bsseval.BlendScorer`, which
-    reads it window by window. It has a SourceWaveformSet's sizes and
-    checks but no samples, so it is no SourceWaveformSet.
-    """
-
-    sources: List[WavReader]
+def _open_stem_dir(directory, files: ExitStack) -> _SourceSet:
+    """The stems of a directory as `WavReader`s kept open in `files`, in
+    SOURCE_NAMES order, their headers checked as `load_stem_dir` checks
+    them; the samples are read, and checked, when they are used."""
+    return _SourceSet([files.enter_context(WavReader(p)) for p in _stem_paths(directory)])
 
 
-def _open_stem_dir(directory, files: ExitStack) -> _StemReaders:
-    """The stems of a directory as readers kept open in `files`, their headers
-    checked as `load_stem_dir` checks them; the samples are read, and
-    checked, when they are used."""
-    return _StemReaders([files.enter_context(WavReader(p)) for p in _stem_paths(directory)])
-
-
-def _conform(stem: Waveform, like: Waveform, tolerance: int, path) -> Waveform:
-    if stem.sample_rate != like.sample_rate:
-        raise SampleRateMismatch(
-            f"{path}: stem rate {stem.sample_rate} != mixture rate {like.sample_rate}"
-        )
-    if stem.channels != like.channels:
-        raise ShapeMismatch(
-            f"{path}: stem has {stem.channels} channels, mixture has {like.channels}"
-        )
-    delta = stem.length - like.length
-    if abs(delta) > tolerance:
-        raise LengthMismatch(
-            f"{path}: stem length {stem.length} deviates from mixture length "
-            f"{like.length} by more than {tolerance} samples"
-        )
+def _conform(stem: Waveform, like: Optional[Waveform]) -> Waveform:
+    """`stem` zero-padded or truncated to the length of `like`, if given."""
+    delta = stem.length - like.length if like is not None else 0
     if delta > 0:
         return Waveform(stem.samples[:, :like.length], stem.sample_rate)
     if delta < 0:

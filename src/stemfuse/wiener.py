@@ -29,7 +29,6 @@ the filtered estimates.
 from __future__ import annotations
 
 import contextvars
-import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ShapeMismatch, SingularMixCovariance
-from .core import Spectrogram, SourceSpectrogramSet, _is_int, _is_real
+from .core import Spectrogram, SourceSpectrogramSet, _is_int, _is_positive_finite
 
 _EPS_DIV = 1e-12  # guards the initialization mask against all-zero bins
 _HERMITIAN_TOL = 1e-10
@@ -72,7 +71,7 @@ class MwfConfig:
 
 
 def _require_positive_finite(name: str, value) -> None:
-    if not (_is_real(value) and math.isfinite(value) and value > 0):
+    if not _is_positive_finite(value):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 

@@ -1,5 +1,6 @@
 """The public surface, pinned: the names `stemfuse` exports, the parameters
-of every public callable, and the code and bases of every error class.
+of every public callable, the code and bases of every error class, and the
+public attributes of the stem sets.
 
 A change that drops or renames a public name or parameter, or moves an
 error in the hierarchy, fails here; update the pin and say why in
@@ -7,6 +8,8 @@ CHANGES.md.
 """
 
 import inspect
+
+import numpy as np
 
 import stemfuse
 from stemfuse import errors
@@ -117,6 +120,12 @@ ERRORS = {
     "LengthIncompatible": ("length-incompatible", ("StemfuseError",)),
 }
 
+# the public attributes of a stem set of each kind
+SET_ATTRIBUTES = {
+    "SourceWaveformSet": ["channels", "length", "num_sources", "sample_rate", "sources", "stacked"],
+    "SourceSpectrogramSet": ["channels", "num_sources", "sample_rate", "sources", "stacked"],
+}
+
 
 def bare_signature(obj) -> str:
     sig = inspect.signature(obj)
@@ -140,3 +149,13 @@ def test_error_codes_and_hierarchy():
              for name, cls in vars(errors).items()
              if inspect.isclass(cls) and issubclass(cls, BaseException)}
     assert found == ERRORS
+
+
+def test_stem_sets_keep_their_attributes():
+    cfg = stemfuse.StftConfig(fft_size=4, hop=2)
+    sets = [stemfuse.SourceWaveformSet([stemfuse.Waveform(np.zeros((1, 4)), 8000)]),
+            stemfuse.SourceSpectrogramSet([stemfuse.Spectrogram(np.zeros((1, 1, 3)), cfg, 8000)])]
+    found = {type(s).__name__: sorted(a for a in dir(s) if not a.startswith("_")) for s in sets}
+    assert found == SET_ATTRIBUTES
+    for s in sets:  # and each one can be read
+        assert all(getattr(s, a) is not None for a in found[type(s).__name__])

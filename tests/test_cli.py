@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from stemfuse import (
+    EvalConfig,
+    MwfConfig,
     SourceWaveformSet,
     Waveform,
     load_weights,
     read_wav,
+    search_weights,
     stft,
     write_magnitudes,
     write_wav,
@@ -22,6 +25,7 @@ from stemfuse.core import StftConfig
 from helpers import make_waveform, make_waveform_set, write_stem_dir
 
 SR = 44100
+STEMS = make_waveform_set(np.random.default_rng(0), length=64)
 
 
 def small_toy_config(tmp_path, models=None):
@@ -325,6 +329,31 @@ def test_hostile_pipeline_config_is_one_error_line(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("error invalid-input: ") and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+HUGE = 10 ** 400  # an integer too large for a float
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: MwfConfig(eps=HUGE), "eps must be a finite positive number",
+                 id="mwf-eps"),
+    pytest.param(lambda: MwfConfig(mask_power=HUGE), "mask_power must be a finite positive number",
+                 id="mwf-mask-power"),
+    pytest.param(lambda: EvalConfig(win=HUGE), "win/hop must be finite and positive", id="win"),
+    pytest.param(lambda: EvalConfig(hop=HUGE), "win/hop must be finite and positive", id="hop"),
+    pytest.param(lambda: search_weights([STEMS], STEMS, grid_step=HUGE),
+                 "grid_step must be finite and positive", id="grid-step"),
+    pytest.param(lambda: search_weights([STEMS], STEMS, grid_step=True),
+                 "grid_step must be finite and positive", id="grid-step-bool"),
+])
+def test_a_huge_or_bool_number_is_a_value_error(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_integer_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
+    payload = _toy_payload(mwf={"eps": HUGE})
+    test_hostile_pipeline_config_is_one_error_line(tmp_path, capsys, payload)
 
 
 def test_overflowing_initial_masks_are_one_error_line(tmp_path):

@@ -1,12 +1,14 @@
 """One fault, one code: inputs that differ in exactly one size fail with the
 same error class (and CLI code) at every entry point where stem sets meet."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
 from stemfuse import (
+    SOURCE_NAMES,
     EvalConfig,
     SourceSpectrogramSet,
     SourceWaveformSet,
@@ -18,6 +20,7 @@ from stemfuse import (
     freq_mse,
     freq_mse_grad,
     l1_waveform,
+    load_stem_dir,
     median_sdr,
     project_subspace,
     sdr_frames,
@@ -144,3 +147,53 @@ def test_one_fault_one_cli_code(tmp_path, capsys, command, fault, where):
     assert err.count("\n") == 1
     assert err.startswith(f"error {FAULTS[fault][3].code}: "), err
     assert message_names_the_size(err, fault), err
+
+
+@pytest.mark.parametrize("fault", ["length", "rate"])
+@pytest.mark.parametrize("command", ["eval", "search-weights", "blend"])
+def test_a_stem_fault_names_its_file(tmp_path, capsys, command, fault):
+    dirs = [write_stem_dir(tmp_path / f"d{i}", waves(i)) for i in range(3)]
+    vocals = dirs[1] / "vocals.wav"  # the references of `eval`, a model's stem otherwise
+    write_wav(waves(3, **sizes(fault)).sources[3], vocals, encoding="float32")
+    assert main(cli_args(command, [str(d) for d in dirs], tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error {FAULTS[fault][3].code}: "), err
+    assert message_names_the_size(err, fault) and str(vocals) in err, err
+
+
+def t_stem_config(tmp_path, stem_dir):
+    """A `separate` config whose one model is the T stem directory `stem_dir`."""
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps({
+        "models": [{"name": "t", "domain": "T", "source": str(stem_dir)}],
+        "stft": {"fft_size": CFG.fft_size, "hop": CFG.hop},
+        "weights": {"models": ["t"], "sources": list(SOURCE_NAMES), "weights": [[1.0] * 4]},
+    }))
+    return path
+
+
+@pytest.mark.parametrize("extra, code", [(CFG.hop, 0), (CFG.hop + 1, 1)])
+def test_a_t_stem_fault_names_its_file(tmp_path, capsys, extra, code):
+    mix_path = tmp_path / "mix.wav"
+    write_wav(waves(0, sources=1).sources[0], mix_path, encoding="float32")
+    stem_dir = write_stem_dir(tmp_path / "t", waves(1))
+    vocals = stem_dir / "vocals.wav"  # longer than the mixture by `extra` samples
+    write_wav(waves(2, length=300 + extra).sources[3], vocals, encoding="float32")
+    config = t_stem_config(tmp_path, stem_dir)
+    assert main(["separate", "--input", str(mix_path), "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == code
+    if code:
+        assert err.startswith("error length-mismatch: "), err
+        assert f"differ in length: 300 vs {300 + extra} ({vocals})" in err, err
+
+
+def test_a_t_stem_is_checked_for_length_before_rate(tmp_path):
+    mix = waves(0, sources=1).sources[0]
+    stem_dir = write_stem_dir(tmp_path / "t", waves(1))
+    write_wav(waves(2, length=300 + CFG.hop + 1, rate=48000).sources[3], stem_dir / "vocals.wav",
+              encoding="float32")
+    with pytest.raises(LengthMismatch, match="vocals.wav"):
+        load_stem_dir(stem_dir, like=mix, length_tolerance=CFG.hop)
