@@ -205,7 +205,8 @@ def write_wav(w: Waveform, path, encoding: str = "float32") -> None:
     """Write a Waveform as PCM16 or IEEE float32 WAV.
 
     PCM16 rounds to nearest and clamps to [-1, 1 - 2**-15]; float32 is a
-    plain narrowing cast, so float32-valued samples round-trip exactly.
+    plain narrowing cast, so float32-valued samples round-trip exactly. A
+    size too large for its header field is a ValueError, before any file is made.
     """
     if encoding not in ENCODINGS:
         raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
@@ -214,14 +215,20 @@ def write_wav(w: Waveform, path, encoding: str = "float32") -> None:
     channels = w.channels
     block_align = channels * bits // 8
     payload_bytes = w.length * block_align  # even: no pad byte
-    fmt_body = struct.pack(
-        "<HHIIHH", tag, channels, w.sample_rate, w.sample_rate * block_align, block_align, bits
-    )
+
+    def field(name: str, value: int, width: int = 32) -> int:
+        if value >> width:
+            raise ValueError(f"cannot write {path}: its {name} {value} does not fit {width} bits")
+        return value
+
+    fmt_body = struct.pack("<HHIIHH", tag, channels, w.sample_rate,
+                           field("byte rate", w.sample_rate * block_align),
+                           field("block align", block_align, 16), bits)
     header = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
     if tag == _FORMAT_IEEE_FLOAT:
         header += b"fact" + struct.pack("<II", 4, w.length)
-    header += b"data" + struct.pack("<I", payload_bytes)
-    riff = b"RIFF" + struct.pack("<I", 4 + len(header) + payload_bytes) + b"WAVE"
+    header += b"data" + struct.pack("<I", field("data size", payload_bytes))
+    riff = b"RIFF" + struct.pack("<I", field("RIFF size", 4 + len(header) + payload_bytes)) + b"WAVE"
 
     def parts():
         yield riff + header

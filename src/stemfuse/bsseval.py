@@ -11,10 +11,11 @@ Silent-reference frames are excluded and perfect frames are reported at
 a +300 dB sentinel.
 
 The Gram matrix of delayed references is block-Toeplitz and built from
-FFT cross-correlations; `project_subspace` solves it densely. Framewise
+lags of the signals' correlations, which one overlap-save FFT correlator,
+`_block_lags`, computes; `project_subspace` solves it densely. Framewise
 scores go through `BlendScorer`, which reads one window of every signal
-at a time (in memory or from a WAV file), correlates it in overlap-save
-FFT blocks and solves batches of windows in one Levinson recursion each.
+at a time (in memory or from a WAV file), correlates it and solves
+batches of windows in one Levinson recursion each.
 """
 
 from __future__ import annotations
@@ -72,21 +73,6 @@ class AggregateReport:
 
     per_source_median: Dict[str, float]
     overall_avg: float
-
-
-def _lagged_corr(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
-    """c[..., d + max_lag - 1] = sum_u a(u) b[..., u + d], d in (-max_lag, max_lag).
-
-    `b` may stack several signals along leading axes; `a` is 1-D.
-    """
-    needed = a.size + max_lag
-    nfft = 1 << (needed - 1).bit_length()
-    fa = np.fft.rfft(a, nfft)
-    fb = np.fft.rfft(b, nfft)
-    full = np.fft.irfft(np.conj(fa) * fb, nfft)
-    head = full[..., :max_lag]  # d = 0 .. max_lag-1
-    tail = full[..., nfft - max_lag + 1:]  # d = -(max_lag-1) .. -1
-    return np.concatenate([tail, head], axis=-1)
 
 
 def _block_plan(n: int, taps: int) -> tuple:
@@ -147,22 +133,26 @@ def _levinson(first_row: np.ndarray, rhs: np.ndarray):
     return x, ok
 
 
-def _gram(refs: np.ndarray, filter_len: int) -> np.ndarray:
-    """Block-Toeplitz Gram of the delayed copies of `refs` (num_refs, length)."""
-    num_refs = refs.shape[0]
-    size = num_refs * filter_len
-    gram = np.empty((size, size))
-    for i in range(num_refs):
-        for k in range(i, num_refs):
-            corr = _lagged_corr(refs[i], refs[k], filter_len)
-            # block[a, b] = corr[a - b + filter_len - 1], a view of the lag vector
-            block = np.lib.stride_tricks.sliding_window_view(corr, filter_len)[:, ::-1]
-            gram[i * filter_len:(i + 1) * filter_len, k * filter_len:(k + 1) * filter_len] = block
-            if k != i:
-                gram[k * filter_len:(k + 1) * filter_len, i * filter_len:(i + 1) * filter_len] = (
-                    block.T
-                )
-    return gram
+def _pair_lags(signals: np.ndarray, refs: int, taps: int) -> np.ndarray:
+    """(refs, count, taps): lag d < taps of sum_u x[i, u] x[k, u + d] for the
+    (count, n) signals x and i < refs, by one `_block_lags` call per reference x[i]."""
+    count, n = signals.shape
+    nfft, step = _block_plan(n, taps)
+    padded = np.zeros((count, 1, -(-n // step) * step + taps - 1))
+    padded[:, 0, :n] = signals
+    return np.stack([_block_lags(padded[np.r_[i, :count]], nfft, step, taps)[1:, 0]
+                     for i in range(refs)])
+
+
+def _gram(lags: np.ndarray) -> np.ndarray:
+    """Block-Toeplitz Gram of delayed signals from their (count, count, taps)
+    `_pair_lags`: block (i, k)[a, b] is lag a - b of (i, k), for a < b lag b - a of (k, i)."""
+    count, _, taps = lags.shape
+    # full[i, k, taps - 1 + d] is lag d of (i, k), -taps < d < taps, and
+    # blocks[i, k, a, b] a view of its lag a - b
+    full = np.concatenate([lags.transpose(1, 0, 2)[..., :0:-1], lags], axis=-1)
+    blocks = np.lib.stride_tricks.sliding_window_view(full, taps, axis=-1)[..., ::-1]
+    return blocks.transpose(0, 2, 1, 3).reshape(count * taps, count * taps)
 
 
 def _ridge_solve(gram: np.ndarray, trace: float, rhs: np.ndarray) -> np.ndarray:
@@ -186,14 +176,12 @@ def _projection(refs: np.ndarray, est: np.ndarray, filter_len: int) -> np.ndarra
     signal of length length + filter_len - 1 (full ring-out).
     """
     num_refs, length = refs.shape
-    rhs = np.concatenate(
-        [_lagged_corr(refs[i], est, filter_len)[filter_len - 1:] for i in range(num_refs)]
-    )
-    gram = _gram(refs, filter_len)
+    lags = _pair_lags(np.vstack([refs, est[None]]), num_refs, filter_len)
+    gram = _gram(lags[:, :num_refs])
     trace = float(np.trace(gram))
     if trace <= 0.0:
         return np.zeros(length + filter_len - 1)
-    coef = _ridge_solve(gram, trace, rhs).reshape(num_refs, filter_len)
+    coef = _ridge_solve(gram, trace, lags[:, num_refs].ravel()).reshape(num_refs, filter_len)
     projected = np.zeros(length + filter_len - 1)
     for i in range(num_refs):
         projected += np.convolve(refs[i], coef[i])
@@ -302,12 +290,12 @@ class BlendScorer:
     coefficients K w, where K = (G + ridge)^-1 B. G, the Gram of r's
     delayed copies, is symmetric Toeplitz: its first row and B are lags
     of r's correlations with itself and with E (`_block_lags`), and a
-    `_levinson` call solves a batch of frames and channels (`_gram` where
-    the recursion breaks down). Summed over channels, the target energy
-    is w^T (K^T G K) w, with K^T G K = B^T K - ridge K^T K, and the error
-    energy w^T (E E^T - B^T K - K^T B + K^T G K) w; both are exact because
-    the projection keeps its full ring-out. So one solve per frame and
-    channel scores every weight column.
+    `_levinson` call solves a batch of frames and channels (`_gram` of
+    those lags where it breaks down). Summed over channels, the target
+    energy is w^T (K^T G K) w, with K^T G K = B^T K - ridge K^T K, and the
+    error energy w^T (E E^T - B^T K - K^T B + K^T G K) w; both are exact
+    because the projection keeps its full ring-out. So one solve per frame
+    and channel scores every weight column.
 
     The forms carry a rounding error of a few ulps of the blend's energy
     bound (sum_m w_m |E_m|)^2: 1e-9 dB of SDR near 60 dB, 1e-12 relative
@@ -383,9 +371,8 @@ class BlendScorer:
         first_row = acf[live]
         first_row[:, 0] += ridge[live]
         coef[live], solved = _levinson(first_row, rhs[live])
-        for s in live[~solved]:  # its reference window is read again
-            j, w = self._frames[start + s // channels]
-            gram = _gram(self._signals[j][0].frames(w.start, w.stop)[s % channels][None], taps)
+        for s in live[~solved]:  # a dense solve on the Gram of the same lags
+            gram = _gram(acf[s, None, None])
             coef[s] = _ridge_solve(gram, float(np.trace(gram)), rhs[s].T).T
         cross = np.einsum("sml,skl->smk", rhs, coef)  # B^T K
         projected = cross - ridge[:, None, None] * np.einsum("sml,skl->smk", coef, coef)

@@ -25,6 +25,7 @@ from .errors import LengthMismatch
 SOURCE_NAMES = ("drums", "bass", "other", "vocals")
 
 _COLA_TOL = 1e-10
+_MAX_FFT_SIZE = 1 << 20
 
 
 def _is_int(value) -> bool:
@@ -126,9 +127,9 @@ class StftConfig:
     center_pad: bool = True
 
     def __post_init__(self):
-        n = self.fft_size
-        if not _is_int(n) or n < 2 or n & (n - 1):
-            raise ValueError(f"fft_size must be a power of two, got {n!r}")
+        n = self.fft_size  # checked before the COLA check allocates 6 * fft_size floats
+        if not _is_int(n) or n < 2 or n & (n - 1) or n > _MAX_FFT_SIZE:
+            raise ValueError(f"fft_size must be a power of two <= 2**20, got {n!r}")
         if not (_is_int(self.hop) and 0 < self.hop <= n):
             raise ValueError(f"hop must be an integer in (0, fft_size], got {self.hop!r}")
         if self.window != "hann":
@@ -210,8 +211,8 @@ def _check_alike(what: str, *groups, tolerance: int = 0) -> None:
     The one shape contract of stem sets: a different source, channel or bin
     count is a ShapeMismatch, a different length or frame count a
     LengthMismatch, rate a SampleRateMismatch, STFT config a ConfigMismatch.
-    The message names `what`, the size, both values and the odd member's
-    file, if it has one.
+    The message names `what`, the size, both values and the files of the
+    two members compared, where they have one.
     """
     if not groups[0]:
         raise ValueError("source set needs at least one member")
@@ -222,7 +223,8 @@ def _check_alike(what: str, *groups, tolerance: int = 0) -> None:
         for signal in group:
             for (size, a, error), (_, b, _) in zip(first, _sizes(signal)):
                 if a != b and not (size == "length" and abs(a - b) <= tolerance):
-                    named = f" ({signal.path})" if hasattr(signal, "path") else ""
+                    paths = [str(s.path) for s in (groups[0][0], signal) if hasattr(s, "path")]
+                    named = f" ({' vs '.join(paths)})" if paths else ""
                     raise error(f"{what} differ in {size}: {a} vs {b}{named}")
 
 

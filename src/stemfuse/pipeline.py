@@ -286,11 +286,12 @@ def load_stem_dir(directory, like: Optional[Waveform] = None,
     lengths within `length_tolerance` samples are padded/truncated to
     match; larger deviations are errors.
     """
-    stems = []
+    stems, first = [], None
     for path in _stem_paths(directory):
         with WavReader(path) as stem:
+            first = first or stem  # closed after its read; its sizes and path stay
             if like is None:
-                _check_alike("sources", [stems[0] if stems else stem, stem])
+                _check_alike("sources", [first, stem])
             else:
                 _check_alike("mixture and stem", [like, stem], tolerance=length_tolerance)
             stems.append(_conform(Waveform(stem.frames(0, stem.length), stem.sample_rate), like))

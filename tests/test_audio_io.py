@@ -2,6 +2,7 @@ import os
 import struct
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,6 +213,21 @@ class TestWriteWav:
     def test_io_failure_on_bad_directory(self, tmp_path):
         with pytest.raises(IoFailure):
             write_wav(Waveform(np.zeros((1, 4)), 8000), tmp_path / "no" / "dir" / "x.wav")
+
+    @pytest.mark.parametrize("channels, length, rate, field, width", [
+        (2, 1, 0xFFFFFFF0, "byte rate", 32),
+        (1 << 14, 1, 44100, "block align", 16),
+        (2, 1 << 29, 44100, "data size", 32),  # 4 GiB of float32 frames
+        (2, (1 << 29) - 5, 44100, "RIFF size", 32),  # 40 bytes short of 4 GiB, 44 header bytes
+    ])
+    def test_a_size_too_large_for_its_header_field_is_a_value_error(
+            self, tmp_path, channels, length, rate, field, width):
+        # a stand-in with the sizes of a Waveform and no samples: none are read
+        signal = SimpleNamespace(channels=channels, length=length, sample_rate=rate, samples=None)
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError, match=f"cannot write {path}: its {field} .* {width} bits"):
+            write_wav(signal, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundTripProperties:

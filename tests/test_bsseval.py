@@ -34,6 +34,7 @@ from stemfuse.errors import (
 
 from helpers import (
     assert_frames_match_oracle,
+    dense_delay_matrix,
     dense_frame_sdr,
     dense_projection,
     longdouble_frame_sdr,
@@ -411,8 +412,9 @@ class TestClosedFormScorer:
                                        oracle_source_frames(ref, est, cfg))
 
     def test_broken_down_recursion_takes_the_dense_path(self, monkeypatch):
-        flags, grams = [], []
-        levinson, gram = bsseval._levinson, bsseval._gram
+        flags, grams, reads, reads_in_solve = [], [], [], []
+        levinson, gram, solve, frames = (bsseval._levinson, bsseval._gram,
+                                         bsseval.BlendScorer._solve, Waveform.frames)
 
         def reflection_beyond_one(first_row, rhs):
             first_row = first_row.copy()
@@ -423,6 +425,16 @@ class TestClosedFormScorer:
 
         monkeypatch.setattr(bsseval, "_levinson", reflection_beyond_one)
         monkeypatch.setattr(bsseval, "_gram", lambda *args: grams.append(args) or gram(*args))
+
+        def solve_counting_reads(scorer, *args):
+            before = len(reads)
+            done = solve(scorer, *args)
+            reads_in_solve.append(len(reads) - before)
+            return done
+
+        monkeypatch.setattr(bsseval.BlendScorer, "_solve", solve_counting_reads)
+        monkeypatch.setattr(Waveform, "frames",
+                            lambda *args, **kwargs: reads.append(1) or frames(*args, **kwargs))
         rng = np.random.default_rng(19)
         ref = Waveform(rng.normal(size=(2, 3 * 256)), SR)
         est = Waveform(ref.samples + 0.2 * rng.normal(size=ref.samples.shape), SR)
@@ -430,7 +442,13 @@ class TestClosedFormScorer:
         report = sdr_frames(SourceWaveformSet([ref]), SourceWaveformSet([est]), cfg)
         assert [list(ok) for ok in flags] == [[False] + [True] * 5]
         assert len(grams) == 1
-        np.testing.assert_array_equal(grams[0][0], ref.samples[:1, :256])
+        # the Gram of the first window's channel 0 comes from its lags in hand, not a re-read
+        r = ref.samples[0, :256]
+        acf = np.array([np.dot(r[:256 - d], r[d:]) for d in range(12)])
+        (lags,) = grams[0]
+        assert lags.shape == (1, 1, 12)
+        assert np.all(np.abs(lags[0, 0] - acf) <= 1e-12 * np.dot(r, r))
+        assert reads_in_solve == [0]
         (got,) = report.per_source_frames.values()
         assert_frames_match_oracle(got, oracle_source_frames(ref, est, cfg))
 
@@ -499,6 +517,29 @@ class TestBlockedScorer:
                           for c in range(channels)] for k in range(count + 1)])
         scale = np.linalg.norm(x[0], axis=-1)[None, :, None] * np.linalg.norm(x, axis=-1)[..., None]
         assert np.all(np.abs(got - want) <= 1e-12 * scale)  # exactly 0 for a silent channel
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        refs=st.integers(1, 3),
+        taps=st.integers(1, 48),
+        n=st.integers(1, 400),
+    )
+    def test_gram_and_rhs_match_the_delay_matrix(self, seed, refs, taps, n):
+        # each further reference is a filtered copy of the first plus noise, so
+        # the lags of (i, k) and (k, i) differ; windows shorter than the filter too
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(refs + 1, n))
+        for i in range(1, refs + 1):
+            x[i] = 0.5 * x[i] + np.convolve(x[0], rng.normal(size=1 + i * 3))[:n]
+        lags = bsseval._pair_lags(x, refs, taps)
+        delays = np.hstack([dense_delay_matrix(r, taps) for r in x[:refs]])
+        energy = np.sum(x ** 2)
+        gram = bsseval._gram(lags[:, :refs])
+        assert np.all(np.abs(gram - delays.T @ delays) <= 1e-12 * energy)
+        rhs = lags[:, refs].ravel()  # the right-hand side of `_projection`
+        est = np.concatenate([x[refs], np.zeros(taps - 1)])
+        assert np.all(np.abs(rhs - delays.T @ est) <= 1e-12 * energy)
 
     @pytest.mark.parametrize("n, taps, want", [
         (5000, 64, (1024, 961)), (5000, 512, (2048, 1537)), (44100, 32, (1024, 993)),

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -19,6 +20,7 @@ from stemfuse import (
     write_magnitudes,
     write_wav,
 )
+from stemfuse import core
 from stemfuse.cli import main
 from stemfuse.core import StftConfig
 
@@ -354,6 +356,54 @@ def test_a_huge_or_bool_number_is_a_value_error(make, message):
 def test_integer_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
     payload = _toy_payload(mwf={"eps": HUGE})
     test_hostile_pipeline_config_is_one_error_line(tmp_path, capsys, payload)
+
+
+@pytest.mark.parametrize("fft_size", [1 << 21, 1 << 40])
+@pytest.mark.parametrize("command", ["separate", "wiener"])
+def test_a_huge_fft_size_is_one_error_line(tmp_path, capsys, monkeypatch, command, fft_size):
+    # the window and the COLA check take 8 and 48 bytes per sample of the frame:
+    # were they reached, the test fails there, before any allocation
+    def refuse(*args):
+        raise AssertionError(f"fft_size {fft_size} reached an allocation")
+
+    monkeypatch.setattr(core, "_cola_deviation", refuse)
+    monkeypatch.setattr(StftConfig, "window_array", refuse)
+    mix_path, _ = write_mix(tmp_path, np.random.default_rng(29), length=2048)
+    if command == "separate":
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(_toy_payload(stft={"fft_size": fft_size,
+                                                        "hop": fft_size // 4})))
+        args = ["separate", "--input", str(mix_path), "--config", str(config)]
+    else:
+        mag_dir = tmp_path / "mags"
+        mag_dir.mkdir()
+        write_magnitudes(mag_dir / "a.mag", np.ones((2, 17, 257)))
+        args = ["wiener", "--mix", str(mix_path), "--mags", str(mag_dir),
+                "--fft-size", str(fft_size), "--stft-hop", str(fft_size // 4)]
+    out_dir = tmp_path / "out"
+    assert main(args + ["--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error invalid-input: fft_size must be a power of two <= 2**20, got {fft_size}\n"
+    assert not out_dir.exists()
+
+
+def test_a_header_field_overflow_is_one_error_line_and_no_file(tmp_path, capsys):
+    # a float32 stereo mixture whose header says 0xFFFFFFF0 Hz: the stems' byte
+    # rate, 8 bytes a frame, does not fit the 32 bits of its field
+    mix_path, _ = write_mix(tmp_path, np.random.default_rng(30), length=2048)
+    blob = bytearray(mix_path.read_bytes())
+    blob[24:28] = struct.pack("<I", 0xFFFFFFF0)
+    mix_path.write_bytes(bytes(blob))
+    assert read_wav(mix_path).sample_rate == 0xFFFFFFF0
+    out_dir = tmp_path / "out"
+    code = main(["separate", "--input", str(mix_path), "--config", str(small_toy_config(tmp_path)),
+                 "--out", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error invalid-input: cannot write {out_dir / 'drums.wav'}: its byte "
+                          f"rate {0xFFFFFFF0 * 8} does not fit 32 bits"), err
+    assert err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []  # no stem and no temp file
 
 
 def test_overflowing_initial_masks_are_one_error_line(tmp_path):

@@ -152,14 +152,16 @@ def test_one_fault_one_cli_code(tmp_path, capsys, command, fault, where):
 @pytest.mark.parametrize("fault", ["length", "rate"])
 @pytest.mark.parametrize("command", ["eval", "search-weights", "blend"])
 def test_a_stem_fault_names_its_file(tmp_path, capsys, command, fault):
-    dirs = [write_stem_dir(tmp_path / f"d{i}", waves(i)) for i in range(3)]
-    vocals = dirs[1] / "vocals.wav"  # the references of `eval`, a model's stem otherwise
-    write_wav(waves(3, **sizes(fault)).sources[3], vocals, encoding="float32")
-    assert main(cli_args(command, [str(d) for d in dirs], tmp_path)) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith(f"error {FAULTS[fault][3].code}: "), err
-    assert message_names_the_size(err, fault) and str(vocals) in err, err
+    # the odd stem last, then first: a set's members are checked against its first
+    for j in (3, 0):
+        dirs = [write_stem_dir(tmp_path / f"{j}d{i}", waves(i)) for i in range(3)]
+        odd = dirs[1] / f"{SOURCE_NAMES[j]}.wav"  # in the references of `eval`, a model's otherwise
+        write_wav(waves(3, **sizes(fault)).sources[j], odd, encoding="float32")
+        assert main(cli_args(command, [str(d) for d in dirs], tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error {FAULTS[fault][3].code}: "), err
+        assert message_names_the_size(err, fault) and str(odd) in err, err
 
 
 def t_stem_config(tmp_path, stem_dir):
