@@ -12,10 +12,10 @@ a +300 dB sentinel.
 
 The Gram matrix of delayed references is block-Toeplitz and built from
 lags of the signals' correlations, which one overlap-save FFT correlator,
-`_block_lags`, computes; `project_subspace` solves it densely. Framewise
-scores go through `BlendScorer`, which reads one window of every signal
-at a time (in memory or from a WAV file), correlates it and solves
-batches of windows in one Levinson recursion each.
+`_block_lags`, computes; `project_subspace` solves every channel's Gram
+at once, densely. Framewise scores go through `BlendScorer`, which reads
+one window of every signal at a time (in memory or from a WAV file),
+correlates it and solves batches of windows in one Levinson recursion each.
 """
 
 from __future__ import annotations
@@ -134,34 +134,38 @@ def _levinson(first_row: np.ndarray, rhs: np.ndarray):
 
 
 def _pair_lags(signals: np.ndarray, refs: int, taps: int) -> np.ndarray:
-    """(refs, count, taps): lag d < taps of sum_u x[i, u] x[k, u + d] for the
-    (count, n) signals x and i < refs, by one `_block_lags` call per reference x[i]."""
-    count, n = signals.shape
+    """(channels, refs, count, taps): lag d < taps of sum_u x[i, c, u] x[k, c, u + d] for the
+    (count, channels, n) signals x and i < refs, by one `_block_lags` call per reference x[i]."""
+    count, channels, n = signals.shape
     nfft, step = _block_plan(n, taps)
-    padded = np.zeros((count, 1, -(-n // step) * step + taps - 1))
-    padded[:, 0, :n] = signals
-    return np.stack([_block_lags(padded[np.r_[i, :count]], nfft, step, taps)[1:, 0]
-                     for i in range(refs)])
+    padded = np.zeros((count, channels, -(-n // step) * step + taps - 1))
+    padded[..., :n] = signals
+    return np.stack([_block_lags(padded[np.r_[i, :count]], nfft, step, taps)[1:]
+                     for i in range(refs)]).transpose(2, 0, 1, 3)
 
 
 def _gram(lags: np.ndarray) -> np.ndarray:
-    """Block-Toeplitz Gram of delayed signals from their (count, count, taps)
+    """Block-Toeplitz Grams of delayed signals from their (..., count, count, taps)
     `_pair_lags`: block (i, k)[a, b] is lag a - b of (i, k), for a < b lag b - a of (k, i)."""
-    count, _, taps = lags.shape
-    # full[i, k, taps - 1 + d] is lag d of (i, k), -taps < d < taps, and
-    # blocks[i, k, a, b] a view of its lag a - b
-    full = np.concatenate([lags.transpose(1, 0, 2)[..., :0:-1], lags], axis=-1)
+    *batch, count, _, taps = lags.shape
+    # full[..., i, k, taps - 1 + d] is lag d of (i, k), -taps < d < taps, and
+    # blocks[..., i, k, a, b] a view of its lag a - b
+    full = np.concatenate([np.swapaxes(lags, -3, -2)[..., :0:-1], lags], axis=-1)
     blocks = np.lib.stride_tricks.sliding_window_view(full, taps, axis=-1)[..., ::-1]
-    return blocks.transpose(0, 2, 1, 3).reshape(count * taps, count * taps)
+    return np.swapaxes(blocks, -3, -2).reshape(*batch, count * taps, count * taps)
 
 
-def _ridge_solve(gram: np.ndarray, trace: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (gram + GRAM_REG * trace / size * I) x = rhs; trace must be positive."""
-    size = gram.shape[0]
-    ridged = gram.copy()
-    ridged.flat[::size + 1] += GRAM_REG * trace / size
+def _ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (gram + GRAM_REG * trace / size * I) x = rhs for every (size, size) Gram of
+    gram (..., size, size), rhs (..., size, m); x is zero where the Gram's trace is not positive."""
+    size = gram.shape[-1]
+    trace = np.trace(gram, axis1=-2, axis2=-1)
+    live = ~(trace <= 0.0)  # a NaN trace is solved and fails as non-finite
+    ridged = gram[live]
+    ridged[:, np.arange(size), np.arange(size)] += (GRAM_REG * trace[live] / size)[:, None]
+    coef = np.zeros(rhs.shape)
     try:
-        coef = np.linalg.solve(ridged, rhs)
+        coef[live] = np.linalg.solve(ridged, rhs[live])
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"projection Gram matrix is singular: {exc}") from exc
     if not np.all(np.isfinite(coef)):
@@ -170,21 +174,18 @@ def _ridge_solve(gram: np.ndarray, trace: float, rhs: np.ndarray) -> np.ndarray:
 
 
 def _projection(refs: np.ndarray, est: np.ndarray, filter_len: int) -> np.ndarray:
-    """Least-squares projection of `est` onto delayed copies of `refs`.
+    """Least-squares projection of each channel of `est` onto delayed copies of `refs`.
 
-    refs : (num_refs, length); est : (length,). Returns the projected
-    signal of length length + filter_len - 1 (full ring-out).
+    refs : (num_refs, channels, length); est : (channels, length). Returns
+    the projected (channels, length + filter_len - 1) signal (full ring-out).
     """
-    num_refs, length = refs.shape
-    lags = _pair_lags(np.vstack([refs, est[None]]), num_refs, filter_len)
-    gram = _gram(lags[:, :num_refs])
-    trace = float(np.trace(gram))
-    if trace <= 0.0:
-        return np.zeros(length + filter_len - 1)
-    coef = _ridge_solve(gram, trace, lags[:, num_refs].ravel()).reshape(num_refs, filter_len)
-    projected = np.zeros(length + filter_len - 1)
-    for i in range(num_refs):
-        projected += np.convolve(refs[i], coef[i])
+    num_refs, channels, length = refs.shape
+    lags = _pair_lags(np.concatenate([refs, est[None]]), num_refs, filter_len)
+    rhs = lags[:, :, num_refs].reshape(channels, -1, 1)
+    coef = _ridge_solve(_gram(lags[:, :, :num_refs]), rhs).reshape(channels, num_refs, filter_len)
+    projected = np.zeros((channels, length + filter_len - 1))
+    for i, c in np.ndindex(num_refs, channels):  # np.convolve is 1-D; each channel in ref order
+        projected[c] += np.convolve(refs[i, c], coef[c, i])
     return projected
 
 
@@ -197,22 +198,16 @@ def project_subspace(
     equals the zero-padded estimate exactly. Channels are decomposed
     independently.
     """
-    if filter_len < 1:
-        raise ValueError(f"filter_len must be >= 1, got {filter_len}")
-    if not 0 <= source_index < references.num_sources:
-        raise ValueError(f"source_index {source_index} out of range")
+    filter_len = EvalConfig(filter_len).filter_len
+    if not (_is_int(source_index) and 0 <= source_index < references.num_sources):
+        raise ValueError(f"source_index {source_index!r} out of range or not an integer")
     _check_alike("references and estimate", references.sources[:1], [estimate])
-    target = references.sources[source_index]
-    if float(np.sum(target.samples ** 2)) <= 0.0:
+    if float(np.sum(references.sources[source_index].samples ** 2)) <= 0.0:
         raise SilentReference(f"reference of source {source_index} is identically zero")
 
     stacked = references.stacked()  # (J, channels, length): interference needs every source
-    padded_len = references.length + filter_len - 1
-    s_target = np.zeros((estimate.channels, padded_len))
-    p_all = np.zeros_like(s_target)
-    for c in range(estimate.channels):
-        s_target[c] = _projection(target.samples[c:c + 1], estimate.samples[c], filter_len)
-        p_all[c] = _projection(stacked[:, c], estimate.samples[c], filter_len)
+    s_target = _projection(stacked[source_index:source_index + 1], estimate.samples, filter_len)
+    p_all = _projection(stacked, estimate.samples, filter_len)
     est_padded = np.pad(estimate.samples, ((0, 0), (0, filter_len - 1)))
     return s_target, p_all - s_target, est_padded - p_all
 
@@ -221,13 +216,11 @@ def _frame_sdr(ref: np.ndarray, est: np.ndarray, filter_len: int) -> float:
     """SDR of one window: (ch, n) target reference vs (ch, n) estimate."""
     if np.array_equal(est, ref):
         return SDR_CAP_DB  # exact match short-circuits to the sentinel
-    target_energy = 0.0
-    error_energy = 0.0
-    for c in range(est.shape[0]):
-        projected = _projection(ref[c:c + 1], est[c], filter_len)
-        padded = np.concatenate([est[c], np.zeros(filter_len - 1)])
-        target_energy += float(np.sum(projected ** 2))
-        error_energy += float(np.sum((padded - projected) ** 2))
+    projected = _projection(ref[None], est, filter_len)
+    padded = np.pad(est, ((0, 0), (0, filter_len - 1)))
+    # each channel's energy, then a left-to-right sum over channels (np.sum may reorder it)
+    target_energy = float(np.cumsum(np.sum(projected ** 2, axis=-1))[-1])
+    error_energy = float(np.cumsum(np.sum((padded - projected) ** 2, axis=-1))[-1])
     if error_energy <= 0.0:
         return SDR_CAP_DB
     if target_energy <= 0.0:
@@ -276,8 +269,8 @@ def median_sdr(
     cfg: EvalConfig = EvalConfig(),
 ) -> float:
     """Median framewise SDR of a single source's estimate."""
-    if not 0 <= source_index < references.num_sources:
-        raise ValueError(f"source_index {source_index} out of range")
+    if not (_is_int(source_index) and 0 <= source_index < references.num_sources):
+        raise ValueError(f"source_index {source_index!r} out of range or not an integer")
     target = SourceWaveformSet([references.sources[source_index]])
     return sdr_frames(target, SourceWaveformSet([estimate]), cfg).overall_avg
 
@@ -372,8 +365,7 @@ class BlendScorer:
         first_row[:, 0] += ridge[live]
         coef[live], solved = _levinson(first_row, rhs[live])
         for s in live[~solved]:  # a dense solve on the Gram of the same lags
-            gram = _gram(acf[s, None, None])
-            coef[s] = _ridge_solve(gram, float(np.trace(gram)), rhs[s].T).T
+            coef[s] = _ridge_solve(_gram(acf[s, None, None]), rhs[s].T).T
         cross = np.einsum("sml,skl->smk", rhs, coef)  # B^T K
         projected = cross - ridge[:, None, None] * np.einsum("sml,skl->smk", coef, coef)
         per_channel = (frames, channels, count - 1, count - 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from pathlib import Path
 
 from . import bsseval
@@ -30,9 +30,16 @@ from .wiener import MwfConfig
 
 
 def _write_stem_set(stems: SourceWaveformSet, out_dir: Path, names=SOURCE_NAMES) -> None:
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, stem in zip(names, stems.sources):
-        write_wav(stem, out_dir / f"{name}.wav", encoding="float32")
+    try:
+        for name, stem in zip(names, stems.sources):
+            write_wav(stem, out_dir / f"{name}.wav", encoding="float32")
+    except BaseException:
+        with suppress(OSError):  # the directories made here go while they are empty
+            for directory in made:
+                directory.rmdir()
+        raise
 
 
 class _UsageError(Exception):

@@ -81,8 +81,8 @@ def dense_frame_sdr(ref_frames: np.ndarray, est_frame: np.ndarray, filter_len: i
 
 # --- framewise SDR by one projection per frame and channel -----------------
 # The scoring path before `sdr_frames` went through `BlendScorer`'s closed
-# form: `_frame_sdr` projects every window and channel on its own and
-# measures both energies on the projected signal.
+# form: `_frame_sdr` projects every window on its own, all its channels in
+# one batched solve, and measures both energies on the projected signal.
 
 def oracle_source_frames(reference, estimate, cfg):
     """Framewise SDR of one source's estimate; NaN marks a silent frame."""

@@ -119,17 +119,52 @@ class TestProjectSubspace:
         assert worst < 1e-6
 
     def test_matches_dense_normal_equations(self):
+        # stereo, the target reference silent in channel 1
         rng = np.random.default_rng(4)
-        stems = [Waveform(rng.normal(size=(1, 64)), SR) for _ in range(2)]
-        refs = SourceWaveformSet(stems)
-        estimate = Waveform(rng.normal(size=(1, 64)), SR)
+        target = rng.normal(size=(2, 64))
+        target[1] = 0.0
+        refs = SourceWaveformSet([Waveform(target, SR), Waveform(rng.normal(size=(2, 64)), SR)])
+        estimate = Waveform(rng.normal(size=(2, 64)), SR)
         filter_len = 8
         s_target, e_interf, _ = project_subspace(refs, estimate, filter_len, 0)
+        assert np.all(s_target[1] == 0.0)
         stacked = refs.stacked()
-        want_target = dense_projection(stacked[0:1, 0], estimate.samples[0], filter_len)
-        want_all = dense_projection(stacked[:, 0], estimate.samples[0], filter_len)
-        assert np.max(np.abs(s_target[0] - want_target)) < 1e-8
-        assert np.max(np.abs((e_interf + s_target)[0] - want_all)) < 1e-8
+        for c in range(2):
+            want_target = dense_projection(stacked[0:1, c], estimate.samples[c], filter_len)
+            want_all = dense_projection(stacked[:, c], estimate.samples[c], filter_len)
+            assert np.max(np.abs(s_target[c] - want_target)) < 1e-8
+            assert np.max(np.abs((e_interf + s_target)[c] - want_all)) < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        channels=st.integers(2, 3),
+        num_sources=st.integers(1, 4),
+        filter_len=st.integers(1, 24),
+        length=st.integers(24, 300),
+        silent=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=3),
+    )
+    def test_channels_are_decomposed_independently(self, seed, channels, num_sources,
+                                                   filter_len, length, silent):
+        # each channel of a multichannel call is bitwise the call on that channel alone
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(num_sources, channels, length))
+        for j, c in silent:  # silences channel c of source j, if they exist
+            x[j % num_sources, c % channels] = 0.0
+        x[0, 0] += 1.0  # the target, source 0, is never silent everywhere
+        estimate = rng.normal(size=(channels, length)) + x.sum(axis=0)
+        refs = SourceWaveformSet([Waveform(s, SR) for s in x])
+        parts = project_subspace(refs, Waveform(estimate, SR), filter_len, 0)
+        for c in range(channels):
+            mono = SourceWaveformSet([Waveform(s[c:c + 1], SR) for s in x])
+            if not np.any(x[0, c]):
+                with pytest.raises(SilentReference):
+                    project_subspace(mono, Waveform(estimate[c:c + 1], SR), filter_len, 0)
+                assert np.all(parts[0][c] == 0.0)
+                continue
+            alone = project_subspace(mono, Waveform(estimate[c:c + 1], SR), filter_len, 0)
+            for got, want in zip(parts, alone):
+                np.testing.assert_array_equal(got[c:c + 1], want)
 
     def test_silent_reference_raises(self):
         rng = np.random.default_rng(5)
@@ -522,24 +557,31 @@ class TestBlockedScorer:
     @given(
         seed=st.integers(0, 2**32 - 1),
         refs=st.integers(1, 3),
+        channels=st.integers(1, 3),
+        silent=st.integers(-1, 2),
         taps=st.integers(1, 48),
         n=st.integers(1, 400),
     )
-    def test_gram_and_rhs_match_the_delay_matrix(self, seed, refs, taps, n):
+    def test_gram_and_rhs_match_the_delay_matrix(self, seed, refs, channels, silent, taps, n):
         # each further reference is a filtered copy of the first plus noise, so
-        # the lags of (i, k) and (k, i) differ; windows shorter than the filter too
+        # the lags of (i, k) and (k, i) differ; windows shorter than the filter too;
+        # channel `silent`, if there is one, is zero in every signal
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(refs + 1, n))
-        for i in range(1, refs + 1):
-            x[i] = 0.5 * x[i] + np.convolve(x[0], rng.normal(size=1 + i * 3))[:n]
+        x = rng.normal(size=(refs + 1, channels, n))
+        for i, c in np.ndindex(refs, channels):
+            x[i + 1, c] = 0.5 * x[i + 1, c] + np.convolve(x[0, c], rng.normal(size=4 + i * 3))[:n]
+        if silent < channels:
+            x[:, silent] = 0.0
         lags = bsseval._pair_lags(x, refs, taps)
-        delays = np.hstack([dense_delay_matrix(r, taps) for r in x[:refs]])
-        energy = np.sum(x ** 2)
-        gram = bsseval._gram(lags[:, :refs])
-        assert np.all(np.abs(gram - delays.T @ delays) <= 1e-12 * energy)
-        rhs = lags[:, refs].ravel()  # the right-hand side of `_projection`
-        est = np.concatenate([x[refs], np.zeros(taps - 1)])
-        assert np.all(np.abs(rhs - delays.T @ est) <= 1e-12 * energy)
+        assert lags.shape == (channels, refs, refs + 1, taps)
+        grams = bsseval._gram(lags[:, :, :refs])
+        rhs = lags[:, :, refs].reshape(channels, -1)  # the right-hand sides of `_projection`
+        for c in range(channels):
+            delays = np.hstack([dense_delay_matrix(r, taps) for r in x[:refs, c]])
+            energy = np.sum(x[:, c] ** 2)  # 0 for the silent channel: its lags are exact zeros
+            assert np.all(np.abs(grams[c] - delays.T @ delays) <= 1e-12 * energy)
+            est = np.concatenate([x[refs, c], np.zeros(taps - 1)])
+            assert np.all(np.abs(rhs[c] - delays.T @ est) <= 1e-12 * energy)
 
     @pytest.mark.parametrize("n, taps, want", [
         (5000, 64, (1024, 961)), (5000, 512, (2048, 1537)), (44100, 32, (1024, 993)),
@@ -662,9 +704,11 @@ class TestMedianSdr:
     def test_source_index_out_of_range(self):
         rng = np.random.default_rng(15)
         refs = make_waveform_set(rng, channels=1, length=512)
-        for index in (-1, 4):
-            with pytest.raises(ValueError, match="out of range"):
+        for index in (-1, 4, 1.0, np.float64(1), True, "1", None):
+            with pytest.raises(ValueError, match="source_index .* out of range"):
                 median_sdr(refs, refs.sources[0], index, full_window_cfg(512))
+            with pytest.raises(ValueError, match="source_index .* out of range"):
+                project_subspace(refs, refs.sources[0], 4, index)
 
 
 class TestAggregate:
@@ -738,12 +782,17 @@ class TestEvalConfigTypes:
         refs = make_waveform_set(np.random.default_rng(30), length=512, scale=0.3)
         want = sdr_frames(refs, refs, EvalConfig(4, 256 / SR, 256 / SR))
         assert sdr_frames(refs, refs, cfg) == want
+        parts = project_subspace(refs, refs.sources[1], np.int64(4), np.int64(1))
+        np.testing.assert_array_equal(parts, project_subspace(refs, refs.sources[1], 4, 1))
 
     @pytest.mark.parametrize("filter_len", [2.5, 16.0, np.float64(16), True, np.bool_(True),
                                             "16", None, 0, -3])
     def test_filter_len_that_is_no_positive_integer_is_a_value_error(self, filter_len):
         with pytest.raises(ValueError, match="filter_len must be an integer"):
             EvalConfig(filter_len=filter_len)
+        refs = make_waveform_set(np.random.default_rng(31), channels=1, length=64)
+        with pytest.raises(ValueError, match="filter_len must be an integer"):
+            project_subspace(refs, refs.sources[0], filter_len, 0)
 
     @pytest.mark.parametrize("field", ["win", "hop"])
     @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1.0", 1j, None,

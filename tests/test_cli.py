@@ -395,15 +395,20 @@ def test_a_header_field_overflow_is_one_error_line_and_no_file(tmp_path, capsys)
     blob[24:28] = struct.pack("<I", 0xFFFFFFF0)
     mix_path.write_bytes(bytes(blob))
     assert read_wav(mix_path).sample_rate == 0xFFFFFFF0
-    out_dir = tmp_path / "out"
-    code = main(["separate", "--input", str(mix_path), "--config", str(small_toy_config(tmp_path)),
-                 "--out", str(out_dir)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error invalid-input: cannot write {out_dir / 'drums.wav'}: its byte "
-                          f"rate {0xFFFFFFF0 * 8} does not fit 32 bits"), err
-    assert err.count("\n") == 1
-    assert list(out_dir.iterdir()) == []  # no stem and no temp file
+    config = small_toy_config(tmp_path)
+    new_dir, old_dir = tmp_path / "new" / "out", tmp_path / "old"
+    old_dir.mkdir()
+    for out_dir in (new_dir, old_dir):
+        code = main(["separate", "--input", str(mix_path), "--config", str(config),
+                     "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error invalid-input: cannot write {out_dir / 'drums.wav'}: its "
+                              f"byte rate {0xFFFFFFF0 * 8} does not fit 32 bits"), err
+        assert err.count("\n") == 1
+    # no stem and no temp file: the directories the command made are gone, one that was there stays
+    assert not new_dir.exists() and not new_dir.parent.exists()
+    assert list(old_dir.iterdir()) == []
 
 
 def test_overflowing_initial_masks_are_one_error_line(tmp_path):
