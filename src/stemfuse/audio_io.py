@@ -191,11 +191,10 @@ class WavReader:
 def read_wav(path) -> Waveform:
     """Read a WAV file into a channel-major float64 Waveform: a `WavReader` read whole.
 
-    The payload is read in one piece. Freeing that buffer raises glibc's
-    dynamic mmap threshold past the size of `separate`'s per-block
-    temporaries, which then come from the heap instead of fresh mappings:
-    decoded in 65,536-frame pieces, `separate` on 10 s took ~2.7x the
-    page faults and ~25% longer.
+    The payload is read in one piece, as a pipe must be read anyway.
+    `separate` does not need it for speed: its block work allocates
+    nothing block-sized (see `wiener._Sweeps`), whatever the allocator
+    keeps of freed memory, so the mixture could be streamed instead.
     """
     with WavReader(path) as reader:
         return Waveform(reader.frames(0, reader.length), reader.sample_rate)

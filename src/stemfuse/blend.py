@@ -109,15 +109,16 @@ def check_weights_fit(w: BlendWeights, num_models: int, num_sources: int) -> Non
 
 
 def weighted_accumulate(
-    acc: np.ndarray, weights: np.ndarray, stems: Iterable[np.ndarray]
+    acc: np.ndarray, weights: np.ndarray, stems: Iterable[np.ndarray], overwrite: bool = False
 ) -> None:
-    """acc[j] += weights[j] * stems[j] for every source j, in place.
+    """acc[j] += weights[j] * stems[j] for every source j, in place; with
+    `overwrite`, each product is formed in its stem.
 
     Calling it once per model in model order gives every fused value the
     same sum, in the same order, whatever the array's domain.
     """
     for j, stem in enumerate(stems):
-        acc[j] += weights[j] * stem
+        acc[j] += np.multiply(weights[j], stem, out=stem if overwrite else None)
 
 
 def blend(per_model_stems: Sequence[SourceWaveformSet], w: BlendWeights) -> SourceWaveformSet:

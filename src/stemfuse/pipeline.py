@@ -23,6 +23,12 @@ estimates. That work runs on a small thread pool, one thread per CPU
 the process may use, and the calling thread alone adds the results to
 the running sums and overlap-adds them into the output, strictly in
 block order, so the stems are the same bytes on one CPU or many.
+After its first blocks a sweep allocates nothing block-sized: a worker
+makes a block's frames, spectra, mixture products, gains, PSDs, filter
+temporaries and fused spectra in its thread's buffers of the sweep's
+`wiener._Workspace`, one source's stem at a time, and the EM terms and
+synthesized frames it hands to the calling thread go into a slot of the
+sweep that the block holds until they are consumed.
 
 External models plug in through the file system: a T entry points at a
 directory of drums/bass/other/vocals WAV stems, a TF entry at a
@@ -77,8 +83,10 @@ from .stft import _analysis_frames, _OverlapAdd, frame_count
 from .toy_models import BandMaskModel
 from .wiener import (
     MwfConfig,
+    _block_psd,
     _block_terms,
     _check_channels,
+    _filter_sources,
     _gain_terms,
     _mask_gains,
     _Mixture,
@@ -238,8 +246,10 @@ def _magnitude_shape(fh, path) -> tuple:
     return shape
 
 
-def _read_frames(fh, path, shape: tuple, start: int, stop: int) -> np.ndarray:
-    """float32 (channels, stop - start, bins) frames of an open DSMAG1 file.
+def _read_frames(fh, path, shape: tuple, start: int, stop: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """float32 (channels, stop - start, bins) frames of an open DSMAG1 file,
+    into C-ordered `out` when given.
 
     Reads at explicit offsets and never moves the file position, so
     threads can read blocks of one file at the same time. NaN, infinite
@@ -247,7 +257,8 @@ def _read_frames(fh, path, shape: tuple, start: int, stop: int) -> np.ndarray:
     in, so nothing downstream checks them again.
     """
     channels, frames, bins = shape
-    out = np.empty((channels, stop - start, bins), dtype="<f4")
+    if out is None:
+        out = np.empty((channels, stop - start, bins), dtype="<f4")
     for c in range(channels):
         offset = _HEADER_BYTES + 4 * bins * (c * frames + start)
         if os.preadv(fh.fileno(), [out[c]], offset) != out[c].nbytes:
@@ -318,9 +329,10 @@ def _conform(stem: Waveform, like: Optional[Waveform]) -> Waveform:
 def _open_magnitude_dir(directory, names, shape: tuple, files: ExitStack) -> Callable:
     """Validate the `.mag` file of each source in `names` and keep it open in `files`.
 
-    Returns `frames(start, stop)`: the float64 (sources, channels,
+    Returns `frames(start, stop, space)`: the float64 (sources, channels,
     stop - start, bins) magnitudes of frames start .. stop - 1, read from
-    the files.
+    the files through the float32 buffer "read" into the buffer "gains"
+    of workspace `space`.
     """
     directory = Path(directory)
     opened = []
@@ -336,10 +348,11 @@ def _open_magnitude_dir(directory, names, shape: tuple, files: ExitStack) -> Cal
             )
         opened.append((fh, path))
 
-    def frames(start, stop):
-        mags = np.empty((len(opened), shape[0], stop - start, shape[2]))
+    def frames(start, stop, space):
+        mags = space.take("gains", (len(opened), shape[0], stop - start, shape[2]))
+        read = space.take("read", mags.shape[1:], "<f4")
         for out, (fh, path) in zip(mags, opened):
-            out[...] = _read_frames(fh, path, shape, start, stop)
+            out[...] = _read_frames(fh, path, shape, start, stop, read)
         return mags
 
     return frames
@@ -366,29 +379,41 @@ class _SpectralBranch:
         g = self.gains(mixture, start, stop)
         if not self.spatial:  # the first pass runs on the real gains
             return _gain_terms(g, mixture)
-        return _block_terms(_refilter(g, mixture, self.spatial, cfg.eps))
+        return _block_terms(_refilter(g, mixture, self.spatial, cfg.eps), mixture.space)
 
     def stems(self, mixture: _Mixture, start: int, stop: int, cfg: MwfConfig):
-        """Per-source complex stems of mixture frames start .. stop - 1."""
-        return _refilter(self.gains(mixture, start, stop), mixture, self.spatial, cfg.eps)
+        """The complex stems of mixture frames start .. stop - 1, source by
+        source, each in the workspace buffer "stem" the next overwrites."""
+        g = self.gains(mixture, start, stop)
+        stem = mixture.space.take("stem", mixture.x.shape, np.complex128)
+        if not self.spatial:
+            return (np.multiply(gj, mixture.x, out=stem) for gj in g)
+        y = _refilter(g, mixture, self.spatial[:-1], cfg.eps)  # but for the last pass
+        return _filter_sources(_block_psd(y, mixture), self.spatial[-1], mixture.x, cfg.eps,
+                               stem[None], mixture.space)
 
 
 def _spectral_branch(entry: ModelEntry, weights: np.ndarray, names, shape: tuple,
                      sample_rate: int, cfg: PipelineConfig, files: ExitStack) -> _SpectralBranch:
     if entry.domain == TF_DOMAIN:  # before any file, so the mixture is blamed first
         _check_channels(shape[0])
-    power = cfg.mwf.mask_power
+
+    def gains(mixture, mags):  # the mask gains of (J, C, b, F) magnitudes, in place
+        return _mask_gains(mags, cfg.mwf.mask_power, mixture.space.take("scratch", mixture.x.shape))
+
     if entry.source != BUILTIN_TOY:
         mag_frames = _open_magnitude_dir(entry.source, names, shape, files)
-        return _SpectralBranch(weights, lambda mixture, start, stop: _mask_gains(
-            mag_frames(start, stop), power), [])
+        return _SpectralBranch(weights, lambda mixture, start, stop: gains(
+            mixture, mag_frames(start, stop, mixture.space)), [])
     model = BandMaskModel.default(leakage=entry.leakage)
     masks = model.bin_masks(sample_rate, cfg.stft.fft_size)[:, None, None, :]
     if entry.domain == T_DOMAIN:  # the band masks mask the complex mixture directly
         return _SpectralBranch(weights, lambda mixture, start, stop: masks, None)
-    # |x| times each band mask, straight into the gains
-    return _SpectralBranch(weights, lambda mixture, start, stop: _mask_gains(
-        np.multiply(mixture.magnitude, masks), power), [])
+    def masked_magnitude(mixture, start, stop):  # |x| times each band mask, into the gains
+        out = mixture.space.take("gains", (len(masks),) + mixture.x.shape)
+        return gains(mixture, np.multiply(mixture.magnitude, masks, out=out))
+
+    return _SpectralBranch(weights, masked_magnitude, [])
 
 
 def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBranch],
@@ -405,25 +430,34 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
     synthesis = _OverlapAdd((num_sources, channels), cfg.stft, frames, mix.length)
     window = cfg.stft.window_array()
     tf = [b for b in branches if b.spatial is not None]
-
-    def mixture(start, stop):
-        # frames of a Fortran-ordered input (a transposed array) have the
-        # channel axis fastest; in C order every product of them is contiguous
-        x = _analysis_frames(mix.samples, cfg.stft, start, stop, window)
-        return _Mixture(np.ascontiguousarray(x))
-
-    def em_terms(start, stop):
-        block = mixture(start, stop)
-        return [branch.em_terms(block, start, stop, cfg.mwf) for branch in tf]
-
-    def fused_frames(start, stop):
-        block = mixture(start, stop)
-        spectral = np.zeros((num_sources,) + block.x.shape, dtype=np.complex128)
-        for branch in branches:
-            weighted_accumulate(spectral, branch.weights, branch.stems(block, start, stop, cfg.mwf))
-        return synthesis.synthesize(spectral)
-
     with _Sweeps(num_sources, shape) as sweeps:
+        space = sweeps.workspace
+
+        def mixture(start, stop):
+            # spectra written C-ordered, whatever the order of the input (a
+            # transposed array has the channel axis fastest), so every
+            # product of them is contiguous; the windowed frames borrow the
+            # buffer the weighted spectra fill later, made at their size
+            x_shape = (channels, stop - start, cfg.stft.num_bins)
+            space.take("spectral", (num_sources,) + x_shape, np.complex128)
+            return _Mixture(_analysis_frames(
+                mix.samples, cfg.stft, start, stop, window, space.take("x", x_shape, np.complex128),
+                space.take("spectral", x_shape[:2] + (cfg.stft.fft_size,))), space)
+
+        def em_terms(start, stop):
+            block = mixture(start, stop)
+            return [branch.em_terms(block, start, stop, cfg.mwf) for branch in tf]
+
+        def fused_frames(start, stop):
+            block = mixture(start, stop)
+            spectral = space.take("spectral", (num_sources,) + block.x.shape, np.complex128)
+            spectral.fill(0.0)
+            for branch in branches:
+                weighted_accumulate(spectral, branch.weights,
+                                    branch.stems(block, start, stop, cfg.mwf), overwrite=True)
+            [frames_td] = space.keep((spectral.shape[:-1] + (cfg.stft.fft_size,), np.float64))
+            return synthesis.synthesize(spectral, frames_td)
+
         for _ in range(cfg.mwf.iterations if tf else 0):
             for branch, spatial in zip(tf, sweeps.em_pass(em_terms, cfg.mwf.eps)):
                 branch.spatial.append(spatial)

@@ -38,12 +38,15 @@ def frame_count(length: int, cfg: StftConfig) -> int:
 
 
 def _analysis_frames(samples: np.ndarray, cfg: StftConfig, start: int, stop: int,
-                     window: np.ndarray) -> np.ndarray:
+                     window: np.ndarray, out: np.ndarray | None = None,
+                     windowed: np.ndarray | None = None) -> np.ndarray:
     """(channels, stop - start, bins) spectra of frames start .. stop - 1.
 
     `window` is `cfg.window_array()`, computed once by the caller. Reads
     only the samples those frames cover; with center_pad the signal is
-    zero-extended by fft_size // 2 on both sides.
+    zero-extended by fft_size // 2 on both sides. The spectra go into
+    `out` and the (channels, stop - start, fft_size) windowed frames into
+    `windowed` when given, C-ordered whatever the order of `samples`.
     """
     n, hop = cfg.fft_size, cfg.hop
     shift = n // 2 if cfg.center_pad else 0
@@ -53,8 +56,8 @@ def _analysis_frames(samples: np.ndarray, cfg: StftConfig, start: int, stop: int
     x = samples[:, max(lo, 0):min(hi, length)]
     if lo < 0 or hi > length:
         x = np.pad(x, ((0, 0), (max(-lo, 0), max(hi - length, 0))))
-    segments = sliding_window_view(x, n, axis=-1)[:, ::hop] * window
-    return np.fft.rfft(segments, axis=-1)
+    windowed = np.multiply(sliding_window_view(x, n, axis=-1)[:, ::hop], window, out=windowed)
+    return np.fft.rfft(windowed, axis=-1, out=out)
 
 
 def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> Spectrogram:
@@ -74,11 +77,13 @@ class _OverlapAdd:
     `synthesize` turns a block of spectra into windowed time frames; it
     keeps no state, so blocks can be synthesized in any order or at once.
     `add` takes the next block's time frames, of any size, and returns
-    the output samples no later frame can change. Between calls only the
-    last ceil(fft_size / hop) - 1 hop-sample blocks of the sums are
-    carried. Each output sample adds its frames in increasing frame
-    order starting from zero, whatever the block sizes, so the output is
-    bitwise that of one call with every frame.
+    the output samples no later frame can change, in a buffer the next
+    call reuses. Between calls only the last ceil(fft_size / hop) - 1
+    hop-sample blocks of the sums are carried, in the first rows of sums
+    made once, to fit the largest block. Each output sample adds its
+    frames in increasing frame order starting from zero, whatever the
+    block sizes, so the output is bitwise that of one call with every
+    frame.
     """
 
     def __init__(self, lead_shape: tuple, cfg: StftConfig, frames: int, length: int | None = None):
@@ -99,13 +104,15 @@ class _OverlapAdd:
         self._frames_left = frames
         self._stop = self._start + length  # output extent, in padded-signal samples
         self._done = 0  # hop blocks already returned
-        carry = -(-n // hop) - 1
-        self._acc = np.zeros(tuple(lead_shape) + (carry, hop))
-        self._envelope = np.zeros((carry, hop))
+        self._carry = -(-n // hop) - 1
+        self._acc = np.zeros(tuple(lead_shape) + (self._carry, hop))
+        self._envelope = np.zeros((self._carry, hop))
+        self._out = np.empty(0)
 
-    def synthesize(self, spectra: np.ndarray) -> np.ndarray:
-        """(..., frames, fft_size) windowed inverse FFTs of (..., frames, bins) spectra."""
-        frames_td = np.fft.irfft(spectra, n=self._cfg.fft_size, axis=-1)
+    def synthesize(self, spectra: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(..., frames, fft_size) windowed inverse FFTs of (..., frames, bins)
+        spectra, into `out` when given."""
+        frames_td = np.fft.irfft(spectra, n=self._cfg.fft_size, axis=-1, out=out)
         frames_td *= self._window
         return frames_td
 
@@ -119,11 +126,12 @@ class _OverlapAdd:
         n, hop = self._cfg.fft_size, self._cfg.hop
         frames = frames_td.shape[-2]
         self._frames_left -= frames
-        carry = self._envelope.shape[0]
-        acc = np.zeros(self._acc.shape[:-2] + (frames + carry, hop))
-        acc[..., :carry, :] = self._acc
-        envelope = np.zeros((frames + carry, hop))
-        envelope[:carry] = self._envelope
+        carry, rows = self._carry, frames + self._carry
+        if self._envelope.shape[0] < rows:  # the first block, or a larger one
+            self._acc, self._envelope = _grown(self._acc, rows), _grown(self._envelope, rows)
+        acc, envelope = self._acc[..., :rows, :], self._envelope[:rows]
+        acc[..., carry:, :] = 0.0  # the carried sums stay in the first rows
+        envelope[carry:] = 0.0
         # Hop-sample block k of every frame lands on blocks k .. k + frames - 1
         # in one strided add. Going from the last block to the first adds
         # each output sample's frames in increasing frame order.
@@ -133,16 +141,28 @@ class _OverlapAdd:
             width = part.stop - part.start
             acc[..., k:k + frames, :width] += frames_td[..., part]
             envelope[k:k + frames, :width] += wsq[part]
-        finished = frames if self._frames_left else frames + carry
-        self._acc = acc[..., finished:, :].copy()
-        self._envelope = envelope[finished:].copy()
-        out = acc[..., :finished, :] / np.maximum(envelope[:finished], 1e-12)
+        finished = frames if self._frames_left else rows
+        size = acc[..., 0, 0].size * finished * hop
+        if self._out.size < size:
+            self._out = np.empty(size)
+        out = np.divide(acc[..., :finished, :], np.maximum(envelope[:finished], 1e-12),
+                        out=self._out[:size].reshape(acc.shape[:-2] + (finished, hop)))
+        for lead in np.ndindex(acc.shape[:-2]):  # rows of one lead do not overlap: no copy
+            acc[lead][:rows - finished] = acc[lead][finished:]
+        envelope[:rows - finished] = envelope[finished:]
         first = self._done * hop
         self._done += finished
         lo = max(first, self._start)
         hi = min(self._done * hop, self._stop)
         out = out.reshape(out.shape[:-2] + (-1,))[..., lo - first:max(hi, lo) - first]
         return lo - self._start, out
+
+
+def _grown(sums: np.ndarray, rows: int) -> np.ndarray:
+    """(..., rows, hop) zeros that start with the rows of `sums`."""
+    out = np.zeros(sums.shape[:-2] + (rows, sums.shape[-1]))
+    out[..., :sums.shape[-2], :] = sums
+    return out
 
 
 def istft(s: Spectrogram, cfg: StftConfig | None = None, length: int | None = None) -> Waveform:

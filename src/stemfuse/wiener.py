@@ -17,6 +17,11 @@ diagonal (sources, channels, bins) and, for stereo, the complex
 off-diagonal R01 (sources, bins), with R10 = conj(R01). The public
 functions wrap these arrays in `Spectrogram` and `SpatialModel` values.
 
+A sweep's block work allocates nothing block-sized after its first
+blocks: each worker thread takes its temporaries from a `_Workspace`,
+and the arrays a block hands to the calling thread come from a `_Slot`
+the sweep lends it until that thread has consumed them (see `_Sweeps`).
+
 The initial estimates are y_j = g_j x with real mask gains
 g_j = v_j**a / (sum_k v_k**a + eps), each power raised once. Since g_j
 is real, the first pass needs only |y_jc|^2 = g_jc^2 |x_c|^2 and
@@ -29,7 +34,9 @@ the filtered estimates.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -49,8 +56,9 @@ _EIGENVALUE_FLOOR = -1e-10
 _BLOCK_BYTES = 2_200_000
 _THREAD_PREFIX = "stemfuse-block"
 
-# diagonal of every R_j (J, C, F) real, R01 (J, F) complex or None (mono)
-_Spatial = Tuple[np.ndarray, Optional[np.ndarray]]
+# diagonal of every R_j (J, C, F) real, R01 (J, F) complex and R10 =
+# conj(R01), both None for mono
+_Spatial = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -113,17 +121,27 @@ def _as_set(y: np.ndarray, mix: Spectrogram) -> SourceSpectrogramSet:
     return SourceSpectrogramSet([Spectrogram(s, mix.config, mix.sample_rate) for s in y])
 
 
+def _stacked(arrays: Sequence[np.ndarray], start: int, stop: int, space, name: str,
+             dtype=None) -> np.ndarray:
+    """Frames start .. stop - 1 of the (..., T, F) `arrays`, stacked into
+    the buffer `name` of workspace `space`."""
+    blocks = [a[..., start:stop, :] for a in arrays]
+    dtype = dtype or np.result_type(*blocks)
+    return np.stack(blocks, out=space.take(name, (len(blocks),) + blocks[0].shape, dtype))
+
+
 # --- array steps ----------------------------------------------------------
 
-def _mask_gains(g: np.ndarray, mask_power: float) -> np.ndarray:
+def _mask_gains(g: np.ndarray, mask_power: float, total: Optional[np.ndarray] = None) -> np.ndarray:
     """Turn J stacked (J, C, T, F) magnitudes into mask gains, in place.
 
     g_j = v_j**a / (sum_k v_k**a + eps), each power raised once; bins
-    where every magnitude is zero get a zero gain rather than 0/0.
+    where every magnitude is zero get a zero gain rather than 0/0. The
+    sum over sources goes into `total` (C, T, F) when given.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g **= mask_power
-        total = np.sum(g, axis=0)  # in source order, one source at a time
+        total = np.sum(g, axis=0, out=total)  # in source order, one source at a time
     # every term is >= 0 or NaN, so a finite total means finite masks
     if not np.all(np.isfinite(total)):
         raise ValueError(
@@ -135,77 +153,174 @@ def _mask_gains(g: np.ndarray, mask_power: float) -> np.ndarray:
     return g
 
 
+class _Workspace(threading.local):
+    """Arrays reused from block to block; every thread sees its own.
+
+    `take(name, shape, dtype)` gives the leading bytes of the buffer kept
+    under `name`, made again only when a larger one is asked for. A
+    sweep's first block is its largest, so a worker makes each buffer
+    once. A name is a temporary of one step; steps that run one after
+    the other may share it. `keep` gives arrays the block hands to the
+    calling thread, from the `_Slot` it was lent, or new ones outside a
+    sweep. A fresh workspace used for one call makes every array once,
+    as `np.empty` would.
+    """
+
+    def __init__(self):
+        self._buffers, self._views = {}, {}
+        self._claim = self._slot = None
+
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        view = self._views.get((name, shape, dtype))
+        if view is None:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            buffer = self._buffers.get(name)
+            if buffer is None or buffer.size < nbytes:
+                buffer = self._buffers[name] = np.empty(nbytes, np.uint8)
+                self._views.clear()  # views of the buffer this one replaces
+            view = self._views[name, shape, dtype] = buffer[:nbytes].view(dtype).reshape(shape)
+        return view
+
+    def copy(self, name: str, a: np.ndarray) -> np.ndarray:
+        """A C-ordered copy of `a` in the buffer `name`."""
+        out = self.take(name, a.shape, a.dtype)
+        np.copyto(out, a)
+        return out
+
+    def lend(self, claim: Callable) -> None:
+        """Start a block whose first `keep` waits for the slot `claim()` gives."""
+        self._claim, self._slot = claim, None
+
+    def keep(self, *specs) -> list:
+        """Arrays of the (shape, dtype) `specs` that the block hands to the
+        calling thread, carved together from its slot."""
+        if self._claim is None:
+            return [np.empty(shape, dtype) for shape, dtype in specs]
+        if self._slot is None:
+            self._slot = self._claim()
+        return self._slot.carve(specs)
+
+
+class _Slot:
+    """The arrays one block hands to the calling thread. The k-th `keep`
+    of a block carves its arrays from the slot's k-th buffer, made again
+    only when too small: the first block to use a slot makes its buffers
+    and the blocks after it reuse them."""
+
+    def __init__(self):
+        self._buffers, self._count = [], 0
+
+    def start(self) -> None:
+        self._count = 0
+
+    def carve(self, specs) -> list:
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+        starts = [0]
+        for n in sizes:
+            starts.append(starts[-1] + -(-n // 16) * 16)  # each array aligned for complex128
+        if self._count == len(self._buffers):
+            self._buffers.append(np.empty(0, np.uint8))
+        if self._buffers[self._count].size < starts[-1]:
+            self._buffers[self._count] = np.empty(starts[-1], np.uint8)
+        buffer = self._buffers[self._count]
+        self._count += 1
+        return [buffer[b:b + n].view(dtype).reshape(shape)
+                for (shape, dtype), n, b in zip(specs, sizes, starts)]
+
+
 class _Mixture:
     """Mixture frames x (C, T, F) and the products of them that every
     branch filtering these frames shares, each made once, when first
     asked for: |x| for models that mask the mixture magnitude, and for
     the first EM pass |x_c|^2 (C, T, F) and, for stereo, x0 conj(x1)
-    (T, F). Not shared between threads."""
+    (T, F). They and the temporaries of every step on these frames live
+    in `space`, a fresh `_Workspace` unless given. Not shared between
+    threads."""
 
-    def __init__(self, x: np.ndarray):
+    def __init__(self, x: np.ndarray, space: Optional[_Workspace] = None):
         self.x = x
+        self.space = space or _Workspace()
         self._magnitude = self._power = self._cross = None
 
     @property
     def magnitude(self) -> np.ndarray:
         if self._magnitude is None:
-            self._magnitude = np.abs(self.x)
+            self._magnitude = np.abs(self.x, out=self.space.take("magnitude", self.x.shape))
         return self._magnitude
 
     @property
     def power(self) -> np.ndarray:
         if self._power is None:
-            self._power = _power(self.x)
+            self._power = _power(self.x, self.space.take("x_power", self.x.shape), self.space)
         return self._power
 
     @property
     def cross(self) -> Optional[np.ndarray]:
         if self._cross is None and self.x.shape[0] == 2:
-            self._cross = _cross(self.x[0], self.x[1])
+            self._cross = _cross(self.x[0], self.x[1], self.space.take(
+                "x_cross", self.x.shape[1:], np.complex128), self.space)
         return self._cross
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None,
+           space: Optional[_Workspace] = None) -> np.ndarray:
     """a conj(b), elementwise, with the rounding of one `einsum` sum over frames."""
+    conj = None if space is None else space.take("scratch", b.shape, np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum("...,...->...", a, np.conj(b))
+        return np.einsum("...,...->...", a, np.conj(b, out=conj), out=out)
 
 
-def _power(y: np.ndarray) -> np.ndarray:
+def _power(y: np.ndarray, out: Optional[np.ndarray] = None,
+           space: Optional[_Workspace] = None) -> np.ndarray:
     """|y|^2 of complex estimates."""
+    square = None if space is None else space.take("scratch", y.shape)
     with np.errstate(over="ignore"):
-        return y.real ** 2 + y.imag ** 2
+        out = np.square(y.real, out=out)
+        out += np.square(y.imag, out=square)
+        return out
 
 
-def _gain_power(g: np.ndarray, x_power: np.ndarray) -> np.ndarray:
+def _gain_power(g: np.ndarray, x_power: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """|y|^2 of the estimates y = g x: g^2 |x|^2."""
-    power = g * g
+    power = np.multiply(g, g, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
         power *= x_power
     return power
 
 
-def _psd(power: np.ndarray) -> np.ndarray:
+def _psd(power: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(J, b, F) PSDs of (J, C, b, F) estimates from their |y|^2: the channel mean."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.mean(power, axis=1)
+        return np.mean(power, axis=1, out=out)
 
 
-def _terms(power: np.ndarray, cross: Optional[np.ndarray]) -> tuple:
+def _terms(power: np.ndarray, cross: Optional[np.ndarray], psd: np.ndarray) -> tuple:
     """What `_SpatialSums` needs of a block of (J, C, b, F) estimates, once
     every frame's PSD is found finite: the per-frame terms of sum_t v
-    (J, b, F), sum_t |y_c|^2 (J, C, b, F) and, for stereo,
-    sum_t y0 conj(y1) (J, b, F).
-    """
-    psd = _psd(power)
+    (J, b, F), made here in `psd`, sum_t |y_c|^2 (J, C, b, F) and, for
+    stereo, sum_t y0 conj(y1) (J, b, F)."""
+    _psd(power, psd)
     if not np.all(np.isfinite(psd)):
         _overflowed()
     return psd, power, cross
 
 
-def _block_terms(y: np.ndarray) -> tuple:
+def _kept_terms(shape: tuple, space: _Workspace) -> tuple:
+    """The block's `_terms` arrays for (J, C, b, F) estimates, carved from
+    its slot: |y_c|^2, y0 conj(y1) (None for mono) and v."""
+    frames = shape[:1] + shape[2:]
+    if shape[1] == 1:
+        power, psd = space.keep((shape, np.float64), (frames, np.float64))
+        return power, None, psd
+    return tuple(space.keep((shape, np.float64), (frames, np.complex128), (frames, np.float64)))
+
+
+def _block_terms(y: np.ndarray, space: _Workspace) -> tuple:
     """`_terms` of complex (J, C, b, F) estimates."""
-    return _terms(_power(y), _cross(y[:, 0], y[:, 1]) if y.shape[1] == 2 else None)
+    power, cross, psd = _kept_terms(y.shape, space)
+    if cross is not None:
+        _cross(y[:, 0], y[:, 1], cross, space)
+    return _terms(_power(y, power, space), cross, psd)
 
 
 def _gain_terms(g: np.ndarray, mixture: _Mixture) -> tuple:
@@ -214,10 +329,14 @@ def _gain_terms(g: np.ndarray, mixture: _Mixture) -> tuple:
     g is real, so |y_c|^2 = g_c^2 |x_c|^2 and y0 conj(y1) =
     g0 g1 x0 conj(x1): the complex estimates are never formed.
     """
-    x_cross = mixture.cross
-    with np.errstate(over="ignore", invalid="ignore"):
-        cross = None if x_cross is None else g[:, 0] * g[:, 1] * x_cross
-    return _terms(_gain_power(g, mixture.power), cross)
+    space, x_power, x_cross = mixture.space, mixture.power, mixture.cross
+    power, cross, psd = _kept_terms(g.shape, space)
+    if cross is not None:
+        g01 = space.take("scratch", x_cross.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for gj, cross_j in zip(g, cross):
+                np.multiply(np.multiply(gj[0], gj[1], out=g01), x_cross, out=cross_j)
+    return _terms(_gain_power(g, x_power, power), cross, psd)
 
 
 class _SpatialSums:
@@ -252,7 +371,7 @@ class _SpatialSums:
                     np.sum(t, axis=-2, out=total)
 
     def spatial(self, eps: float) -> _Spatial:
-        """The diagonal (J, C, F) and, for stereo, R01 (J, F) of every R_j."""
+        """The diagonal (J, C, F), R01 and R10 (J, F, for stereo) of every R_j."""
         psd, power, cross = self._sums
         with np.errstate(over="ignore", invalid="ignore"):
             scale = 1.0 / (psd + eps)
@@ -260,7 +379,13 @@ class _SpatialSums:
             r01 = None if cross is None else cross * scale
         if not (np.all(np.isfinite(r_diag)) and (r01 is None or np.all(np.isfinite(r01)))):
             _overflowed()
-        return r_diag, r01
+        return _spatial(r_diag, r01)
+
+
+def _spatial(r_diag: np.ndarray, r01: Optional[np.ndarray]) -> _Spatial:
+    """A `_Spatial` of R's diagonal and R01: R10 = conj(R01) is made here,
+    once, not in every filter step."""
+    return r_diag, r01, None if r01 is None else np.conj(r01)
 
 
 def _overflowed():
@@ -276,66 +401,117 @@ def _require_invertible(det: np.ndarray) -> None:
         )
 
 
-def _filter_step(
-    psd: np.ndarray, spatial: _Spatial, x: np.ndarray, eps: float, out: np.ndarray
-) -> np.ndarray:
-    """Wiener step: y_j = v_j R_j (sum_k v_k R_k + eps I)^-1 x, into (J, C, T, F) `out`.
+def _filter_step(psd: np.ndarray, spatial: _Spatial, x: np.ndarray, eps: float,
+                 out: np.ndarray, space: Optional[_Workspace] = None) -> np.ndarray:
+    """Wiener step: y_j = v_j R_j (sum_k v_k R_k + eps I)^-1 x, into (J, C, T, F) `out`
+    (see `_filter_sources`)."""
+    for _ in _filter_sources(psd, spatial, x, eps, out, space or _Workspace()):
+        pass
+    return out
+
+
+def _filter_sources(psd: np.ndarray, spatial: _Spatial, x: np.ndarray, eps: float,
+                    out: np.ndarray, space: _Workspace):
+    """Yield y_j = v_j R_j (sum_k v_k R_k + eps I)^-1 x, source by source, in
+    `out[j]`, or in `out[0]` when `out` holds one (C, T, F) estimate.
 
     The shared term z = (sum_k v_k R_k + eps I)^-1 x is computed once
     with the closed 1x1/2x2 inverse: real diagonal, real determinant,
     one reciprocal. Every frame is filtered on its own, so any range of
-    frames can be filtered apart from the rest.
+    frames can be filtered apart from the rest. The (T, F) temporaries
+    live in `space`.
     """
-    r_diag, r01 = spatial
+    r_diag, r01, r10 = spatial
 
-    def mix_cov(r):  # sum_k v_k r_k, accumulated in source order
-        acc = psd[0] * r[0]
+    def take(name, dtype=np.float64):
+        return space.take(name, x.shape[1:], dtype)
+
+    def mix_cov(r, name, dtype=np.float64):  # sum_k v_k r_k, accumulated in source order
+        acc = np.multiply(psd[0], r[0], out=take(name, dtype))
+        term = take("scratch", dtype)
         for v, rk in zip(psd[1:], r[1:]):
-            acc += v * rk
+            acc += np.multiply(v, rk, out=term)
         return acc
 
     with np.errstate(over="ignore", invalid="ignore"):
-        c00 = mix_cov(r_diag[:, 0])
+        c00 = mix_cov(r_diag[:, 0], "c00")
         c00 += eps
         if r01 is None:
             _require_invertible(c00)
-            z0 = x[0] * (1.0 / c00)
-            for j, v in enumerate(psd):
-                np.multiply(v * r_diag[j, 0], z0, out=out[j, 0])
-            return out
-        c11 = mix_cov(r_diag[:, 1])
+            z0 = np.multiply(x[0], np.divide(1.0, c00, out=c00), out=take("z0", complex))
+    if r01 is None:
+        for j, v in enumerate(psd):
+            y = out[j % len(out)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(np.multiply(v, r_diag[j, 0], out=take("scratch")), z0, out=y[0])
+            yield y
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        c11 = mix_cov(r_diag[:, 1], "c11")
         c11 += eps
-        c01 = mix_cov(r01)
-        det = c00 * c11 - (c01.real ** 2 + c01.imag ** 2)
+        c01 = mix_cov(r01, "c01", complex)
+        det = np.multiply(c00, c11, out=take("det"))
+        norm, imag2 = space.take("scratch", (2,) + x.shape[1:])
+        norm = np.square(c01.real, out=norm)
+        norm += np.square(c01.imag, out=imag2)
+        det -= norm
     _require_invertible(det)
-    inv_det = 1.0 / det
-    z0 = (c11 * x[0] - c01 * x[1]) * inv_det
-    z1 = (c00 * x[1] - np.conj(c01) * x[0]) * inv_det
+    inv_det = np.divide(1.0, det, out=det)
+    z0 = np.multiply(c11, x[0], out=take("z0", complex))
+    z0 -= np.multiply(c01, x[1], out=take("scratch", complex))
+    z0 *= inv_det
+    z1 = np.multiply(c00, x[1], out=take("z1", complex))
+    conj_c01 = np.conj(c01, out=take("scratch", complex))
+    z1 -= np.multiply(conj_c01, x[0], out=conj_c01)
+    z1 *= inv_det
+    a, b = c01, take("scratch", complex)  # c01 is done with
     for j, v in enumerate(psd):
-        np.multiply(v, r_diag[j, 0] * z0 + r01[j] * z1, out=out[j, 0])
-        np.multiply(v, np.conj(r01[j]) * z0 + r_diag[j, 1] * z1, out=out[j, 1])
-    return out
+        y = out[j % len(out)]
+        np.multiply(r_diag[j, 0], z0, out=a)
+        a += np.multiply(r01[j], z1, out=b)
+        np.multiply(v, a, out=y[0])
+        np.multiply(r10[j], z0, out=a)
+        a += np.multiply(r_diag[j, 1], z1, out=b)
+        np.multiply(v, a, out=y[1])
+        yield y
 
 
-def _refilter(y: np.ndarray, mixture: _Mixture, spatials: Sequence[_Spatial],
-              eps: float) -> np.ndarray:
+def _block_psd(y: np.ndarray, mixture: _Mixture) -> np.ndarray:
+    """The (J, b, F) PSD of estimates y of the `_Mixture` frames, mask gains
+    or complex, from one source's |y|^2 at a time."""
+    space = mixture.space
+    psd, power = space.take("psd", y.shape[:1] + y.shape[2:]), space.take("power", y.shape[1:])
+    for j, yj in enumerate(y):
+        if np.iscomplexobj(yj):
+            _power(yj, power, space)
+        else:
+            _gain_power(yj, mixture.power, power)
+        _psd(power[None], psd[j:j + 1])
+    return psd
+
+
+def _refilter(y: np.ndarray, mixture: _Mixture, spatials: Sequence[_Spatial], eps: float,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """The estimates of some frames after the filter steps of finished EM passes.
 
     `y` holds their estimates before those passes: real mask gains g,
     for the masked mixture g x of the `_Mixture` frames, whose first PSD
-    comes from the gains, or complex estimates, which are overwritten.
-    An EM pass filters each frame with that frame's PSD and the R of the
-    whole signal, so this rebuilds the estimates of any range of frames.
+    comes from the gains, or complex estimates. An EM pass filters each
+    frame with that frame's PSD and the R of the whole signal, so this
+    rebuilds the estimates of any range of frames. They go into `out`,
+    which may be complex `y` itself; by default complex `y` is
+    overwritten and gains give the workspace buffer "estimates". With no
+    pass, `y` is returned as it is.
     """
-    if np.iscomplexobj(y):
-        power = _power(y)
-    elif not spatials:
-        return np.multiply(y, mixture.x)
-    else:
-        power, y = _gain_power(y, mixture.power), np.empty(y.shape, dtype=np.complex128)
+    if not spatials:
+        return y
+    if out is None:
+        out = y if np.iscomplexobj(y) else mixture.space.take(
+            "estimates", (len(y),) + mixture.x.shape, np.complex128)
     for k, spatial in enumerate(spatials):
-        _filter_step(_psd(_power(y) if k else power), spatial, mixture.x, eps, out=y)
-    return y
+        _filter_step(_block_psd(out if k else y, mixture), spatial, mixture.x, eps, out,
+                     mixture.space)
+    return out
 
 
 # --- sweeps over blocks of frames -----------------------------------------
@@ -354,7 +530,16 @@ class _Sweeps:
     pool of `_worker_count()` threads; this thread takes the results strictly in
     block order, so what it sums does not depend on the number of
     threads. Leaving the `with` block drops queued blocks and joins
-    running ones."""
+    running ones.
+
+    The sweep owns the memory of its blocks, made in its first blocks
+    and reused by every sweep after them. `workspace` holds each worker
+    thread's temporaries. What block i returns is carved from slot
+    i % (workers + 1), which its first `keep` waits for until the slot's
+    last block is consumed. A slot per thread and one more bound the
+    results held well below `window` blocks, and a block takes its slot
+    only when it has results to write, so a thread rarely waits.
+    """
 
     def __init__(self, sources: int, shape: tuple):
         from concurrent.futures import ThreadPoolExecutor  # ~9 ms to import; only sweeps need it
@@ -365,12 +550,17 @@ class _Sweeps:
         self.blocks = [(start, min(start + step, frames))
                        for start in range(0, max(frames, 1), step)]
         self.window = 2 * workers + 1
+        self.workspace = _Workspace()
+        self._slots = [_Slot() for _ in range(workers + 1)]
+        self._consumed = 0  # blocks of this sweep consumed so far
+        self._turn = threading.Condition()
         self._pool = ThreadPoolExecutor(workers, thread_name_prefix=_THREAD_PREFIX)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self._advance(math.inf)  # no block waits for a slot now
         self._pool.shutdown(wait=True, cancel_futures=True)
 
     def in_order(self, work: Callable):
@@ -380,16 +570,36 @@ class _Sweeps:
         `window` blocks are submitted and not yet consumed, counting the
         one being consumed, so memory does not grow with the number of
         blocks and one slow block leaves the other workers busy. A
-        failing block raises when its turn comes, so the first failure
-        in frame order is the one seen.
+        failing block raises when its turn comes, so the first failure in
+        frame order is the one seen.
         """
-        pending = deque()
-        for start, stop in self.blocks:
+        self._consumed, pending = 0, deque()
+        for index, (start, stop) in enumerate(self.blocks):
             if len(pending) == self.window:
                 yield pending.popleft().result()
-            pending.append(self._pool.submit(contextvars.copy_context().run, work, start, stop))
+                self._advance(1)
+            pending.append(self._pool.submit(contextvars.copy_context().run, self._run, work,
+                                             index, start, stop))
         while pending:
             yield pending.popleft().result()
+            self._advance(1)
+
+    def _run(self, work: Callable, index: int, start: int, stop: int):
+        self.workspace.lend(lambda: self._claim(index))
+        return work(start, stop)
+
+    def _claim(self, index: int) -> _Slot:
+        """Block `index`'s slot, once the block that had it is consumed."""
+        with self._turn:
+            self._turn.wait_for(lambda: self._consumed > index - len(self._slots))
+        slot = self._slots[index % len(self._slots)]
+        slot.start()
+        return slot
+
+    def _advance(self, blocks) -> None:
+        with self._turn:
+            self._consumed += blocks
+            self._turn.notify_all()
 
     def em_pass(self, terms: Callable, eps: float) -> List[_Spatial]:
         """The R of one EM pass of each of several filters, where
@@ -407,24 +617,28 @@ def _em(x: np.ndarray, num_sources: int, first: Callable, iterations: int,
         eps: float) -> np.ndarray:
     """(J, C, T, F) estimates after `iterations` EM passes over mixture x (C, T, F).
 
-    `first(start, stop)` gives the estimates of frames start .. stop - 1
-    before the first pass, in either form `_refilter` takes. A sweep over
-    C-ordered copies of the blocks filters each block with the R of the
-    last finished pass, keeps the result in the returned array for the
-    next sweep and, but for the last sweep, gives the terms of its pass.
+    `first(start, stop, space)` gives the estimates of frames start ..
+    stop - 1 before the first pass, in either form `_refilter` takes, in
+    workspace `space`. A sweep over C-ordered copies of the blocks
+    filters each block with the R of the last finished pass into the
+    returned array, where the next sweep filters it again in place, and,
+    but for the last sweep, gives the terms of its pass.
     """
     out = np.empty((num_sources,) + x.shape, dtype=np.complex128)
     spatials = []
-
-    def sweep(start, stop):
-        mixture = _Mixture(np.ascontiguousarray(x[:, start:stop]))
-        y = first(start, stop) if len(spatials) < 2 else out[:, :, start:stop].copy()
-        if spatials or iterations == 0:
-            y = out[:, :, start:stop] = _refilter(y, mixture, spatials[-1:], eps)
-        if len(spatials) < iterations:
-            return [_block_terms(y) if np.iscomplexobj(y) else _gain_terms(y, mixture)]
-
     with _Sweeps(num_sources, x.shape) as sweeps:
+        space = sweeps.workspace
+
+        def sweep(start, stop):
+            mixture = _Mixture(space.copy("x", x[:, start:stop]), space)
+            y = first(start, stop, space) if len(spatials) < 2 else out[:, :, start:stop]
+            if spatials:
+                y = _refilter(y, mixture, spatials[-1:], eps, out[:, :, start:stop])
+            elif iterations == 0:  # the masked mixture g x
+                np.multiply(y, mixture.x, out=out[:, :, start:stop])
+            if len(spatials) < iterations:
+                return [_block_terms(y, space) if np.iscomplexobj(y) else _gain_terms(y, mixture)]
+
         for _ in range(iterations):
             spatials += sweeps.em_pass(sweep, eps)
         for _ in sweeps.in_order(sweep):
@@ -453,21 +667,22 @@ def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[Spatia
     _check_channels(est.channels)
     bins = [s.bins for s in est.sources]
     psd = np.empty((len(bins),) + bins[0].shape[1:])
-
-    def terms(start, stop):
-        block = _block_terms(np.stack([b[:, start:stop] for b in bins]))
-        psd[:, start:stop] = block[0]
-        return [block]
-
     with _Sweeps(len(bins), bins[0].shape) as sweeps:
-        [(r_diag, r01)] = sweeps.em_pass(terms, eps)
+        space = sweeps.workspace
+
+        def terms(start, stop):
+            block = _block_terms(_stacked(bins, start, stop, space, "estimates"), space)
+            psd[:, start:stop] = block[0]
+            return [block]
+
+        [(r_diag, r01, r10)] = sweeps.em_pass(terms, eps)
     num_sources, channels, num_bins = r_diag.shape
     cov = np.zeros((num_sources, num_bins, channels, channels), dtype=np.complex128)
     for c in range(channels):
         cov[:, :, c, c] = r_diag[:, c]
     if r01 is not None:
         cov[:, :, 0, 1] = r01
-        cov[:, :, 1, 0] = np.conj(r01)
+        cov[:, :, 1, 0] = r10
     return [SpatialModel(p, r) for p, r in zip(psd, cov)]
 
 
@@ -486,16 +701,17 @@ def apply_filter(
             raise ShapeMismatch(f"psd of shape {m.psd.shape} does not match mixture "
                                 f"frames and bins {mix.bins.shape[1:]}")
     cov = np.stack([m.spatial_cov for m in models])
-    r_diag = np.stack([cov[:, :, c, c].real for c in range(mix.channels)], axis=1)
-    r01 = cov[:, :, 0, 1] if mix.channels == 2 else None
+    spatial = _spatial(np.stack([cov[:, :, c, c].real for c in range(mix.channels)], axis=1),
+                       cov[:, :, 0, 1] if mix.channels == 2 else None)
     out = np.empty((len(models),) + mix.bins.shape, dtype=np.complex128)
-
-    def block(start, stop):
-        psd = np.stack([m.psd[start:stop] for m in models])
-        x = np.ascontiguousarray(mix.bins[:, start:stop])
-        _filter_step(psd, (r_diag, r01), x, eps, out[:, :, start:stop])
-
     with _Sweeps(len(models), mix.bins.shape) as sweeps:
+        space = sweeps.workspace
+
+        def block(start, stop):
+            psd = _stacked([m.psd for m in models], start, stop, space, "psd")
+            x = space.copy("x", mix.bins[:, start:stop])
+            _filter_step(psd, spatial, x, eps, out[:, :, start:stop], space)
+
         for _ in sweeps.in_order(block):
             pass
     return _as_set(out, mix)
@@ -514,8 +730,8 @@ def em_iterate(
     if cfg.iterations == 0:
         return est
     bins = [s.bins for s in est.sources]
-    return _as_set(_em(mix.bins, len(bins), lambda start, stop: np.stack(
-        [b[:, start:stop] for b in bins]), cfg.iterations, cfg.eps), mix)
+    return _as_set(_em(mix.bins, len(bins), lambda start, stop, space: _stacked(
+        bins, start, stop, space, "estimates"), cfg.iterations, cfg.eps), mix)
 
 
 def mwf(
@@ -542,8 +758,8 @@ def _masked(mags: Sequence[np.ndarray], mix: Spectrogram, cfg: MwfConfig) -> Sou
         if np.any(v < 0):
             raise ValueError("magnitudes must be nonnegative")
 
-    def gains(start, stop):
-        return _mask_gains(np.stack([v[:, start:stop] for v in mags], dtype=np.float64),
-                           cfg.mask_power)
+    def gains(start, stop, space):
+        g = _stacked(mags, start, stop, space, "gains", np.float64)
+        return _mask_gains(g, cfg.mask_power, space.take("scratch", g.shape[1:]))
 
     return _as_set(_em(mix.bins, len(mags), gains, cfg.iterations, cfg.eps), mix)

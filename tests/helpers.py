@@ -3,7 +3,10 @@ independent brute-force oracles the derived expectations come from."""
 
 import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,8 @@ from stemfuse import (
 )
 from stemfuse import bsseval
 from stemfuse.blend import weighted_accumulate
-from stemfuse.wiener import _cross, _filter_step, _gain_power, _mask_gains, _Mixture, _power
+from stemfuse.wiener import (_cross, _filter_step, _gain_power, _mask_gains, _Mixture, _power,
+                             _spatial)
 
 
 def make_waveform(rng, channels=2, length=256, sample_rate=44100, scale=0.5):
@@ -44,6 +48,23 @@ def write_stem_dir(directory, stems: SourceWaveformSet, names=("drums", "bass", 
     for name, stem in zip(names, stems.sources):
         write_wav(stem, directory / f"{name}.wav", encoding="float32")
     return directory
+
+
+def child_minor_faults(args, env) -> int:
+    """Minor page faults of `python -m stemfuse.cli *args` in a child process
+    whose environment adds `env`, read as the RUSAGE_CHILDREN delta; the
+    child imports the same stemfuse as this process."""
+    import resource  # POSIX only
+
+    import stemfuse
+
+    path = [str(Path(stemfuse.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **env)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run([sys.executable, "-m", "stemfuse.cli", *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
 
 # --- dense least-squares SDR oracle (independent of the FFT solver) ------
@@ -243,7 +264,7 @@ def whole_array_passes(y, x, passes, eps):
         per_source = ((_power(yj), _cross(yj[0], yj[1]) if y.shape[1] == 2 else None)
                       for yj in y)
         psd, spatial = whole_array_model_step(per_source, y.shape, eps)
-        _filter_step(psd, spatial, x, eps, out=y)
+        _filter_step(psd, _spatial(*spatial), x, eps, out=y)
     return y
 
 
@@ -256,7 +277,8 @@ def whole_array_mwf(mags, x, cfg):
     per_source = ((_gain_power(gj, mixture.power),
                    None if mixture.cross is None else gj[0] * gj[1] * mixture.cross) for gj in g)
     psd, spatial = whole_array_model_step(per_source, g.shape, cfg.eps)
-    y = _filter_step(psd, spatial, x, cfg.eps, out=np.empty(g.shape, dtype=np.complex128))
+    y = _filter_step(psd, _spatial(*spatial), x, cfg.eps,
+                     out=np.empty(g.shape, dtype=np.complex128))
     return whole_array_passes(y, x, cfg.iterations - 1, cfg.eps)
 
 
@@ -393,7 +415,7 @@ def materialised_mwf(mags, x, cfg):
     for _ in range(cfg.iterations):
         psd, spatial = materialised_model_step(y, cfg.eps)
         passes.append((psd, spatial))
-        _filter_step(psd, spatial, x, cfg.eps, out=y)
+        _filter_step(psd, _spatial(*spatial), x, cfg.eps, out=y)
     return y, passes
 
 

@@ -136,9 +136,9 @@ def test_gain_pass_matches_materialised_estimates(seed, channels, sources, itera
     steps = []  # the PSD and R that each of mwf's filter steps is given
     filter_step = wiener._filter_step
 
-    def recording(psd, spatial, x, eps, out):
-        steps.append((psd.copy(), spatial))
-        return filter_step(psd, spatial, x, eps, out)
+    def recording(psd, spatial, x, eps, out, space=None):
+        steps.append((psd.copy(), spatial[:2]))  # R's diagonal and R01
+        return filter_step(psd, spatial, x, eps, out, space)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wiener, "_filter_step", recording)

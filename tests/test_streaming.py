@@ -4,6 +4,8 @@ bitwise those of the whole-track runs in helpers.py (the pipeline's and
 threads, and its memory does not grow with the track beyond the
 returned stems."""
 
+import mmap
+import platform
 import sys
 import tempfile
 import threading
@@ -34,10 +36,11 @@ from stemfuse import (
     stft,
     validate_weights,
     write_magnitudes,
+    write_wav,
 )
 from stemfuse.errors import ConfigMismatch, NonFiniteSamples, ShapeMismatch, TruncatedData
 
-from helpers import whole_array_run, whole_track_wiener, write_stem_dir
+from helpers import child_minor_faults, whole_array_run, whole_track_wiener, write_stem_dir
 
 pipeline = sys.modules["stemfuse.pipeline"]
 wiener = sys.modules["stemfuse.wiener"]
@@ -216,11 +219,11 @@ def test_first_failing_block_in_frame_order_wins(tmp_path):
     read_frames = pipeline._read_frames
     failed_later = threading.Event()
 
-    def slow_early_block(fh, path, shape, start, stop):
+    def slow_early_block(fh, path, shape, start, stop, out=None):
         if start == 8 and path.name == "bass.mag":
             failed_later.wait(timeout=5)
         try:
-            return read_frames(fh, path, shape, start, stop)
+            return read_frames(fh, path, shape, start, stop, out)
         except ValueError:  # the negative magnitude is rejected as it is read
             failed_later.set()
             raise
@@ -308,6 +311,50 @@ def test_no_transform_sees_more_than_one_block(monkeypatch):
     assert max(frames for _, frames in seen) <= block and 10 * block < total
 
 
+def test_back_to_back_runs_see_no_buffer_of_an_earlier_call(tmp_path):
+    # stereo, mono, then stereo again in one process, each with its own
+    # length, FFT size, block size and worker count, a `.mag` model, two EM
+    # passes and a short last block: a buffer sized or filled by an earlier
+    # call, sweep or block would change the bytes
+    rng = np.random.default_rng(41)
+    for i, (channels, fft_size, frames, block_frames, workers) in enumerate(
+            [(2, 64, 97, 4, 2), (1, 128, 50, 3, 1), (2, 32, 123, 5, 3)]):
+        stft_cfg = StftConfig(fft_size=fft_size, hop=fft_size // 4)
+        mix = Waveform(rng.normal(size=(channels, (frames - 1) * stft_cfg.hop + 7)), SR)
+        assert stft(mix, stft_cfg).frames % block_frames
+        (tmp_path / str(i)).mkdir()
+        _, mag_dir = write_model_dirs(tmp_path / str(i), rng, mix, stft_cfg)
+        cfg = PipelineConfig(
+            [ModelEntry("mags", "TF", str(mag_dir)), ModelEntry("toy", "TF", "builtin-toy"),
+             ModelEntry("band", "T", "builtin-toy")],
+            stft_cfg, MwfConfig(iterations=2), validate_weights([[0.5] * 4, [0.3] * 4, [0.2] * 4]))
+        got = stems_of(mix, cfg, block_frames, workers)
+        assert got.tobytes() == whole_array_run(mix, cfg).tobytes()
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"),
+                    reason="counts the page faults of glibc's allocator")
+def test_separate_faults_grow_only_with_its_input_and_stems(tmp_path):
+    # glibc's mmap threshold held at 128 KiB maps every larger array afresh
+    # and unmaps it when freed: block work that made block-sized arrays
+    # faulted them in again every block (~78k faults per extra second of
+    # audio), block work that reuses its buffers faults them in once
+    config = resources.files("stemfuse") / "data" / "toy_pipeline.json"
+    faults = {}
+    for seconds in (2, 6):
+        path = tmp_path / f"mix{seconds}.wav"
+        write_wav(toy_mix(seconds), path)
+        faults[seconds] = child_minor_faults(
+            ["separate", "--input", str(path), "--config", str(config),
+             "--out", str(tmp_path / f"stems{seconds}")],
+            {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"})
+    per_second = (faults[6] - faults[2]) / 4
+    # bytes per second of stereo audio: the float32 input and its float64
+    # samples, the float64 stems and their float32 writes
+    pages = SR * 2 * (4 + 8 + NUM_SOURCES * (8 + 4)) / mmap.PAGESIZE
+    assert per_second <= 2 * pages
+
+
 def traced_peak(mix, cfg, workers) -> int:
     with pytest.MonkeyPatch.context() as mp:
         set_blocks(mp, mix, cfg, workers=workers)
@@ -393,8 +440,8 @@ def test_apply_filter_in_blocks_is_bitwise_the_whole_array_step(channels, block_
     spec = stft(toy_mix(0.5, channels), cfg.stft)
     mags, models = toy_models(spec, cfg)
     cov = np.stack([m.spatial_cov for m in models])
-    spatial = (np.stack([cov[:, :, c, c].real for c in range(channels)], axis=1),
-               cov[:, :, 0, 1] if channels == 2 else None)
+    spatial = wiener._spatial(np.stack([cov[:, :, c, c].real for c in range(channels)], axis=1),
+                              cov[:, :, 0, 1] if channels == 2 else None)
     want = wiener._filter_step(np.stack([m.psd for m in models]), spatial, spec.bins,
                                cfg.mwf.eps, np.empty((len(models),) + spec.bins.shape, complex))
     with pytest.MonkeyPatch.context() as mp:
