@@ -6,8 +6,9 @@ PCM24 and IEEE float32 for reading, also when the fmt chunk is
 WAVE_FORMAT_EXTENSIBLE with the PCM or IEEE-float sub-format, and PCM16
 and float32 for writing.
 Chunks other than ``fmt `` and ``data`` are skipped. `WavReader` decodes
-any range of frames of an open file; `read_wav` is it read whole. Writes
-are atomic (temp file + rename).
+any range of frames of an open file; `read_wav` is it read whole.
+`_WavFiles` writes several files block by block, atomically (temp files
+renamed after the last block); `write_wav` is one block of one file.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     TruncatedData,
     UnsupportedEncoding,
 )
-from .core import Waveform, _atomic_write
+from .core import Waveform, _AtomicFiles
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
@@ -201,48 +202,94 @@ def read_wav(path) -> Waveform:
 
 
 def write_wav(w: Waveform, path, encoding: str = "float32") -> None:
-    """Write a Waveform as PCM16 or IEEE float32 WAV.
+    """Write a Waveform as PCM16 or IEEE float32 WAV: one block of `_WavFiles`.
 
     PCM16 rounds to nearest and clamps to [-1, 1 - 2**-15]; float32 is a
     plain narrowing cast, so float32-valued samples round-trip exactly. A
     size too large for its header field is a ValueError, before any file is made.
     """
-    if encoding not in ENCODINGS:
-        raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
+    with _WavFiles([path], w.channels, w.sample_rate, w.length, encoding) as files:
+        files.write([w.samples])
 
+
+class _WavFiles(_AtomicFiles):
+    """WAV files of one channel count, rate and length, written together
+    block by block: each temp file gets its header first, from the known
+    length, then the samples of every `write`, and all are renamed into
+    place only when the `with` block ends with every frame written (see
+    `_AtomicFiles`). Encodings are those of `write_wav`. A size too large
+    for its header field is a ValueError, before any file is made; an
+    OSError is an IoFailure naming the files.
+    """
+
+    def __init__(self, paths, channels: int, sample_rate: int, length: int,
+                 encoding: str = "float32"):
+        if encoding not in ENCODINGS:
+            raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
+        super().__init__(paths, _wav_header(paths[0], channels, sample_rate, length, encoding))
+        self._encoding, self._length, self._written = encoding, length, 0
+
+    def __enter__(self):
+        try:
+            self._files = super().__enter__()
+        except OSError as exc:
+            raise self._io_failure(exc) from exc
+        return self
+
+    def write(self, blocks) -> None:
+        """Append one (channels, count) block of samples to each file."""
+        for fh, path, samples in zip(self._files, self.paths, blocks):
+            try:
+                for part in _payload(samples, self._encoding):
+                    fh.write(part)
+            except OSError as exc:
+                raise IoFailure(f"cannot write {path}: {exc}") from exc
+        self._written += blocks[0].shape[-1]
+
+    def __exit__(self, error_type, *_) -> None:
+        if error_type is None and self._written != self._length:
+            super().__exit__(ValueError)
+            raise ValueError(f"{self.paths[0]}: {self._written} of {self._length} frames written")
+        try:
+            super().__exit__(error_type)
+        except OSError as exc:
+            raise self._io_failure(exc) from exc
+
+    def _io_failure(self, exc: OSError) -> IoFailure:
+        return IoFailure(f"cannot write {', '.join(map(str, self.paths))}: {exc}")
+
+
+def _wav_header(path, channels: int, sample_rate: int, length: int, encoding: str) -> bytes:
+    """The RIFF, fmt, fact (float32) and data headers of a WAV file of `length` frames."""
     tag, bits = (_FORMAT_IEEE_FLOAT, 32) if encoding == "float32" else (_FORMAT_PCM, 16)
-    channels = w.channels
     block_align = channels * bits // 8
-    payload_bytes = w.length * block_align  # even: no pad byte
+    payload_bytes = length * block_align  # even: no pad byte
 
     def field(name: str, value: int, width: int = 32) -> int:
         if value >> width:
             raise ValueError(f"cannot write {path}: its {name} {value} does not fit {width} bits")
         return value
 
-    fmt_body = struct.pack("<HHIIHH", tag, channels, w.sample_rate,
-                           field("byte rate", w.sample_rate * block_align),
+    fmt_body = struct.pack("<HHIIHH", tag, channels, sample_rate,
+                           field("byte rate", sample_rate * block_align),
                            field("block align", block_align, 16), bits)
     header = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
     if tag == _FORMAT_IEEE_FLOAT:
-        header += b"fact" + struct.pack("<II", 4, w.length)
+        header += b"fact" + struct.pack("<II", 4, length)
     header += b"data" + struct.pack("<I", field("data size", payload_bytes))
-    riff = b"RIFF" + struct.pack("<I", field("RIFF size", 4 + len(header) + payload_bytes)) + b"WAVE"
+    riff_size = field("RIFF size", 4 + len(header) + payload_bytes)
+    return b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + header
 
-    def parts():
-        yield riff + header
-        interleaved = w.samples.T  # (frames, channels)
-        for start in range(0, w.length, _WRITE_FRAMES):
-            block = interleaved[start:start + _WRITE_FRAMES]
-            if encoding == "float32":
-                yield np.ascontiguousarray(block, dtype="<f4")
-                continue
-            scaled = block * float(1 << 15)
-            np.round(scaled, out=scaled)
-            np.clip(scaled, -(1 << 15), (1 << 15) - 1, out=scaled)
-            yield np.ascontiguousarray(scaled, dtype="<i2")
 
-    try:
-        _atomic_write(path, parts())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+def _payload(samples: np.ndarray, encoding: str):
+    """The interleaved bytes of (channels, count) samples, `_WRITE_FRAMES` frames at a time."""
+    interleaved = samples.T  # (frames, channels)
+    for start in range(0, interleaved.shape[0], _WRITE_FRAMES):
+        block = interleaved[start:start + _WRITE_FRAMES]
+        if encoding == "float32":
+            yield np.ascontiguousarray(block, dtype="<f4")
+            continue
+        scaled = block * float(1 << 15)
+        np.round(scaled, out=scaled)
+        np.clip(scaled, -(1 << 15), (1 << 15) - 1, out=scaled)
+        yield np.ascontiguousarray(scaled, dtype="<i2")

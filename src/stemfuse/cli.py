@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 from . import bsseval
@@ -24,22 +24,34 @@ from .blend import (
     validate_weights,
 )
 from .errors import StemfuseError
-from .audio_io import read_wav, write_wav
-from .core import SOURCE_NAMES, SourceWaveformSet, StftConfig
+from .audio_io import _WavFiles, read_wav
+from .core import SOURCE_NAMES, StftConfig
 from .wiener import MwfConfig
 
 
-def _write_stem_set(stems: SourceWaveformSet, out_dir: Path, names=SOURCE_NAMES) -> None:
+@contextmanager
+def _stem_files(out_dir: Path, names, channels: int, sample_rate: int, length: int):
+    """`_WavFiles` of float32 stems `<name>.wav` in `out_dir`, made with
+    its parents; on any failure the directories made here go while they
+    are empty."""
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        for name, stem in zip(names, stems.sources):
-            write_wav(stem, out_dir / f"{name}.wav", encoding="float32")
+        with _WavFiles([out_dir / f"{name}.wav" for name in names], channels, sample_rate,
+                       length) as files:
+            yield files
     except BaseException:
-        with suppress(OSError):  # the directories made here go while they are empty
+        with suppress(OSError):
             for directory in made:
                 directory.rmdir()
         raise
+
+
+def _separate_into(out_dir: Path, mix, cfg, names=SOURCE_NAMES) -> None:
+    """Write the stems of `pipeline.run` to `out_dir`, each block as the
+    sweep's workers finish it."""
+    with _stem_files(out_dir, names, mix.channels, mix.sample_rate, mix.length) as files:
+        pipeline_mod._stream(mix, cfg, names, lambda _offset, block: files.write(block))
 
 
 class _UsageError(Exception):
@@ -56,8 +68,7 @@ def cmd_separate(args) -> int:
     _require_files(args.input, args.config)
     mix = read_wav(args.input)
     cfg = pipeline_mod.load_pipeline_config(args.config)
-    fused = pipeline_mod.run(mix, cfg)
-    _write_stem_set(fused, Path(args.out))
+    _separate_into(Path(args.out), mix, cfg)
     return 0
 
 
@@ -70,7 +81,9 @@ def cmd_blend(args) -> int:
         weights = default_weights()
     stem_sets = [pipeline_mod.load_stem_dir(d) for d in args.stems]
     fused = blend_stems(stem_sets, weights)
-    _write_stem_set(fused, Path(args.out))
+    with _stem_files(Path(args.out), SOURCE_NAMES, fused.channels, fused.sample_rate,
+                     fused.length) as files:
+        files.write([s.samples for s in fused.sources])  # one block
     return 0
 
 
@@ -117,7 +130,7 @@ def cmd_wiener(args) -> int:
         MwfConfig(iterations=args.iterations, eps=args.eps, mask_power=args.power),
         validate_weights([[1.0] * len(names)], ["mags"], names),
     )
-    _write_stem_set(pipeline_mod.run(mix, cfg, names), Path(args.out), names)
+    _separate_into(Path(args.out), mix, cfg, names)
     return 0
 
 

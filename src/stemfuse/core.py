@@ -4,7 +4,7 @@ Conventions: waveforms are channel-major float64 arrays of shape
 ``(channels, length)``; spectrograms are one-sided complex tensors of
 shape ``(channels, frames, fft_size // 2 + 1)``. Stems come in the fixed
 source order (drums, bass, other, vocals). Every file the toolkit writes
-goes through `_atomic_write`, every check that stem sets agree through `_check_alike`.
+goes through `_AtomicFiles`, every check that stem sets agree through `_check_alike`.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 import numbers
 import os
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List
@@ -276,19 +277,55 @@ class SourceSpectrogramSet(_SourceSet):
         return np.stack([s.bins for s in self.sources])
 
 
+class _AtomicFiles:
+    """Files written through temp files beside them: `with
+    _AtomicFiles(paths, head) as files` gives one binary file object per
+    path, each with the bytes `head` written. When the block ends without
+    an error, each temp file is renamed over its path; on any error, every
+    temp file left is unlinked.
+    """
+
+    def __init__(self, paths, head: bytes = b""):
+        self.paths = [Path(p) for p in paths]
+        self._head = head
+        self._temps = []  # (file, temp name) of each path not yet renamed
+
+    def __enter__(self) -> list:
+        try:
+            for path in self.paths:
+                fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+                self._temps.append((os.fdopen(fd, "wb"), name))
+                self._temps[-1][0].write(self._head)
+        except BaseException:
+            self._discard()
+            raise
+        return [fh for fh, _ in self._temps]
+
+    def __exit__(self, error_type, *_) -> None:
+        try:
+            if error_type is None:  # every file is complete before any is renamed
+                for fh, _ in self._temps:
+                    fh.close()
+                for path in self.paths:
+                    os.replace(self._temps[0][1], path)
+                    del self._temps[0]
+        finally:
+            self._discard()
+
+    def _discard(self) -> None:
+        for fh, name in self._temps:
+            with suppress(OSError):  # a failed flush: the file goes anyway
+                fh.close()
+            os.unlink(name)
+        self._temps = []
+
+
 def _atomic_write(path, parts: Iterable) -> None:
-    """Write bytes-like `parts` in order to `path` through a temp file and a rename.
+    """Write bytes-like `parts` in order to `path`: one file of `_AtomicFiles`.
 
     A part may be bytes or a C-contiguous array, whose memory is written
     as is; `parts` may be a generator, so no part need outlive its write.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for part in parts:
-                fh.write(part)
-        os.replace(tmp_name, path)
-    except BaseException:
-        os.unlink(tmp_name)
-        raise
+    with _AtomicFiles([path]) as (fh,):
+        for part in parts:
+            fh.write(part)

@@ -9,9 +9,9 @@ models) is blended in the spectral domain and synthesized with one
 inverse STFT per source; the inverse STFT is linear, so this equals
 blending the resynthesized stems up to rounding. `run` streams those
 branches through the mixture in blocks of a few frames, so it never
-holds a whole-track spectrogram. `stemfuse wiener` enters the same
-engine with one TF model and its own source names, those of its `.mag`
-files.
+holds a whole-track spectrogram; the mixture itself is read whole.
+`stemfuse wiener` enters the same engine with one TF model and its own
+source names, those of its `.mag` files.
 
 Within one sweep over the blocks (`wiener._Sweeps`), a block's work
 depends only on the block and on the spatial covariances of finished EM
@@ -19,15 +19,20 @@ passes. A block's STFT frames, |x| and the mixture products of the
 first EM pass are made once and shared by every branch; each TF branch
 turns its magnitudes into real mask gains, and its first pass's
 per-frame terms come from those gains without forming complex
-estimates. That work runs on a small thread pool, one thread per CPU
-the process may use, and the calling thread alone adds the results to
-the running sums and overlap-adds them into the output, strictly in
-block order, so the stems are the same bytes on one CPU or many.
-After its first blocks a sweep allocates nothing block-sized: a worker
-makes a block's frames, spectra, mixture products, gains, PSDs, filter
-temporaries and fused spectra in its thread's buffers of the sweep's
+estimates. That work runs on the sweep's workers, one thread per CPU
+the process may use. The ordered work runs on them too, one block at a
+time and strictly in block order, by whichever worker finds the next
+result ready: adding the EM terms to the running sums, and in the last
+sweep overlap-adding the synthesized frames and the output step, which
+adds the external T stems and hands each finished block to a sink
+(`_stream`). So the stems are the same bytes on one CPU or many,
+and `stemfuse separate` and `wiener` write them as the blocks finish;
+the calling thread only starts each sweep and waits. After its first
+blocks a sweep allocates nothing block-sized: a worker makes a block's
+frames, spectra, mixture products, gains, PSDs, filter temporaries and
+fused spectra in its thread's buffers of the sweep's
 `wiener._Workspace`, one source's stem at a time, and the EM terms and
-synthesized frames it hands to the calling thread go into a slot of the
+synthesized frames it hands to the ordered work go into a slot of the
 sweep that the block holds until they are consumed.
 
 External models plug in through the file system: a T entry points at a
@@ -91,6 +96,7 @@ from .wiener import (
     _mask_gains,
     _Mixture,
     _refilter,
+    _Slot,
     _Sweeps,
 )
 
@@ -98,6 +104,7 @@ BUILTIN_TOY = "builtin-toy"
 MAGNITUDE_SUFFIX = ".mag"
 _MAGIC = b"DSMAG1"
 _HEADER_BYTES = len(_MAGIC) + 12  # magic, then channels, frames, bins as u32
+_T_BLOCK_FRAMES = 1 << 16  # output frames per block when only T stems are summed
 
 T_DOMAIN = "T"
 TF_DOMAIN = "TF"
@@ -297,16 +304,26 @@ def load_stem_dir(directory, like: Optional[Waveform] = None,
     lengths within `length_tolerance` samples are padded/truncated to
     match; larger deviations are errors.
     """
-    stems, first = [], None
+    with ExitStack() as files:
+        stems = _stem_readers(directory, files, like, length_tolerance)
+        length = stems[0].length if like is None else like.length
+        return SourceWaveformSet([Waveform(_conformed_frames(s, 0, length), s.sample_rate)
+                                  for s in stems])
+
+
+def _stem_readers(directory, files: ExitStack, like: Optional[Waveform] = None,
+                  tolerance: int = 0) -> list:
+    """The stems of a directory as `WavReader`s kept open in `files`, in
+    SOURCE_NAMES order, each checked as `load_stem_dir` checks it."""
+    stems = []
     for path in _stem_paths(directory):
-        with WavReader(path) as stem:
-            first = first or stem  # closed after its read; its sizes and path stay
-            if like is None:
-                _check_alike("sources", [first, stem])
-            else:
-                _check_alike("mixture and stem", [like, stem], tolerance=length_tolerance)
-            stems.append(_conform(Waveform(stem.frames(0, stem.length), stem.sample_rate), like))
-    return SourceWaveformSet(stems)
+        stem = files.enter_context(WavReader(path))
+        if like is None:
+            _check_alike("sources", [stems[0] if stems else stem, stem])
+        else:
+            _check_alike("mixture and stem", [like, stem], tolerance=tolerance)
+        stems.append(stem)
+    return stems
 
 
 def _open_stem_dir(directory, files: ExitStack) -> _SourceSet:
@@ -316,14 +333,18 @@ def _open_stem_dir(directory, files: ExitStack) -> _SourceSet:
     return _SourceSet([files.enter_context(WavReader(p)) for p in _stem_paths(directory)])
 
 
-def _conform(stem: Waveform, like: Optional[Waveform]) -> Waveform:
-    """`stem` zero-padded or truncated to the length of `like`, if given."""
-    delta = stem.length - like.length if like is not None else 0
-    if delta > 0:
-        return Waveform(stem.samples[:, :like.length], stem.sample_rate)
-    if delta < 0:
-        return Waveform(np.pad(stem.samples, ((0, 0), (0, -delta))), stem.sample_rate)
-    return stem
+def _conformed_frames(stem: WavReader, start: int, stop: int,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Frames start .. stop - 1 of `stem`, zeros past its end, into `out`
+    when given: a stem shorter than the mixture is zero-padded to its
+    length, a longer one truncated."""
+    if out is None:
+        out = np.empty((stem.channels, stop - start))
+    end = max(start, min(stop, stem.length))
+    if end > start:
+        stem.frames(start, end, out[:, :end - start])
+    out[:, end - start:] = 0.0
+    return out
 
 
 def _open_magnitude_dir(directory, names, shape: tuple, files: ExitStack) -> Callable:
@@ -417,65 +438,88 @@ def _spectral_branch(entry: ModelEntry, weights: np.ndarray, names, shape: tuple
 
 
 def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBranch],
-                  shape: tuple, fused: np.ndarray) -> None:
-    """Add the weighted sum of the spectral branches, synthesized, into `fused`.
+                  shape: tuple, output: Callable) -> None:
+    """Hand the weighted sum of the spectral branches, synthesized, to
+    output(offset, count, samples).
 
     Works on blocks of frames. Each EM pass of the TF branches is one
     sweep that rebuilds every block's estimates and adds them to that
     pass's sums over frames; a last sweep re-filters every branch, weights
-    and sums the blocks and overlap-adds them into `fused`.
+    and sums the blocks, overlap-adds them and hands the finished samples
+    to `output`. The ordered steps run on the sweep's workers too.
     """
-    num_sources, channels = fused.shape[:2]
-    frames = shape[1]
+    num_sources, channels, frames = len(branches[0].weights), shape[0], shape[1]
     synthesis = _OverlapAdd((num_sources, channels), cfg.stft, frames, mix.length)
     window = cfg.stft.window_array()
     tf = [b for b in branches if b.spatial is not None]
-    with _Sweeps(num_sources, shape) as sweeps:
-        space = sweeps.workspace
+    sweeps = _Sweeps(num_sources, shape)
+    space = sweeps.workspace
 
-        def mixture(start, stop):
-            # spectra written C-ordered, whatever the order of the input (a
-            # transposed array has the channel axis fastest), so every
-            # product of them is contiguous; the windowed frames borrow the
-            # buffer the weighted spectra fill later, made at their size
-            x_shape = (channels, stop - start, cfg.stft.num_bins)
-            space.take("spectral", (num_sources,) + x_shape, np.complex128)
-            return _Mixture(_analysis_frames(
-                mix.samples, cfg.stft, start, stop, window, space.take("x", x_shape, np.complex128),
-                space.take("spectral", x_shape[:2] + (cfg.stft.fft_size,))), space)
+    def mixture(start, stop):
+        # spectra written C-ordered, whatever the order of the input (a
+        # transposed array has the channel axis fastest), so every
+        # product of them is contiguous; the windowed frames borrow the
+        # buffer the weighted spectra fill later, made at their size
+        x_shape = (channels, stop - start, cfg.stft.num_bins)
+        space.take("spectral", (num_sources,) + x_shape, np.complex128)
+        return _Mixture(_analysis_frames(
+            mix.samples, cfg.stft, start, stop, window, space.take("x", x_shape, np.complex128),
+            space.take("spectral", x_shape[:2] + (cfg.stft.fft_size,))), space)
 
-        def em_terms(start, stop):
-            block = mixture(start, stop)
-            return [branch.em_terms(block, start, stop, cfg.mwf) for branch in tf]
+    def em_terms(start, stop):
+        block = mixture(start, stop)
+        return [branch.em_terms(block, start, stop, cfg.mwf) for branch in tf]
 
-        def fused_frames(start, stop):
-            block = mixture(start, stop)
-            spectral = space.take("spectral", (num_sources,) + block.x.shape, np.complex128)
-            spectral.fill(0.0)
-            for branch in branches:
-                weighted_accumulate(spectral, branch.weights,
-                                    branch.stems(block, start, stop, cfg.mwf), overwrite=True)
-            [frames_td] = space.keep((spectral.shape[:-1] + (cfg.stft.fft_size,), np.float64))
-            return synthesis.synthesize(spectral, frames_td)
+    def fused_frames(start, stop):
+        block = mixture(start, stop)
+        spectral = space.take("spectral", (num_sources,) + block.x.shape, np.complex128)
+        spectral.fill(0.0)
+        for branch in branches:
+            weighted_accumulate(spectral, branch.weights,
+                                branch.stems(block, start, stop, cfg.mwf), overwrite=True)
+        [frames_td] = space.keep((spectral.shape[:-1] + (cfg.stft.fft_size,), np.float64))
+        return synthesis.synthesize(spectral, frames_td)
 
-        for _ in range(cfg.mwf.iterations if tf else 0):
-            for branch, spatial in zip(tf, sweeps.em_pass(em_terms, cfg.mwf.eps)):
-                branch.spatial.append(spatial)
-        for frames_td in sweeps.in_order(fused_frames):
-            offset, samples = synthesis.add(frames_td)
-            fused[..., offset:offset + samples.shape[-1]] += samples
+    def overlap_add(frames_td):
+        offset, samples = synthesis.add(frames_td)
+        output(offset, samples.shape[-1], samples)
+
+    for _ in range(cfg.mwf.iterations if tf else 0):
+        for branch, spatial in zip(tf, sweeps.em_pass(em_terms, cfg.mwf.eps)):
+            branch.spatial.append(spatial)
+    sweeps.ordered(fused_frames, overlap_add)
 
 
 def run(mix: Waveform, cfg: PipelineConfig, names=SOURCE_NAMES) -> SourceWaveformSet:
     """Produce fused stems for a mixture. Deterministic for fixed inputs.
 
+    The stems of `_stream`, collected into arrays: beyond the returned
+    stems, memory does not grow with the track.
+    """
+    fused = np.empty((len(names), mix.channels, mix.length))
+
+    def fill(offset, block):
+        fused[..., offset:offset + block.shape[-1]] = block
+
+    _stream(mix, cfg, names, fill)
+    return SourceWaveformSet([Waveform(f, mix.sample_rate) for f in fused])
+
+
+def _stream(mix: Waveform, cfg: PipelineConfig, names, sink: Callable) -> None:
+    """Hand the fused stems of a mixture to sink(offset, block), block by
+    block in order: samples offset .. offset + count - 1 as (sources,
+    channels, count), in a buffer the next block reuses.
+
     `names` are the sources, one stem each: a TF directory holds one
     `<name>.mag` file per source. T directories and builtin-toy models
-    give the four `SOURCE_NAMES` stems, so they need the default.
-    External T stems are weighted and added in the time domain. The
-    other branches are streamed in blocks of frames (see `_add_spectral`):
-    beyond the returned stems, memory does not grow with the track.
-    Every model's inputs are checked before any block is filtered.
+    give the four `SOURCE_NAMES` stems, so they need the default. The
+    spectral branches are streamed in blocks of frames (see
+    `_add_spectral`). A block of output starts from zero, adds the
+    external T stems, read from their files and weighted in model order,
+    then the synthesized branches, so every sample keeps the sum order of
+    a whole-track run; it is checked finite before the sink sees it.
+    Every model's files are opened and their headers checked before any
+    block is filtered.
     """
     weights = cfg.weights
     num_sources = len(names)
@@ -483,20 +527,38 @@ def run(mix: Waveform, cfg: PipelineConfig, names=SOURCE_NAMES) -> SourceWavefor
     fixed = [e.name for e in cfg.model_entries if e.domain == T_DOMAIN or e.source == BUILTIN_TOY]
     if fixed and tuple(names) != SOURCE_NAMES:
         raise ShapeMismatch(f"models {fixed} give the sources {SOURCE_NAMES}, not {tuple(names)}")
-    fused = np.zeros((num_sources, mix.channels, mix.length))
     with ExitStack() as files:
-        branches = []
+        branches, t_stems = [], []
         shape = None  # (channels, frames, bins) of the mixture spectrogram
         for m, entry in enumerate(cfg.model_entries):
             if entry.domain == T_DOMAIN and entry.source != BUILTIN_TOY:
-                stems = load_stem_dir(entry.source, like=mix, length_tolerance=cfg.stft.hop)
-                weighted_accumulate(fused, weights.weights[m], (s.samples for s in stems.sources))
-                del stems  # not held while the spectral branches run
+                t_stems.append((weights.weights[m],
+                                _stem_readers(entry.source, files, mix, cfg.stft.hop)))
                 continue
             if shape is None:
                 shape = (mix.channels, frame_count(mix.length, cfg.stft), cfg.stft.num_bins)
             branches.append(_spectral_branch(entry, weights.weights[m], names, shape,
                                              mix.sample_rate, cfg, files))
+        space = _Slot()  # the output block and a T stem's samples, reused block by block
+
+        def output(offset, count, synthesized=None):
+            if not count:
+                return
+            space.start()
+            block, read = space.carve([((num_sources, mix.channels, count), np.float64),
+                                       ((mix.channels, count), np.float64)])
+            block.fill(0.0)
+            for m_weights, stems in t_stems:
+                weighted_accumulate(block, m_weights, (_conformed_frames(
+                    s, offset, offset + count, read) for s in stems), overwrite=True)
+            if synthesized is not None:
+                block += synthesized
+            if not np.all(np.isfinite(block)):
+                raise NonFiniteSamples(f"fused samples {offset}..{offset + count - 1} are not finite")
+            sink(offset, block)
+
         if branches:
-            _add_spectral(mix, cfg, branches, shape, fused)
-    return SourceWaveformSet([Waveform(f, mix.sample_rate) for f in fused])
+            _add_spectral(mix, cfg, branches, shape, output)
+        else:  # T stems alone: no sweep to run the output step on
+            for offset in range(0, mix.length, _T_BLOCK_FRAMES):
+                output(offset, min(_T_BLOCK_FRAMES, mix.length - offset))

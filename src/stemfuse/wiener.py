@@ -17,10 +17,12 @@ diagonal (sources, channels, bins) and, for stereo, the complex
 off-diagonal R01 (sources, bins), with R10 = conj(R01). The public
 functions wrap these arrays in `Spectrogram` and `SpatialModel` values.
 
-A sweep's block work allocates nothing block-sized after its first
-blocks: each worker thread takes its temporaries from a `_Workspace`,
-and the arrays a block hands to the calling thread come from a `_Slot`
-the sweep lends it until that thread has consumed them (see `_Sweeps`).
+A sweep runs on worker threads alone: they work the blocks and, one
+at a time and strictly in block order, do the ordered work on their
+results (see `_Sweeps`). Its block work allocates nothing block-sized
+after its first blocks: each worker takes its temporaries from a
+`_Workspace`, and the arrays a block hands to the ordered work come
+from a `_Slot` the sweep lends it until they have been consumed.
 
 The initial estimates are y_j = g_j x with real mask gains
 g_j = v_j**a / (sum_k v_k**a + eps), each power raised once. Since g_j
@@ -37,7 +39,6 @@ import contextvars
 import math
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -55,10 +56,13 @@ _EIGENVALUE_FLOOR = -1e-10
 # cache.
 _BLOCK_BYTES = 2_200_000
 _THREAD_PREFIX = "stemfuse-block"
+# Each EM pass is a full sweep over the track: 1000 passes is already hours
+# on one song, and a bound keeps a config from running without end.
+_MAX_ITERATIONS = 1000
 
-# diagonal of every R_j (J, C, F) real, R01 (J, F) complex and R10 =
-# conj(R01), both None for mono
-_Spatial = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+# diagonal of every R_j (J, C, F) real, R01 (J, F) complex, R10 =
+# conj(R01) and the diagonal as complex, the last three None for mono
+_Spatial = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,9 @@ class MwfConfig:
     mask_power: float = 2.0
 
     def __post_init__(self):
-        if not (_is_int(self.iterations) and self.iterations >= 0):
-            raise ValueError(f"iterations must be an integer >= 0, got {self.iterations!r}")
+        if not (_is_int(self.iterations) and 0 <= self.iterations <= _MAX_ITERATIONS):
+            raise ValueError(f"iterations must be an integer in [0, {_MAX_ITERATIONS}], "
+                             f"got {self.iterations!r}")
         _require_positive_finite("eps", self.eps)
         _require_positive_finite("mask_power", self.mask_power)
 
@@ -161,7 +166,7 @@ class _Workspace(threading.local):
     sweep's first block is its largest, so a worker makes each buffer
     once. A name is a temporary of one step; steps that run one after
     the other may share it. `keep` gives arrays the block hands to the
-    calling thread, from the `_Slot` it was lent, or new ones outside a
+    ordered work, from the `_Slot` it was lent, or new ones outside a
     sweep. A fresh workspace used for one call makes every array once,
     as `np.empty` would.
     """
@@ -181,11 +186,17 @@ class _Workspace(threading.local):
             view = self._views[name, shape, dtype] = buffer[:nbytes].view(dtype).reshape(shape)
         return view
 
-    def copy(self, name: str, a: np.ndarray) -> np.ndarray:
-        """A C-ordered copy of `a` in the buffer `name`."""
-        out = self.take(name, a.shape, a.dtype)
+    def copy(self, name: str, a: np.ndarray, dtype=None) -> np.ndarray:
+        """A C-ordered copy of `a`, cast to `dtype` if given, in the buffer `name`."""
+        out = self.take(name, a.shape, dtype or a.dtype)
         np.copyto(out, a)
         return out
+
+    def adopt(self, kept: tuple) -> None:
+        """Keep this thread's buffers in `kept`, the (buffers, views) dicts
+        an earlier thread of the same worker may have filled, so a sweep's
+        new threads reuse what the sweeps before it made."""
+        self._buffers, self._views = kept
 
     def lend(self, claim: Callable) -> None:
         """Start a block whose first `keep` waits for the slot `claim()` gives."""
@@ -193,7 +204,7 @@ class _Workspace(threading.local):
 
     def keep(self, *specs) -> list:
         """Arrays of the (shape, dtype) `specs` that the block hands to the
-        calling thread, carved together from its slot."""
+        ordered work, carved together from its slot."""
         if self._claim is None:
             return [np.empty(shape, dtype) for shape, dtype in specs]
         if self._slot is None:
@@ -202,7 +213,7 @@ class _Workspace(threading.local):
 
 
 class _Slot:
-    """The arrays one block hands to the calling thread. The k-th `keep`
+    """The arrays one block hands to the ordered work. The k-th `keep`
     of a block carves its arrays from the slot's k-th buffer, made again
     only when too small: the first block to use a slot makes its buffers
     and the blocks after it reuse them."""
@@ -383,9 +394,12 @@ class _SpatialSums:
 
 
 def _spatial(r_diag: np.ndarray, r01: Optional[np.ndarray]) -> _Spatial:
-    """A `_Spatial` of R's diagonal and R01: R10 = conj(R01) is made here,
-    once, not in every filter step."""
-    return r_diag, r01, None if r01 is None else np.conj(r01)
+    """A `_Spatial` of R's diagonal and R01: R10 = conj(R01) and, for
+    stereo, the diagonal cast to complex are made here, once, not in every
+    filter step."""
+    if r01 is None:
+        return r_diag, None, None, None
+    return r_diag, r01, np.conj(r01), r_diag.astype(np.complex128)
 
 
 def _overflowed():
@@ -419,22 +433,24 @@ def _filter_sources(psd: np.ndarray, spatial: _Spatial, x: np.ndarray, eps: floa
     with the closed 1x1/2x2 inverse: real diagonal, real determinant,
     one reciprocal. Every frame is filtered on its own, so any range of
     frames can be filtered apart from the rest. The (T, F) temporaries
-    live in `space`.
+    live in `space`. A real factor of a complex product is cast to
+    complex in a buffer of `space` first: numpy would cast it itself,
+    bitwise alike, but into a buffer it allocates for every call.
     """
-    r_diag, r01, r10 = spatial
+    r_diag, r01, r10, r_diag_c = spatial
 
     def take(name, dtype=np.float64):
         return space.take(name, x.shape[1:], dtype)
 
-    def mix_cov(r, name, dtype=np.float64):  # sum_k v_k r_k, accumulated in source order
-        acc = np.multiply(psd[0], r[0], out=take(name, dtype))
+    def mix_cov(v, r, name, dtype=np.float64):  # sum_k v_k r_k, accumulated in source order
+        acc = np.multiply(v[0], r[0], out=take(name, dtype))
         term = take("scratch", dtype)
-        for v, rk in zip(psd[1:], r[1:]):
-            acc += np.multiply(v, rk, out=term)
+        for vk, rk in zip(v[1:], r[1:]):
+            acc += np.multiply(vk, rk, out=term)
         return acc
 
     with np.errstate(over="ignore", invalid="ignore"):
-        c00 = mix_cov(r_diag[:, 0], "c00")
+        c00 = mix_cov(psd, r_diag[:, 0], "c00")
         c00 += eps
         if r01 is None:
             _require_invertible(c00)
@@ -446,32 +462,35 @@ def _filter_sources(psd: np.ndarray, spatial: _Spatial, x: np.ndarray, eps: floa
                 np.multiply(np.multiply(v, r_diag[j, 0], out=take("scratch")), z0, out=y[0])
             yield y
         return
+    psd_c = space.copy("psd_c", psd, np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        c11 = mix_cov(r_diag[:, 1], "c11")
+        c11 = mix_cov(psd, r_diag[:, 1], "c11")
         c11 += eps
-        c01 = mix_cov(r01, "c01", complex)
+        c01 = mix_cov(psd_c, r01, "c01", complex)
         det = np.multiply(c00, c11, out=take("det"))
         norm, imag2 = space.take("scratch", (2,) + x.shape[1:])
         norm = np.square(c01.real, out=norm)
         norm += np.square(c01.imag, out=imag2)
         det -= norm
     _require_invertible(det)
-    inv_det = np.divide(1.0, det, out=det)
-    z0 = np.multiply(c11, x[0], out=take("z0", complex))
+    z0 = space.copy("z0", c11, np.complex128)
+    z0 *= x[0]
     z0 -= np.multiply(c01, x[1], out=take("scratch", complex))
-    z0 *= inv_det
-    z1 = np.multiply(c00, x[1], out=take("z1", complex))
+    z1 = space.copy("z1", c00, np.complex128)
+    z1 *= x[1]
     conj_c01 = np.conj(c01, out=take("scratch", complex))
     z1 -= np.multiply(conj_c01, x[0], out=conj_c01)
+    inv_det = space.copy("inv_det", np.divide(1.0, det, out=det), np.complex128)
+    z0 *= inv_det
     z1 *= inv_det
     a, b = c01, take("scratch", complex)  # c01 is done with
-    for j, v in enumerate(psd):
+    for j, v in enumerate(psd_c):
         y = out[j % len(out)]
-        np.multiply(r_diag[j, 0], z0, out=a)
+        np.multiply(r_diag_c[j, 0], z0, out=a)
         a += np.multiply(r01[j], z1, out=b)
         np.multiply(v, a, out=y[0])
         np.multiply(r10[j], z0, out=a)
-        a += np.multiply(r_diag[j, 1], z1, out=b)
+        a += np.multiply(r_diag_c[j, 1], z1, out=b)
         np.multiply(v, a, out=y[1])
         yield y
 
@@ -526,90 +545,109 @@ def _worker_count() -> int:
 class _Sweeps:
     """Sweeps over the frames of (C, T, F) spectra of `sources` sources, in
     blocks of about `_BLOCK_BYTES` of complex (sources, C, frames, F)
-    spectra (no frames are one empty block). Per-block work runs on a
-    pool of `_worker_count()` threads; this thread takes the results strictly in
-    block order, so what it sums does not depend on the number of
-    threads. Leaving the `with` block drops queued blocks and joins
-    running ones.
-
-    The sweep owns the memory of its blocks, made in its first blocks
-    and reused by every sweep after them. `workspace` holds each worker
-    thread's temporaries. What block i returns is carved from slot
-    i % (workers + 1), which its first `keep` waits for until the slot's
-    last block is consumed. A slot per thread and one more bound the
-    results held well below `window` blocks, and a block takes its slot
-    only when it has results to write, so a thread rarely waits.
+    spectra (no frames are one empty block), run by `ordered`. `workspace`
+    holds each worker's temporaries, kept from sweep to sweep by worker
+    index; what block i returns is carved from slot i % workers, which its
+    first `keep` waits for until the slot's last block is consumed.
     """
 
     def __init__(self, sources: int, shape: tuple):
-        from concurrent.futures import ThreadPoolExecutor  # ~9 ms to import; only sweeps need it
-
         channels, frames, bins = shape
         workers = _worker_count()
         step = max(1, _BLOCK_BYTES // (sources * channels * bins * 16))
         self.blocks = [(start, min(start + step, frames))
                        for start in range(0, max(frames, 1), step)]
-        self.window = 2 * workers + 1
+        self.window = 2 * workers - 1  # one block consumed, two per other worker
         self.workspace = _Workspace()
-        self._slots = [_Slot() for _ in range(workers + 1)]
-        self._consumed = 0  # blocks of this sweep consumed so far
+        self._kept = [({}, {}) for _ in range(workers)]
+        self._slots = [_Slot() for _ in range(workers)]
         self._turn = threading.Condition()
-        self._pool = ThreadPoolExecutor(workers, thread_name_prefix=_THREAD_PREFIX)
 
-    def __enter__(self):
-        return self
+    def ordered(self, work: Callable, consume: Callable) -> None:
+        """Run work(start, stop) for every block on `_worker_count()` threads
+        started here, in copies of the caller's context, while this thread
+        waits. A worker stores its block's result, then calls
+        consume(result) on every result ready in block order; a result is
+        taken only once the one before it is consumed, so consume runs on
+        one thread at a time, in block order. Block i is taken only while
+        i < consumed + `window`. The first failure in block order, of a
+        block or of consume, is raised; nothing after it is consumed."""
+        self._taken = self._consumed = 0
+        self._ready, self._failure = {}, None
+        threads = [threading.Thread(target=contextvars.copy_context().run, args=(
+            self._serve, kept, work, consume), name=f"{_THREAD_PREFIX}-{k}")
+                   for k, kept in enumerate(self._kept)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        except BaseException as exc:  # an interrupt, or a thread that did not start
+            self._finish(exc)
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+            raise
+        if self._failure is not None:
+            raise self._failure
 
-    def __exit__(self, *exc):
-        self._advance(math.inf)  # no block waits for a slot now
-        self._pool.shutdown(wait=True, cancel_futures=True)
+    def _serve(self, kept: tuple, work: Callable, consume: Callable) -> None:
+        self.workspace.adopt(kept)
+        while True:
+            with self._turn:
+                self._turn.wait_for(lambda: self._failure is not None or self._taken == len(
+                    self.blocks) or self._taken < self._consumed + self.window)
+                if self._failure is not None or self._taken == len(self.blocks):
+                    return
+                index, self._taken = self._taken, self._taken + 1
+            self.workspace.lend(lambda index=index: self._claim(index))
+            try:
+                result = work(*self.blocks[index]), None
+            except BaseException as exc:  # raised by the calling thread in its turn
+                result = None, exc
+            with self._turn:
+                self._ready[index] = result
+            while True:  # the next result is taken only once the one before it is consumed
+                with self._turn:
+                    if self._failure is not None or self._consumed not in self._ready:
+                        break
+                    value, error = self._ready.pop(self._consumed)
+                if error is None:
+                    try:
+                        consume(value)
+                    except BaseException as exc:  # raised by the calling thread
+                        error = exc
+                self._finish(error)
 
-    def in_order(self, work: Callable):
-        """Yield work(start, stop) for every block, in block order.
-
-        The calls run on the pool, with the caller's context. At most
-        `window` blocks are submitted and not yet consumed, counting the
-        one being consumed, so memory does not grow with the number of
-        blocks and one slow block leaves the other workers busy. A
-        failing block raises when its turn comes, so the first failure in
-        frame order is the one seen.
-        """
-        self._consumed, pending = 0, deque()
-        for index, (start, stop) in enumerate(self.blocks):
-            if len(pending) == self.window:
-                yield pending.popleft().result()
-                self._advance(1)
-            pending.append(self._pool.submit(contextvars.copy_context().run, self._run, work,
-                                             index, start, stop))
-        while pending:
-            yield pending.popleft().result()
-            self._advance(1)
-
-    def _run(self, work: Callable, index: int, start: int, stop: int):
-        self.workspace.lend(lambda: self._claim(index))
-        return work(start, stop)
+    def _finish(self, error: Optional[BaseException]) -> None:
+        """Count a consumed block, or stop the sweep at its first `error`."""
+        with self._turn:
+            self._consumed += error is None
+            if self._failure is None:
+                self._failure = error
+            self._turn.notify_all()
 
     def _claim(self, index: int) -> _Slot:
         """Block `index`'s slot, once the block that had it is consumed."""
         with self._turn:
-            self._turn.wait_for(lambda: self._consumed > index - len(self._slots))
+            self._turn.wait_for(lambda: self._failure is not None
+                                or self._consumed > index - len(self._slots))
         slot = self._slots[index % len(self._slots)]
         slot.start()
         return slot
-
-    def _advance(self, blocks) -> None:
-        with self._turn:
-            self._consumed += blocks
-            self._turn.notify_all()
 
     def em_pass(self, terms: Callable, eps: float) -> List[_Spatial]:
         """The R of one EM pass of each of several filters, where
         `terms(start, stop)` gives, one per filter, the `_terms` of its
         estimates of frames start .. stop - 1."""
-        sums = None
-        for block in self.in_order(terms):
-            sums = sums or [_SpatialSums() for _ in block]
+        sums = []
+
+        def add(block):
+            sums.extend(_SpatialSums() for _ in block[len(sums):])
             for filter_sums, filter_terms in zip(sums, block):
                 filter_sums.add(filter_terms)
+
+        self.ordered(terms, add)
         return [filter_sums.spatial(eps) for filter_sums in sums]
 
 
@@ -626,23 +664,22 @@ def _em(x: np.ndarray, num_sources: int, first: Callable, iterations: int,
     """
     out = np.empty((num_sources,) + x.shape, dtype=np.complex128)
     spatials = []
-    with _Sweeps(num_sources, x.shape) as sweeps:
-        space = sweeps.workspace
+    sweeps = _Sweeps(num_sources, x.shape)
+    space = sweeps.workspace
 
-        def sweep(start, stop):
-            mixture = _Mixture(space.copy("x", x[:, start:stop]), space)
-            y = first(start, stop, space) if len(spatials) < 2 else out[:, :, start:stop]
-            if spatials:
-                y = _refilter(y, mixture, spatials[-1:], eps, out[:, :, start:stop])
-            elif iterations == 0:  # the masked mixture g x
-                np.multiply(y, mixture.x, out=out[:, :, start:stop])
-            if len(spatials) < iterations:
-                return [_block_terms(y, space) if np.iscomplexobj(y) else _gain_terms(y, mixture)]
+    def sweep(start, stop):
+        mixture = _Mixture(space.copy("x", x[:, start:stop]), space)
+        y = first(start, stop, space) if len(spatials) < 2 else out[:, :, start:stop]
+        if spatials:
+            y = _refilter(y, mixture, spatials[-1:], eps, out[:, :, start:stop])
+        elif iterations == 0:  # the masked mixture g x
+            np.multiply(y, mixture.x, out=out[:, :, start:stop])
+        if len(spatials) < iterations:
+            return [_block_terms(y, space) if np.iscomplexobj(y) else _gain_terms(y, mixture)]
 
-        for _ in range(iterations):
-            spatials += sweeps.em_pass(sweep, eps)
-        for _ in sweeps.in_order(sweep):
-            pass
+    for _ in range(iterations):
+        spatials += sweeps.em_pass(sweep, eps)
+    sweeps.ordered(sweep, lambda _: None)  # the blocks write their own output
     return out
 
 
@@ -667,15 +704,15 @@ def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[Spatia
     _check_channels(est.channels)
     bins = [s.bins for s in est.sources]
     psd = np.empty((len(bins),) + bins[0].shape[1:])
-    with _Sweeps(len(bins), bins[0].shape) as sweeps:
-        space = sweeps.workspace
+    sweeps = _Sweeps(len(bins), bins[0].shape)
+    space = sweeps.workspace
 
-        def terms(start, stop):
-            block = _block_terms(_stacked(bins, start, stop, space, "estimates"), space)
-            psd[:, start:stop] = block[0]
-            return [block]
+    def terms(start, stop):
+        block = _block_terms(_stacked(bins, start, stop, space, "estimates"), space)
+        psd[:, start:stop] = block[0]
+        return [block]
 
-        [(r_diag, r01, r10)] = sweeps.em_pass(terms, eps)
+    [(r_diag, r01, r10, _)] = sweeps.em_pass(terms, eps)
     num_sources, channels, num_bins = r_diag.shape
     cov = np.zeros((num_sources, num_bins, channels, channels), dtype=np.complex128)
     for c in range(channels):
@@ -704,16 +741,15 @@ def apply_filter(
     spatial = _spatial(np.stack([cov[:, :, c, c].real for c in range(mix.channels)], axis=1),
                        cov[:, :, 0, 1] if mix.channels == 2 else None)
     out = np.empty((len(models),) + mix.bins.shape, dtype=np.complex128)
-    with _Sweeps(len(models), mix.bins.shape) as sweeps:
-        space = sweeps.workspace
+    sweeps = _Sweeps(len(models), mix.bins.shape)
+    space = sweeps.workspace
 
-        def block(start, stop):
-            psd = _stacked([m.psd for m in models], start, stop, space, "psd")
-            x = space.copy("x", mix.bins[:, start:stop])
-            _filter_step(psd, spatial, x, eps, out[:, :, start:stop], space)
+    def block(start, stop):
+        psd = _stacked([m.psd for m in models], start, stop, space, "psd")
+        x = space.copy("x", mix.bins[:, start:stop])
+        _filter_step(psd, spatial, x, eps, out[:, :, start:stop], space)
 
-        for _ in sweeps.in_order(block):
-            pass
+    sweeps.ordered(block, lambda _: None)
     return _as_set(out, mix)
 
 

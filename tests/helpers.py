@@ -20,6 +20,7 @@ from stemfuse import (
     istft,
     load_stem_dir,
     read_magnitudes,
+    read_wav,
     stft,
     write_wav,
 )
@@ -524,8 +525,11 @@ def whole_array_run(mix, cfg):
     spec = spectral = None
     for m, entry in enumerate(cfg.model_entries):
         if entry.domain == "T" and entry.source != "builtin-toy":
-            stems = load_stem_dir(entry.source, like=mix, length_tolerance=cfg.stft.hop)
-            weighted_accumulate(fused, weights[m], (s.samples for s in stems.sources))
+            # whole stems, zero-padded or truncated to the mixture's length
+            stems = [read_wav(Path(entry.source) / f"{name}.wav").samples[:, :mix.length]
+                     for name in SOURCE_NAMES]
+            weighted_accumulate(fused, weights[m], (
+                np.pad(s, ((0, 0), (0, mix.length - s.shape[1]))) for s in stems))
             continue
         if spec is None:
             spec = stft(mix, cfg.stft)

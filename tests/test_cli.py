@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import struct
@@ -20,7 +21,7 @@ from stemfuse import (
     write_magnitudes,
     write_wav,
 )
-from stemfuse import core
+from stemfuse import audio_io, core
 from stemfuse.cli import main
 from stemfuse.core import StftConfig
 
@@ -289,6 +290,8 @@ def _toy_payload(**sections):
     pytest.param(_toy_payload(mwf={"iterations": 1.5}), id="mwf-iterations-float"),
     pytest.param(_toy_payload(mwf={"iterations": "2"}), id="mwf-iterations-string"),
     pytest.param(_toy_payload(mwf={"iterations": True}), id="mwf-iterations-bool"),
+    pytest.param(_toy_payload(mwf={"iterations": 1001}), id="mwf-iterations-over-bound"),
+    pytest.param(_toy_payload(mwf={"iterations": 10 ** 400}), id="mwf-iterations-huge"),
     pytest.param(_toy_payload(mwf={"eps": "x"}), id="mwf-eps-string"),
     pytest.param(_toy_payload(mwf={"mask_power": None}), id="mwf-mask-power-null"),
     pytest.param(_toy_payload(mwf={"mask_power": 1e999}), id="mwf-mask-power-inf"),
@@ -341,6 +344,10 @@ HUGE = 10 ** 400  # an integer too large for a float
                  id="mwf-eps"),
     pytest.param(lambda: MwfConfig(mask_power=HUGE), "mask_power must be a finite positive number",
                  id="mwf-mask-power"),
+    pytest.param(lambda: MwfConfig(iterations=HUGE), r"iterations must be an integer in \[0, 1000\]",
+                 id="mwf-iterations"),
+    pytest.param(lambda: MwfConfig(iterations=1001), r"iterations must be an integer in \[0, 1000\]",
+                 id="mwf-iterations-over-bound"),
     pytest.param(lambda: EvalConfig(win=HUGE), "win/hop must be finite and positive", id="win"),
     pytest.param(lambda: EvalConfig(hop=HUGE), "win/hop must be finite and positive", id="hop"),
     pytest.param(lambda: search_weights([STEMS], STEMS, grid_step=HUGE),
@@ -625,3 +632,80 @@ def test_wiener_on_three_channels_blames_the_mixture_before_any_magnitude_file(
     err = capsys.readouterr().err
     assert err == "error shape-mismatch: only mono and stereo are supported, got 3 channels\n"
     assert not out_dir.exists()
+
+
+def test_wiener_iterations_over_the_bound_are_one_error_line(tmp_path, capsys):
+    # each EM pass is a sweep over the whole track: 1000 is hours on one song
+    assert MwfConfig(iterations=1000).iterations == 1000
+    mix_path, _ = write_mix(tmp_path, np.random.default_rng(33), length=2048)
+    mag_dir = tmp_path / "mags"
+    mag_dir.mkdir()
+    write_magnitudes(mag_dir / "a.mag", np.ones((2, 17, 257)))
+    out_dir = tmp_path / "out"
+    code = main(["wiener", "--mix", str(mix_path), "--mags", str(mag_dir), "--out", str(out_dir),
+                 "--fft-size", "512", "--stft-hop", "128", "--iterations", "1001"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error invalid-input: iterations must be an integer in [0, 1000], got 1001\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fault", ["nan-in-the-last-frames", "failed-last-write"])
+@pytest.mark.parametrize("command", ["separate", "wiener"])
+def test_a_late_failure_leaves_no_stem_no_temp_file_and_no_out(
+        tmp_path, capsys, monkeypatch, command, fault):
+    # no EM pass, so the one sweep has written the stems' earlier blocks when it fails
+    rng = np.random.default_rng(34)
+    mix_path, _ = write_mix(tmp_path, rng, length=SR // 2)  # 173 frames, several blocks
+    mag_dir = tmp_path / "mags"
+    mag_dir.mkdir()
+    mags = np.abs(stft(read_wav(mix_path), StftConfig(fft_size=512, hop=128)).bins)
+    for name in ("drums", "bass", "vocals"):
+        write_magnitudes(mag_dir / f"{name}.mag", mags)
+    if fault == "nan-in-the-last-frames":
+        mags[1, -1, 40] = np.nan
+        want = f"error non-finite-samples: {mag_dir / 'other.mag'}: "
+    else:  # the write that would finish the last stem fails
+        payload, frames = audio_io._payload, {"left": 4 * (SR // 2)}
+
+        def out_of_space(samples, encoding):
+            frames["left"] -= samples.shape[-1]
+            if not frames["left"]:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return payload(samples, encoding)
+
+        monkeypatch.setattr(audio_io, "_payload", out_of_space)
+        want = "error io-failure: cannot write "
+    write_magnitudes(mag_dir / "other.mag", mags)
+    if command == "separate":
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({
+            "models": [{"name": "m", "domain": "TF", "source": str(mag_dir)}],
+            "stft": {"fft_size": 512, "hop": 128}, "mwf": {"iterations": 0},
+            "weights": {"models": ["m"], "sources": ["drums", "bass", "other", "vocals"],
+                        "weights": [[1.0] * 4]}}))
+        args = ["separate", "--input", str(mix_path), "--config", str(config)]
+    else:
+        args = ["wiener", "--mix", str(mix_path), "--mags", str(mag_dir), "--fft-size", "512",
+                "--stft-hop", "128", "--iterations", "0"]
+    out_dir = tmp_path / "new" / "out"
+    assert main(args + ["--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(want) and err.count("\n") == 1, err
+    assert not (tmp_path / "new").exists()
+    assert not list(tmp_path.rglob("*.tmp")) and not list(tmp_path.rglob("*.wav.*"))
+
+
+def test_separate_never_imports_concurrent_futures(tmp_path):
+    # the sweeps run on plain threads; the thread pool's import alone was
+    # ~6 ms of every run's serial time
+    mix_path, _ = write_mix(tmp_path, np.random.default_rng(35))
+    args = ["separate", "--input", str(mix_path), "--config", str(small_toy_config(tmp_path)),
+            "--out", str(tmp_path / "out")]
+    code = ("import sys; from stemfuse.cli import main; "
+            f"code = main({args!r}); print(code, 'concurrent.futures' in sys.modules)")
+    python_path = [str(resources.files("stemfuse").parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, python_path)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr

@@ -6,9 +6,11 @@ returned stems."""
 
 import mmap
 import platform
+import random
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -38,6 +40,7 @@ from stemfuse import (
     write_magnitudes,
     write_wav,
 )
+from stemfuse import cli
 from stemfuse.errors import ConfigMismatch, NonFiniteSamples, ShapeMismatch, TruncatedData
 
 from helpers import child_minor_faults, whole_array_run, whole_track_wiener, write_stem_dir
@@ -65,14 +68,37 @@ def stems_of(mix, cfg, block_frames=None, workers=None, names=SOURCES):
         return np.stack([s.samples for s in run(mix, cfg, names).sources])
 
 
+def stem_files_of(mix, cfg, out_dir, block_frames=None, workers=None, names=SOURCES):
+    """The bytes of the stem files `stemfuse separate` (or `wiener`) writes
+    for `mix`, block by block (see `set_blocks`)."""
+    with pytest.MonkeyPatch.context() as mp:
+        set_blocks(mp, mix, cfg, block_frames, workers)
+        cli._separate_into(out_dir, mix, cfg, names)
+    return [(out_dir / f"{name}.wav").read_bytes() for name in names]
+
+
+def written_whole(stems, out_dir, names=SOURCES):
+    """The bytes `write_wav` gives each of the (sources, channels, length) `stems`."""
+    out_dir.mkdir()
+    for name, samples in zip(names, stems):
+        write_wav(Waveform(samples, SR), out_dir / f"{name}.wav")
+    return [(out_dir / f"{name}.wav").read_bytes() for name in names]
+
+
 def block_threads():
     return [t for t in threading.enumerate() if t.name.startswith(wiener._THREAD_PREFIX)]
 
 
 def write_model_dirs(root: Path, rng, mix, stft_cfg):
-    """A T stem directory and a TF magnitude directory that fit `mix`."""
+    """A T stem directory and a TF magnitude directory that fit `mix`. The
+    bass stem is one hop short and the vocals one hop long, when the
+    mixture is longer than a hop."""
+    drift = {"bass": -stft_cfg.hop, "vocals": stft_cfg.hop} if mix.length > stft_cfg.hop else {}
     stem_dir = write_stem_dir(root / "stems", SourceWaveformSet(
         [Waveform(0.3 * rng.normal(size=mix.samples.shape), SR) for _ in SOURCES]))
+    for name, extra in drift.items():
+        write_wav(Waveform(0.3 * rng.normal(size=(mix.channels, mix.length + extra)), SR),
+                  stem_dir / f"{name}.wav")
     mag_dir = root / "mags"
     mag_dir.mkdir()
     shape = stft(mix, stft_cfg).bins.shape
@@ -116,10 +142,13 @@ def test_run_is_bitwise_the_whole_track_run_at_every_block_size(
         cfg = PipelineConfig(
             [entry_for(kind, stem_dir, mag_dir, leakage) for kind in kinds], stft_cfg,
             MwfConfig(iterations=iterations), validate_weights(raw / raw.sum(axis=0)))
-        want = whole_array_run(mix, cfg).tobytes()
+        want = whole_array_run(mix, cfg)
+        files = written_whole(stems_of(mix, cfg), Path(tmp) / "whole")
         total = stft(mix, stft_cfg).frames
         for block_frames in (1, 3, None, total, total + 5):
-            assert stems_of(mix, cfg, block_frames, workers).tobytes() == want
+            assert stems_of(mix, cfg, block_frames, workers).tobytes() == want.tobytes()
+            out_dir = Path(tmp) / f"blocks{block_frames}"
+            assert stem_files_of(mix, cfg, out_dir, block_frames, workers) == files
 
 
 # names `stemfuse wiener` may meet: any `.mag` file in the directory
@@ -154,8 +183,11 @@ def test_wiener_run_is_bitwise_the_whole_track_tf_branch(
             validate_weights([[1.0] * len(names)], ["mags"], names))
         mags = [read_magnitudes(Path(tmp) / f"{name}.mag") for name in names]
         want = whole_track_wiener(mix, mags, stft_cfg, cfg.mwf).tobytes()
+        files = written_whole(stems_of(mix, cfg, names=names), Path(tmp) / "whole", names)
         for block_frames in (1, 3, None, total, total + 5):
             assert stems_of(mix, cfg, block_frames, workers, names).tobytes() == want
+            out_dir = Path(tmp) / f"blocks{block_frames}"
+            assert stem_files_of(mix, cfg, out_dir, block_frames, workers, names) == files
 
 
 def test_other_source_names_fit_only_magnitude_directories(tmp_path):
@@ -462,17 +494,96 @@ def test_apply_filter_rejects_a_psd_of_other_frames():
         apply_filter(models, spec, cfg.mwf.eps)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_blocks_submitted_and_not_consumed_never_exceed_the_window(workers, monkeypatch):
+def sweeps_of(monkeypatch, workers):
+    """A `_Sweeps` of 14 blocks of 3 frames, on `workers` threads."""
     monkeypatch.setattr(wiener, "_BLOCK_BYTES", 3 * 16)
     monkeypatch.setattr(wiener, "_worker_count", lambda: workers)
-    with wiener._Sweeps(1, (1, 40, 1)) as sweeps:  # 14 blocks of 3 frames
-        submitted = []
-        submit = sweeps._pool.submit
-        sweeps._pool.submit = lambda *args: submitted.append(args) or submit(*args)
-        outstanding = []  # counting the block being consumed
-        for consumed, start in enumerate(sweeps.in_order(lambda start, stop: start), 1):
-            assert start == sweeps.blocks[consumed - 1][0]
-            outstanding.append(len(submitted) - consumed + 1)
-    assert sweeps.window == 2 * workers + 1
-    assert max(outstanding) == sweeps.window and len(submitted) == len(sweeps.blocks) == 14
+    return wiener._Sweeps(1, (1, 40, 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocks_submitted_and_not_consumed_never_exceed_the_window(workers, monkeypatch):
+    sweeps = sweeps_of(monkeypatch, workers)
+    lock = threading.Lock()
+    taken, consumed, outstanding = [], [], []
+
+    def work(start, stop):
+        with lock:
+            taken.append(start)
+            outstanding.append(len(taken) - len(consumed))  # counting the block being consumed
+        return start
+
+    def consume(start):
+        time.sleep(0.002)  # slow ordered work: the other workers run ahead to the window's end
+        with lock:
+            consumed.append(start)
+
+    sweeps.ordered(work, consume)
+    assert consumed == [start for start, _ in sweeps.blocks]
+    assert sweeps.window == 2 * workers - 1
+    assert max(outstanding) == sweeps.window and len(taken) == len(sweeps.blocks) == 14
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_ordered_work_runs_on_the_workers_one_block_at_a_time_in_block_order(
+        workers, monkeypatch):
+    sweeps = sweeps_of(monkeypatch, workers)
+    naps = random.Random(workers)
+    lock = threading.Lock()
+    for _ in range(2):  # a sweep after a sweep
+        sleeps = [(naps.uniform(0, 0.003), naps.uniform(0, 0.001)) for _ in sweeps.blocks]
+        seen, running, most = [], [0], [0]
+
+        def work(start, stop):
+            time.sleep(sleeps[start // 3][0])
+            return start
+
+        def consume(start):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            seen.append((start, threading.current_thread().name))
+            time.sleep(sleeps[start // 3][1])
+            with lock:
+                running[0] -= 1
+
+        sweeps.ordered(work, consume)
+        assert [start for start, _ in seen] == [start for start, _ in sweeps.blocks]
+        assert most[0] == 1
+        assert all(name.startswith(wiener._THREAD_PREFIX) for _, name in seen)
+        assert not block_threads()
+
+
+class BlockFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("where", ["work", "consume"])
+def test_the_first_failure_in_block_order_is_raised_and_nothing_after_it_is_consumed(
+        workers, where, monkeypatch):
+    # blocks 5 and 7 fail; block 5 ends late, so with several workers
+    # block 7 fails first in time
+    sweeps = sweeps_of(monkeypatch, workers)
+    naps = random.Random(10 + workers)
+    sleeps = [naps.uniform(0, 0.002) for _ in sweeps.blocks]
+    sleeps[5] = 0.03
+    consumed = []
+
+    def work(start, stop):
+        index = start // 3
+        time.sleep(sleeps[index])
+        if where == "work" and index in (5, 7):
+            raise BlockFailure(index)
+        return index
+
+    def consume(index):
+        if where == "consume" and index in (5, 7):
+            raise BlockFailure(index)
+        consumed.append(index)
+
+    with pytest.raises(BlockFailure) as failure:
+        sweeps.ordered(work, consume)
+    assert failure.value.args == (5,)
+    assert consumed == [0, 1, 2, 3, 4]
+    assert not block_threads()
