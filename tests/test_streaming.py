@@ -53,10 +53,12 @@ SOURCES = ("drums", "bass", "other", "vocals")
 
 
 def set_blocks(mp, mix, cfg, block_frames=None, workers=None):
-    """Use blocks of `block_frames` frames and `workers` threads; None keeps the default."""
+    """Use blocks of `block_frames` frames (of `block_frames` hops when only
+    T stems are summed) and `workers` threads; None keeps the default."""
     if block_frames is not None:
         unit = cfg.weights.num_sources * mix.channels * cfg.stft.num_bins * 16
         mp.setattr(wiener, "_BLOCK_BYTES", block_frames * unit)
+        mp.setattr(pipeline, "_T_BLOCK_FRAMES", block_frames * cfg.stft.hop)
     if workers is not None:
         mp.setattr(wiener, "_worker_count", lambda: workers)
 
