@@ -30,10 +30,11 @@ and `stemfuse separate` and `wiener` write them as the blocks finish;
 the calling thread only starts each sweep and waits. After its first
 blocks a sweep allocates nothing block-sized: a worker makes a block's
 frames, spectra, mixture products, gains, PSDs, filter temporaries and
-fused spectra in its thread's buffers of the sweep's
-`wiener._Workspace`, one source's stem at a time, and the EM terms and
-synthesized frames it hands to the ordered work go into a slot of the
-sweep that the block holds until they are consumed.
+fused spectra, one source's stem at a time, and the EM terms and
+synthesized frames it hands to the ordered work in its thread's buffers
+of the sweep's `wiener._Workspace`. The worker's next block overwrites
+those results, so it takes its first kept buffer only once they have
+been consumed.
 
 External models plug in through the file system: a T entry points at a
 directory of drums/bass/other/vocals WAV stems, a TF entry at a
@@ -96,8 +97,8 @@ from .wiener import (
     _mask_gains,
     _Mixture,
     _refilter,
-    _Slot,
     _Sweeps,
+    _Workspace,
 )
 
 BUILTIN_TOY = "builtin-toy"
@@ -508,7 +509,7 @@ def run(mix: Waveform, cfg: PipelineConfig, names=SOURCE_NAMES) -> SourceWavefor
 def _stream(mix: Waveform, cfg: PipelineConfig, names, sink: Callable) -> None:
     """Hand the fused stems of a mixture to sink(offset, block), block by
     block in order: samples offset .. offset + count - 1 as (sources,
-    channels, count), in a buffer the next block reuses.
+    channels, count), in a buffer later blocks reuse.
 
     `names` are the sources, one stem each: a TF directory holds one
     `<name>.mag` file per source. T directories and builtin-toy models
@@ -539,14 +540,13 @@ def _stream(mix: Waveform, cfg: PipelineConfig, names, sink: Callable) -> None:
                 shape = (mix.channels, frame_count(mix.length, cfg.stft), cfg.stft.num_bins)
             branches.append(_spectral_branch(entry, weights.weights[m], names, shape,
                                              mix.sample_rate, cfg, files))
-        space = _Slot()  # the output block and a T stem's samples, reused block by block
+        space = _Workspace()  # the output block and a T stem's samples, reused by each thread
 
         def output(offset, count, synthesized=None):
             if not count:
                 return
-            space.start()
-            block, read = space.carve([((num_sources, mix.channels, count), np.float64),
-                                       ((mix.channels, count), np.float64)])
+            block = space.take("block", (num_sources, mix.channels, count))
+            read = space.take("read", (mix.channels, count))
             block.fill(0.0)
             for m_weights, stems in t_stems:
                 weighted_accumulate(block, m_weights, (_conformed_frames(

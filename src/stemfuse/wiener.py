@@ -20,9 +20,10 @@ functions wrap these arrays in `Spectrogram` and `SpatialModel` values.
 A sweep runs on worker threads alone: they work the blocks and, one
 at a time and strictly in block order, do the ordered work on their
 results (see `_Sweeps`). Its block work allocates nothing block-sized
-after its first blocks: each worker takes its temporaries from a
-`_Workspace`, and the arrays a block hands to the ordered work come
-from a `_Slot` the sweep lends it until they have been consumed.
+after its first blocks: each worker takes its temporaries, and the
+arrays a block hands to the ordered work, from its buffers in the
+sweep's `_Workspace`. A block takes the first of those arrays only once
+the worker's block before it has been consumed.
 
 The initial estimates are y_j = g_j x with real mask gains
 g_j = v_j**a / (sum_k v_k**a + eps), each power raised once. Since g_j
@@ -165,15 +166,15 @@ class _Workspace(threading.local):
     under `name`, made again only when a larger one is asked for. A
     sweep's first block is its largest, so a worker makes each buffer
     once. A name is a temporary of one step; steps that run one after
-    the other may share it. `keep` gives arrays the block hands to the
-    ordered work, from the `_Slot` it was lent, or new ones outside a
-    sweep. A fresh workspace used for one call makes every array once,
-    as `np.empty` would.
+    the other may share it. `keep` gives the arrays a block of a sweep
+    hands to the ordered work: its n-th is the buffer "kept<n>", which the
+    worker's next block overwrites. A fresh workspace used for one call
+    makes every array once, as `np.empty` would.
     """
 
     def __init__(self):
         self._buffers, self._views = {}, {}
-        self._claim = self._slot = None
+        self._wait, self._count = None, 0
 
     def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         view = self._views.get((name, shape, dtype))
@@ -198,45 +199,17 @@ class _Workspace(threading.local):
         new threads reuse what the sweeps before it made."""
         self._buffers, self._views = kept
 
-    def lend(self, claim: Callable) -> None:
-        """Start a block whose first `keep` waits for the slot `claim()` gives."""
-        self._claim, self._slot = claim, None
+    def lend(self, wait: Callable) -> None:
+        """Start a block of a sweep: its first `keep` calls wait() before it takes a buffer."""
+        self._wait, self._count = wait, 0
 
     def keep(self, *specs) -> list:
         """Arrays of the (shape, dtype) `specs` that the block hands to the
-        ordered work, carved together from its slot."""
-        if self._claim is None:
-            return [np.empty(shape, dtype) for shape, dtype in specs]
-        if self._slot is None:
-            self._slot = self._claim()
-        return self._slot.carve(specs)
-
-
-class _Slot:
-    """The arrays one block hands to the ordered work. The k-th `keep`
-    of a block carves its arrays from the slot's k-th buffer, made again
-    only when too small: the first block to use a slot makes its buffers
-    and the blocks after it reuse them."""
-
-    def __init__(self):
-        self._buffers, self._count = [], 0
-
-    def start(self) -> None:
-        self._count = 0
-
-    def carve(self, specs) -> list:
-        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
-        starts = [0]
-        for n in sizes:
-            starts.append(starts[-1] + -(-n // 16) * 16)  # each array aligned for complex128
-        if self._count == len(self._buffers):
-            self._buffers.append(np.empty(0, np.uint8))
-        if self._buffers[self._count].size < starts[-1]:
-            self._buffers[self._count] = np.empty(starts[-1], np.uint8)
-        buffer = self._buffers[self._count]
-        self._count += 1
-        return [buffer[b:b + n].view(dtype).reshape(shape)
-                for (shape, dtype), n, b in zip(specs, sizes, starts)]
+        ordered work."""
+        if not self._count:
+            self._wait()
+        first, self._count = self._count, self._count + len(specs)
+        return [self.take(f"kept{first + k}", *spec) for k, spec in enumerate(specs)]
 
 
 class _Mixture:
@@ -317,8 +290,8 @@ def _terms(power: np.ndarray, cross: Optional[np.ndarray], psd: np.ndarray) -> t
 
 
 def _kept_terms(shape: tuple, space: _Workspace) -> tuple:
-    """The block's `_terms` arrays for (J, C, b, F) estimates, carved from
-    its slot: |y_c|^2, y0 conj(y1) (None for mono) and v."""
+    """The block's `_terms` arrays for (J, C, b, F) estimates, kept for the
+    ordered work: |y_c|^2, y0 conj(y1) (None for mono) and v."""
     frames = shape[:1] + shape[2:]
     if shape[1] == 1:
         power, psd = space.keep((shape, np.float64), (frames, np.float64))
@@ -545,22 +518,18 @@ def _worker_count() -> int:
 class _Sweeps:
     """Sweeps over the frames of (C, T, F) spectra of `sources` sources, in
     blocks of about `_BLOCK_BYTES` of complex (sources, C, frames, F)
-    spectra (no frames are one empty block), run by `ordered`. `workspace`
-    holds each worker's temporaries, kept from sweep to sweep by worker
-    index; what block i returns is carved from slot i % workers, which its
-    first `keep` waits for until the slot's last block is consumed.
+    spectra (no frames are one empty block), run by `ordered`.
+    `workspace`, kept from sweep to sweep by worker index, is their one
+    buffer pool: each worker's temporaries and the arrays its blocks keep.
     """
 
     def __init__(self, sources: int, shape: tuple):
         channels, frames, bins = shape
-        workers = _worker_count()
         step = max(1, _BLOCK_BYTES // (sources * channels * bins * 16))
         self.blocks = [(start, min(start + step, frames))
                        for start in range(0, max(frames, 1), step)]
-        self.window = 2 * workers - 1  # one block consumed, two per other worker
         self.workspace = _Workspace()
-        self._kept = [({}, {}) for _ in range(workers)]
-        self._slots = [_Slot() for _ in range(workers)]
+        self._kept = [({}, {}) for _ in range(_worker_count())]
         self._turn = threading.Condition()
 
     def ordered(self, work: Callable, consume: Callable) -> None:
@@ -569,9 +538,12 @@ class _Sweeps:
         waits. A worker stores its block's result, then calls
         consume(result) on every result ready in block order; a result is
         taken only once the one before it is consumed, so consume runs on
-        one thread at a time, in block order. Block i is taken only while
-        i < consumed + `window`. The first failure in block order, of a
-        block or of consume, is raised; nothing after it is consumed."""
+        one thread at a time, in block order. A block's first
+        `workspace.keep` waits until the worker's block before it is
+        consumed, so a kept array is consumed before it is overwritten
+        and at most one block per worker holds kept arrays. The first
+        failure in block order, of a block or of consume, is raised;
+        nothing after it is consumed."""
         self._taken = self._consumed = 0
         self._ready, self._failure = {}, None
         threads = [threading.Thread(target=contextvars.copy_context().run, args=(
@@ -593,14 +565,14 @@ class _Sweeps:
 
     def _serve(self, kept: tuple, work: Callable, consume: Callable) -> None:
         self.workspace.adopt(kept)
+        last = -1  # the worker's block before this one, whose kept arrays this one reuses
         while True:
             with self._turn:
-                self._turn.wait_for(lambda: self._failure is not None or self._taken == len(
-                    self.blocks) or self._taken < self._consumed + self.window)
                 if self._failure is not None or self._taken == len(self.blocks):
                     return
                 index, self._taken = self._taken, self._taken + 1
-            self.workspace.lend(lambda index=index: self._claim(index))
+            self.workspace.lend(lambda last=last: self._await(last))
+            last = index
             try:
                 result = work(*self.blocks[index]), None
             except BaseException as exc:  # raised by the calling thread in its turn
@@ -627,14 +599,10 @@ class _Sweeps:
                 self._failure = error
             self._turn.notify_all()
 
-    def _claim(self, index: int) -> _Slot:
-        """Block `index`'s slot, once the block that had it is consumed."""
+    def _await(self, index: int) -> None:
+        """Wait until block `index` is consumed, or the sweep has failed."""
         with self._turn:
-            self._turn.wait_for(lambda: self._failure is not None
-                                or self._consumed > index - len(self._slots))
-        slot = self._slots[index % len(self._slots)]
-        slot.start()
-        return slot
+            self._turn.wait_for(lambda: self._failure is not None or self._consumed > index)
 
     def em_pass(self, terms: Callable, eps: float) -> List[_Spatial]:
         """The R of one EM pass of each of several filters, where

@@ -504,26 +504,38 @@ def sweeps_of(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_blocks_submitted_and_not_consumed_never_exceed_the_window(workers, monkeypatch):
+def test_kept_arrays_are_consumed_before_their_worker_overwrites_them(workers, monkeypatch):
+    # a slow consume lets the workers run ahead until each waits in its
+    # next block's first keep for the block before it to be consumed
     sweeps = sweeps_of(monkeypatch, workers)
     lock = threading.Lock()
-    taken, consumed, outstanding = [], [], []
+    holding, most, consumed = set(), [0], []
 
     def work(start, stop):
+        kept = sweeps.workspace.keep(((2,), np.int64), ((3, 2), np.float64))
+        kept += sweeps.workspace.keep(((1,), np.int64))  # a block may keep more than once
         with lock:
-            taken.append(start)
-            outstanding.append(len(taken) - len(consumed))  # counting the block being consumed
-        return start
+            holding.add(start)
+            most[0] = max(most[0], len(holding))
+        for a in kept:
+            a.fill(start)
+        return start, kept
 
-    def consume(start):
-        time.sleep(0.002)  # slow ordered work: the other workers run ahead to the window's end
+    def consume(result):
+        start, kept = result
+        time.sleep(0.002)  # slow ordered work
+        consumed.append((start, [set(a.ravel().tolist()) for a in kept]))
         with lock:
-            consumed.append(start)
+            holding.remove(start)
 
-    sweeps.ordered(work, consume)
-    assert consumed == [start for start, _ in sweeps.blocks]
-    assert sweeps.window == 2 * workers - 1
-    assert max(outstanding) == sweeps.window and len(taken) == len(sweeps.blocks) == 14
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so a missed wait shows
+    try:
+        sweeps.ordered(work, consume)
+    finally:
+        sys.setswitchinterval(interval)
+    assert consumed == [(start, [{start}] * 3) for start, _ in sweeps.blocks]
+    assert most[0] == workers and len(sweeps.blocks) == 14
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -560,12 +572,14 @@ class BlockFailure(Exception):
     pass
 
 
+@pytest.mark.parametrize("keep", [False, True])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("where", ["work", "consume"])
 def test_the_first_failure_in_block_order_is_raised_and_nothing_after_it_is_consumed(
-        workers, where, monkeypatch):
+        workers, where, keep, monkeypatch):
     # blocks 5 and 7 fail; block 5 ends late, so with several workers
-    # block 7 fails first in time
+    # block 7 fails first in time; with `keep`, a worker whose last block
+    # is 5 or later waits in its next keep until the failure wakes it
     sweeps = sweeps_of(monkeypatch, workers)
     naps = random.Random(10 + workers)
     sleeps = [naps.uniform(0, 0.002) for _ in sweeps.blocks]
@@ -574,6 +588,8 @@ def test_the_first_failure_in_block_order_is_raised_and_nothing_after_it_is_cons
 
     def work(start, stop):
         index = start // 3
+        if keep:
+            sweeps.workspace.keep(((1,), np.int64))
         time.sleep(sleeps[index])
         if where == "work" and index in (5, 7):
             raise BlockFailure(index)
