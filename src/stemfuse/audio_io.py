@@ -17,6 +17,7 @@ import math
 import os
 import stat
 import struct
+import threading
 from typing import Optional
 
 import numpy as np
@@ -39,6 +40,7 @@ _GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 ENCODINGS = ("pcm16", "float32")
 _WRITE_FRAMES = 1 << 16  # frames converted and written at a time
+_READ_FRAMES = 1 << 16  # frames `read_wav` decodes at a time
 
 
 def _parse_fmt(body: bytes, path) -> tuple:
@@ -68,21 +70,30 @@ def _parse_fmt(body: bytes, path) -> tuple:
     return tag, channels, rate, bits
 
 
+class _Scratch(threading.local):
+    """The raw bytes of a `WavReader.frames` call: one buffer per thread, for every reader."""
+
+    raw = np.empty(0, np.uint8)
+
+
+_SCRATCH = _Scratch()
+
+
 class WavReader:
     """A WAV file opened once, its header checked, its frames decoded on demand.
 
     `frames` reads a regular file at explicit offsets (`os.preadv`), so it
-    never moves the file position, through a scratch buffer of the
-    reader's own that grows to the largest range asked for: one thread
-    reads a reader at a time. A pipe or FIFO cannot be read at offsets,
-    so its bytes are read whole when it is opened. Close the reader, or
-    use it as a context manager.
+    never moves the file position, through the calling thread's scratch
+    buffer, which every reader shares and which grows to the largest range
+    the thread has asked for: threads may read one reader, or several, at
+    once. A pipe or FIFO cannot be read at offsets, so its bytes are read
+    whole when it is opened. Close the reader, or use it as a context
+    manager.
     """
 
     def __init__(self, path):
         self.path = path
         self._blob = None
-        self._scratch = np.empty(0, np.uint8)
         try:
             self._fh = open(path, "rb")
         except OSError as exc:
@@ -157,9 +168,9 @@ class WavReader:
         if self._blob is not None:
             raw = np.frombuffer(self._blob, np.uint8, size, offset)
         else:
-            if self._scratch.size < size:
-                self._scratch = np.empty(size, np.uint8)
-            raw = self._scratch[:size]
+            if _SCRATCH.raw.size < size:
+                _SCRATCH.raw = np.empty(size, np.uint8)
+            raw = _SCRATCH.raw[:size]
             try:
                 read = os.preadv(self._fh.fileno(), [raw], offset)
             except OSError as exc:
@@ -192,13 +203,18 @@ class WavReader:
 def read_wav(path) -> Waveform:
     """Read a WAV file into a channel-major float64 Waveform: a `WavReader` read whole.
 
-    The payload is read in one piece, as a pipe must be read anyway.
-    `separate` does not need it for speed: its block work allocates
-    nothing block-sized (see `wiener._Sweeps`), whatever the allocator
-    keeps of freed memory, so the mixture could be streamed instead.
+    The samples are decoded `_READ_FRAMES` frames at a time, so the
+    thread's scratch buffer stays that small. `separate` does not need
+    them whole for speed: its block work allocates nothing block-sized
+    (see `wiener._Sweeps`), whatever the allocator keeps of freed memory,
+    so the mixture could be streamed instead.
     """
     with WavReader(path) as reader:
-        return Waveform(reader.frames(0, reader.length), reader.sample_rate)
+        samples = np.empty((reader.channels, reader.length))
+        for start in range(0, reader.length, _READ_FRAMES):
+            stop = min(start + _READ_FRAMES, reader.length)
+            reader.frames(start, stop, samples[:, start:stop])
+        return Waveform(samples, reader.sample_rate)
 
 
 def write_wav(w: Waveform, path, encoding: str = "float32") -> None:

@@ -13,9 +13,10 @@ a +300 dB sentinel.
 The Gram matrix of delayed references is block-Toeplitz and built from
 lags of the signals' correlations, which one overlap-save FFT correlator,
 `_block_lags`, computes; `project_subspace` solves every channel's Gram
-at once, densely. Framewise scores go through `BlendScorer`, which reads
-one window of every signal at a time (in memory or from a WAV file),
-correlates it and solves batches of windows in one Levinson recursion each.
+at once, densely. Framewise scores go through `BlendScorer`, whose sweep
+workers read one window of every signal at a time (in memory or from a
+WAV file) and correlate it; batches of windows are solved in window
+order, in one Levinson recursion each.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .core import SourceWaveformSet, Waveform, _atomic_write, _check_alike, source_labels
 from .core import _is_int, _is_positive_finite
+from .wiener import _Sweeps
 
 SDR_CAP_DB = 300.0
 SILENT_FRAME_ENERGY = 1e-12
@@ -297,6 +299,15 @@ class BlendScorer:
     ties, past ~+-30 dB for reported frames), the frame is scored instead
     by `_frame_sdr` on the synthesised blend, so the cap and the sentinel
     come from the same code.
+
+    The windows are read on the workers of one `wiener._Sweeps` sweep,
+    a block per window of each source: a worker reads the window of
+    every signal into its own buffers and makes the silence check, the
+    stems' Gram and the lags. In window order the frames are recorded
+    and each full batch of lags is solved, on whichever worker drains.
+    So the forms, and the first failure raised, are those of one
+    thread. A `_levinson` batch is never split over threads: its loop
+    over taps is Python that holds the interpreter lock.
     """
 
     CANCELLATION_TOL = 1e-5  # ranking blends: one solve per frame for any good grid
@@ -319,34 +330,57 @@ class BlendScorer:
         spans = windows + [slice(a, min(a + n, b)) for stop, b in gaps for a in range(stop, b, n)]
         num_models, channels = len(per_model_stems), references.channels
         nfft, step = _block_plan(n, taps)
-        # every window is read into and worked on in buffers allocated once, here
-        padded = np.zeros((1 + num_models, channels, -(-n // step) * step + taps - 1))
-        spec = np.empty(padded.shape[:2] + (-(-n // step), nfft // 2 + 1), dtype=np.complex128)
-        head = np.empty(spec.shape[1:], dtype=np.complex128)
-        product = np.empty((channels, n))
+        padded_shape = (1 + num_models, channels, -(-n // step) * step + taps - 1)
+        spec_shape = padded_shape[:2] + (-(-n // step), nfft // 2 + 1)
+        # a worker's padded signals and both forward transforms share one buffer: numpy
+        # backs one of 4 MiB or more with huge pages, which a new thread faults in fewer traps
+        layout = [(padded_shape, np.float64), (spec_shape, np.complex128),
+                  (spec_shape[1:], np.complex128)]
+        ends = list(itertools.accumulate(math.prod(shape) * np.dtype(dtype).itemsize
+                                         for shape, dtype in layout))
         self._scored = np.zeros((len(self._signals), len(windows)), dtype=bool)
         # (source, window) of each scored frame, in the order of `_scored`'s True entries
         self._frames = []
         self._error = error = np.zeros((self._scored.size, num_models, num_models))
         self._target, self._norms = np.empty_like(error), np.empty(error.shape[:2])
         # the lags of frames done .. f, solved in batches that bound a solve's memory
-        lags = np.empty((max(1, _SOLVE_VALUES // (channels * taps)),) + padded.shape[:2] + (taps,))
+        lags = np.empty((max(1, _SOLVE_VALUES // (channels * taps)),) + padded_shape[:2] + (taps,))
+        sweeps = _Sweeps(itertools.product(range(len(self._signals)), range(len(spans))))
+        space = sweeps.workspace
         done = 0
-        for j, signals in enumerate(self._signals):
-            for w, span in enumerate(spans):
-                for row, signal in zip(padded, signals):
-                    signal.frames(span.start, span.stop, out=row[:, :span.stop - span.start])
-                r, seg = padded[0, :, :n], padded[1:, :, :n]
-                if w >= len(windows) or np.sum(np.multiply(r, r, product)) < SILENT_FRAME_ENERGY:
-                    continue
-                f = len(self._frames)
-                self._scored[j, w] = True
-                self._frames.append((j, span))
-                for a, b in itertools.combinations_with_replacement(range(num_models), 2):
-                    error[f, a, b] = error[f, b, a] = np.sum(np.multiply(seg[a], seg[b], product))
-                lags[f - done] = _block_lags(padded, nfft, step, taps, spec, head)
-                if f + 1 - done == len(lags):
-                    done = self._solve(lags, done)
+
+        def window(j, w):  # a worker reads and correlates window w of source j in its buffers
+            span = spans[w]
+            whole = space.take("window", (ends[-1],), np.uint8)
+            padded, spec, head = (whole[a:b].view(dtype).reshape(shape) for (shape, dtype), a, b
+                                  in zip(layout, [0] + ends, ends))
+            padded[..., n:] = 0.0
+            for row, signal in zip(padded, self._signals[j]):
+                signal.frames(span.start, span.stop, out=row[:, :span.stop - span.start])
+            r, seg = padded[0, :, :n], padded[1:, :, :n]
+            # the products are done with before the transforms fill `spec`
+            product = spec.view(np.float64).reshape(-1)[:channels * n].reshape(channels, n)
+            if w >= len(windows) or np.sum(np.multiply(r, r, product)) < SILENT_FRAME_ENERGY:
+                return None
+            gram = np.empty((num_models, num_models))
+            for a, b in itertools.combinations_with_replacement(range(num_models), 2):
+                gram[a, b] = gram[b, a] = np.sum(np.multiply(seg[a], seg[b], product))
+            return j, w, gram, _block_lags(padded, nfft, step, taps, spec, head).copy()
+
+        def add(result):  # in window order, on one worker at a time
+            nonlocal done
+            if result is None:
+                return
+            j, w, gram, frame_lags = result
+            f = len(self._frames)
+            self._scored[j, w] = True
+            self._frames.append((j, spans[w]))
+            error[f] = gram
+            lags[f - done] = frame_lags
+            if f + 1 - done == len(lags):
+                done = self._solve(lags, done)
+
+        sweeps.ordered(window, add)
         frames = self._solve(lags[:len(self._frames) - done], done)
         self._error, self._target, self._norms = (
             a[:frames] for a in (error, self._target, self._norms))

@@ -93,6 +93,7 @@ from .wiener import (
     _block_terms,
     _check_channels,
     _filter_sources,
+    _frame_blocks,
     _gain_terms,
     _mask_gains,
     _Mixture,
@@ -453,7 +454,7 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
     synthesis = _OverlapAdd((num_sources, channels), cfg.stft, frames, mix.length)
     window = cfg.stft.window_array()
     tf = [b for b in branches if b.spatial is not None]
-    sweeps = _Sweeps(num_sources, shape)
+    sweeps = _Sweeps(_frame_blocks(num_sources, shape))
     space = sweeps.workspace
 
     def mixture(start, stop):

@@ -168,7 +168,8 @@ class _Workspace(threading.local):
     once. A name is a temporary of one step; steps that run one after
     the other may share it. `keep` gives the arrays a block of a sweep
     hands to the ordered work: its n-th is the buffer "kept<n>", which the
-    worker's next block overwrites. A fresh workspace used for one call
+    worker's next block overwrites and the end of the sweep drops (see
+    `_Sweeps.ordered`). A fresh workspace used for one call
     makes every array once, as `np.empty` would.
     """
 
@@ -515,25 +516,32 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _frame_blocks(sources: int, shape: tuple) -> List[Tuple[int, int]]:
+    """(start, stop) blocks of the frames of (C, T, F) spectra of `sources`
+    sources: about `_BLOCK_BYTES` of complex (sources, C, frames, F)
+    spectra each, and one empty block when there are no frames."""
+    channels, frames, bins = shape
+    step = max(1, _BLOCK_BYTES // (sources * channels * bins * 16))
+    return [(start, min(start + step, frames)) for start in range(0, max(frames, 1), step)]
+
+
 class _Sweeps:
-    """Sweeps over the frames of (C, T, F) spectra of `sources` sources, in
-    blocks of about `_BLOCK_BYTES` of complex (sources, C, frames, F)
-    spectra (no frames are one empty block), run by `ordered`.
+    """Sweeps over `blocks`, argument tuples of the block work, run by
+    `ordered`: the frame blocks of `_frame_blocks` for the Wiener steps
+    and `pipeline`, a signal's windows for `bsseval.BlendScorer`.
     `workspace`, kept from sweep to sweep by worker index, is their one
-    buffer pool: each worker's temporaries and the arrays its blocks keep.
+    buffer pool: each worker's temporaries and, within a sweep, the
+    arrays its blocks keep.
     """
 
-    def __init__(self, sources: int, shape: tuple):
-        channels, frames, bins = shape
-        step = max(1, _BLOCK_BYTES // (sources * channels * bins * 16))
-        self.blocks = [(start, min(start + step, frames))
-                       for start in range(0, max(frames, 1), step)]
+    def __init__(self, blocks: Sequence[tuple]):
+        self.blocks = list(blocks)
         self.workspace = _Workspace()
         self._kept = [({}, {}) for _ in range(_worker_count())]
         self._turn = threading.Condition()
 
     def ordered(self, work: Callable, consume: Callable) -> None:
-        """Run work(start, stop) for every block on `_worker_count()` threads
+        """Run work(*block) for every block on `_worker_count()` threads
         started here, in copies of the caller's context, while this thread
         waits. A worker stores its block's result, then calls
         consume(result) on every result ready in block order; a result is
@@ -543,7 +551,8 @@ class _Sweeps:
         consumed, so a kept array is consumed before it is overwritten
         and at most one block per worker holds kept arrays. The first
         failure in block order, of a block or of consume, is raised;
-        nothing after it is consumed."""
+        nothing after it is consumed. Once the workers have ended, each
+        drops its kept buffers, so a sweep does not carry the last one's."""
         self._taken = self._consumed = 0
         self._ready, self._failure = {}, None
         threads = [threading.Thread(target=contextvars.copy_context().run, args=(
@@ -560,6 +569,11 @@ class _Sweeps:
                 if thread.ident is not None:
                     thread.join()
             raise
+        finally:
+            for buffers, views in self._kept:
+                views.clear()
+                for name in [name for name in buffers if name.startswith("kept")]:
+                    del buffers[name]
         if self._failure is not None:
             raise self._failure
 
@@ -632,7 +646,7 @@ def _em(x: np.ndarray, num_sources: int, first: Callable, iterations: int,
     """
     out = np.empty((num_sources,) + x.shape, dtype=np.complex128)
     spatials = []
-    sweeps = _Sweeps(num_sources, x.shape)
+    sweeps = _Sweeps(_frame_blocks(num_sources, x.shape))
     space = sweeps.workspace
 
     def sweep(start, stop):
@@ -672,7 +686,7 @@ def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[Spatia
     _check_channels(est.channels)
     bins = [s.bins for s in est.sources]
     psd = np.empty((len(bins),) + bins[0].shape[1:])
-    sweeps = _Sweeps(len(bins), bins[0].shape)
+    sweeps = _Sweeps(_frame_blocks(len(bins), bins[0].shape))
     space = sweeps.workspace
 
     def terms(start, stop):
@@ -709,7 +723,7 @@ def apply_filter(
     spatial = _spatial(np.stack([cov[:, :, c, c].real for c in range(mix.channels)], axis=1),
                        cov[:, :, 0, 1] if mix.channels == 2 else None)
     out = np.empty((len(models),) + mix.bins.shape, dtype=np.complex128)
-    sweeps = _Sweeps(len(models), mix.bins.shape)
+    sweeps = _Sweeps(_frame_blocks(len(models), mix.bins.shape))
     space = sweeps.workspace
 
     def block(start, stop):

@@ -369,6 +369,51 @@ def test_reader_names_the_frames_of_a_non_finite_sample(tmp_path):
             reader.frames(2, 10)
 
 
+def test_two_threads_reading_the_same_readers_get_read_wavs_samples(tmp_path):
+    # each thread decodes every reader through its own scratch buffer, which
+    # grows as the ranges do; a shared one would mix the threads' bytes
+    rng = np.random.default_rng(5)
+    frames = 40_000
+    paths = [tmp_path / "f32.wav", tmp_path / "p24.wav"]
+    paths[0].write_bytes(build_wav(rng.normal(size=2 * frames).astype("<f4").tobytes(),
+                                   tag=3, bits=32))
+    paths[1].write_bytes(build_wav(rng.integers(0, 256, size=2 * frames * 3, dtype=np.uint8)
+                                   .tobytes(), bits=24))
+    want = [read_wav(p).samples for p in paths]
+    # ranges of one size after a few that grow it, long enough that decoding
+    # one lets the other thread run
+    edges = [0, 10, 300, 2000] + list(range(4000, frames, 2000)) + [frames]
+    ranges = list(zip(edges[:-1], edges[1:]))
+    got = [np.full(w.shape, np.nan) for w in want]
+    start_together, failures = threading.Barrier(2, timeout=60), []
+
+    def read(first, readers):
+        try:
+            start_together.wait()
+            for _ in range(200):
+                for start, stop in ranges[first::2]:
+                    for reader, out in zip(readers, got):
+                        reader.frames(start, stop, out[:, start:stop])
+        except Exception as exc:  # reported by the test's own thread below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so a shared buffer shows
+    try:
+        with WavReader(paths[0]) as f32, WavReader(paths[1]) as p24:
+            threads = [threading.Thread(target=read, args=(k, [f32, p24])) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
+    for samples, whole in zip(got, want):
+        assert samples.tobytes() == whole.tobytes()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_wav_given_through_a_pipe_is_read_whole(tmp_path):
     rng = np.random.default_rng(3)

@@ -20,6 +20,7 @@ from stemfuse import (
     report_to_json_dict,
     sdr_frames,
     search_weights,
+    wiener,
 )
 from stemfuse.cli import main
 from stemfuse.pipeline import _open_stem_dir
@@ -67,11 +68,20 @@ def assert_same_frames(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def on_workers(mp, workers, score, *args):
+    """score(*args) with `workers` sweep threads."""
+    mp.setattr(wiener, "_worker_count", lambda: workers)
+    return score(*args)
+
+
 @settings(max_examples=40, deadline=None)
 @given(scene=scenes(), fortran=st.booleans(), breakdown=st.booleans(),
        batch=st.sampled_from([None, 1, 3]))
 def test_scoring_from_readers_is_bitwise_scoring_in_memory(tmp_path_factory, scene, fortran,
                                                            breakdown, batch):
+    # at 1, 2 and 3 workers: the windows are read and correlated on the
+    # workers and their batches solved in window order, so every frame is
+    # bitwise the frame of one worker
     refs, stems, cfg = scene
     root = tmp_path_factory.mktemp("scene")
     in_memory = float32_set(refs, fortran), [float32_set(s, fortran) for s in stems]
@@ -79,8 +89,12 @@ def test_scoring_from_readers_is_bitwise_scoring_in_memory(tmp_path_factory, sce
     model_dirs = [write_stem_dir(root / f"model{m}", s) for m, s in enumerate(in_memory[1])]
     columns = [[1.0] + [0.0] * (len(stems) - 1), [1.0 / len(stems)] * len(stems)]
     tols = (bsseval.BlendScorer.CANCELLATION_TOL, bsseval.BlendScorer.REPORT_TOL)
-    one_batch = [bsseval.BlendScorer(*in_memory, cfg).frame_sdr(columns, tol) for tol in tols]
+
+    def frames(sets, tol):
+        return bsseval.BlendScorer(*sets, cfg).frame_sdr(columns, tol)
+
     with pytest.MonkeyPatch.context() as mp, ExitStack() as files:
+        one_batch = [on_workers(mp, 1, frames, in_memory, tol) for tol in tols]
         if batch is not None:  # `batch` frames per `_levinson` call: batches end mid-source
             mp.setattr(bsseval, "_SOLVE_VALUES", in_memory[0].channels * cfg.filter_len * batch)
         if breakdown:  # every first system of a `_levinson` call takes the dense path
@@ -94,21 +108,23 @@ def test_scoring_from_readers_is_bitwise_scoring_in_memory(tmp_path_factory, sce
             mp.setattr(bsseval, "_levinson", first_system_breaks_down)
         from_files = (_open_stem_dir(ref_dir, files),
                       [_open_stem_dir(d, files) for d in model_dirs])
+        report = on_workers(mp, 1, sdr_frames, in_memory[0], in_memory[1][0], cfg)
+        weights = on_workers(mp, 1, search_weights, in_memory[1], in_memory[0], 0.25, cfg)
         for tol, unbatched in zip(tols, one_batch):
-            want = bsseval.BlendScorer(*in_memory, cfg).frame_sdr(columns, tol)
-            assert_same_frames(bsseval.BlendScorer(*from_files, cfg).frame_sdr(columns, tol),
-                               want)
+            want = on_workers(mp, 1, frames, in_memory, tol)
             if not breakdown:  # a system's solve does not depend on the batch it is in
                 assert_same_frames(want, unbatched)
-        report = sdr_frames(from_files[0], from_files[1][0], cfg)
-        want = report_to_json_dict(sdr_frames(in_memory[0], in_memory[1][0], cfg))
-        assert report_to_json_dict(report) == want
-        for frames, ref, est in zip(report.per_source_frames.values(), in_memory[0].sources,
-                                    in_memory[1][0].sources):
-            assert_frames_match_oracle(frames, oracle_source_frames(ref, est, cfg))
-        want = search_weights(in_memory[1], in_memory[0], 0.25, cfg)
-        got = search_weights(from_files[1], from_files[0], 0.25, cfg)
-        assert got.weights.tobytes() == want.weights.tobytes()
+            for workers in (1, 2, 3):
+                assert_same_frames(on_workers(mp, workers, frames, from_files, tol), want)
+                assert_same_frames(on_workers(mp, workers, frames, in_memory, tol), want)
+        for frames_of, ref, est in zip(report.per_source_frames.values(), in_memory[0].sources,
+                                       in_memory[1][0].sources):
+            assert_frames_match_oracle(frames_of, oracle_source_frames(ref, est, cfg))
+        for workers in (1, 2, 3):
+            got = on_workers(mp, workers, sdr_frames, from_files[0], from_files[1][0], cfg)
+            assert report_to_json_dict(got) == report_to_json_dict(report)
+            got = on_workers(mp, workers, search_weights, from_files[1], from_files[0], 0.25, cfg)
+            assert got.weights.tobytes() == weights.weights.tobytes()
 
 
 def write_scene(tmp_path, length, channels=2):
@@ -129,27 +145,34 @@ def poison(path, frame, channel=0):
 
 
 @pytest.mark.parametrize("command", ["eval", "search-weights"])
-@pytest.mark.parametrize("hop, frame", [
-    (100, 450),  # the tail after the last window
-    (150, 120),  # a gap between windows
-    (100, 0),    # a window whose reference is silent
+@pytest.mark.parametrize("hop, poisoned, workers", [
+    pytest.param(100, [("bass", 450)], None, id="100-450"),  # the tail after the last window
+    pytest.param(150, [("bass", 120)], None, id="150-120"),  # a gap between windows
+    pytest.param(100, [("drums", 0)], None, id="100-0"),  # a window whose reference is silent
+    # drums' last window comes before bass's first in window order (source
+    # by source), whichever worker reads it first
+    *[pytest.param(100, [("drums", 350), ("bass", 20)], workers, id=f"two-files-{workers}")
+      for workers in (1, 2, 3)],
 ])
-def test_a_non_finite_sample_no_window_scores_is_still_one_error_line(tmp_path, capsys,
-                                                                      command, hop, frame):
+def test_a_non_finite_sample_no_window_scores_is_still_one_error_line(
+        tmp_path, capsys, monkeypatch, command, hop, poisoned, workers):
     ref_dir, est_dir = write_scene(tmp_path, 460)
-    if frame == 0:  # silence the drums reference's first window
+    if poisoned == [("drums", 0)]:  # silence the drums reference's first window
         blob = bytearray((ref_dir / "drums.wav").read_bytes())
         at = blob.index(b"data") + 8
         blob[at:at + 8 * 100] = bytes(8 * 100)
         (ref_dir / "drums.wav").write_bytes(bytes(blob))
-    poison(est_dir / "bass.wav" if frame else est_dir / "drums.wav", frame, channel=1)
+    for name, frame in poisoned:
+        poison(est_dir / f"{name}.wav", frame, channel=1)
+    if workers is not None:
+        monkeypatch.setattr(wiener, "_worker_count", lambda: workers)
     head = (["eval", "--estimates", str(est_dir)] if command == "eval"
             else ["search-weights", "--stems", str(est_dir), "--grid-step", "0.5"])
     code = main(head + ["--references", str(ref_dir), "--out", str(tmp_path / "out.json"),
                         "--filter-len", "8", "--win", str(100 / SR), "--hop", str(hop / SR)])
     assert code == 1
     err = capsys.readouterr().err
-    bad = est_dir / ("bass.wav" if frame else "drums.wav")
+    bad = est_dir / f"{poisoned[0][0]}.wav"
     assert err.startswith(f"error non-finite-samples: {bad}: non-finite samples in frames ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()

@@ -500,7 +500,7 @@ def sweeps_of(monkeypatch, workers):
     """A `_Sweeps` of 14 blocks of 3 frames, on `workers` threads."""
     monkeypatch.setattr(wiener, "_BLOCK_BYTES", 3 * 16)
     monkeypatch.setattr(wiener, "_worker_count", lambda: workers)
-    return wiener._Sweeps(1, (1, 40, 1))
+    return wiener._Sweeps(wiener._frame_blocks(1, (1, 40, 1)))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
