@@ -6,7 +6,8 @@ PCM24 and IEEE float32 for reading, also when the fmt chunk is
 WAVE_FORMAT_EXTENSIBLE with the PCM or IEEE-float sub-format, and PCM16
 and float32 for writing.
 Chunks other than ``fmt `` and ``data`` are skipped. `WavReader` decodes
-any range of frames of an open file; `read_wav` is it read whole.
+any range of frames of an open file, on several threads of the block
+engine (`sweeps`) at once; `read_wav` is it read whole.
 `_WavFiles` writes several files block by block, atomically (temp files
 renamed after the last block); `write_wav` is one block of one file.
 """
@@ -206,8 +207,8 @@ def read_wav(path) -> Waveform:
     The samples are decoded `_READ_FRAMES` frames at a time, so the
     thread's scratch buffer stays that small. `separate` does not need
     them whole for speed: its block work allocates nothing block-sized
-    (see `wiener._Sweeps`), whatever the allocator keeps of freed memory,
-    so the mixture could be streamed instead.
+    (see `sweeps`), whatever the allocator keeps of freed memory, so the
+    mixture could be streamed instead.
     """
     with WavReader(path) as reader:
         samples = np.empty((reader.channels, reader.length))

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .core import SOURCE_NAMES, SourceWaveformSet, Waveform, _atomic_write, source_labels
 from .core import _check_alike, _is_positive_finite
+from .sweeps import _Sweeps, _blocks
 
 COLUMN_SUM_TOL = 1e-6
 # Search scores within this many dB of the best tie. Closed-form scores
@@ -32,6 +34,9 @@ COLUMN_SUM_TOL = 1e-6
 TIE_TOL_DB = 1e-9
 # Simplex columns scored per batch, so memory does not grow with grid density.
 _COLUMN_BLOCK = 1024
+# Columns one search may score, so a hostile grid step cannot run without
+# end: grid 0.001 over three models is 501,501.
+_MAX_COLUMNS = 1 << 20
 
 _DEFAULT_WEIGHTS_RESOURCE = "data/default_weights.json"
 
@@ -108,29 +113,91 @@ def check_weights_fit(w: BlendWeights, num_models: int, num_sources: int) -> Non
         )
 
 
-def weighted_accumulate(
-    acc: np.ndarray, weights: np.ndarray, stems: Iterable[np.ndarray], overwrite: bool = False
-) -> None:
-    """acc[j] += weights[j] * stems[j] for every source j, in place; with
-    `overwrite`, each product is formed in its stem.
+def weighted_accumulate(acc: np.ndarray, weights: np.ndarray, stems: Iterable[np.ndarray]) -> None:
+    """acc[j] += weights[j] * stems[j] for every source j, in place, each
+    product formed in its stem.
 
     Calling it once per model in model order gives every fused value the
     same sum, in the same order, whatever the array's domain.
     """
     for j, stem in enumerate(stems):
-        acc[j] += np.multiply(weights[j], stem, out=stem if overwrite else None)
+        acc[j] += np.multiply(weights[j], stem, out=stem)
 
 
-def blend(per_model_stems: Sequence[SourceWaveformSet], w: BlendWeights) -> SourceWaveformSet:
-    """fused_j = sum_m w[m, j] * stems_m[j], sample-wise."""
+def _conformed_frames(stem, start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Frames start .. stop - 1 of `stem` (a Waveform or `WavReader`), zeros
+    past its end, into `out` when given: a stem shorter than the mixture
+    is zero-padded to its length, a longer one truncated."""
+    if out is None:
+        out = np.empty((stem.channels, stop - start))
+    end = max(start, min(stop, stem.length))
+    if end > start:
+        stem.frames(start, end, out[:, :end - start])
+    out[:, end - start:] = 0.0
+    return out
+
+
+def _weighted_sum(block: np.ndarray, weighted: list, offset: int, read: np.ndarray) -> np.ndarray:
+    """The weighted sum of stem sets over frames offset .. offset + count - 1,
+    into the (sources, channels, count) `block`: `weighted` holds each
+    model's (weights, stems), in model order, and the stems are read
+    through `_conformed_frames` into `read` (channels, count). Every value
+    is summed from +0.0 in model order, so its bytes do not depend on the
+    blocks."""
+    block.fill(0.0)
+    for weights, stems in weighted:
+        weighted_accumulate(block, weights, (_conformed_frames(
+            s, offset, offset + block.shape[-1], read) for s in stems))
+    return block
+
+
+def _blend_blocks(weighted: list, shape: tuple, sink: Callable) -> None:
+    """Hand `_weighted_sum` of (sources, channels, length) `shape` to
+    sink(offset, block), block by block in order, from the workers of one
+    sweep over blocks of samples; a block is in a buffer that its worker's
+    later blocks reuse."""
+    sources, channels, length = shape
+    sweeps = _Sweeps(_blocks(length, sources * channels * 8))
+    space = sweeps.workspace
+
+    def work(start, stop):
+        [block] = space.keep(((sources, channels, stop - start), np.float64))
+        return start, _weighted_sum(block, weighted, start,
+                                    space.take("read", (channels, stop - start)))
+
+    sweeps.ordered(work, lambda result: sink(*result))
+
+
+def _blend_plan(per_model_stems: Sequence, w: BlendWeights) -> tuple:
+    """The (sources, channels, length) shape of the blend of stem sets of
+    Waveforms or `WavReader`s, once they fit `w` and each other, and
+    stream(sink), which hands its blocks to sink (see `_blend_blocks`)."""
     num_sources = per_model_stems[0].num_sources if per_model_stems else w.num_sources
     check_weights_fit(w, len(per_model_stems), num_sources)
     _check_alike("stem sets", *(stems.sources for stems in per_model_stems))
-    first = per_model_stems[0]
-    fused = np.zeros((w.num_sources, first.channels, first.length))
-    for m, stems in enumerate(per_model_stems):
-        weighted_accumulate(fused, w.weights[m], (s.samples for s in stems.sources))
-    return SourceWaveformSet([Waveform(f, first.sample_rate) for f in fused])
+    weighted = list(zip(w.weights, (stems.sources for stems in per_model_stems)))
+    first = per_model_stems[0].sources[0]
+    shape = (num_sources, first.channels, first.length)
+    return shape, lambda sink: _blend_blocks(weighted, shape, sink)
+
+
+def _collected(shape: tuple, sample_rate: int, stream: Callable) -> SourceWaveformSet:
+    """The stems of (sources, channels, length) `shape` whose blocks
+    stream(sink) hands to sink(offset, block), collected."""
+    fused = np.empty(shape)
+
+    def fill(offset, block):
+        fused[..., offset:offset + block.shape[-1]] = block
+
+    stream(fill)
+    return SourceWaveformSet([Waveform(f, sample_rate) for f in fused])
+
+
+def blend(per_model_stems: Sequence[SourceWaveformSet], w: BlendWeights) -> SourceWaveformSet:
+    """fused_j = sum_m w[m, j] * stems_m[j], sample-wise: the blocks of
+    `_blend_plan`, collected."""
+    shape, stream = _blend_plan(per_model_stems, w)
+    return _collected(shape, per_model_stems[0].sample_rate, stream)
 
 
 def _simplex_columns(num_models: int, steps: int) -> Iterator[Tuple[int, ...]]:
@@ -156,15 +223,22 @@ def search_weights(
     with spacing grid_step to maximize the median SDR of the blended
     stem. Scores within TIE_TOL_DB of the best tie, and a tie goes to
     the lexicographically smallest column. A source silent in every
-    frame gets the lexicographically smallest column.
+    frame gets the lexicographically smallest column. A grid of more than
+    `_MAX_COLUMNS` columns is a ValueError, raised before any stem is read.
     """
     if len(per_model_stems) < 1:
         raise ValueError("need at least one model")
     if not _is_positive_finite(grid_step):
         raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
+    if not math.isfinite(1.0 / grid_step):
+        raise ValueError(f"grid_step {grid_step} is too small: 1 / grid_step is not finite")
     steps = round(1.0 / grid_step)
     if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step {grid_step} does not divide 1 evenly")
+    count = math.comb(steps + len(per_model_stems) - 1, len(per_model_stems) - 1)
+    if count > _MAX_COLUMNS:
+        raise ValueError(f"grid_step {grid_step} gives {count} columns for "
+                         f"{len(per_model_stems)} models, more than {_MAX_COLUMNS}")
     _check_alike("stem sets", *(stems.sources for stems in per_model_stems), references.sources)
     cfg = eval_config if eval_config is not None else bsseval.EvalConfig()
 

@@ -13,9 +13,9 @@ a +300 dB sentinel.
 The Gram matrix of delayed references is block-Toeplitz and built from
 lags of the signals' correlations, which one overlap-save FFT correlator,
 `_block_lags`, computes; `project_subspace` solves every channel's Gram
-at once, densely. Framewise scores go through `BlendScorer`, whose sweep
-workers read one window of every signal at a time (in memory or from a
-WAV file) and correlate it; batches of windows are solved in window
+at once, densely. Framewise scores go through `BlendScorer`, whose
+workers (the block engine of `sweeps`) read one window of every signal
+at a time (in memory or from a WAV file) and correlate it; batches of windows are solved in window
 order, in one Levinson recursion each.
 """
 
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .core import SourceWaveformSet, Waveform, _atomic_write, _check_alike, source_labels
 from .core import _is_int, _is_positive_finite
-from .wiener import _Sweeps
+from .sweeps import _Sweeps
 
 SDR_CAP_DB = 300.0
 SILENT_FRAME_ENERGY = 1e-12
@@ -300,7 +300,7 @@ class BlendScorer:
     by `_frame_sdr` on the synthesised blend, so the cap and the sentinel
     come from the same code.
 
-    The windows are read on the workers of one `wiener._Sweeps` sweep,
+    The windows are read on the workers of one sweep (see `sweeps`),
     a block per window of each source: a worker reads the window of
     every signal into its own buffers and makes the silence check, the
     stems' Gram and the lags. In window order the frames are recorded

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, suppress
 from pathlib import Path
+from typing import Callable
 
 from . import bsseval
 from . import pipeline as pipeline_mod
 from .blend import (
-    blend as blend_stems,
+    _blend_plan,
     default_weights,
     load_weights,
     save_weights,
@@ -25,21 +26,22 @@ from .blend import (
 )
 from .errors import StemfuseError
 from .audio_io import _WavFiles, read_wav
-from .core import SOURCE_NAMES, StftConfig
+from .core import SOURCE_NAMES, StftConfig, _SourceSet
 from .wiener import MwfConfig
 
 
-@contextmanager
-def _stem_files(out_dir: Path, names, channels: int, sample_rate: int, length: int):
-    """`_WavFiles` of float32 stems `<name>.wav` in `out_dir`, made with
-    its parents; on any failure the directories made here go while they
-    are empty."""
+def _write_stems(out_dir: Path, names, channels: int, sample_rate: int, length: int,
+                 stream: Callable) -> None:
+    """Write the blocks stream(sink) hands to sink(offset, block) as they
+    come, to the float32 stems `<name>.wav` of `_WavFiles` in `out_dir`,
+    made with its parents; on any failure the directories made here go
+    while they are empty."""
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         with _WavFiles([out_dir / f"{name}.wav" for name in names], channels, sample_rate,
                        length) as files:
-            yield files
+            stream(lambda _offset, block: files.write(block))
     except BaseException:
         with suppress(OSError):
             for directory in made:
@@ -50,8 +52,13 @@ def _stem_files(out_dir: Path, names, channels: int, sample_rate: int, length: i
 def _separate_into(out_dir: Path, mix, cfg, names=SOURCE_NAMES) -> None:
     """Write the stems of `pipeline.run` to `out_dir`, each block as the
     sweep's workers finish it."""
-    with _stem_files(out_dir, names, mix.channels, mix.sample_rate, mix.length) as files:
-        pipeline_mod._stream(mix, cfg, names, lambda _offset, block: files.write(block))
+    _write_stems(out_dir, names, mix.channels, mix.sample_rate, mix.length,
+                 lambda sink: pipeline_mod._stream(mix, cfg, names, sink))
+
+
+def _stem_dir(directory, files: ExitStack) -> _SourceSet:
+    """The stems of a directory, as `WavReader`s kept open in `files`."""
+    return _SourceSet(pipeline_mod._stem_readers(directory, files))
 
 
 class _UsageError(Exception):
@@ -79,19 +86,19 @@ def cmd_blend(args) -> int:
         weights = load_weights(args.weights)
     else:
         weights = default_weights()
-    stem_sets = [pipeline_mod.load_stem_dir(d) for d in args.stems]
-    fused = blend_stems(stem_sets, weights)
-    with _stem_files(Path(args.out), SOURCE_NAMES, fused.channels, fused.sample_rate,
-                     fused.length) as files:
-        files.write([s.samples for s in fused.sources])  # one block
+    with ExitStack() as files:  # stems are read block by block as the blocks are summed
+        stem_sets = [_stem_dir(d, files) for d in args.stems]
+        shape, stream = _blend_plan(stem_sets, weights)
+        _write_stems(Path(args.out), SOURCE_NAMES, shape[1], stem_sets[0].sample_rate, shape[2],
+                     stream)
     return 0
 
 
 def cmd_search_weights(args) -> int:
     _require_files(*args.stems, args.references)
     with ExitStack() as files:
-        stem_sets = [pipeline_mod._open_stem_dir(d, files) for d in args.stems]
-        references = pipeline_mod._open_stem_dir(args.references, files)
+        stem_sets = [_stem_dir(d, files) for d in args.stems]
+        references = _stem_dir(args.references, files)
         cfg = bsseval.EvalConfig(filter_len=args.filter_len, win=args.win, hop=args.hop)
         weights = search_weights(
             stem_sets,
@@ -107,8 +114,8 @@ def cmd_search_weights(args) -> int:
 def cmd_eval(args) -> int:
     _require_files(args.estimates, args.references)
     with ExitStack() as files:  # stems are read window by window while they are scored
-        estimates = pipeline_mod._open_stem_dir(args.estimates, files)
-        references = pipeline_mod._open_stem_dir(args.references, files)
+        estimates = _stem_dir(args.estimates, files)
+        references = _stem_dir(args.references, files)
         cfg = bsseval.EvalConfig(filter_len=args.filter_len, win=args.win, hop=args.hop)
         report = bsseval.sdr_frames(references, estimates, cfg)
     bsseval.save_report_json(report, args.out)

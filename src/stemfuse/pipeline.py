@@ -13,28 +13,18 @@ holds a whole-track spectrogram; the mixture itself is read whole.
 `stemfuse wiener` enters the same engine with one TF model and its own
 source names, those of its `.mag` files.
 
-Within one sweep over the blocks (`wiener._Sweeps`), a block's work
-depends only on the block and on the spatial covariances of finished EM
-passes. A block's STFT frames, |x| and the mixture products of the
-first EM pass are made once and shared by every branch; each TF branch
-turns its magnitudes into real mask gains, and its first pass's
+Within one sweep over the blocks (the engine of `sweeps`), a block's
+work depends only on the block and on the spatial covariances of
+finished EM passes. A block's STFT frames, |x| and the mixture products
+of the first EM pass are made once and shared by every branch; each TF
+branch turns its magnitudes into real mask gains, and its first pass's
 per-frame terms come from those gains without forming complex
-estimates. That work runs on the sweep's workers, one thread per CPU
-the process may use. The ordered work runs on them too, one block at a
-time and strictly in block order, by whichever worker finds the next
-result ready: adding the EM terms to the running sums, and in the last
-sweep overlap-adding the synthesized frames and the output step, which
-adds the external T stems and hands each finished block to a sink
-(`_stream`). So the stems are the same bytes on one CPU or many,
-and `stemfuse separate` and `wiener` write them as the blocks finish;
-the calling thread only starts each sweep and waits. After its first
-blocks a sweep allocates nothing block-sized: a worker makes a block's
-frames, spectra, mixture products, gains, PSDs, filter temporaries and
-fused spectra, one source's stem at a time, and the EM terms and
-synthesized frames it hands to the ordered work in its thread's buffers
-of the sweep's `wiener._Workspace`. The worker's next block overwrites
-those results, so it takes its first kept buffer only once they have
-been consumed.
+estimates. The ordered work adds the EM terms to the running sums and,
+in the last sweep, overlap-adds the synthesized frames and runs the
+output step (`_add_spectral`), so `stemfuse separate` and `wiener` write
+the stems as the blocks finish. A config of external T stems alone has
+no spectral sweep: its stems are their weighted sum, made as `stemfuse
+blend` makes it.
 
 External models plug in through the file system: a T entry points at a
 directory of drums/bass/other/vocals WAV stems, a TF entry at a
@@ -59,6 +49,10 @@ import numpy as np
 
 from .blend import (
     BlendWeights,
+    _blend_blocks,
+    _collected,
+    _conformed_frames,
+    _weighted_sum,
     check_weights_fit,
     default_weights,
     load_weights,
@@ -80,33 +74,31 @@ from .core import (
     SourceWaveformSet,
     StftConfig,
     Waveform,
-    _SourceSet,
     _atomic_write,
     _check_alike,
     _is_real,
 )
 from .stft import _analysis_frames, _OverlapAdd, frame_count
+from .sweeps import _Sweeps
 from .toy_models import BandMaskModel
 from .wiener import (
     MwfConfig,
     _block_psd,
     _block_terms,
     _check_channels,
+    _em_pass,
     _filter_sources,
     _frame_blocks,
     _gain_terms,
     _mask_gains,
     _Mixture,
     _refilter,
-    _Sweeps,
-    _Workspace,
 )
 
 BUILTIN_TOY = "builtin-toy"
 MAGNITUDE_SUFFIX = ".mag"
 _MAGIC = b"DSMAG1"
 _HEADER_BYTES = len(_MAGIC) + 12  # magic, then channels, frames, bins as u32
-_T_BLOCK_FRAMES = 1 << 16  # output frames per block when only T stems are summed
 
 T_DOMAIN = "T"
 TF_DOMAIN = "TF"
@@ -287,16 +279,6 @@ def read_magnitudes(path) -> np.ndarray:
 
 # --- stem-set ingestion -------------------------------------------------
 
-def _stem_paths(directory):
-    """The drums/bass/other/vocals WAV paths of a directory; a missing one is a MissingStem."""
-    directory = Path(directory)
-    for name in SOURCE_NAMES:
-        path = directory / f"{name}.wav"
-        if not path.is_file():
-            raise MissingStem(f"{directory} lacks {name}.wav")
-        yield path
-
-
 def load_stem_dir(directory, like: Optional[Waveform] = None,
                   length_tolerance: int = 0) -> SourceWaveformSet:
     """Read drums/bass/other/vocals WAVs from a directory.
@@ -316,9 +298,14 @@ def load_stem_dir(directory, like: Optional[Waveform] = None,
 def _stem_readers(directory, files: ExitStack, like: Optional[Waveform] = None,
                   tolerance: int = 0) -> list:
     """The stems of a directory as `WavReader`s kept open in `files`, in
-    SOURCE_NAMES order, each checked as `load_stem_dir` checks it."""
+    SOURCE_NAMES order, each checked as `load_stem_dir` checks it; the
+    samples are read, and checked, when they are used. Every command
+    opens its stem directories here; a missing stem is a MissingStem."""
     stems = []
-    for path in _stem_paths(directory):
+    for name in SOURCE_NAMES:
+        path = Path(directory) / f"{name}.wav"
+        if not path.is_file():
+            raise MissingStem(f"{directory} lacks {name}.wav")
         stem = files.enter_context(WavReader(path))
         if like is None:
             _check_alike("sources", [stems[0] if stems else stem, stem])
@@ -326,27 +313,6 @@ def _stem_readers(directory, files: ExitStack, like: Optional[Waveform] = None,
             _check_alike("mixture and stem", [like, stem], tolerance=tolerance)
         stems.append(stem)
     return stems
-
-
-def _open_stem_dir(directory, files: ExitStack) -> _SourceSet:
-    """The stems of a directory as `WavReader`s kept open in `files`, in
-    SOURCE_NAMES order, their headers checked as `load_stem_dir` checks
-    them; the samples are read, and checked, when they are used."""
-    return _SourceSet([files.enter_context(WavReader(p)) for p in _stem_paths(directory)])
-
-
-def _conformed_frames(stem: WavReader, start: int, stop: int,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Frames start .. stop - 1 of `stem`, zeros past its end, into `out`
-    when given: a stem shorter than the mixture is zero-padded to its
-    length, a longer one truncated."""
-    if out is None:
-        out = np.empty((stem.channels, stop - start))
-    end = max(start, min(stop, stem.length))
-    if end > start:
-        stem.frames(start, end, out[:, :end - start])
-    out[:, end - start:] = 0.0
-    return out
 
 
 def _open_magnitude_dir(directory, names, shape: tuple, files: ExitStack) -> Callable:
@@ -440,15 +406,16 @@ def _spectral_branch(entry: ModelEntry, weights: np.ndarray, names, shape: tuple
 
 
 def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBranch],
-                  shape: tuple, output: Callable) -> None:
-    """Hand the weighted sum of the spectral branches, synthesized, to
-    output(offset, count, samples).
+                  t_stems: list, shape: tuple, sink: Callable) -> None:
+    """Hand the fused stems of the spectral branches and of the external
+    T stems `t_stems` to `sink` (see `_stream`).
 
     Works on blocks of frames. Each EM pass of the TF branches is one
     sweep that rebuilds every block's estimates and adds them to that
     pass's sums over frames; a last sweep re-filters every branch, weights
-    and sums the blocks, overlap-adds them and hands the finished samples
-    to `output`. The ordered steps run on the sweep's workers too.
+    and sums the blocks and overlap-adds them. Its ordered step, the
+    output step, adds the finished samples to the T stems' sum
+    (`blend._weighted_sum`), checks the block finite and hands it on.
     """
     num_sources, channels, frames = len(branches[0].weights), shape[0], shape[1]
     synthesis = _OverlapAdd((num_sources, channels), cfg.stft, frames, mix.length)
@@ -477,19 +444,26 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
         spectral = space.take("spectral", (num_sources,) + block.x.shape, np.complex128)
         spectral.fill(0.0)
         for branch in branches:
-            weighted_accumulate(spectral, branch.weights,
-                                branch.stems(block, start, stop, cfg.mwf), overwrite=True)
+            weighted_accumulate(spectral, branch.weights, branch.stems(block, start, stop, cfg.mwf))
         [frames_td] = space.keep((spectral.shape[:-1] + (cfg.stft.fft_size,), np.float64))
         return synthesis.synthesize(spectral, frames_td)
 
-    def overlap_add(frames_td):
-        offset, samples = synthesis.add(frames_td)
-        output(offset, samples.shape[-1], samples)
+    def output(frames_td):  # on the draining worker, in block order
+        offset, synthesized = synthesis.add(frames_td)
+        if not synthesized.shape[-1]:
+            return
+        block = _weighted_sum(space.take("block", synthesized.shape), t_stems, offset,
+                              space.take("read", synthesized.shape[1:]))
+        block += synthesized
+        if not np.all(np.isfinite(block)):
+            last = offset + block.shape[-1] - 1
+            raise NonFiniteSamples(f"fused samples {offset}..{last} are not finite")
+        sink(offset, block)
 
     for _ in range(cfg.mwf.iterations if tf else 0):
-        for branch, spatial in zip(tf, sweeps.em_pass(em_terms, cfg.mwf.eps)):
+        for branch, spatial in zip(tf, _em_pass(sweeps, em_terms, cfg.mwf.eps)):
             branch.spatial.append(spatial)
-    sweeps.ordered(fused_frames, overlap_add)
+    sweeps.ordered(fused_frames, output)
 
 
 def run(mix: Waveform, cfg: PipelineConfig, names=SOURCE_NAMES) -> SourceWaveformSet:
@@ -498,13 +472,8 @@ def run(mix: Waveform, cfg: PipelineConfig, names=SOURCE_NAMES) -> SourceWavefor
     The stems of `_stream`, collected into arrays: beyond the returned
     stems, memory does not grow with the track.
     """
-    fused = np.empty((len(names), mix.channels, mix.length))
-
-    def fill(offset, block):
-        fused[..., offset:offset + block.shape[-1]] = block
-
-    _stream(mix, cfg, names, fill)
-    return SourceWaveformSet([Waveform(f, mix.sample_rate) for f in fused])
+    return _collected((len(names), mix.channels, mix.length), mix.sample_rate,
+                      lambda sink: _stream(mix, cfg, names, sink))
 
 
 def _stream(mix: Waveform, cfg: PipelineConfig, names, sink: Callable) -> None:
@@ -514,14 +483,12 @@ def _stream(mix: Waveform, cfg: PipelineConfig, names, sink: Callable) -> None:
 
     `names` are the sources, one stem each: a TF directory holds one
     `<name>.mag` file per source. T directories and builtin-toy models
-    give the four `SOURCE_NAMES` stems, so they need the default. The
-    spectral branches are streamed in blocks of frames (see
-    `_add_spectral`). A block of output starts from zero, adds the
-    external T stems, read from their files and weighted in model order,
-    then the synthesized branches, so every sample keeps the sum order of
-    a whole-track run; it is checked finite before the sink sees it.
-    Every model's files are opened and their headers checked before any
-    block is filtered.
+    give the four `SOURCE_NAMES` stems, so they need the default. A
+    block of output is the weighted sum of the external T stems, read
+    from their files in model order, plus the synthesized spectral
+    branches (`_add_spectral`), so every sample keeps the sum order of a
+    whole-track run. Every model's files are opened and their headers
+    checked before any block is filtered.
     """
     weights = cfg.weights
     num_sources = len(names)
@@ -541,25 +508,7 @@ def _stream(mix: Waveform, cfg: PipelineConfig, names, sink: Callable) -> None:
                 shape = (mix.channels, frame_count(mix.length, cfg.stft), cfg.stft.num_bins)
             branches.append(_spectral_branch(entry, weights.weights[m], names, shape,
                                              mix.sample_rate, cfg, files))
-        space = _Workspace()  # the output block and a T stem's samples, reused by each thread
-
-        def output(offset, count, synthesized=None):
-            if not count:
-                return
-            block = space.take("block", (num_sources, mix.channels, count))
-            read = space.take("read", (mix.channels, count))
-            block.fill(0.0)
-            for m_weights, stems in t_stems:
-                weighted_accumulate(block, m_weights, (_conformed_frames(
-                    s, offset, offset + count, read) for s in stems), overwrite=True)
-            if synthesized is not None:
-                block += synthesized
-            if not np.all(np.isfinite(block)):
-                raise NonFiniteSamples(f"fused samples {offset}..{offset + count - 1} are not finite")
-            sink(offset, block)
-
         if branches:
-            _add_spectral(mix, cfg, branches, shape, output)
-        else:  # T stems alone: no sweep to run the output step on
-            for offset in range(0, mix.length, _T_BLOCK_FRAMES):
-                output(offset, min(_T_BLOCK_FRAMES, mix.length - offset))
+            _add_spectral(mix, cfg, branches, t_stems, shape, sink)
+        else:  # float32 or PCM stems times a weight column: finite
+            _blend_blocks(t_stems, (num_sources, mix.channels, mix.length), sink)

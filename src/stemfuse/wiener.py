@@ -11,19 +11,12 @@ mixtures are supported; the 2x2 inversion uses the closed adjugate form.
 The model step only needs per-bin sums over frames and the filter step
 treats each frame on its own, so every step works on (sources,
 channels, frames, bins) blocks of a few frames, and each EM pass is one
-sweep over them (`_Sweeps.em_pass`, also run by `pipeline.run`). A
+sweep over them (`_em_pass`, also run by `pipeline.run`) on the block
+engine of `sweeps`, whose workspaces hold every temporary. A
 spatial covariance is kept as its unique Hermitian entries: the real
 diagonal (sources, channels, bins) and, for stereo, the complex
 off-diagonal R01 (sources, bins), with R10 = conj(R01). The public
 functions wrap these arrays in `Spectrogram` and `SpatialModel` values.
-
-A sweep runs on worker threads alone: they work the blocks and, one
-at a time and strictly in block order, do the ordered work on their
-results (see `_Sweeps`). Its block work allocates nothing block-sized
-after its first blocks: each worker takes its temporaries, and the
-arrays a block hands to the ordered work, from its buffers in the
-sweep's `_Workspace`. A block takes the first of those arrays only once
-the worker's block before it has been consumed.
 
 The initial estimates are y_j = g_j x with real mask gains
 g_j = v_j**a / (sum_k v_k**a + eps), each power raised once. Since g_j
@@ -36,10 +29,6 @@ the filtered estimates.
 
 from __future__ import annotations
 
-import contextvars
-import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -47,16 +36,12 @@ import numpy as np
 
 from .errors import ShapeMismatch, SingularMixCovariance
 from .core import Spectrogram, SourceSpectrogramSet, _is_int, _is_positive_finite
+from .sweeps import _Sweeps, _Workspace, _blocks
 
 _EPS_DIV = 1e-12  # guards the initialization mask against all-zero bins
 _HERMITIAN_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
 
-# Frames per block: about this many bytes of (sources, channels, frames,
-# bins) complex spectra, small enough that a block's working set stays in
-# cache.
-_BLOCK_BYTES = 2_200_000
-_THREAD_PREFIX = "stemfuse-block"
 # Each EM pass is a full sweep over the track: 1000 passes is already hours
 # on one song, and a bound keeps a config from running without end.
 _MAX_ITERATIONS = 1000
@@ -157,60 +142,6 @@ def _mask_gains(g: np.ndarray, mask_power: float, total: Optional[np.ndarray] = 
     total += _EPS_DIV
     g /= total
     return g
-
-
-class _Workspace(threading.local):
-    """Arrays reused from block to block; every thread sees its own.
-
-    `take(name, shape, dtype)` gives the leading bytes of the buffer kept
-    under `name`, made again only when a larger one is asked for. A
-    sweep's first block is its largest, so a worker makes each buffer
-    once. A name is a temporary of one step; steps that run one after
-    the other may share it. `keep` gives the arrays a block of a sweep
-    hands to the ordered work: its n-th is the buffer "kept<n>", which the
-    worker's next block overwrites and the end of the sweep drops (see
-    `_Sweeps.ordered`). A fresh workspace used for one call
-    makes every array once, as `np.empty` would.
-    """
-
-    def __init__(self):
-        self._buffers, self._views = {}, {}
-        self._wait, self._count = None, 0
-
-    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        view = self._views.get((name, shape, dtype))
-        if view is None:
-            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-            buffer = self._buffers.get(name)
-            if buffer is None or buffer.size < nbytes:
-                buffer = self._buffers[name] = np.empty(nbytes, np.uint8)
-                self._views.clear()  # views of the buffer this one replaces
-            view = self._views[name, shape, dtype] = buffer[:nbytes].view(dtype).reshape(shape)
-        return view
-
-    def copy(self, name: str, a: np.ndarray, dtype=None) -> np.ndarray:
-        """A C-ordered copy of `a`, cast to `dtype` if given, in the buffer `name`."""
-        out = self.take(name, a.shape, dtype or a.dtype)
-        np.copyto(out, a)
-        return out
-
-    def adopt(self, kept: tuple) -> None:
-        """Keep this thread's buffers in `kept`, the (buffers, views) dicts
-        an earlier thread of the same worker may have filled, so a sweep's
-        new threads reuse what the sweeps before it made."""
-        self._buffers, self._views = kept
-
-    def lend(self, wait: Callable) -> None:
-        """Start a block of a sweep: its first `keep` calls wait() before it takes a buffer."""
-        self._wait, self._count = wait, 0
-
-    def keep(self, *specs) -> list:
-        """Arrays of the (shape, dtype) `specs` that the block hands to the
-        ordered work."""
-        if not self._count:
-            self._wait()
-        first, self._count = self._count, self._count + len(specs)
-        return [self.take(f"kept{first + k}", *spec) for k, spec in enumerate(specs)]
 
 
 class _Mixture:
@@ -509,128 +440,25 @@ def _refilter(y: np.ndarray, mixture: _Mixture, spatials: Sequence[_Spatial], ep
 
 # --- sweeps over blocks of frames -----------------------------------------
 
-def _worker_count() -> int:
-    """Threads for the per-block work: the CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _frame_blocks(sources: int, shape: tuple) -> List[Tuple[int, int]]:
-    """(start, stop) blocks of the frames of (C, T, F) spectra of `sources`
-    sources: about `_BLOCK_BYTES` of complex (sources, C, frames, F)
-    spectra each, and one empty block when there are no frames."""
-    channels, frames, bins = shape
-    step = max(1, _BLOCK_BYTES // (sources * channels * bins * 16))
-    return [(start, min(start + step, frames)) for start in range(0, max(frames, 1), step)]
+    """The blocks of the frames of (C, T, F) spectra of `sources` sources:
+    `sweeps._blocks` of complex (sources, C, frames, F) spectra."""
+    return _blocks(shape[1], sources * shape[0] * shape[2] * 16)
 
 
-class _Sweeps:
-    """Sweeps over `blocks`, argument tuples of the block work, run by
-    `ordered`: the frame blocks of `_frame_blocks` for the Wiener steps
-    and `pipeline`, a signal's windows for `bsseval.BlendScorer`.
-    `workspace`, kept from sweep to sweep by worker index, is their one
-    buffer pool: each worker's temporaries and, within a sweep, the
-    arrays its blocks keep.
-    """
+def _em_pass(sweeps: _Sweeps, terms: Callable, eps: float) -> List[_Spatial]:
+    """The R of one EM pass of each of several filters, in one sweep of
+    `sweeps`, where `terms(start, stop)` gives, one per filter, the
+    `_terms` of its estimates of frames start .. stop - 1."""
+    sums = []
 
-    def __init__(self, blocks: Sequence[tuple]):
-        self.blocks = list(blocks)
-        self.workspace = _Workspace()
-        self._kept = [({}, {}) for _ in range(_worker_count())]
-        self._turn = threading.Condition()
+    def add(block):
+        sums.extend(_SpatialSums() for _ in block[len(sums):])
+        for filter_sums, filter_terms in zip(sums, block):
+            filter_sums.add(filter_terms)
 
-    def ordered(self, work: Callable, consume: Callable) -> None:
-        """Run work(*block) for every block on `_worker_count()` threads
-        started here, in copies of the caller's context, while this thread
-        waits. A worker stores its block's result, then calls
-        consume(result) on every result ready in block order; a result is
-        taken only once the one before it is consumed, so consume runs on
-        one thread at a time, in block order. A block's first
-        `workspace.keep` waits until the worker's block before it is
-        consumed, so a kept array is consumed before it is overwritten
-        and at most one block per worker holds kept arrays. The first
-        failure in block order, of a block or of consume, is raised;
-        nothing after it is consumed. Once the workers have ended, each
-        drops its kept buffers, so a sweep does not carry the last one's."""
-        self._taken = self._consumed = 0
-        self._ready, self._failure = {}, None
-        threads = [threading.Thread(target=contextvars.copy_context().run, args=(
-            self._serve, kept, work, consume), name=f"{_THREAD_PREFIX}-{k}")
-                   for k, kept in enumerate(self._kept)]
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        except BaseException as exc:  # an interrupt, or a thread that did not start
-            self._finish(exc)
-            for thread in threads:
-                if thread.ident is not None:
-                    thread.join()
-            raise
-        finally:
-            for buffers, views in self._kept:
-                views.clear()
-                for name in [name for name in buffers if name.startswith("kept")]:
-                    del buffers[name]
-        if self._failure is not None:
-            raise self._failure
-
-    def _serve(self, kept: tuple, work: Callable, consume: Callable) -> None:
-        self.workspace.adopt(kept)
-        last = -1  # the worker's block before this one, whose kept arrays this one reuses
-        while True:
-            with self._turn:
-                if self._failure is not None or self._taken == len(self.blocks):
-                    return
-                index, self._taken = self._taken, self._taken + 1
-            self.workspace.lend(lambda last=last: self._await(last))
-            last = index
-            try:
-                result = work(*self.blocks[index]), None
-            except BaseException as exc:  # raised by the calling thread in its turn
-                result = None, exc
-            with self._turn:
-                self._ready[index] = result
-            while True:  # the next result is taken only once the one before it is consumed
-                with self._turn:
-                    if self._failure is not None or self._consumed not in self._ready:
-                        break
-                    value, error = self._ready.pop(self._consumed)
-                if error is None:
-                    try:
-                        consume(value)
-                    except BaseException as exc:  # raised by the calling thread
-                        error = exc
-                self._finish(error)
-
-    def _finish(self, error: Optional[BaseException]) -> None:
-        """Count a consumed block, or stop the sweep at its first `error`."""
-        with self._turn:
-            self._consumed += error is None
-            if self._failure is None:
-                self._failure = error
-            self._turn.notify_all()
-
-    def _await(self, index: int) -> None:
-        """Wait until block `index` is consumed, or the sweep has failed."""
-        with self._turn:
-            self._turn.wait_for(lambda: self._failure is not None or self._consumed > index)
-
-    def em_pass(self, terms: Callable, eps: float) -> List[_Spatial]:
-        """The R of one EM pass of each of several filters, where
-        `terms(start, stop)` gives, one per filter, the `_terms` of its
-        estimates of frames start .. stop - 1."""
-        sums = []
-
-        def add(block):
-            sums.extend(_SpatialSums() for _ in block[len(sums):])
-            for filter_sums, filter_terms in zip(sums, block):
-                filter_sums.add(filter_terms)
-
-        self.ordered(terms, add)
-        return [filter_sums.spatial(eps) for filter_sums in sums]
+    sweeps.ordered(terms, add)
+    return [filter_sums.spatial(eps) for filter_sums in sums]
 
 
 def _em(x: np.ndarray, num_sources: int, first: Callable, iterations: int,
@@ -660,7 +488,7 @@ def _em(x: np.ndarray, num_sources: int, first: Callable, iterations: int,
             return [_block_terms(y, space) if np.iscomplexobj(y) else _gain_terms(y, mixture)]
 
     for _ in range(iterations):
-        spatials += sweeps.em_pass(sweep, eps)
+        spatials += _em_pass(sweeps, sweep, eps)
     sweeps.ordered(sweep, lambda _: None)  # the blocks write their own output
     return out
 
@@ -694,7 +522,7 @@ def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[Spatia
         psd[:, start:stop] = block[0]
         return [block]
 
-    [(r_diag, r01, r10, _)] = sweeps.em_pass(terms, eps)
+    [(r_diag, r01, r10, _)] = _em_pass(sweeps, terms, eps)
     num_sources, channels, num_bins = r_diag.shape
     cov = np.zeros((num_sources, num_bins, channels, channels), dtype=np.complex128)
     for c in range(channels):

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from stemfuse.wiener import _THREAD_PREFIX
+from stemfuse.sweeps import _THREAD_PREFIX
 
 
 @pytest.fixture(autouse=True)

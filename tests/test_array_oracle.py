@@ -47,6 +47,7 @@ from helpers import (
 )
 
 wiener = sys.modules["stemfuse.wiener"]
+sweeps = sys.modules["stemfuse.sweeps"]
 CFG = StftConfig(fft_size=16, hop=4)
 SR = 44100
 # Rounding-level bound on max|array - oracle| / max|oracle|. Both forms lose
@@ -186,8 +187,8 @@ def test_library_functions_are_bitwise_the_whole_array_form(
         with pytest.MonkeyPatch.context() as mp:
             if block_frames is not None:
                 frame_bytes = sources * channels * CFG.num_bins * 16
-                mp.setattr(wiener, "_BLOCK_BYTES", block_frames * frame_bytes)
-            mp.setattr(wiener, "_worker_count", lambda: workers)
+                mp.setattr(sweeps, "_BLOCK_BYTES", block_frames * frame_bytes)
+            mp.setattr(sweeps, "_worker_count", lambda: workers)
             got_mwf = np.array([s.bins for s in mwf(mags, mix, cfg).sources])
             got_em = np.array([s.bins for s in em_iterate(est, mix, cfg).sources])
             models = estimate_spatial_model(est, cfg.eps)

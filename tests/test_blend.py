@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from stemfuse.errors import (
 )
 
 from helpers import make_waveform_set
+
+blend_module = sys.modules["stemfuse.blend"]
 
 SR = 44100
 
@@ -219,6 +223,21 @@ class TestSearchWeights:
                            model_names=("a", "b"))
         again = validate_weights(w.weights, model_names=w.model_names)
         assert np.array_equal(again.weights, w.weights)
+
+    def test_grid_bound_admits_grid_0001_for_three_models(self, monkeypatch):
+        # 501,501 columns reach the scorer; 1e-6 (~5e11 columns) does not
+        class Reached(Exception):
+            pass
+
+        def scorer(*_):
+            raise Reached
+
+        monkeypatch.setattr(blend_module.bsseval, "BlendScorer", scorer)
+        refs = make_waveform_set(np.random.default_rng(12), length=64)
+        with pytest.raises(Reached):
+            search_weights([refs] * 3, refs, grid_step=0.001)
+        with pytest.raises(ValueError, match="columns for 3 models"):
+            search_weights([refs] * 3, refs, grid_step=1e-6)
 
     def test_rejects_grid_step_not_dividing_one(self):
         rng = np.random.default_rng(11)

@@ -264,13 +264,20 @@ class TestUsage:
     pytest.param("--grid-step", "inf", id="inf"),
     pytest.param("--win", "inf", id="win-inf"),
     pytest.param("--hop", "inf", id="hop-inf"),
+    pytest.param("--grid-step", "1e-320", id="1e-320"),  # 1 / step overflows
+    pytest.param("--grid-step", "1e-6", id="1e-6"),  # ~5e11 columns for three models
 ])
-def test_degenerate_grid_step_is_one_error_line(tmp_path, capsys, flag, value):
+def test_degenerate_grid_step_is_one_error_line(tmp_path, capsys, monkeypatch, flag, value):
     rng = np.random.default_rng(11)
     refs = write_stem_dir(tmp_path / "refs", make_waveform_set(rng, length=256, scale=0.3))
     out = tmp_path / "w.json"
-    code = main(["search-weights", "--stems", str(refs), "--references", str(refs),
-                 "--out", str(out), flag, value])
+
+    def no_sample_is_read(*_):
+        raise AssertionError("a stem was read")
+
+    monkeypatch.setattr(audio_io.WavReader, "frames", no_sample_is_read)
+    code = main(["search-weights", "--stems", str(refs), str(refs), str(refs),
+                 "--references", str(refs), "--out", str(out), "--filter-len", "4", flag, value])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error invalid-input: ") and err.count("\n") == 1

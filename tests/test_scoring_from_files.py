@@ -20,10 +20,9 @@ from stemfuse import (
     report_to_json_dict,
     sdr_frames,
     search_weights,
-    wiener,
+    sweeps,
 )
-from stemfuse.cli import main
-from stemfuse.pipeline import _open_stem_dir
+from stemfuse.cli import _stem_dir, main
 
 from helpers import assert_frames_match_oracle, oracle_source_frames, write_stem_dir
 
@@ -70,7 +69,7 @@ def assert_same_frames(got, want):
 
 def on_workers(mp, workers, score, *args):
     """score(*args) with `workers` sweep threads."""
-    mp.setattr(wiener, "_worker_count", lambda: workers)
+    mp.setattr(sweeps, "_worker_count", lambda: workers)
     return score(*args)
 
 
@@ -106,8 +105,7 @@ def test_scoring_from_readers_is_bitwise_scoring_in_memory(tmp_path_factory, sce
                 return coef, ok
 
             mp.setattr(bsseval, "_levinson", first_system_breaks_down)
-        from_files = (_open_stem_dir(ref_dir, files),
-                      [_open_stem_dir(d, files) for d in model_dirs])
+        from_files = (_stem_dir(ref_dir, files), [_stem_dir(d, files) for d in model_dirs])
         report = on_workers(mp, 1, sdr_frames, in_memory[0], in_memory[1][0], cfg)
         weights = on_workers(mp, 1, search_weights, in_memory[1], in_memory[0], 0.25, cfg)
         for tol, unbatched in zip(tols, one_batch):
@@ -165,7 +163,7 @@ def test_a_non_finite_sample_no_window_scores_is_still_one_error_line(
     for name, frame in poisoned:
         poison(est_dir / f"{name}.wav", frame, channel=1)
     if workers is not None:
-        monkeypatch.setattr(wiener, "_worker_count", lambda: workers)
+        monkeypatch.setattr(sweeps, "_worker_count", lambda: workers)
     head = (["eval", "--estimates", str(est_dir)] if command == "eval"
             else ["search-weights", "--stems", str(est_dir), "--grid-step", "0.5"])
     code = main(head + ["--references", str(ref_dir), "--out", str(tmp_path / "out.json"),
@@ -179,6 +177,9 @@ def test_a_non_finite_sample_no_window_scores_is_still_one_error_line(
 
 
 def traced_peak(args) -> int:
+    # untraced first: a process-wide table of the interpreter that grows
+    # during a run (~1-2 MB) grows here, not in the traced run
+    assert main(args) == 0
     tracemalloc.start()
     try:
         assert main(args) == 0

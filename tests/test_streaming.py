@@ -47,20 +47,21 @@ from helpers import child_minor_faults, whole_array_run, whole_track_wiener, wri
 
 pipeline = sys.modules["stemfuse.pipeline"]
 wiener = sys.modules["stemfuse.wiener"]
+engine = sys.modules["stemfuse.sweeps"]
 SR = 44100
 NUM_SOURCES = 4
 SOURCES = ("drums", "bass", "other", "vocals")
 
 
 def set_blocks(mp, mix, cfg, block_frames=None, workers=None):
-    """Use blocks of `block_frames` frames (of `block_frames` hops when only
-    T stems are summed) and `workers` threads; None keeps the default."""
+    """Use blocks of `block_frames` frames (of as many bytes of output
+    samples when only T stems are summed) and `workers` threads; None keeps
+    the default."""
     if block_frames is not None:
         unit = cfg.weights.num_sources * mix.channels * cfg.stft.num_bins * 16
-        mp.setattr(wiener, "_BLOCK_BYTES", block_frames * unit)
-        mp.setattr(pipeline, "_T_BLOCK_FRAMES", block_frames * cfg.stft.hop)
+        mp.setattr(engine, "_BLOCK_BYTES", block_frames * unit)
     if workers is not None:
-        mp.setattr(wiener, "_worker_count", lambda: workers)
+        mp.setattr(engine, "_worker_count", lambda: workers)
 
 
 def stems_of(mix, cfg, block_frames=None, workers=None, names=SOURCES):
@@ -88,7 +89,7 @@ def written_whole(stems, out_dir, names=SOURCES):
 
 
 def block_threads():
-    return [t for t in threading.enumerate() if t.name.startswith(wiener._THREAD_PREFIX)]
+    return [t for t in threading.enumerate() if t.name.startswith(engine._THREAD_PREFIX)]
 
 
 def write_model_dirs(root: Path, rng, mix, stft_cfg):
@@ -151,6 +152,27 @@ def test_run_is_bitwise_the_whole_track_run_at_every_block_size(
             assert stems_of(mix, cfg, block_frames, workers).tobytes() == want.tobytes()
             out_dir = Path(tmp) / f"blocks{block_frames}"
             assert stem_files_of(mix, cfg, out_dir, block_frames, workers) == files
+
+
+def test_t_stems_alone_are_summed_in_several_blocks_of_block_bytes(tmp_path):
+    # the block-size properties split the output of T stems alone through
+    # `_BLOCK_BYTES`, as they split the frames of the spectral branches
+    rng = np.random.default_rng(26)
+    stft_cfg = StftConfig(fft_size=64, hop=16)
+    mix = Waveform(rng.normal(size=(2, 16 * 40)), SR)
+    stem_dir, _ = write_model_dirs(tmp_path, rng, mix, stft_cfg)
+    cfg = PipelineConfig([ModelEntry("t_dir", "T", str(stem_dir))], stft_cfg, MwfConfig(),
+                         validate_weights([[1.0] * NUM_SOURCES]))
+    for block_frames in (1, 3):
+        blocks = []
+        with pytest.MonkeyPatch.context() as mp:
+            set_blocks(mp, mix, cfg, block_frames)
+            pipeline._stream(mix, cfg, SOURCES,
+                             lambda offset, block: blocks.append((offset, block.shape[-1])))
+        assert len(blocks) > 1
+        assert [offset for offset, _ in blocks] == [sum(c for _, c in blocks[:k])
+                                                    for k in range(len(blocks))]
+        assert sum(count for _, count in blocks) == mix.length
 
 
 # names `stemfuse wiener` may meet: any `.mag` file in the directory
@@ -280,7 +302,7 @@ def test_blocks_run_under_the_callers_numpy_error_state(monkeypatch):
         return analysis(*args)
 
     monkeypatch.setattr(pipeline, "_analysis_frames", recording)
-    monkeypatch.setattr(wiener, "_worker_count", lambda: 2)
+    monkeypatch.setattr(engine, "_worker_count", lambda: 2)
     mix = Waveform(np.random.default_rng(24).normal(size=(2, 16 * 40)), SR)
     with np.errstate(under="call", call=lambda *_: None):
         run(mix, PipelineConfig([ModelEntry("toy", "TF", "builtin-toy")],
@@ -329,7 +351,7 @@ def test_truncated_magnitudes_of_a_later_model_fail_before_any_block(tmp_path, m
 def test_no_transform_sees_more_than_one_block(monkeypatch):
     cfg = shipped_config()
     mix = toy_mix(2.0)
-    block = wiener._BLOCK_BYTES // (NUM_SOURCES * mix.channels * cfg.stft.num_bins * 16)
+    block = engine._BLOCK_BYTES // (NUM_SOURCES * mix.channels * cfg.stft.num_bins * 16)
     total = stft(mix, cfg.stft).frames
     seen = []
     for name in ("rfft", "irfft"):
@@ -417,7 +439,7 @@ def test_a_second_worker_adds_a_bounded_number_of_blocks():
     cfg = shipped_config()
     for mix in (toy_mix(2.0), toy_mix(6.0)):
         extra = traced_peak(mix, cfg, 2) - traced_peak(mix, cfg, 1)
-        assert extra <= 10 * wiener._BLOCK_BYTES
+        assert extra <= 10 * engine._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("iterations", [1, 0])
@@ -431,14 +453,14 @@ def test_library_mwf_holds_its_output_and_a_few_blocks(iterations):
     masks = BandMaskModel.default().bin_masks(SR, cfg.stft.fft_size)
     mags = [np.abs(spec.bins) * mask for mask in masks]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wiener, "_worker_count", lambda: 2)
+        mp.setattr(engine, "_worker_count", lambda: 2)
         tracemalloc.start()
         try:
             mwf(mags, spec, MwfConfig(iterations=iterations))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= len(mags) * spec.bins.nbytes + 10 * wiener._BLOCK_BYTES
+    assert peak <= len(mags) * spec.bins.nbytes + 10 * engine._BLOCK_BYTES
 
 
 def toy_models(spec, cfg):
@@ -455,14 +477,14 @@ def test_library_apply_filter_holds_its_output_and_a_few_blocks():
     spec = stft(toy_mix(10.0), cfg.stft)
     _, models = toy_models(spec, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wiener, "_worker_count", lambda: 2)
+        mp.setattr(engine, "_worker_count", lambda: 2)
         tracemalloc.start()
         try:
             apply_filter(models, spec, cfg.mwf.eps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= len(models) * spec.bins.nbytes + 10 * wiener._BLOCK_BYTES
+    assert peak <= len(models) * spec.bins.nbytes + 10 * engine._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("channels", [1, 2])
@@ -480,9 +502,9 @@ def test_apply_filter_in_blocks_is_bitwise_the_whole_array_step(channels, block_
                                cfg.mwf.eps, np.empty((len(models),) + spec.bins.shape, complex))
     with pytest.MonkeyPatch.context() as mp:
         if block_frames is not None:
-            mp.setattr(wiener, "_BLOCK_BYTES", block_frames * len(models) * channels
+            mp.setattr(engine, "_BLOCK_BYTES", block_frames * len(models) * channels
                        * cfg.stft.num_bins * 16)
-        mp.setattr(wiener, "_worker_count", lambda: workers)
+        mp.setattr(engine, "_worker_count", lambda: workers)
         got = np.stack([s.bins for s in apply_filter(models, spec, cfg.mwf.eps).sources])
     assert got.tobytes() == want.tobytes()
 
@@ -498,9 +520,9 @@ def test_apply_filter_rejects_a_psd_of_other_frames():
 
 def sweeps_of(monkeypatch, workers):
     """A `_Sweeps` of 14 blocks of 3 frames, on `workers` threads."""
-    monkeypatch.setattr(wiener, "_BLOCK_BYTES", 3 * 16)
-    monkeypatch.setattr(wiener, "_worker_count", lambda: workers)
-    return wiener._Sweeps(wiener._frame_blocks(1, (1, 40, 1)))
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 3 * 16)
+    monkeypatch.setattr(engine, "_worker_count", lambda: workers)
+    return engine._Sweeps(engine._blocks(40, 16))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -564,7 +586,7 @@ def test_ordered_work_runs_on_the_workers_one_block_at_a_time_in_block_order(
         sweeps.ordered(work, consume)
         assert [start for start, _ in seen] == [start for start, _ in sweeps.blocks]
         assert most[0] == 1
-        assert all(name.startswith(wiener._THREAD_PREFIX) for _, name in seen)
+        assert all(name.startswith(engine._THREAD_PREFIX) for _, name in seen)
         assert not block_threads()
 
 
