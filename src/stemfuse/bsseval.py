@@ -13,10 +13,10 @@ a +300 dB sentinel.
 The Gram matrix of delayed references is block-Toeplitz and built from
 lags of the signals' correlations, which one overlap-save FFT correlator,
 `_block_lags`, computes; `project_subspace` solves every channel's Gram
-at once, densely. Framewise scores go through `BlendScorer`, whose
-workers (the block engine of `sweeps`) read one window of every signal
-at a time (in memory or from a WAV file) and correlate it; batches of windows are solved in window
-order, in one Levinson recursion each.
+at once, densely. Framewise scores go through `BlendScorer`, whose workers
+(the block engine of `sweeps`) read one window of every signal at a time (in
+memory or from a WAV file) and correlate it; batches of windows are solved in
+window order, each by one Durbin recursion and the Gohberg-Semencul formula.
 """
 
 from __future__ import annotations
@@ -29,11 +29,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    RankDeficient,
-    SilentReference,
-)
+from .errors import EmptyInput, RankDeficient, SilentReference
 from .core import SourceWaveformSet, Waveform, _atomic_write, _check_alike, source_labels
 from .core import _is_int, _is_positive_finite
 from .sweeps import _Sweeps
@@ -41,7 +37,8 @@ from .sweeps import _Sweeps
 SDR_CAP_DB = 300.0
 SILENT_FRAME_ENERGY = 1e-12
 GRAM_REG = 1e-10
-_SOLVE_VALUES = 1 << 17  # systems times taps per `_levinson` call, to bound its memory
+_SOLVE_VALUES = 1 << 16  # systems times taps per `_levinson` call: 64 stereo frames at 512 taps
+_FFT_VALUES = 1 << 13  # systems times FFT length times right-hand sides per chunk of its FFTs
 
 
 @dataclass(frozen=True)
@@ -106,32 +103,42 @@ def _block_lags(padded: np.ndarray, nfft: int, step: int, taps: int, spec=None, 
 def _levinson(first_row: np.ndarray, rhs: np.ndarray):
     """Solve toeplitz(first_row[s]) x[s, m] = rhs[s, m] for all systems s at once.
 
-    first_row : (systems, taps) with a positive diagonal; rhs : (systems,
-    count, taps). O(taps^2) per system (Golub & Van Loan, Alg. 4.7.2). Also
-    returns a mask of the systems whose reflection coefficients all have
-    |rho| < 1 and whose x is finite; the others' x is garbage.
+    first_row : (systems, taps) with a positive diagonal; rhs : (systems, count,
+    taps). Durbin's recursion (Golub & Van Loan, Alg. 4.7.1) gives T [1; y] = beta e_1
+    for T = toeplitz(first_row[s]) / first_row[s, 0]; x = (L L^T - M M^T) rhs[s] /
+    (beta first_row[s, 0]) for L, M the lower triangular Toeplitz matrices of [1; y]
+    and [0; y reversed] (Gohberg & Semencul 1972), by FFT and refined once on its
+    residual (circulant embedding). Also returns a mask of the systems whose reflection
+    coefficients all have |rho| < 1 and whose x is finite; the others' x is garbage.
     """
-    count, taps = first_row.shape
-    r = first_row[:, 1:] / first_row[:, :1]
-    r_rev = np.ascontiguousarray(r[:, ::-1])
-    b = rhs / first_row[:, :1, None]
-    x = np.zeros_like(b)
-    x[..., 0] = b[..., 0]
-    y = np.zeros((count, taps))  # after step k, y[:k] solves toeplitz([1, r[:k - 1]]) y = -r[:k]
-    rho = np.zeros((count, taps))
-    beta = np.ones(count)
+    systems, taps = first_row.shape
+    # two systems at least: numpy sums a lone column in another order than several
+    rows = first_row if systems > 1 else np.concatenate([first_row, first_row])
+    rev = np.ascontiguousarray((rows[:, :0:-1] / rows[:, :1]).T)  # rev[taps - 1 - d]: lag d
+    y = np.zeros_like(rev)  # after step k, y[:k] solves toeplitz(lags < k) y = -lags 1 .. k
+    beta, low = np.ones(len(rows)), np.ones(len(rows))  # low: the least beta, < 0 if |rho| > 1
+    nfft, x = 2 << (taps - 1).bit_length(), np.zeros(rhs.shape)  # nfft >= 2 taps: no wrap
+    chunk = max(1, _FFT_VALUES // (nfft * rhs.shape[1]))
     with np.errstate(all="ignore"):  # a broken-down system is flagged below
         for k in range(1, taps):
-            dot = np.einsum("sj,sj->s", r_rev[:, taps - k:], y[:, :k - 1])
-            rho[:, k] = -(r[:, k - 1] + dot) / beta
-            y[:, :k - 1] += rho[:, k, None] * y[:, :k - 1][:, ::-1]
-            y[:, k - 1] = rho[:, k]
-            beta *= 1.0 - rho[:, k] ** 2
-            mu = b[..., k] - np.einsum("sj,smj->sm", r_rev[:, taps - 1 - k:], x[..., :k])
-            mu /= beta[:, None]
-            x[..., :k] += mu[:, :, None] * y[:, None, :k][..., ::-1]
-            x[..., k] = mu
-    ok = np.all(np.abs(rho) < 1.0, axis=1) & np.all(np.isfinite(x), axis=(1, 2))
+            rho = -(rev[taps - 1 - k] + np.einsum("js,js->s", rev[taps - k:], y[:k - 1])) / beta
+            y[:k - 1] += rho * y[:k - 1][::-1]
+            y[k - 1] = rho
+            beta *= 1.0 - rho ** 2
+            np.minimum(low, beta, out=low)
+        for part in (slice(s, min(s + chunk, systems)) for s in range(0, systems, chunk)):
+            kernels = np.zeros((part.stop - part.start, 3, nfft))  # [1; y], [0; y reversed], lags
+            kernels[:, 0, 1:taps], kernels[:, 1, 1:taps] = y[:, part].T, y[::-1, part].T
+            kernels[:, 0, 0], kernels[:, 2, :taps] = 1.0, first_row[part]
+            kernels[:, 2, nfft - taps + 1:] = kernels[:, 2, taps - 1:0:-1]  # a circulant's column
+            spec = np.fft.rfft(kernels)[:, :, None]
+            adjoint = spec[:, :2].conj() / (beta[part] * first_row[part, 0])[:, None, None, None]
+            for _ in range(2):  # the solve from x = 0, then one refinement step
+                tx = np.fft.irfft(spec[:, 2].real * np.fft.rfft(x[part], nfft), nfft)[..., :taps]
+                half = np.fft.rfft(rhs[part] - tx, nfft)[:, None] * adjoint
+                full = spec[:, :2] * np.fft.rfft(np.fft.irfft(half, nfft)[..., :taps], nfft)
+                x[part] += np.fft.irfft(full[:, 0] - full[:, 1], nfft)[..., :taps]
+    ok = (low[:systems] > 0.0) & np.all(np.isfinite(x), axis=(1, 2))
     return x, ok
 
 
@@ -306,8 +313,9 @@ class BlendScorer:
     stems' Gram and the lags. In window order the frames are recorded
     and each full batch of lags is solved, on whichever worker drains.
     So the forms, and the first failure raised, are those of one
-    thread. A `_levinson` batch is never split over threads: its loop
-    over taps is Python that holds the interpreter lock.
+    thread. A batch is never split over threads: Durbin's loop over taps
+    is Python that holds the interpreter lock, and each call pays its
+    fixed cost; the FFT stage runs in chunks of `_FFT_VALUES` values.
     """
 
     CANCELLATION_TOL = 1e-5  # ranking blends: one solve per frame for any good grid
@@ -469,10 +477,8 @@ def aggregate(reports: Sequence[SdrReport]) -> AggregateReport:
     for report in reports[1:]:
         if list(report.per_source_median) != labels:
             raise ValueError("reports carry different source labels")
-    medians = {}
-    for label in labels:
-        values = [r.per_source_median[label] for r in reports]
-        medians[label] = _median_ignoring_nan(values)
+    medians = {label: _median_ignoring_nan([r.per_source_median[label] for r in reports])
+               for label in labels}
     return AggregateReport(medians, _mean_of_medians(medians.values()))
 
 
@@ -483,16 +489,10 @@ def report_to_json_dict(report: SdrReport) -> dict:
     def clean(value):
         return None if math.isnan(value) else value
 
-    return {
-        "per_source_frames": {
-            label: [clean(v) for v in values]
-            for label, values in report.per_source_frames.items()
-        },
-        "per_source_median": {
-            label: clean(v) for label, v in report.per_source_median.items()
-        },
-        "overall_avg": clean(report.overall_avg),
-    }
+    return {"per_source_frames": {label: [clean(v) for v in values]
+                                  for label, values in report.per_source_frames.items()},
+            "per_source_median": {label: clean(v) for label, v in report.per_source_median.items()},
+            "overall_avg": clean(report.overall_avg)}
 
 
 def report_to_csv(report) -> str:

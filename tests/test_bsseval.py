@@ -411,6 +411,27 @@ class TestClosedFormScorer:
         assert_frames_match_oracle(got, want)
         assert (got == want) == (noise_db < -30.0)
 
+    @pytest.mark.parametrize("noise_db", [20.0, 26.0, 29.0])
+    def test_good_estimates_match_projection_at_512_taps(self, noise_db):
+        # band-limited stereo references (a -30 dB floor outside each band) make
+        # the worst-conditioned Grams; frames just short of the 30 dB rescoring
+        # are where the solver's rounding shows most in the reported SDR
+        rng = np.random.default_rng(int(noise_db))
+        length = 3 * SR
+        freqs = np.fft.rfftfreq(length, 1 / SR)
+        refs, ests = [], []
+        for lo, hi in [(0, 250), (250, 2000), (2000, 8000), (8000, SR)]:
+            gain = np.where((freqs >= lo) & (freqs < hi), 1.0, 10 ** (-30 / 20))
+            ref = np.fft.irfft(np.fft.rfft(rng.normal(size=(2, length))) * gain, length)
+            ref[1] += 0.5 * ref[0]
+            refs.append(Waveform(ref, SR))
+            noise = np.std(ref) * 10 ** (-noise_db / 20) * rng.normal(size=ref.shape)
+            ests.append(Waveform(ref + noise, SR))
+        cfg = EvalConfig(filter_len=512)
+        report = sdr_frames(SourceWaveformSet(refs), SourceWaveformSet(ests), cfg)
+        for got, ref, est in zip(report.per_source_frames.values(), refs, ests):
+            assert_frames_match_oracle(got, oracle_source_frames(ref, est, cfg))
+
     def test_search_ranks_40_db_blends_without_projection(self, monkeypatch):
         # a search rescores only past ~50 dB, so good models cost no projection
         # per column; reporting one such frame does take one
@@ -502,6 +523,50 @@ class TestClosedFormScorer:
             np.testing.assert_allclose(coef[s], want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
         indefinite = np.array([[1.0, 0.9, 0.1, 0.0]])  # rho_2 = 0.71 / 0.19: not positive definite
         assert not bsseval._levinson(indefinite, np.ones((1, 1, 4)))[1][0]
+
+    @pytest.mark.parametrize("taps", [1, 2, 3, 33, 512])  # at 1 Durbin runs no step, at 2 one
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 3),
+           kinds=st.lists(st.sampled_from(["noise", "zero-padded"]), min_size=1, max_size=3))
+    def test_levinson_matches_dense_solve_at_any_taps(self, taps, seed, count, kinds):
+        # a "zero-padded" reference is a 13-tap binomial kernel and zeros: from 33
+        # taps on its Toeplitz is positive definite only through the GRAM_REG ridge
+        rng = np.random.default_rng(seed)
+        n = taps + 40
+        first_row, rhs = np.empty((len(kinds), taps)), np.empty((len(kinds), count, taps))
+        for s, kind in enumerate(kinds):
+            ref = rng.normal(size=n)
+            if kind == "zero-padded":
+                ref[:13] = rng.normal() * np.array([math.comb(12, i) for i in range(13)])
+                ref[13:] = 0.0
+            ests = rng.normal(size=(count, n)) + [np.convolve(ref, rng.normal(size=5))[:n]
+                                                  for _ in range(count)]
+            first_row[s] = [np.dot(ref[:n - d], ref[d:]) for d in range(taps)]
+            rhs[s] = [[np.dot(ref[:n - d], e[d:]) for d in range(taps)] for e in ests]
+        ridge = bsseval.GRAM_REG * first_row[:, 0]
+        first_row[:, 0] += ridge
+        coef, ok = bsseval._levinson(first_row, rhs)
+        assert ok.all()
+        lags = np.abs(np.subtract.outer(np.arange(taps), np.arange(taps)))
+        for s, kind in enumerate(kinds):
+            gram = first_row[s][lags]
+            want = np.linalg.solve(gram, rhs[s].T).T
+            if kind == "noise":
+                np.testing.assert_allclose(coef[s], want, rtol=1e-10,
+                                           atol=1e-12 * np.abs(want).max())
+            elif taps >= 33:
+                assert np.linalg.eigvalsh(gram).min() < 2.0 * ridge[s]
+            # backward error: x solves a Gram within 1e-14 of this one, so the
+            # energy b^T x the scorer forms is within 1e-14 |G| |x|^2 even where
+            # x itself is ill-determined
+            norm, size = np.linalg.norm(gram, 2), np.linalg.norm(coef[s], axis=1)
+            residual = np.linalg.norm(rhs[s] - coef[s] @ gram, axis=1)
+            assert np.all(residual <= 1e-14 * norm * size)
+            energy, dense = np.sum(rhs[s] * coef[s], axis=1), np.sum(rhs[s] * want, axis=1)
+            assert np.all(np.abs(energy - dense) <= 1e-14 * norm * size ** 2)
+            # a system's x does not depend on the batch it is solved in
+            alone, _ = bsseval._levinson(first_row[s:s + 1], rhs[s:s + 1])
+            assert alone.tobytes() == coef[s].tobytes()
 
     @pytest.mark.parametrize("length, filter_len, ok", [
         (3 * 1024, 1024, True), (3 * 1024, 1025, False), (700, 700, True), (700, 701, False),
