@@ -246,17 +246,27 @@ def search_weights(
     num_sources = references.num_sources
     scorer = bsseval.BlendScorer(references, per_model_stems, cfg)
     columns = _simplex_columns(num_models, steps)
-    blocks = []
+    records = [[] for _ in range(num_sources)]
     while block := list(itertools.islice(columns, _COLUMN_BLOCK)):
-        blocks.append(scorer.median_sdr(np.asarray(block) / steps))
-    weights = np.zeros((num_models, num_sources))
-    for j, scores in enumerate(np.concatenate(blocks, axis=1)):
-        best = 0  # every frame excluded: fall back to uniform-lex
-        if not np.all(np.isnan(scores)):
-            best = int(np.argmax(scores >= np.nanmax(scores) - TIE_TOL_DB))
-        column = next(itertools.islice(_simplex_columns(num_models, steps), best, None))
-        weights[:, j] = np.asarray(column, dtype=np.float64) / steps
+        for kept, scores in zip(records, scorer.median_sdr(np.asarray(block) / steps)):
+            _add_records(kept, block, scores)
+    uniform_lex = next(_simplex_columns(num_models, steps))  # every frame excluded: fall back to it
+    chosen = [kept[0][0] if kept else uniform_lex for kept in records]
+    weights = np.asarray(chosen, dtype=np.float64).T / steps
     return validate_weights(weights, model_names, source_labels(num_sources))
+
+
+def _add_records(kept: list, columns: list, scores: np.ndarray) -> None:
+    """Add one source's `scores` of `columns` to `kept`, the (column, score)
+    records within TIE_TOL_DB of the best score so far: the columns that
+    score above every column before them. NaN is never a record, so the
+    first record left after the last column is the first column within
+    TIE_TOL_DB of the best, as the tie rule picks it."""
+    best = kept[-1][1] if kept else -math.inf
+    before = np.fmax.accumulate(np.concatenate([[best], scores[:-1]]))
+    kept += [(columns[k], scores[k]) for k in np.flatnonzero(scores > before)]
+    if kept:
+        kept[:] = [(column, score) for column, score in kept if score >= kept[-1][1] - TIE_TOL_DB]
 
 
 # --- weights file I/O ---------------------------------------------------

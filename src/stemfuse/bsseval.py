@@ -133,9 +133,12 @@ def _levinson(first_row: np.ndarray, rhs: np.ndarray):
             kernels[:, 2, nfft - taps + 1:] = kernels[:, 2, taps - 1:0:-1]  # a circulant's column
             spec = np.fft.rfft(kernels)[:, :, None]
             adjoint = spec[:, :2].conj() / (beta[part] * first_row[part, 0])[:, None, None, None]
-            for _ in range(2):  # the solve from x = 0, then one refinement step
-                tx = np.fft.irfft(spec[:, 2].real * np.fft.rfft(x[part], nfft), nfft)[..., :taps]
-                half = np.fft.rfft(rhs[part] - tx, nfft)[:, None] * adjoint
+            residual = rhs[part]  # of x = 0: the first pass skips its transform
+            for k in range(2):  # the solve, then one refinement step on its residual
+                if k:
+                    tx = np.fft.irfft(spec[:, 2].real * np.fft.rfft(x[part], nfft), nfft)
+                    residual = rhs[part] - tx[..., :taps]
+                half = np.fft.rfft(residual, nfft)[:, None] * adjoint
                 full = spec[:, :2] * np.fft.rfft(np.fft.irfft(half, nfft)[..., :taps], nfft)
                 x[part] += np.fft.irfft(full[:, 0] - full[:, 1], nfft)[..., :taps]
     ok = (low[:systems] > 0.0) & np.all(np.isfinite(x), axis=(1, 2))
@@ -311,9 +314,9 @@ class BlendScorer:
     a block per window of each source: a worker reads the window of
     every signal into its own buffers and makes the silence check, the
     stems' Gram and the lags. In window order the frames are recorded
-    and each full batch of lags is solved, on whichever worker drains.
-    So the forms, and the first failure raised, are those of one
-    thread. A batch is never split over threads: Durbin's loop over taps
+    and each full batch of lags, and the last, is solved, on whichever
+    worker drains. So the forms, and the first failure raised, are those
+    of one thread. A batch is never split over threads: Durbin's loop over taps
     is Python that holds the interpreter lock, and each call pays its
     fixed cost; the FFT stage runs in chunks of `_FFT_VALUES` values.
     """
@@ -355,7 +358,7 @@ class BlendScorer:
         lags = np.empty((max(1, _SOLVE_VALUES // (channels * taps)),) + padded_shape[:2] + (taps,))
         sweeps = _Sweeps(itertools.product(range(len(self._signals)), range(len(spans))))
         space = sweeps.workspace
-        done = 0
+        done, left = 0, len(sweeps.blocks)  # frames solved, windows not yet added
 
         def window(j, w):  # a worker reads and correlates window w of source j in its buffers
             span = spans[w]
@@ -376,22 +379,19 @@ class BlendScorer:
             return j, w, gram, _block_lags(padded, nfft, step, taps, spec, head).copy()
 
         def add(result):  # in window order, on one worker at a time
-            nonlocal done
-            if result is None:
-                return
-            j, w, gram, frame_lags = result
-            f = len(self._frames)
-            self._scored[j, w] = True
-            self._frames.append((j, spans[w]))
-            error[f] = gram
-            lags[f - done] = frame_lags
-            if f + 1 - done == len(lags):
-                done = self._solve(lags, done)
+            nonlocal done, left
+            left -= 1
+            if result is not None:  # (j, w, the stems' Gram, the lags) of window w of source j
+                f = len(self._frames)
+                j, w, error[f], lags[f - done] = result
+                self._scored[j, w] = True
+                self._frames.append((j, spans[w]))
+            if len(self._frames) - done == len(lags) or not left:  # a full or the last batch
+                done = self._solve(lags[:len(self._frames) - done], done)
 
         sweeps.ordered(window, add)
-        frames = self._solve(lags[:len(self._frames) - done], done)
         self._error, self._target, self._norms = (
-            a[:frames] for a in (error, self._target, self._norms))
+            a[:done] for a in (error, self._target, self._norms))
 
     def _solve(self, lags: np.ndarray, start: int) -> int:
         """The forms of the frames from `start` on from their (frames, 1 + num_models,

@@ -4,15 +4,16 @@ Every loop of stemfuse over a track is a sweep: the Wiener filter's EM
 passes and filter steps over blocks of frames, `separate`'s output step,
 `blend`'s weighted sums over blocks of samples and the SDR scorer's
 windows. `_Sweeps.ordered` runs a sweep's blocks on `_worker_count()`
-threads, one per CPU the process may use, while the calling thread
-waits; the ordered work on their results runs on the workers too, one
-block at a time and strictly in block order, so what a sweep computes
-does not depend on the number of workers. `_blocks` cuts a count of
-units into blocks of about `_BLOCK_BYTES`. After its first blocks a
-sweep allocates nothing block-sized: each worker takes its temporaries,
-and the arrays a block hands to the ordered work, from its buffers in
-the sweep's `_Workspace`. This module imports no other stemfuse module:
-it knows blocks, threads and buffers, not what the blocks hold.
+threads, read as it starts them, while the calling thread waits; the
+ordered work on their results runs on the workers too, one block at a
+time and strictly in block order, so what a sweep computes does not
+depend on the number of workers. `_blocks` cuts a count of units into
+blocks of about `_BLOCK_BYTES`. A sweep keeps nothing for the next: each
+worker takes its temporaries, and the arrays a block hands to the
+ordered work, from its own buffers in the `_Workspace`, made by its
+first blocks and dropped when its thread ends. This module imports no
+other stemfuse module: it knows blocks, threads and buffers, not what
+the blocks hold.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def _blocks(count: int, unit_bytes: int) -> List[Tuple[int, int]]:
 
 
 class _Workspace(threading.local):
-    """Arrays reused from block to block; every thread sees its own.
+    """Arrays reused from block to block; every thread sees its own, which
+    end with it.
 
     `take(name, shape, dtype)` gives the leading bytes of the buffer kept
     under `name`, made again only when a larger one is asked for. A
@@ -52,9 +54,7 @@ class _Workspace(threading.local):
     once. A name is a temporary of one step; steps that run one after
     the other may share it. `keep` gives the arrays a block of a sweep
     hands to the ordered work: its n-th is the buffer "kept<n>", which the
-    worker's next block overwrites and the end of the sweep drops (see
-    `_Sweeps.ordered`). A fresh workspace used for one call
-    makes every array once, as `np.empty` would.
+    worker's next block overwrites (see `_Sweeps.ordered`).
     """
 
     def __init__(self):
@@ -78,12 +78,6 @@ class _Workspace(threading.local):
         np.copyto(out, a)
         return out
 
-    def adopt(self, kept: tuple) -> None:
-        """Keep this thread's buffers in `kept`, the (buffers, views) dicts
-        an earlier thread of the same worker may have filled, so a sweep's
-        new threads reuse what the sweeps before it made."""
-        self._buffers, self._views = kept
-
     def lend(self, wait: Callable) -> None:
         """Start a block of a sweep: its first `keep` calls wait() before it takes a buffer."""
         self._wait, self._count = wait, 0
@@ -99,15 +93,13 @@ class _Workspace(threading.local):
 
 class _Sweeps:
     """Sweeps over `blocks`, argument tuples of the block work, run by
-    `ordered`. `workspace`, kept from sweep to sweep by worker index, is
-    their one buffer pool: each worker's temporaries and, within a sweep,
-    the arrays its blocks keep.
+    `ordered`. Each sweep is a run of its own: `workspace` is where its
+    workers take their buffers, which end with their threads.
     """
 
     def __init__(self, blocks: Sequence[tuple]):
         self.blocks = list(blocks)
         self.workspace = _Workspace()
-        self._kept = [({}, {}) for _ in range(_worker_count())]
         self._turn = threading.Condition()
 
     def ordered(self, work: Callable, consume: Callable) -> None:
@@ -121,13 +113,12 @@ class _Sweeps:
         consumed, so a kept array is consumed before it is overwritten
         and at most one block per worker holds kept arrays. The first
         failure in block order, of a block or of consume, is raised;
-        nothing after it is consumed. Once the workers have ended, each
-        drops its kept buffers, so a sweep does not carry the last one's."""
+        nothing after it is consumed."""
         self._taken = self._consumed = 0
         self._ready, self._failure = {}, None
         threads = [threading.Thread(target=contextvars.copy_context().run, args=(
-            self._serve, kept, work, consume), name=f"{_THREAD_PREFIX}-{k}")
-                   for k, kept in enumerate(self._kept)]
+            self._serve, work, consume), name=f"{_THREAD_PREFIX}-{k}")
+                   for k in range(_worker_count())]
         try:
             for thread in threads:
                 thread.start()
@@ -139,16 +130,10 @@ class _Sweeps:
                 if thread.ident is not None:
                     thread.join()
             raise
-        finally:
-            for buffers, views in self._kept:
-                views.clear()
-                for name in [name for name in buffers if name.startswith("kept")]:
-                    del buffers[name]
         if self._failure is not None:
             raise self._failure
 
-    def _serve(self, kept: tuple, work: Callable, consume: Callable) -> None:
-        self.workspace.adopt(kept)
+    def _serve(self, work: Callable, consume: Callable) -> None:
         last = -1  # the worker's block before this one, whose kept arrays this one reuses
         while True:
             with self._turn:

@@ -254,3 +254,41 @@ class TestSearchWeights:
                            eval_config=self.full_cfg(512))
         assert np.all(w.weights[0] == 0.0)
         assert np.all(w.weights[1] == 1.0)
+
+
+def scripted_choice(monkeypatch, scores, block):
+    """The column `search_weights` picks for one source, two models and
+    grid 1 / (len(scores) - 1), where column k, (k, steps - k) / steps,
+    scores scores[k] and columns are scored `block` at a time."""
+    class Scorer:
+        def __init__(self, *_):
+            self.offset = 0
+
+        def median_sdr(self, columns):
+            start = self.offset
+            self.offset += len(columns)
+            assert np.array_equal(columns[:, 0] * (len(scores) - 1), np.arange(start, self.offset))
+            return np.asarray(scores[start:self.offset], dtype=np.float64)[None]
+
+    monkeypatch.setattr(blend_module.bsseval, "BlendScorer", Scorer)
+    monkeypatch.setattr(blend_module, "_COLUMN_BLOCK", block)
+    refs = constant_stem_set([0.0])
+    w = search_weights([refs, refs], refs, grid_step=1.0 / (len(scores) - 1))
+    return round(w.weights[0, 0] * (len(scores) - 1))
+
+
+@pytest.mark.parametrize("block", [1, 2, 1024])
+class TestSearchTieRuleAcrossColumnBlocks:
+    # the search keeps a running best per source, not every block's scores
+    def test_a_later_column_within_the_tie_tolerance_loses(self, monkeypatch, block):
+        scores = [float("nan"), 10.0, 10.0 + 0.6e-9, 10.0 + 0.9e-9, 9.0]
+        assert scripted_choice(monkeypatch, scores, block) == 1
+
+    def test_a_best_raised_past_the_tie_tolerance_drops_an_earlier_tie(self, monkeypatch, block):
+        scores = [10.0, 10.0 + 0.5e-9, 10.0 + 1.2e-9, 10.0 + 1.3e-9, 3.0]
+        assert scripted_choice(monkeypatch, scores, block) == 1
+        scores = [10.0, 10.0 + 0.5e-9, 10.0 + 2e-9, 10.0 + 2e-9, float("nan")]
+        assert scripted_choice(monkeypatch, scores, block) == 2
+
+    def test_a_source_silent_in_every_frame_gets_column_0(self, monkeypatch, block):
+        assert scripted_choice(monkeypatch, [float("nan")] * 5, block) == 0

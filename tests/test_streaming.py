@@ -12,6 +12,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -588,6 +589,50 @@ def test_ordered_work_runs_on_the_workers_one_block_at_a_time_in_block_order(
         assert most[0] == 1
         assert all(name.startswith(engine._THREAD_PREFIX) for _, name in seen)
         assert not block_threads()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_sweep_drops_its_workers_buffers_when_it_ends(workers, monkeypatch):
+    # the buffers live in the worker threads' workspaces, not in the `_Sweeps`
+    sweeps = sweeps_of(monkeypatch, workers)
+    taken = []
+
+    def work(start, stop):
+        buffer = sweeps.workspace.take("scratch", (stop - start, 2)).base
+        kept = sweeps.workspace.keep(((1,), np.int64))[0].base
+        taken.extend([weakref.ref(buffer), weakref.ref(kept)])
+
+    for _ in range(2):  # a sweep after a sweep
+        sweeps.ordered(work, lambda _: None)
+        assert len(taken) == 2 * len(sweeps.blocks)
+        assert all(ref() is None for ref in taken)
+        taken.clear()
+
+
+def test_a_sweep_reads_the_worker_count_when_it_starts(monkeypatch):
+    sweeps = sweeps_of(monkeypatch, 1)
+    lock = threading.Lock()
+
+    def run(workers):
+        names, consumed = set(), []
+        started = threading.Barrier(workers)  # the first blocks go to different workers
+
+        def work(start, stop):
+            if start // 3 < workers:
+                started.wait(timeout=10)
+            with lock:
+                names.add(threading.current_thread().name)
+            return np.arange(start, stop) ** 2
+
+        sweeps.ordered(work, consumed.append)
+        return names, np.concatenate(consumed)
+
+    one, first = run(1)
+    monkeypatch.setattr(engine, "_worker_count", lambda: 3)
+    three, second = run(3)
+    assert len(one) == 1 and len(three) == 3
+    assert all(name.startswith(engine._THREAD_PREFIX) for name in one | three)
+    assert first.tobytes() == second.tobytes()
 
 
 class BlockFailure(Exception):
