@@ -334,7 +334,7 @@ class BlendScorer:
                          for j, ref in enumerate(references.sources)]
         self._filter_len = taps = cfg.filter_len
         first = references.sources[0]
-        windows = _windows(first, cfg)
+        self._windows = windows = _windows(first, cfg)
         n = windows[0].stop - windows[0].start
         # the windows, then what no window covers: a file's every sample is read, so checked
         gaps = zip([w.stop for w in windows], [w.start for w in windows[1:]] + [first.length])
@@ -350,15 +350,13 @@ class BlendScorer:
         ends = list(itertools.accumulate(math.prod(shape) * np.dtype(dtype).itemsize
                                          for shape, dtype in layout))
         self._scored = np.zeros((len(self._signals), len(windows)), dtype=bool)
-        # (source, window) of each scored frame, in the order of `_scored`'s True entries
-        self._frames = []
         self._error = error = np.zeros((self._scored.size, num_models, num_models))
         self._target, self._norms = np.empty_like(error), np.empty(error.shape[:2])
-        # the lags of frames done .. f, solved in batches that bound a solve's memory
+        # the lags of frames done .. scored - 1, solved in batches that bound a solve's memory
         lags = np.empty((max(1, _SOLVE_VALUES // (channels * taps)),) + padded_shape[:2] + (taps,))
         sweeps = _Sweeps(itertools.product(range(len(self._signals)), range(len(spans))))
         space = sweeps.workspace
-        done, left = 0, len(sweeps.blocks)  # frames solved, windows not yet added
+        done, scored, left = 0, 0, len(sweeps.blocks)  # frames solved, scored; windows not added
 
         def window(j, w):  # a worker reads and correlates window w of source j in its buffers
             span = spans[w]
@@ -379,15 +377,14 @@ class BlendScorer:
             return j, w, gram, _block_lags(padded, nfft, step, taps, spec, head).copy()
 
         def add(result):  # in window order, on one worker at a time
-            nonlocal done, left
+            nonlocal done, scored, left
             left -= 1
             if result is not None:  # (j, w, the stems' Gram, the lags) of window w of source j
-                f = len(self._frames)
-                j, w, error[f], lags[f - done] = result
+                j, w, error[scored], lags[scored - done] = result
                 self._scored[j, w] = True
-                self._frames.append((j, spans[w]))
-            if len(self._frames) - done == len(lags) or not left:  # a full or the last batch
-                done = self._solve(lags[:len(self._frames) - done], done)
+                scored += 1
+            if scored - done == len(lags) or not left:  # a full or the last batch
+                done = self._solve(lags[:scored - done], done)
 
         sweeps.ordered(window, add)
         self._error, self._target, self._norms = (
@@ -439,7 +436,8 @@ class BlendScorer:
         return np.stack([_median(rows[scored]) for rows, scored in zip(frames, self._scored)])
 
     def _synthesised_sdr(self, frame: int, weights: np.ndarray) -> float:
-        j, window = self._frames[frame]
+        j, w = np.argwhere(self._scored)[frame]  # row-major: the sweep's source-then-window order
+        window = self._windows[w]
         ref, *stems = (signal.frames(window.start, window.stop) for signal in self._signals[j])
         blend = np.zeros(ref.shape)
         for stem, weight in zip(stems, weights):

@@ -78,7 +78,7 @@ class _OverlapAdd:
     keeps no state, so blocks can be synthesized in any order or at once.
     `add` takes the next block's time frames, of any size, and returns
     the output samples no later frame can change, in a buffer the next
-    call reuses. Between calls only the last ceil(fft_size / hop) - 1
+    call reuses. Between calls only the last fft_size / hop - 1
     hop-sample blocks of the sums are carried, in the first rows of sums
     made once, to fit the largest block. Each output sample adds its
     frames in increasing frame order starting from zero, whatever the
@@ -104,7 +104,7 @@ class _OverlapAdd:
         self._frames_left = frames
         self._stop = self._start + length  # output extent, in padded-signal samples
         self._done = 0  # hop blocks already returned
-        self._carry = -(-n // hop) - 1
+        self._carry = n // hop - 1  # a whole number of hops: StftConfig's rule
         self._acc = np.zeros(tuple(lead_shape) + (self._carry, hop))
         self._envelope = np.zeros((self._carry, hop))
         self._out = np.empty(0)
@@ -123,7 +123,7 @@ class _OverlapAdd:
         at output sample `offset`; the call with the last frame returns
         everything that is left.
         """
-        n, hop = self._cfg.fft_size, self._cfg.hop
+        hop = self._cfg.hop
         frames = frames_td.shape[-2]
         self._frames_left -= frames
         carry, rows = self._carry, frames + self._carry
@@ -137,10 +137,8 @@ class _OverlapAdd:
         # each output sample's frames in increasing frame order.
         wsq = self._window * self._window
         for k in reversed(range(carry + 1)):
-            part = slice(k * hop, min((k + 1) * hop, n))
-            width = part.stop - part.start
-            acc[..., k:k + frames, :width] += frames_td[..., part]
-            envelope[k:k + frames, :width] += wsq[part]
+            acc[..., k:k + frames, :] += frames_td[..., k * hop:(k + 1) * hop]
+            envelope[k:k + frames] += wsq[k * hop:(k + 1) * hop]
         finished = frames if self._frames_left else rows
         size = acc[..., 0, 0].size * finished * hop
         if self._out.size < size:

@@ -51,21 +51,46 @@ def write_stem_dir(directory, stems: SourceWaveformSet, names=("drums", "bass", 
     return directory
 
 
-def child_minor_faults(args, env) -> int:
-    """Minor page faults of `python -m stemfuse.cli *args` in a child process
-    whose environment adds `env`, read as the RUSAGE_CHILDREN delta; the
-    child imports the same stemfuse as this process."""
-    import resource  # POSIX only
-
+def run_child(argv, env=None) -> str:
+    """Standard output of `python *argv` in a child process whose environment
+    adds `env`; the child imports the same stemfuse as this process."""
     import stemfuse
 
     path = [str(Path(stemfuse.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **env)
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    proc = subprocess.run([sys.executable, "-m", "stemfuse.cli", *args], env=env,
-                          capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **(env or {}))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def child_minor_faults(args, env) -> int:
+    """Minor page faults of `python -m stemfuse.cli *args` in a child process
+    whose environment adds `env`, read as the RUSAGE_CHILDREN delta."""
+    import resource  # POSIX only
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    run_child(["-m", "stemfuse.cli", *args], env)
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
+# --- constant overlap-add by scanning the overlap-added window -------------
+
+COLA_TOL = 1e-10
+
+
+def cola_deviation(window: np.ndarray, hop: int) -> float:
+    """Flatness of `window` overlap-added at `hop`: max - min of the sum.
+
+    Overlaps enough frames that the middle of the buffer sees every
+    contributing shift. The oracle for StftConfig's divisibility rule.
+    """
+    n = window.size
+    total = 6 * n
+    acc = np.zeros(total)
+    for start in range(0, total - n + 1, hop):
+        acc[start:start + n] += window
+    interior = acc[n:total - 2 * n]
+    return float(interior.max() - interior.min())
 
 
 # --- dense least-squares SDR oracle (independent of the FFT solver) ------

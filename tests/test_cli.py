@@ -21,7 +21,7 @@ from stemfuse import (
     write_magnitudes,
     write_wav,
 )
-from stemfuse import audio_io, core
+from stemfuse import audio_io
 from stemfuse.cli import main
 from stemfuse.core import StftConfig
 
@@ -375,12 +375,11 @@ def test_integer_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("fft_size", [1 << 21, 1 << 40])
 @pytest.mark.parametrize("command", ["separate", "wiener"])
 def test_a_huge_fft_size_is_one_error_line(tmp_path, capsys, monkeypatch, command, fft_size):
-    # the window and the COLA check take 8 and 48 bytes per sample of the frame:
-    # were they reached, the test fails there, before any allocation
+    # the window takes 8 bytes per sample of the frame:
+    # were it reached, the test fails there, before any allocation
     def refuse(*args):
         raise AssertionError(f"fft_size {fft_size} reached an allocation")
 
-    monkeypatch.setattr(core, "_cola_deviation", refuse)
     monkeypatch.setattr(StftConfig, "window_array", refuse)
     mix_path, _ = write_mix(tmp_path, np.random.default_rng(29), length=2048)
     if command == "separate":
@@ -398,6 +397,33 @@ def test_a_huge_fft_size_is_one_error_line(tmp_path, capsys, monkeypatch, comman
     assert main(args + ["--out", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert err == f"error invalid-input: fft_size must be a power of two <= 2**20, got {fft_size}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["separate", "wiener"])
+def test_a_hop_off_the_overlap_add_rule_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # 3 does not divide 2**18: rejected by the rule, without building the window
+    def refuse(*args):
+        raise AssertionError("the overlap-add check built the window")
+
+    monkeypatch.setattr(StftConfig, "window_array", refuse)
+    mix_path, _ = write_mix(tmp_path, np.random.default_rng(31), length=2048)
+    if command == "separate":
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(_toy_payload(stft={"fft_size": 1 << 18, "hop": 3})))
+        args = ["separate", "--input", str(mix_path), "--config", str(config)]
+    else:
+        mag_dir = tmp_path / "mags"
+        mag_dir.mkdir()
+        write_magnitudes(mag_dir / "a.mag", np.ones((2, 17, 257)))
+        args = ["wiener", "--mix", str(mix_path), "--mags", str(mag_dir),
+                "--fft-size", str(1 << 18), "--stft-hop", "3"]
+    out_dir = tmp_path / "out"
+    assert main(args + ["--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error invalid-input: ") and err.count("\n") == 1
+    assert "fails constant overlap-add" in err
     assert not out_dir.exists()
 
 

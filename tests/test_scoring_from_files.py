@@ -5,7 +5,6 @@ same stems held in memory, every sample of every file is still checked
 for finiteness, and memory grows with the track only by the per-window
 quantities the scorer keeps, not by the stems."""
 
-import tracemalloc
 from contextlib import ExitStack
 
 import numpy as np
@@ -24,7 +23,7 @@ from stemfuse import (
 )
 from stemfuse.cli import _stem_dir, main
 
-from helpers import assert_frames_match_oracle, oracle_source_frames, write_stem_dir
+from helpers import assert_frames_match_oracle, oracle_source_frames, run_child, write_stem_dir
 
 SR = 8000
 
@@ -176,16 +175,21 @@ def test_a_non_finite_sample_no_window_scores_is_still_one_error_line(
     assert not (tmp_path / "out.json").exists()
 
 
+# In a fresh interpreter, so no table that earlier tests grew lands in the
+# traced run; untraced first: a process-wide table of the interpreter that
+# grows during a run (~1-2 MB) grows there, not in the traced run.
+_TRACED_PEAK = """
+import sys, tracemalloc
+from stemfuse.cli import main
+assert main(sys.argv[1:]) == 0
+tracemalloc.start()
+assert main(sys.argv[1:]) == 0
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 def traced_peak(args) -> int:
-    # untraced first: a process-wide table of the interpreter that grows
-    # during a run (~1-2 MB) grows here, not in the traced run
-    assert main(args) == 0
-    tracemalloc.start()
-    try:
-        assert main(args) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return int(run_child(["-c", _TRACED_PEAK, *args]))
 
 
 @pytest.mark.parametrize("command, models", [("eval", 1), ("search-weights", 2)])

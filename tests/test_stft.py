@@ -4,7 +4,7 @@ import pytest
 from stemfuse import Spectrogram, StftConfig, Waveform, istft, magnitude, stft
 from stemfuse.errors import ConfigMismatch, EmptySignal
 
-from helpers import make_waveform
+from helpers import COLA_TOL, cola_deviation, make_waveform
 
 CFG = StftConfig(fft_size=256, hop=64)
 
@@ -60,6 +60,28 @@ class TestConfig:
 
     def test_accepts_numpy_integers(self):
         assert StftConfig(fft_size=np.int64(256), hop=np.int32(64)).num_bins == 129
+
+    @pytest.mark.parametrize("fft_size", [1 << k for k in range(1, 13)])
+    def test_overlap_add_rule_accepts_what_the_scan_accepts(self, fft_size):
+        window = StftConfig(fft_size=fft_size, hop=1).window_array()
+        for hop in range(1, fft_size + 1):
+            try:
+                StftConfig(fft_size=fft_size, hop=hop)
+                accepted = True
+            except ValueError as error:
+                assert "fails constant overlap-add" in str(error)
+                accepted = False
+            assert accepted == (cola_deviation(window, hop) <= COLA_TOL), hop
+
+    def test_overlap_add_rule_builds_no_window(self, monkeypatch):
+        # at hop 2, a scan of the overlap-added window would add it ~655,000 times
+        def refuse(*args):
+            raise AssertionError("the overlap-add check built the window")
+
+        monkeypatch.setattr(StftConfig, "window_array", refuse)
+        assert StftConfig(fft_size=1 << 18, hop=2).num_bins == (1 << 17) + 1
+        with pytest.raises(ValueError, match="fails constant overlap-add"):
+            StftConfig(fft_size=1 << 18, hop=3)
 
 
 class TestForward:
