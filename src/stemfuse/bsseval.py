@@ -423,8 +423,9 @@ class BlendScorer:
         bound = tol * (self._norms @ columns.T) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             sdr = np.clip(10.0 * np.log10(target / error), -SDR_CAP_DB, SDR_CAP_DB)
+        scored = np.argwhere(self._scored)  # (source, window) of each frame, in the sweep's order
         for f, n in zip(*np.nonzero((error <= bound) | (target <= bound))):
-            sdr[f, n] = self._synthesised_sdr(f, columns[n])
+            sdr[f, n] = self._synthesised_sdr(*scored[f], columns[n])
         frames = np.full(self._scored.shape + (columns.shape[0],), math.nan)
         frames[self._scored] = sdr
         return frames
@@ -435,8 +436,7 @@ class BlendScorer:
         frames = self.frame_sdr(columns)
         return np.stack([_median(rows[scored]) for rows, scored in zip(frames, self._scored)])
 
-    def _synthesised_sdr(self, frame: int, weights: np.ndarray) -> float:
-        j, w = np.argwhere(self._scored)[frame]  # row-major: the sweep's source-then-window order
+    def _synthesised_sdr(self, j: int, w: int, weights: np.ndarray) -> float:
         window = self._windows[w]
         ref, *stems = (signal.frames(window.start, window.stop) for signal in self._signals[j])
         blend = np.zeros(ref.shape)

@@ -205,13 +205,9 @@ def _gain_power(g: np.ndarray, x_power: np.ndarray, out: Optional[np.ndarray] = 
 
 
 def _psd(power: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(J, b, F) PSDs of (J, C, b, F) estimates from their |y|^2: the channel mean,
-    for stereo one add and one halving, bitwise np.mean's without its reduction."""
+    """(J, b, F) PSDs of (J, C, b, F) estimates from their |y|^2: the channel mean."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if power.shape[1] == 1:
-            return np.mean(power, axis=1, out=out)
-        total = np.add(power[:, 0], power[:, 1], out=out)
-        return np.multiply(total, 0.5, out=total)
+        return np.mean(power, axis=1, out=out)
 
 
 def _terms(power: np.ndarray, cross: Optional[np.ndarray], psd: np.ndarray) -> tuple:
