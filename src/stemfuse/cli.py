@@ -208,7 +208,10 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error invalid-json: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
+        print(f"error io-failure: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
         print(f"error invalid-input: {exc}", file=sys.stderr)
         return 1
 

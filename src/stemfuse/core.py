@@ -267,7 +267,7 @@ class _AtomicFiles:
     _AtomicFiles(paths, head) as files` gives one binary file object per
     path, each with the bytes `head` written. When the block ends without
     an error, each temp file is renamed over its path; on any error, every
-    temp file left is unlinked.
+    temp file left is unlinked. An OSError making a temp file names its path.
     """
 
     def __init__(self, paths, head: bytes = b""):
@@ -281,8 +281,10 @@ class _AtomicFiles:
                 fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
                 self._temps.append((os.fdopen(fd, "wb"), name))
                 self._temps[-1][0].write(self._head)
-        except BaseException:
+        except BaseException as exc:
             self._discard()
+            if isinstance(exc, OSError) and exc.filename is not None:  # a temp file's name
+                raise OSError(exc.errno, exc.strerror, str(path)) from exc
             raise
         return [fh for fh, _ in self._temps]
 

@@ -84,14 +84,13 @@ from .toy_models import BandMaskModel
 from .wiener import (
     MwfConfig,
     _block_psd,
-    _block_terms,
     _check_channels,
     _em_pass,
     _filter_sources,
     _frame_blocks,
-    _gain_terms,
     _mask_gains,
     _Mixture,
+    _pass_terms,
     _refilter,
 )
 
@@ -365,10 +364,8 @@ class _SpectralBranch:
 
     def em_terms(self, mixture: _Mixture, start: int, stop: int, cfg: MwfConfig):
         """The `_SpatialSums` terms of the next EM pass for frames start .. stop - 1."""
-        g = self.gains(mixture, start, stop)
-        if not self.spatial:  # the first pass runs on the real gains
-            return _gain_terms(g, mixture)
-        return _block_terms(_refilter(g, mixture, self.spatial, cfg.eps), mixture.space)
+        g = self.gains(mixture, start, stop)  # `_refilter` keeps them for the first pass
+        return _pass_terms(_refilter(g, mixture, self.spatial, cfg.eps), mixture.space, mixture)
 
     def stems(self, mixture: _Mixture, start: int, stop: int, cfg: MwfConfig):
         """The complex stems of mixture frames start .. stop - 1, source by

@@ -21,10 +21,10 @@ functions wrap these arrays in `Spectrogram` and `SpatialModel` values.
 The initial estimates are y_j = g_j x with real mask gains
 g_j = v_j**a / (sum_k v_k**a + eps), each power raised once. Since g_j
 is real, the first pass needs only |y_jc|^2 = g_jc^2 |x_c|^2 and
-y_j0 conj(y_j1) = g_j0 g_j1 x0 conj(x1): it runs on the gains and the
-mixture products |x_c|^2 and x0 conj(x1), shared by every source, and
-the complex g x is formed only when no pass runs. Later passes work on
-the filtered estimates.
+y_j0 conj(y_j1) = g_j0 g_j1 x0 conj(x1): `_pass_terms` makes them from
+the gains and the mixture products |x_c|^2 and x0 conj(x1), shared by
+every source, or from the complex estimates of later passes, and the
+complex g x is formed only when no pass runs.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ class _Mixture:
     branch filtering these frames shares, each made once, when first
     asked for: |x| for models that mask the mixture magnitude, and for
     the first EM pass |x_c|^2 (C, T, F) and, for stereo, x0 conj(x1)
-    (T, F). They and the temporaries of every step on these frames live
-    in `space`, a fresh `_Workspace` unless given. Not shared between
-    threads."""
+    (T, F), each of which overwrites the buffer "scratch" as it is made.
+    They and the temporaries of every step on these frames live in
+    `space`, a fresh `_Workspace` unless given. Not shared between threads."""
 
     def __init__(self, x: np.ndarray, space: Optional[_Workspace] = None):
         self.x = x
@@ -186,9 +186,12 @@ def _cross(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None,
         return np.einsum("...,...->...", a, np.conj(b, out=conj), out=out)
 
 
-def _power(y: np.ndarray, out: Optional[np.ndarray] = None,
-           space: Optional[_Workspace] = None) -> np.ndarray:
-    """|y|^2 of complex estimates."""
+def _power(y: np.ndarray, out: Optional[np.ndarray] = None, space: Optional[_Workspace] = None,
+           mixture: Optional[_Mixture] = None) -> np.ndarray:
+    """|y|^2 of estimates y: complex, or the real mask gains g of the
+    estimates g x of the `mixture` frames."""
+    if not np.iscomplexobj(y):
+        return _gain_power(y, mixture.power, out)
     square = None if space is None else space.take("scratch", y.shape)
     with np.errstate(over="ignore"):
         out = np.square(y.real, out=out)
@@ -210,55 +213,40 @@ def _psd(power: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         return np.mean(power, axis=1, out=out)
 
 
-def _terms(power: np.ndarray, cross: Optional[np.ndarray], psd: np.ndarray) -> tuple:
+def _pass_terms(y: np.ndarray, space: _Workspace, mixture: Optional[_Mixture] = None) -> tuple:
     """What `_SpatialSums` needs of a block of (J, C, b, F) estimates, once
     every frame's PSD is found finite: the per-frame terms of sum_t v
-    (J, b, F), made here in `psd`, sum_t |y_c|^2 (J, C, b, F) and, for
-    stereo, sum_t y0 conj(y1) (J, b, F)."""
-    _psd(power, psd)
+    (J, b, F), sum_t |y_c|^2 (J, C, b, F) and, for stereo, sum_t y0
+    conj(y1) (J, b, F), in arrays kept for the ordered work.
+
+    y is complex, or the real mask gains g of the first pass's estimates
+    g x of the `mixture` frames: then |y_c|^2 = g_c^2 |x_c|^2 and y0
+    conj(y1) = g0 g1 x0 conj(x1), and g x is never formed.
+    """
+    gains = not np.iscomplexobj(y)
+    frames = y.shape[:1] + y.shape[2:]
+    if y.shape[1] == 1:
+        (power, psd), cross = space.keep((y.shape, np.float64), (frames, np.float64)), None
+    else:
+        power, cross, psd = space.keep((y.shape, np.float64), (frames, np.complex128),
+                                       (frames, np.float64))
+        if gains:  # x0 conj(x1) is made in "scratch", so before g0 g1 takes it
+            x_cross, g01 = mixture.cross, space.take("scratch", frames[1:])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for gj, cross_j in zip(y, cross):
+                    np.multiply(np.multiply(gj[0], gj[1], out=g01), x_cross, out=cross_j)
+        else:
+            _cross(y[:, 0], y[:, 1], cross, space)
+    _psd(_power(y, power, space, mixture), psd)
     if not np.all(np.isfinite(psd)):
         _overflowed()
     return psd, power, cross
 
 
-def _kept_terms(shape: tuple, space: _Workspace) -> tuple:
-    """The block's `_terms` arrays for (J, C, b, F) estimates, kept for the
-    ordered work: |y_c|^2, y0 conj(y1) (None for mono) and v."""
-    frames = shape[:1] + shape[2:]
-    if shape[1] == 1:
-        power, psd = space.keep((shape, np.float64), (frames, np.float64))
-        return power, None, psd
-    return tuple(space.keep((shape, np.float64), (frames, np.complex128), (frames, np.float64)))
-
-
-def _block_terms(y: np.ndarray, space: _Workspace) -> tuple:
-    """`_terms` of complex (J, C, b, F) estimates."""
-    power, cross, psd = _kept_terms(y.shape, space)
-    if cross is not None:
-        _cross(y[:, 0], y[:, 1], cross, space)
-    return _terms(_power(y, power, space), cross, psd)
-
-
-def _gain_terms(g: np.ndarray, mixture: _Mixture) -> tuple:
-    """`_terms` of the estimates y = g x of the first EM pass, from the real gains.
-
-    g is real, so |y_c|^2 = g_c^2 |x_c|^2 and y0 conj(y1) =
-    g0 g1 x0 conj(x1): the complex estimates are never formed.
-    """
-    space, x_power, x_cross = mixture.space, mixture.power, mixture.cross
-    power, cross, psd = _kept_terms(g.shape, space)
-    if cross is not None:
-        g01 = space.take("scratch", x_cross.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for gj, cross_j in zip(g, cross):
-                np.multiply(np.multiply(gj[0], gj[1], out=g01), x_cross, out=cross_j)
-    return _terms(_gain_power(g, x_power, power), cross, psd)
-
-
 class _SpatialSums:
     """The EM model step as per-bin sums over frames, fed in frame order.
 
-    `add` takes the `_terms` of the next block of estimates, which it
+    `add` takes the `_pass_terms` of the next block of estimates, which it
     overwrites, and keeps sum_t v, sum_t |y_c|^2 and, for stereo,
     sum_t y0 conj(y1); `spatial`
     normalizes them into R: R_cc = sum_t |y_c|^2 and
@@ -401,16 +389,11 @@ def _filter_sources(psd: np.ndarray, spatial: _Spatial, x: np.ndarray, eps: floa
 
 
 def _block_psd(y: np.ndarray, mixture: _Mixture) -> np.ndarray:
-    """The (J, b, F) PSD of estimates y of the `_Mixture` frames, mask gains
-    or complex, from one source's |y|^2 at a time."""
+    """The (J, b, F) PSD of estimates y of the `_Mixture` frames, mask gains or complex."""
     space = mixture.space
     psd, power = space.take("psd", y.shape[:1] + y.shape[2:]), space.take("power", y.shape[1:])
-    for j, yj in enumerate(y):
-        if np.iscomplexobj(yj):
-            _power(yj, power, space)
-        else:
-            _gain_power(yj, mixture.power, power)
-        _psd(power[None], psd[j:j + 1])
+    for yj, psd_j in zip(y, psd):  # one source's |y|^2 at a time, so the block stays in cache
+        _psd(_power(yj, power, space, mixture)[None], psd_j[None])
     return psd
 
 
@@ -449,7 +432,7 @@ def _frame_blocks(sources: int, shape: tuple) -> List[Tuple[int, int]]:
 def _em_pass(sweeps: _Sweeps, terms: Callable, eps: float) -> List[_Spatial]:
     """The R of one EM pass of each of several filters, in one sweep of
     `sweeps`, where `terms(start, stop)` gives, one per filter, the
-    `_terms` of its estimates of frames start .. stop - 1."""
+    `_pass_terms` of its estimates of frames start .. stop - 1."""
     sums = []
 
     def add(block):
@@ -485,7 +468,7 @@ def _em(x: np.ndarray, num_sources: int, first: Callable, iterations: int,
         elif iterations == 0:  # the masked mixture g x
             np.multiply(y, mixture.x, out=out[:, :, start:stop])
         if len(spatials) < iterations:
-            return [_block_terms(y, space) if np.iscomplexobj(y) else _gain_terms(y, mixture)]
+            return [_pass_terms(y, space, mixture)]
 
     for _ in range(iterations):
         spatials += _em_pass(sweeps, sweep, eps)
@@ -518,7 +501,7 @@ def estimate_spatial_model(est: SourceSpectrogramSet, eps: float) -> List[Spatia
     space = sweeps.workspace
 
     def terms(start, stop):
-        block = _block_terms(_stacked(bins, start, stop, space, "estimates"), space)
+        block = _pass_terms(_stacked(bins, start, stop, space, "estimates"), space)
         psd[:, start:stop] = block[0]
         return [block]
 

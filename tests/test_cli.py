@@ -742,3 +742,19 @@ def test_separate_never_imports_concurrent_futures(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "search-weights"])
+def test_output_in_a_missing_directory_is_one_io_failure_naming_it(tmp_path, capsys, command):
+    rng = np.random.default_rng(17)
+    refs = write_stem_dir(tmp_path / "refs", make_waveform_set(rng, length=512, scale=0.3))
+    out = tmp_path / "missing" / "r.json"
+    head = (["eval", "--estimates", str(refs)] if command == "eval"
+            else ["search-weights", "--stems", str(refs), "--grid-step", "0.5"])
+    code = main(head + ["--references", str(refs), "--out", str(out), "--filter-len", "4"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error io-failure: ") and err.count("\n") == 1
+    assert f"'{out}'" in err and ".tmp" not in err
+    assert not out.parent.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["refs"]

@@ -14,6 +14,8 @@ from stemfuse import (
     mwf,
 )
 from stemfuse.errors import ShapeMismatch, SingularMixCovariance
+from stemfuse.sweeps import _Workspace
+from stemfuse.wiener import _mask_gains, _Mixture, _pass_terms
 
 from helpers import em_once_oracle, make_complex
 
@@ -291,3 +293,25 @@ class TestMwfConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             MwfConfig(**kwargs)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_gain_terms_do_not_depend_on_when_the_mixture_products_are_made(channels):
+    # |x_c|^2 and x0 conj(x1) are made in the workspace buffer "scratch", where
+    # the terms of real gains form g0 g1: made before the call or during it,
+    # they give bitwise the same terms. The gains are made as `mwf` makes
+    # them, their sum over sources in "scratch", so it is already sized.
+    rng = np.random.default_rng(18)
+    x = make_complex(rng, (channels, 7, CFG.num_bins))
+    mags = rng.uniform(size=(3,) + x.shape)
+    terms = []
+    for made_first in (True, False):
+        space = _Workspace()
+        space.lend(lambda: None)
+        gains = _mask_gains(mags.copy(), 2.0, space.take("scratch", x.shape))
+        mixture = _Mixture(x.copy(), space)
+        if made_first:
+            mixture.power, mixture.cross
+        terms.append([None if t is None else t.tobytes() for t in _pass_terms(gains, space, mixture)])
+    assert terms[0] == terms[1]
+    assert (terms[0][2] is None) == (channels == 1)
