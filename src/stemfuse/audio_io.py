@@ -18,7 +18,6 @@ import math
 import os
 import stat
 import struct
-import threading
 from typing import Optional
 
 import numpy as np
@@ -31,6 +30,7 @@ from .errors import (
     UnsupportedEncoding,
 )
 from .core import Waveform, _AtomicFiles
+from .sweeps import _Workspace
 
 _FORMAT_PCM = 0x0001
 _FORMAT_IEEE_FLOAT = 0x0003
@@ -41,7 +41,7 @@ _GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 ENCODINGS = ("pcm16", "float32")
 _WRITE_FRAMES = 1 << 16  # frames converted and written at a time
-_READ_FRAMES = 1 << 16  # frames `read_wav` decodes at a time
+_READ_FRAMES = 1 << 16  # frames `WavReader.frames` reads and decodes at a time
 
 
 def _parse_fmt(body: bytes, path) -> tuple:
@@ -71,25 +71,19 @@ def _parse_fmt(body: bytes, path) -> tuple:
     return tag, channels, rate, bits
 
 
-class _Scratch(threading.local):
-    """The raw bytes of a `WavReader.frames` call: one buffer per thread, for every reader."""
-
-    raw = np.empty(0, np.uint8)
-
-
-_SCRATCH = _Scratch()
+_READS = _Workspace()  # the raw bytes of a piece: one buffer per thread, for every reader
 
 
 class WavReader:
     """A WAV file opened once, its header checked, its frames decoded on demand.
 
     `frames` reads a regular file at explicit offsets (`os.preadv`), so it
-    never moves the file position, through the calling thread's scratch
-    buffer, which every reader shares and which grows to the largest range
-    the thread has asked for: threads may read one reader, or several, at
-    once. A pipe or FIFO cannot be read at offsets, so its bytes are read
-    whole when it is opened. Close the reader, or use it as a context
-    manager.
+    never moves the file position, `_READ_FRAMES` frames at a time
+    through the calling thread's buffer, which every reader shares and
+    which holds one such piece: threads may read one reader, or several,
+    at once, and a read of any length holds no more. A pipe or FIFO
+    cannot be read at offsets, so its bytes are read whole when it is
+    opened. Close the reader, or use it as a context manager.
     """
 
     def __init__(self, path):
@@ -165,26 +159,27 @@ class WavReader:
             raise ValueError(f"{self.path}: frames {start}..{stop} outside 0..{self.length}")
         if out is None:
             out = np.empty((self.channels, stop - start))
-        size, offset = (stop - start) * self._frame_bytes, self._offset + start * self._frame_bytes
-        if self._blob is not None:
-            raw = np.frombuffer(self._blob, np.uint8, size, offset)
-        else:
-            if _SCRATCH.raw.size < size:
-                _SCRATCH.raw = np.empty(size, np.uint8)
-            raw = _SCRATCH.raw[:size]
-            try:
-                read = os.preadv(self._fh.fileno(), [raw], offset)
-            except OSError as exc:
-                raise IoFailure(f"cannot read {self.path}: {exc}") from exc
-            if read != size:
-                raise TruncatedData(f"{self.path}: data ended early while it was being read")
-        self._decode(raw, out.T, start)
+        for first in range(start, stop, _READ_FRAMES):
+            last = min(first + _READ_FRAMES, stop)
+            size, offset = (last - first) * self._frame_bytes, self._offset + first * self._frame_bytes
+            if self._blob is not None:
+                raw = np.frombuffer(self._blob, np.uint8, size, offset)
+            else:
+                raw = _READS.take("raw", (_READ_FRAMES * self._frame_bytes,), np.uint8)[:size]
+                try:
+                    read = os.preadv(self._fh.fileno(), [raw], offset)
+                except OSError as exc:
+                    raise IoFailure(f"cannot read {self.path}: {exc}") from exc
+                if read != size:
+                    raise TruncatedData(f"{self.path}: data ended early while it was being read")
+            self._decode(raw, out[:, first - start:last - start].T, first)
         return out
 
     def _decode(self, raw: np.ndarray, samples: np.ndarray, at: int) -> None:
         """Decode `raw` frames into `samples` (frames, channels), as the file interleaves them."""
-        if self._bits == 16:
-            np.divide(raw.view("<i2").reshape(samples.shape), float(1 << 15), out=samples)
+        if self._bits == 16:  # cast, then scaled in place: no ufunc casting buffers
+            np.copyto(samples, raw.view("<i2").reshape(samples.shape))
+            samples /= float(1 << 15)
         elif self._bits == 24:
             b = raw.reshape(-1, 3).astype(np.int64)
             value = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
@@ -204,18 +199,14 @@ class WavReader:
 def read_wav(path) -> Waveform:
     """Read a WAV file into a channel-major float64 Waveform: a `WavReader` read whole.
 
-    The samples are decoded `_READ_FRAMES` frames at a time, so the
-    thread's scratch buffer stays that small. `separate` does not need
+    `WavReader.frames` decodes it `_READ_FRAMES` frames at a time, so
+    nothing but the samples grows with the file. `separate` does not need
     them whole for speed: its block work allocates nothing block-sized
     (see `sweeps`), whatever the allocator keeps of freed memory, so the
     mixture could be streamed instead.
     """
     with WavReader(path) as reader:
-        samples = np.empty((reader.channels, reader.length))
-        for start in range(0, reader.length, _READ_FRAMES):
-            stop = min(start + _READ_FRAMES, reader.length)
-            reader.frames(start, stop, samples[:, start:stop])
-        return Waveform(samples, reader.sample_rate)
+        return Waveform(reader.frames(0, reader.length), reader.sample_rate)
 
 
 def write_wav(w: Waveform, path, encoding: str = "float32") -> None:

@@ -271,16 +271,17 @@ def _add_records(kept: list, columns: list, scores: np.ndarray) -> None:
 
 # --- weights file I/O ---------------------------------------------------
 
-def weights_to_json_dict(w: BlendWeights) -> dict:
-    return {
+def _weights_bytes(w: BlendWeights) -> bytes:
+    """The bytes of a weights JSON file: what `save_weights` writes."""
+    return (json.dumps({
         "models": list(w.model_names),
         "sources": list(w.source_names),
         "weights": [[float(v) for v in row] for row in w.weights],
-    }
+    }, indent=2) + "\n").encode()
 
 
 def save_weights(w: BlendWeights, path) -> None:
-    _atomic_write(path, [(json.dumps(weights_to_json_dict(w), indent=2) + "\n").encode()])
+    _atomic_write(path, [_weights_bytes(w)])
 
 
 def weights_from_json_dict(payload: dict) -> BlendWeights:

@@ -18,15 +18,15 @@ from . import bsseval
 from . import pipeline as pipeline_mod
 from .blend import (
     _blend_plan,
+    _weights_bytes,
     default_weights,
     load_weights,
-    save_weights,
     search_weights,
     validate_weights,
 )
 from .errors import StemfuseError
 from .audio_io import _WavFiles, read_wav
-from .core import SOURCE_NAMES, StftConfig, _SourceSet
+from .core import SOURCE_NAMES, StftConfig, _AtomicFiles, _SourceSet
 from .wiener import MwfConfig
 
 
@@ -96,7 +96,8 @@ def cmd_blend(args) -> int:
 
 def cmd_search_weights(args) -> int:
     _require_files(*args.stems, args.references)
-    with ExitStack() as files:
+    with ExitStack() as files:  # the output's temp file first: it is renamed after the search
+        (out,) = files.enter_context(_AtomicFiles([args.out]))
         stem_sets = [_stem_dir(d, files) for d in args.stems]
         references = _stem_dir(args.references, files)
         cfg = bsseval.EvalConfig(filter_len=args.filter_len, win=args.win, hop=args.hop)
@@ -107,7 +108,7 @@ def cmd_search_weights(args) -> int:
             eval_config=cfg,
             model_names=[Path(d).name for d in args.stems],
         )
-    save_weights(weights, args.out)
+        out.write(_weights_bytes(weights))
     return 0
 
 
@@ -166,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output weights JSON")
     p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--filter-len", type=int, default=bsseval.EvalConfig().filter_len)
-    p.add_argument("--win", type=float, default=1.0)
-    p.add_argument("--hop", type=float, default=1.0)
+    p.add_argument("--win", type=float, default=bsseval.EvalConfig().win)
+    p.add_argument("--hop", type=float, default=bsseval.EvalConfig().hop)
     p.set_defaults(func=cmd_search_weights)
 
     p = sub.add_parser("eval", help="score estimated stems against references")
@@ -176,19 +177,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output report JSON")
     p.add_argument("--csv", help="also write a one-row CSV summary")
     p.add_argument("--filter-len", type=int, default=bsseval.EvalConfig().filter_len)
-    p.add_argument("--win", type=float, default=1.0)
-    p.add_argument("--hop", type=float, default=1.0)
+    p.add_argument("--win", type=float, default=bsseval.EvalConfig().win)
+    p.add_argument("--hop", type=float, default=bsseval.EvalConfig().hop)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("wiener", help="refine magnitude estimates into stems via MWF")
     p.add_argument("--mix", required=True, help="mixture WAV file")
     p.add_argument("--mags", required=True, help="directory of DSMAG1 *.mag files")
     p.add_argument("--out", required=True, help="output stem directory")
-    p.add_argument("--iterations", type=int, default=1)
-    p.add_argument("--power", type=float, default=2.0)
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--fft-size", type=int, default=4096)
-    p.add_argument("--stft-hop", type=int, default=1024)
+    p.add_argument("--iterations", type=int, default=MwfConfig().iterations)
+    p.add_argument("--power", type=float, default=MwfConfig().mask_power)
+    p.add_argument("--eps", type=float, default=MwfConfig().eps)
+    p.add_argument("--fft-size", type=int, default=StftConfig().fft_size)
+    p.add_argument("--stft-hop", type=int, default=StftConfig().hop)
     p.set_defaults(func=cmd_wiener)
 
     return parser

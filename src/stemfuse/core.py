@@ -267,7 +267,8 @@ class _AtomicFiles:
     _AtomicFiles(paths, head) as files` gives one binary file object per
     path, each with the bytes `head` written. When the block ends without
     an error, each temp file is renamed over its path; on any error, every
-    temp file left is unlinked. An OSError making a temp file names its path.
+    temp file left is unlinked. An OSError making or renaming a temp file
+    names its path.
     """
 
     def __init__(self, paths, head: bytes = b""):
@@ -294,7 +295,10 @@ class _AtomicFiles:
                 for fh, _ in self._temps:
                     fh.close()
                 for path in self.paths:
-                    os.replace(self._temps[0][1], path)
+                    try:
+                        os.replace(self._temps[0][1], path)
+                    except OSError as exc:  # named by its target, not by the temp file
+                        raise OSError(exc.errno, exc.strerror, str(path)) from exc
                     del self._temps[0]
         finally:
             self._discard()

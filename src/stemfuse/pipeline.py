@@ -41,7 +41,7 @@ import json
 import os
 import struct
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -141,19 +141,20 @@ class PipelineConfig:
             )
 
 
-def _config_section(payload: dict, key: str, cls, path):
-    """Build `cls` from the optional object `payload[key]`; bad keys are a ValueError."""
-    raw = payload.get(key, {})
+def _from_object(cls, raw, where: str, path):
+    """`cls` built from the JSON object `raw` at `where` in the config file
+    `path`: a non-object, a key that is not a field of `cls` and a missing
+    field that has no default are each a ValueError."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: '{key}' must be an object, got {raw!r}")
-    _reject_unknown_keys(raw, (f.name for f in fields(cls)), f"'{key}'", path)
-    return cls(**raw)
-
-
-def _reject_unknown_keys(raw: dict, known, where: str, path) -> None:
-    unknown = sorted(set(raw) - set(known))
+        raise ValueError(f"{path}: {where} must be an object, got {raw!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{path}: unknown {where} keys {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{path}: {where} lacks required keys {missing}")
+    return cls(**raw)
 
 
 def load_pipeline_config(path) -> PipelineConfig:
@@ -167,34 +168,20 @@ def load_pipeline_config(path) -> PipelineConfig:
     position.
     """
 
-    def beside_config(value):
-        if not isinstance(value, str) or value == BUILTIN_TOY:
-            return value  # a non-string is rejected by the caller's checks
-        return os.path.join(os.path.dirname(path), value)
+    def beside_config(value: str) -> str:
+        return value if value == BUILTIN_TOY else os.path.join(os.path.dirname(path), value)
 
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or not isinstance(payload.get("models"), list):
         raise ValueError(f"{path}: pipeline config must be an object with a 'models' list")
-    _reject_unknown_keys(payload, ("models", "stft", "mwf", "weights"), "top-level", path)
-    entries = []
-    for raw in payload["models"]:
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: model entry {raw!r} is not an object")
-        _reject_unknown_keys(raw, (f.name for f in fields(ModelEntry)), "model entry", path)
-        try:
-            entries.append(
-                ModelEntry(
-                    name=raw["name"],
-                    domain=raw["domain"],
-                    source=beside_config(raw["source"]),
-                    leakage=raw.get("leakage", 0.1),
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}: model entry lacks required key {exc}") from exc
-    stft_cfg = _config_section(payload, "stft", StftConfig, path)
-    mwf_cfg = _config_section(payload, "mwf", MwfConfig, path)
+    unknown = sorted(set(payload) - {"models", "stft", "mwf", "weights"})
+    if unknown:
+        raise ValueError(f"{path}: unknown top-level keys {unknown}")
+    entries = [_from_object(ModelEntry, raw, "model entry", path) for raw in payload["models"]]
+    entries = [replace(e, source=beside_config(e.source)) for e in entries]
+    stft_cfg = _from_object(StftConfig, payload.get("stft", {}), "'stft'", path)
+    mwf_cfg = _from_object(MwfConfig, payload.get("mwf", {}), "'mwf'", path)
     weights = payload.get("weights")
     if weights is not None:
         weights = _rows_by_entry(load_weights(beside_config(weights)) if isinstance(weights, str)

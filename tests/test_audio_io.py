@@ -15,7 +15,7 @@ from stemfuse import (
     write_magnitudes,
     write_wav,
 )
-from stemfuse.audio_io import WavReader
+from stemfuse.audio_io import _READ_FRAMES as READ_FRAMES, WavReader, _WavFiles
 from stemfuse.errors import (
     IoFailure,
     MalformedHeader,
@@ -25,7 +25,7 @@ from stemfuse.errors import (
     UnsupportedEncoding,
 )
 
-from helpers import bytes_read_wav, bytes_wav_blob
+from helpers import bytes_read_wav, bytes_wav_blob, run_child
 
 
 def build_wav(payload: bytes, tag=1, channels=2, rate=44100, bits=16,
@@ -451,6 +451,101 @@ def test_reader_rejects_frames_outside_the_file(tmp_path):
         for start, stop in ((-1, 2), (3, 2), (0, 11)):
             with pytest.raises(ValueError, match="outside"):
                 reader.frames(start, stop)
+
+
+def feed_fifo(fifo, blob) -> threading.Thread:
+    """A started thread that writes `blob` into the named pipe `fifo`."""
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(blob)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    return writer
+
+
+@pytest.mark.parametrize("tag,bits", [(1, 16), (1, 24), (3, 32)])
+def test_reads_of_several_pieces_are_the_whole_file_read(tmp_path, tag, bits):
+    # frames are decoded READ_FRAMES at a time; ranges that start, end and
+    # cross inside pieces, of a file and of a pipe, read as the bytes parser does
+    piece, channels, frames = READ_FRAMES, 2, 2 * READ_FRAMES + 1001
+    rng = np.random.default_rng(bits)
+    if tag == 3:
+        payload = rng.normal(size=frames * channels).astype("<f4").tobytes()
+    else:
+        payload = rng.integers(0, 256, size=frames * channels * bits // 8,
+                               dtype=np.uint8).tobytes()
+    path = tmp_path / "long.wav"
+    path.write_bytes(build_wav(payload, tag=tag, channels=channels, bits=bits))
+    whole, _ = bytes_read_wav(path)
+    assert read_wav(path).samples.tobytes() == np.ascontiguousarray(whole).tobytes()
+    with WavReader(path) as reader:
+        for start, stop in ((0, frames), (piece - 3, piece + 3), (5, frames - 7),
+                            (piece, 2 * piece), (2 * piece + 1, frames)):
+            out = np.full((channels, stop - start + 5), np.pi)[:, 2:-3]  # a strided destination
+            assert reader.frames(start, stop, out=out) is out
+            assert np.array_equal(out, whole[:, start:stop])
+    if hasattr(os, "mkfifo"):
+        os.mkfifo(tmp_path / "pipe.wav")
+        writer = feed_fifo(tmp_path / "pipe.wav", path.read_bytes())
+        try:
+            got = read_wav(tmp_path / "pipe.wav")
+        finally:
+            writer.join()
+        assert got.samples.tobytes() == np.ascontiguousarray(whole).tobytes()
+
+
+def test_a_non_finite_sample_names_the_frames_of_its_piece(tmp_path):
+    samples = np.zeros((1, READ_FRAMES + 100), dtype="<f4")
+    samples[0, READ_FRAMES + 7] = np.nan
+    path = tmp_path / "late.wav"
+    path.write_bytes(build_wav(samples.T.tobytes(), tag=3, channels=1, bits=32))
+    with pytest.raises(NonFiniteSamples,
+                       match=f"^{path}: non-finite samples in frames {READ_FRAMES}..{READ_FRAMES + 99}$"):
+        read_wav(path)
+
+
+# In a fresh interpreter, so no buffer or table that earlier tests made lands
+# in the traced run: the peak of one whole-file `frames` call beyond its output
+_TRACED_FRAMES = """
+import sys, tracemalloc
+from stemfuse.audio_io import WavReader
+with WavReader(sys.argv[1]) as reader:
+    tracemalloc.start()
+    out = reader.frames(0, reader.length)
+    print(tracemalloc.get_traced_memory()[1] - out.nbytes)
+"""
+
+
+@pytest.mark.parametrize("encoding,frame_bytes", [("float32", 8), ("pcm16", 4)])
+def test_a_whole_file_read_holds_one_piece_of_raw_bytes(tmp_path, encoding, frame_bytes):
+    # numpy reports its buffers to tracemalloc. Decoding the whole range
+    # through one buffer of its size traced 3.53 MB beyond the output here
+    # for 10 s of float32 stereo; one piece of raw bytes is 0.52 MB
+    rng = np.random.default_rng(10)
+    write_wav(Waveform(rng.uniform(-1, 1, size=(2, 10 * 44100)), 44100), tmp_path / "x.wav",
+              encoding=encoding)
+    traced = int(run_child(["-c", _TRACED_FRAMES, str(tmp_path / "x.wav")]))
+    assert traced <= READ_FRAMES * frame_bytes + 64 * 1024
+
+
+def test_a_failing_read_is_an_io_failure_naming_the_file(tmp_path, monkeypatch):
+    write_wav(Waveform(np.zeros((2, 50)), 8000), tmp_path / "x.wav")
+
+    def preadv(*_):
+        raise OSError(5, "Input/output error")
+
+    with WavReader(tmp_path / "x.wav") as reader:
+        monkeypatch.setattr(os, "preadv", preadv)
+        with pytest.raises(IoFailure, match=f"^cannot read {tmp_path / 'x.wav'}: .*Input/output"):
+            reader.frames(0, 50)
+
+
+def test_wav_files_given_fewer_frames_than_declared_leave_no_file(tmp_path):
+    with pytest.raises(ValueError, match=r"a\.wav: 30 of 50 frames written$"):
+        with _WavFiles([tmp_path / "a.wav", tmp_path / "b.wav"], 2, 8000, 50) as files:
+            files.write([np.zeros((2, 30))] * 2)
+    assert list(tmp_path.iterdir()) == []
 
 
 def read_in_pieces(path):

@@ -21,7 +21,7 @@ from stemfuse import (
     write_magnitudes,
     write_wav,
 )
-from stemfuse import audio_io
+from stemfuse import audio_io, cli
 from stemfuse.cli import main
 from stemfuse.core import StftConfig
 
@@ -340,6 +340,27 @@ def test_hostile_pipeline_config_is_one_error_line(tmp_path, capsys, payload):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error invalid-input: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("models, named", [
+    pytest.param([{"name": "a", "domain": "TF"}], "'source'", id="model-without-source"),
+    pytest.param([{"name": "a", "source": "builtin-toy"}], "'domain'",
+                 id="model-without-domain"),
+    pytest.param([], "needs at least one model entry", id="no-models"),
+])
+def test_a_missing_model_key_or_entry_is_one_error_line_naming_it(tmp_path, capsys, models,
+                                                                 named):
+    mix_path, _ = write_mix(tmp_path, np.random.default_rng(13), length=2048)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"models": models}))
+    out_dir = tmp_path / "out"
+    code = main(["separate", "--input", str(mix_path), "--config", str(config),
+                 "--out", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error invalid-input: ") and err.count("\n") == 1
+    assert named in err
     assert not out_dir.exists()
 
 
@@ -758,3 +779,44 @@ def test_output_in_a_missing_directory_is_one_io_failure_naming_it(tmp_path, cap
     assert f"'{out}'" in err and ".tmp" not in err
     assert not out.parent.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["refs"]
+
+
+def test_eval_onto_an_existing_directory_is_one_io_failure_naming_it(tmp_path, capsys):
+    refs = write_stem_dir(tmp_path / "refs", make_waveform_set(np.random.default_rng(18),
+                                                               length=512, scale=0.3))
+    out = tmp_path / "taken"
+    out.mkdir()
+    code = main(["eval", "--estimates", str(refs), "--references", str(refs), "--out", str(out),
+                 "--filter-len", "4"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error io-failure: ") and err.count("\n") == 1
+    assert f"'{out}'" in err and ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_separate_onto_a_stem_that_is_a_directory_is_one_io_failure_naming_it(tmp_path, capsys):
+    mix_path, _ = write_mix(tmp_path, np.random.default_rng(19), length=2048)
+    taken = tmp_path / "out" / "drums.wav"
+    taken.mkdir(parents=True)
+    code = main(["separate", "--input", str(mix_path), "--config", str(small_toy_config(tmp_path)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error io-failure: cannot write ") and err.count("\n") == 1
+    assert err.endswith(f": '{taken}'\n") and ".tmp" not in err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["drums.wav"]
+
+
+def test_search_weights_makes_its_output_before_it_searches(tmp_path, capsys, monkeypatch):
+    searched = []
+    monkeypatch.setattr(cli, "search_weights", lambda *args, **kwargs: searched.append(args))
+    refs = write_stem_dir(tmp_path / "refs", make_waveform_set(np.random.default_rng(20),
+                                                               length=512, scale=0.3))
+    out = tmp_path / "missing" / "w.json"
+    code = main(["search-weights", "--stems", str(refs), "--references", str(refs),
+                 "--out", str(out), "--grid-step", "0.5", "--filter-len", "4"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error io-failure: ") and err.count("\n") == 1
+    assert searched == []

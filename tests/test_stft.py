@@ -211,6 +211,13 @@ class TestInverse:
         back = istft(stft(w, CFG), length=w.length)
         assert np.max(np.abs(back.samples - w.samples)) <= 1e-6
 
+    def test_without_a_length_the_output_ends_after_frames_minus_one_hops(self):
+        w = make_waveform(np.random.default_rng(9), length=1000)
+        spec = stft(w, CFG)
+        back = istft(spec)
+        assert back.length == (spec.frames - 1) * CFG.hop
+        assert np.max(np.abs(back.samples - w.samples[:, :back.length])) <= 1e-6
+
     def test_config_mismatch(self):
         w = make_waveform(np.random.default_rng(6), length=1000)
         spec = stft(w, CFG)

@@ -672,3 +672,27 @@ def test_the_first_failure_in_block_order_is_raised_and_nothing_after_it_is_cons
     assert failure.value.args == (5,)
     assert consumed == [0, 1, 2, 3, 4]
     assert not block_threads()
+
+
+def test_a_worker_that_fails_to_start_stops_the_sweep_and_the_next_one_runs(monkeypatch):
+    sweeps = sweeps_of(monkeypatch, 3)
+    real_start, starts = threading.Thread.start, []
+
+    def second_fails(thread):
+        starts.append(thread.name)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    def work(start, stop):
+        time.sleep(0.001)
+        return start
+
+    monkeypatch.setattr(threading.Thread, "start", second_fails)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        sweeps.ordered(work, lambda _: None)
+    monkeypatch.setattr(threading.Thread, "start", real_start)
+    assert not block_threads()
+    consumed = []
+    sweeps.ordered(work, consumed.append)
+    assert consumed == [start for start, _ in sweeps.blocks]

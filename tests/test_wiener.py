@@ -6,8 +6,10 @@ import pytest
 from stemfuse import (
     MwfConfig,
     SourceSpectrogramSet,
+    SpatialModel,
     Spectrogram,
     StftConfig,
+    apply_filter,
     em_iterate,
     estimate_spatial_model,
     initial_estimates,
@@ -156,6 +158,15 @@ class TestEmIterate:
         est = as_set([bins.copy(), np.ones_like(bins)], mix)
         with pytest.raises(SingularMixCovariance, match="overflowed"):
             em_iterate(est, mix, MwfConfig(iterations=1))
+
+    def test_loading_whose_determinant_underflows_is_singular(self):
+        # all-zero PSDs leave eps I as the mixture covariance; its determinant
+        # eps**2 = 1e-400 is 0 in float64
+        mix = Spectrogram(np.ones((2, 3, CFG.num_bins), dtype=complex), CFG, SR)
+        model = SpatialModel(np.zeros((3, CFG.num_bins)),
+                             np.broadcast_to(np.eye(2), (CFG.num_bins, 2, 2)))
+        with pytest.raises(SingularMixCovariance, match="singular even with diagonal loading"):
+            apply_filter([model, model], mix, 1e-200)
 
 
 class TestSpatialModel:
