@@ -200,10 +200,8 @@ def read_wav(path) -> Waveform:
     """Read a WAV file into a channel-major float64 Waveform: a `WavReader` read whole.
 
     `WavReader.frames` decodes it `_READ_FRAMES` frames at a time, so
-    nothing but the samples grows with the file. `separate` does not need
-    them whole for speed: its block work allocates nothing block-sized
-    (see `sweeps`), whatever the allocator keeps of freed memory, so the
-    mixture could be streamed instead.
+    nothing but the samples grows with the file. No command holds a file
+    whole: `separate` and `wiener` read their mixture block by block.
     """
     with WavReader(path) as reader:
         return Waveform(reader.frames(0, reader.length), reader.sample_rate)

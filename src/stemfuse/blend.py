@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .core import SOURCE_NAMES, SourceWaveformSet, Waveform, _atomic_write, source_labels
-from .core import _check_alike, _is_positive_finite
+from .core import _check_alike, _conformed_frames, _is_positive_finite
 from .sweeps import _Sweeps, _blocks
 
 COLUMN_SUM_TOL = 1e-6
@@ -122,19 +122,6 @@ def weighted_accumulate(acc: np.ndarray, weights: np.ndarray, stems: Iterable[np
     """
     for j, stem in enumerate(stems):
         acc[j] += np.multiply(weights[j], stem, out=stem)
-
-
-def _conformed_frames(stem, start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Frames start .. stop - 1 of `stem` (a Waveform or `WavReader`), zeros
-    past its end, into `out` when given: a stem shorter than the mixture
-    is zero-padded to its length, a longer one truncated."""
-    if out is None:
-        out = np.empty((stem.channels, stop - start))
-    end = max(start, min(stop, stem.length))
-    if end > start:
-        stem.frames(start, end, out[:, :end - start])
-    out[:, end - start:] = 0.0
-    return out
 
 
 def _weighted_sum(block: np.ndarray, weighted: list, offset: int, read: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .blend import (
     validate_weights,
 )
 from .errors import StemfuseError
-from .audio_io import _WavFiles, read_wav
+from .audio_io import WavReader, _WavFiles
 from .core import SOURCE_NAMES, StftConfig, _AtomicFiles, _SourceSet
 from .wiener import MwfConfig
 
@@ -50,8 +50,8 @@ def _write_stems(out_dir: Path, names, channels: int, sample_rate: int, length: 
 
 
 def _separate_into(out_dir: Path, mix, cfg, names=SOURCE_NAMES) -> None:
-    """Write the stems of `pipeline.run` to `out_dir`, each block as the
-    sweep's workers finish it."""
+    """Write the stems of `pipeline.run` on the mixture `mix` (a
+    `WavReader`) to `out_dir`, each block as the sweep's workers finish it."""
     _write_stems(out_dir, names, mix.channels, mix.sample_rate, mix.length,
                  lambda sink: pipeline_mod._stream(mix, cfg, names, sink))
 
@@ -73,9 +73,9 @@ def _require_files(*paths) -> None:
 
 def cmd_separate(args) -> int:
     _require_files(args.input, args.config)
-    mix = read_wav(args.input)
-    cfg = pipeline_mod.load_pipeline_config(args.config)
-    _separate_into(Path(args.out), mix, cfg)
+    with WavReader(args.input) as mix:  # its header is checked before the config
+        cfg = pipeline_mod.load_pipeline_config(args.config)
+        _separate_into(Path(args.out), mix, cfg)
     return 0
 
 
@@ -130,15 +130,15 @@ def cmd_wiener(args) -> int:
     mag_paths = sorted(Path(args.mags).glob(f"*{pipeline_mod.MAGNITUDE_SUFFIX}"))
     if not mag_paths:
         raise _UsageError(f"no *{pipeline_mod.MAGNITUDE_SUFFIX} files in {args.mags}")
-    mix = read_wav(args.mix)
     names = tuple(p.stem for p in mag_paths)
-    cfg = pipeline_mod.PipelineConfig(
-        [pipeline_mod.ModelEntry("mags", pipeline_mod.TF_DOMAIN, args.mags)],
-        StftConfig(fft_size=args.fft_size, hop=args.stft_hop),
-        MwfConfig(iterations=args.iterations, eps=args.eps, mask_power=args.power),
-        validate_weights([[1.0] * len(names)], ["mags"], names),
-    )
-    _separate_into(Path(args.out), mix, cfg, names)
+    with WavReader(args.mix) as mix:
+        cfg = pipeline_mod.PipelineConfig(
+            [pipeline_mod.ModelEntry("mags", pipeline_mod.TF_DOMAIN, args.mags)],
+            StftConfig(fft_size=args.fft_size, hop=args.stft_hop),
+            MwfConfig(iterations=args.iterations, eps=args.eps, mask_power=args.power),
+            validate_weights([[1.0] * len(names)], ["mags"], names),
+        )
+        _separate_into(Path(args.out), mix, cfg, names)
     return 0
 
 

@@ -101,6 +101,21 @@ class Waveform:
         return out
 
 
+def _conformed_frames(signal, start: int, stop: int, out=None) -> np.ndarray:
+    """Frames start .. stop - 1 of `signal` (a Waveform or `WavReader`), zeros
+    before sample 0 and past its end, into `out` when given: the one padded
+    read of a stem longer or shorter than the mixture, and of STFT frames."""
+    if out is None:
+        out = np.empty((signal.channels, stop - start))
+    lo = min(max(start, 0), stop)
+    hi = max(min(stop, signal.length), lo)
+    out[:, :lo - start] = 0.0
+    if hi > lo:
+        signal.frames(lo, hi, out[:, lo - start:hi - start])
+    out[:, hi - start:] = 0.0
+    return out
+
+
 @dataclass(frozen=True)
 class StftConfig:
     """Analysis/synthesis parameters for the short-time Fourier transform.

@@ -9,7 +9,8 @@ models) is blended in the spectral domain and synthesized with one
 inverse STFT per source; the inverse STFT is linear, so this equals
 blending the resynthesized stems up to rounding. `run` streams those
 branches through the mixture in blocks of a few frames, so it never
-holds a whole-track spectrogram; the mixture itself is read whole.
+holds a whole-track spectrogram; each block reads the mixture samples
+its frames cover (`stft._analysis_frames`), so neither is held whole.
 `stemfuse wiener` enters the same engine with one TF model and its own
 source names, those of its `.mag` files.
 
@@ -51,7 +52,6 @@ from .blend import (
     BlendWeights,
     _blend_blocks,
     _collected,
-    _conformed_frames,
     _weighted_sum,
     check_weights_fit,
     default_weights,
@@ -68,7 +68,7 @@ from .errors import (
     TruncatedData,
     WeightModelMismatch,
 )
-from .audio_io import WavReader
+from .audio_io import _READ_FRAMES, WavReader
 from .core import (
     SOURCE_NAMES,
     SourceWaveformSet,
@@ -76,6 +76,7 @@ from .core import (
     Waveform,
     _atomic_write,
     _check_alike,
+    _conformed_frames,
     _is_real,
 )
 from .stft import _analysis_frames, _OverlapAdd, frame_count
@@ -389,7 +390,7 @@ def _spectral_branch(entry: ModelEntry, weights: np.ndarray, names, shape: tuple
     return _SpectralBranch(weights, masked_magnitude, [])
 
 
-def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBranch],
+def _add_spectral(mix, cfg: PipelineConfig, branches: List[_SpectralBranch],
                   t_stems: list, shape: tuple, sink: Callable) -> None:
     """Hand the fused stems of the spectral branches and of the external
     T stems `t_stems` to `sink` (see `_stream`).
@@ -409,15 +410,16 @@ def _add_spectral(mix: Waveform, cfg: PipelineConfig, branches: List[_SpectralBr
     space = sweeps.workspace
 
     def mixture(start, stop):
-        # spectra written C-ordered, whatever the order of the input (a
-        # transposed array has the channel axis fastest), so every
-        # product of them is contiguous; the windowed frames borrow the
-        # buffer the weighted spectra fill later, made at their size
+        # the block's samples are read into "samples", its spectra written
+        # C-ordered, so every product of them is contiguous; the windowed
+        # frames borrow the buffer the weighted spectra fill later, made at their size
         x_shape = (channels, stop - start, cfg.stft.num_bins)
+        span = (stop - start - 1) * cfg.stft.hop + cfg.stft.fft_size
         space.take("spectral", (num_sources,) + x_shape, np.complex128)
         return _Mixture(_analysis_frames(
-            mix.samples, cfg.stft, start, stop, window, space.take("x", x_shape, np.complex128),
-            space.take("spectral", x_shape[:2] + (cfg.stft.fft_size,))), space)
+            mix, cfg.stft, start, stop, window, space.take("x", x_shape, np.complex128),
+            space.take("spectral", x_shape[:2] + (cfg.stft.fft_size,)),
+            space.take("samples", (channels, span))), space)
 
     def em_terms(start, stop):
         block = mixture(start, stop)
@@ -460,10 +462,10 @@ def run(mix: Waveform, cfg: PipelineConfig, names=SOURCE_NAMES) -> SourceWavefor
                       lambda sink: _stream(mix, cfg, names, sink))
 
 
-def _stream(mix: Waveform, cfg: PipelineConfig, names, sink: Callable) -> None:
-    """Hand the fused stems of a mixture to sink(offset, block), block by
-    block in order: samples offset .. offset + count - 1 as (sources,
-    channels, count), in a buffer later blocks reuse.
+def _stream(mix, cfg: PipelineConfig, names, sink: Callable) -> None:
+    """Hand the fused stems of a mixture (a Waveform or `WavReader`) to
+    sink(offset, block), block by block in order: samples offset .. offset
+    + count - 1 as (sources, channels, count), in a buffer later blocks reuse.
 
     `names` are the sources, one stem each: a TF directory holds one
     `<name>.mag` file per source. T directories and builtin-toy models
@@ -494,5 +496,7 @@ def _stream(mix: Waveform, cfg: PipelineConfig, names, sink: Callable) -> None:
                                              mix.sample_rate, cfg, files))
         if branches:
             _add_spectral(mix, cfg, branches, t_stems, shape, sink)
-        else:  # float32 or PCM stems times a weight column: finite
+        else:  # T stems times a weight column are finite; no block reads the mixture,
+            for start in range(0, mix.length, _READ_FRAMES):  # so it is read here to check it
+                mix.frames(start, min(start + _READ_FRAMES, mix.length))
             _blend_blocks(t_stems, (num_sources, mix.channels, mix.length), sink)

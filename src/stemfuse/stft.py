@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigMismatch, EmptySignal
-from .core import Spectrogram, StftConfig, Waveform
+from .core import Spectrogram, StftConfig, Waveform, _conformed_frames
 
 
 def frame_count(length: int, cfg: StftConfig) -> int:
@@ -37,25 +37,21 @@ def frame_count(length: int, cfg: StftConfig) -> int:
     return (length - cfg.fft_size) // cfg.hop + 1
 
 
-def _analysis_frames(samples: np.ndarray, cfg: StftConfig, start: int, stop: int,
-                     window: np.ndarray, out: np.ndarray | None = None,
-                     windowed: np.ndarray | None = None) -> np.ndarray:
-    """(channels, stop - start, bins) spectra of frames start .. stop - 1.
+def _analysis_frames(signal, cfg: StftConfig, start: int, stop: int, window: np.ndarray,
+                     out: np.ndarray | None = None, windowed: np.ndarray | None = None,
+                     samples: np.ndarray | None = None) -> np.ndarray:
+    """(channels, stop - start, bins) spectra of frames start .. stop - 1 of
+    `signal`, a Waveform or `WavReader`.
 
-    `window` is `cfg.window_array()`, computed once by the caller. Reads
-    only the samples those frames cover; with center_pad the signal is
-    zero-extended by fft_size // 2 on both sides. The spectra go into
-    `out` and the (channels, stop - start, fft_size) windowed frames into
-    `windowed` when given, C-ordered whatever the order of `samples`.
+    `window` is `cfg.window_array()`, computed once by the caller. Only the
+    samples those frames cover, zero-extended by fft_size // 2 on both sides
+    with center_pad, are read, through `_conformed_frames` into `samples`
+    (channels, (stop - start - 1) * hop + fft_size); the spectra go into
+    `out` and the C-ordered windowed frames into `windowed`, each when given.
     """
     n, hop = cfg.fft_size, cfg.hop
-    shift = n // 2 if cfg.center_pad else 0
-    lo = start * hop - shift
-    hi = (stop - 1) * hop + n - shift
-    length = samples.shape[1]
-    x = samples[:, max(lo, 0):min(hi, length)]
-    if lo < 0 or hi > length:
-        x = np.pad(x, ((0, 0), (max(-lo, 0), max(hi - length, 0))))
+    lo = start * hop - (n // 2 if cfg.center_pad else 0)
+    x = _conformed_frames(signal, lo, lo + (stop - start - 1) * hop + n, samples)
     windowed = np.multiply(sliding_window_view(x, n, axis=-1)[:, ::hop], window, out=windowed)
     return np.fft.rfft(windowed, axis=-1, out=out)
 
@@ -67,7 +63,7 @@ def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> Spectrogram:
     count is length // hop + 1.
     """
     frames = frame_count(w.length, cfg)
-    return Spectrogram(_analysis_frames(w.samples, cfg, 0, frames, cfg.window_array()), cfg,
+    return Spectrogram(_analysis_frames(w, cfg, 0, frames, cfg.window_array()), cfg,
                        w.sample_rate)
 
 

@@ -27,6 +27,7 @@ from stemfuse import (
 from stemfuse.errors import (
     EmptyInput,
     LengthMismatch,
+    RankDeficient,
     SampleRateMismatch,
     ShapeMismatch,
     SilentReference,
@@ -181,6 +182,22 @@ class TestProjectSubspace:
         with pytest.raises(LengthMismatch):
             project_subspace(refs, Waveform(np.zeros((1, 32)), SR), 4, 0)
 
+    def test_a_gram_that_underflows_beside_a_silent_reference_is_singular(self):
+        # at 1e-160 the Gram's trace is subnormal and the ridge scaled by it
+        # underflows to 0, so the all-zero reference's rows stay zero
+        rng = np.random.default_rng(7)
+        refs = SourceWaveformSet([Waveform(1e-160 * rng.normal(size=(2, 200)), SR),
+                                  Waveform(np.zeros((2, 200)), SR)])
+        with pytest.raises(RankDeficient, match="singular"):
+            project_subspace(refs, Waveform(rng.normal(size=(2, 200)), SR), 8, 0)
+
+    def test_a_gram_that_overflows_gives_non_finite_coefficients(self):
+        rng = np.random.default_rng(8)
+        refs = SourceWaveformSet([Waveform(1e200 * rng.normal(size=(2, 200)), SR),
+                                  Waveform(rng.normal(size=(2, 200)), SR)])
+        with np.errstate(all="ignore"), pytest.raises(RankDeficient, match="non-finite$"):
+            project_subspace(refs, Waveform(rng.normal(size=(2, 200)), SR), 8, 0)
+
 
 class TestSdrFrames:
     def test_identical_hits_cap(self):
@@ -317,6 +334,18 @@ class TestSdrFrames:
         refs = make_waveform_set(rng, channels=1, length=1000)
         report = sdr_frames(refs, refs, EvalConfig(filter_len=2, win=1e306, hop=1e306))
         assert report.per_source_frames["drums"] == [300.0]
+
+    def test_an_estimate_in_the_other_channel_has_no_target_energy(self):
+        # channels are projected apart: channel 1 of the estimate has only
+        # the silent channel 1 of the reference to project onto
+        rng = np.random.default_rng(18)
+        ref, est = np.zeros((2, 300)), np.zeros((2, 300))
+        ref[0], est[1] = rng.normal(size=300), rng.normal(size=300)
+        assert float(np.sum(bsseval._projection(ref[None], est, 8) ** 2)) == 0.0
+        assert bsseval._frame_sdr(ref, est, 8) == -bsseval.SDR_CAP_DB
+        report = sdr_frames(SourceWaveformSet([Waveform(ref, SR)]),
+                            SourceWaveformSet([Waveform(est, SR)]), EvalConfig(filter_len=8))
+        assert report.per_source_frames["source_0"] == [-bsseval.SDR_CAP_DB]
 
 
 SEGMENT_KINDS = ("noisy", "silent", "near-silent", "exact", "zero-estimate", "scaled")

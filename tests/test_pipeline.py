@@ -23,6 +23,7 @@ from stemfuse.errors import (
     LengthMismatch,
     MalformedHeader,
     MissingStem,
+    NonFiniteSamples,
     SampleRateMismatch,
     ShapeMismatch,
     TruncatedData,
@@ -431,3 +432,12 @@ def test_failed_magnitude_write_keeps_previous_file(tmp_path, monkeypatch):
         write_magnitudes(path, np.zeros((1, 2, 3)))
     assert np.array_equal(read_magnitudes(path), good)
     assert [p.name for p in tmp_path.iterdir()] == ["x.mag"]
+
+
+def test_fused_samples_past_the_float_range_are_non_finite_samples():
+    # every sample of 1e308 is finite, but a frame's spectrum sums past the float range
+    cfg = PipelineConfig([ModelEntry("toy", "T", "builtin-toy")], StftConfig(fft_size=64, hop=16),
+                         MwfConfig(), identity_weights())
+    with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteSamples, match=r"^fused samples 0\.\.399 are not finite$"):
+        run(Waveform(np.full((2, 400), 1e308), SR), cfg)

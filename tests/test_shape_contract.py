@@ -189,7 +189,7 @@ def test_a_t_stem_fault_names_its_file(tmp_path, capsys, extra, code):
     assert err.count("\n") == code
     if code:
         assert err.startswith("error length-mismatch: "), err
-        assert f"differ in length: 300 vs {300 + extra} ({vocals})" in err, err
+        assert f"differ in length: 300 vs {300 + extra} ({mix_path} vs {vocals})" in err, err
 
 
 def test_a_t_stem_is_checked_for_length_before_rate(tmp_path):

@@ -276,6 +276,16 @@ class TestMwf:
                 with pytest.raises(SingularMixCovariance, match="overflowed"):
                     mwf(mags, mix, MwfConfig(iterations=1))
 
+    def test_a_sum_over_frames_that_overflows_is_reported_as_overflow(self):
+        # each frame's |x|^2 = 9e306 is finite, their sum over 40 frames is not
+        rng = np.random.default_rng(19)
+        bins = 3e153 * np.exp(2j * np.pi * rng.uniform(size=(2, 40, CFG.num_bins)))
+        mix = Spectrogram(bins, CFG, SR)
+        with np.errstate(all="ignore"), pytest.raises(SingularMixCovariance,
+                                                      match="overflowed") as raised:
+            mwf([np.abs(bins)], mix, MwfConfig(iterations=1))
+        assert raised.traceback[-2].name == "spatial"  # the sums' check, not a frame's
+
     def test_hard_panned_sources_recover_their_channels(self):
         rng = np.random.default_rng(18)
         frames, bins = 8, CFG.num_bins
