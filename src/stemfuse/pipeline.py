@@ -410,9 +410,8 @@ def _add_spectral(mix, cfg: PipelineConfig, branches: List[_SpectralBranch],
     space = sweeps.workspace
 
     def mixture(start, stop):
-        # the block's samples are read into "samples", its spectra written
-        # C-ordered, so every product of them is contiguous; the windowed
-        # frames borrow the buffer the weighted spectra fill later, made at their size
+        # spectra written C-ordered, so every product of them is contiguous; the
+        # windowed frames borrow the buffer the weighted spectra fill later, made at their size
         x_shape = (channels, stop - start, cfg.stft.num_bins)
         span = (stop - start - 1) * cfg.stft.hop + cfg.stft.fft_size
         space.take("spectral", (num_sources,) + x_shape, np.complex128)

@@ -42,11 +42,11 @@ def write_mixture(path, seconds, seed=0, nan_at=None):
     return path
 
 
-def small_config(path, models, stft_cfg=SMALL_STFT):
-    """A `separate` config of `models` (name, domain, source), weighted equally."""
+def small_config(path, models):
+    """A `separate` config of `models` (name, domain, source) at SMALL_STFT, weighted equally."""
     path.write_text(json.dumps({
         "models": [{"name": n, "domain": d, "source": s} for n, d, s in models],
-        "stft": {"fft_size": stft_cfg.fft_size, "hop": stft_cfg.hop},
+        "stft": {"fft_size": SMALL_STFT.fft_size, "hop": SMALL_STFT.hop},
         "weights": {"models": [n for n, _, _ in models], "sources": list(SOURCE_NAMES),
                     "weights": [[1.0 / len(models)] * 4] * len(models)},
     }))
@@ -61,8 +61,8 @@ def t_only_config(tmp_path, length):
     return small_config(tmp_path / "t_only.json", [("t", "T", str(stem_dir))])
 
 
-def stem_bytes(directory, names=SOURCE_NAMES):
-    return [(directory / f"{name}.wav").read_bytes() for name in names]
+def stem_bytes(directory):
+    return [(directory / f"{name}.wav").read_bytes() for name in SOURCE_NAMES]
 
 
 # In a fresh interpreter, so no table that earlier tests grew lands in the
