@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .core import SOURCE_NAMES, SourceWaveformSet, Waveform, _atomic_write, source_labels
-from .core import _check_alike, _conformed_frames, _is_positive_finite
+from .core import _check_alike, _conformed_frames, _is_positive_finite, _json_bytes
 from .sweeps import _Sweeps, _blocks
 
 COLUMN_SUM_TOL = 1e-6
@@ -260,11 +260,11 @@ def _add_records(kept: list, columns: list, scores: np.ndarray) -> None:
 
 def _weights_bytes(w: BlendWeights) -> bytes:
     """The bytes of a weights JSON file: what `save_weights` writes."""
-    return (json.dumps({
+    return _json_bytes({
         "models": list(w.model_names),
         "sources": list(w.source_names),
         "weights": [[float(v) for v in row] for row in w.weights],
-    }, indent=2) + "\n").encode()
+    })
 
 
 def save_weights(w: BlendWeights, path) -> None:

@@ -22,7 +22,6 @@ window order, each by one Durbin recursion and the Gohberg-Semencul formula.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import EmptyInput, RankDeficient, SilentReference
 from .core import SourceWaveformSet, Waveform, _atomic_write, _check_alike, source_labels
-from .core import _is_int, _is_positive_finite
+from .core import _is_int, _is_positive_finite, _json_bytes
 from .sweeps import _Sweeps
 
 SDR_CAP_DB = 300.0
@@ -233,10 +232,10 @@ def _frame_sdr(ref: np.ndarray, est: np.ndarray, filter_len: int) -> float:
     # each channel's energy, then a left-to-right sum over channels (np.sum may reorder it)
     target_energy = float(np.cumsum(np.sum(projected ** 2, axis=-1))[-1])
     error_energy = float(np.cumsum(np.sum((padded - projected) ** 2, axis=-1))[-1])
+    if target_energy <= 0.0:  # before the error energy, which is 0 too for a zero estimate
+        return -SDR_CAP_DB
     if error_energy <= 0.0:
         return SDR_CAP_DB
-    if target_energy <= 0.0:
-        return -SDR_CAP_DB
     value = 10.0 * math.log10(target_energy / error_energy)
     return float(min(max(value, -SDR_CAP_DB), SDR_CAP_DB))
 
@@ -502,7 +501,7 @@ def report_to_csv(report) -> str:
 
 
 def save_report_json(report: SdrReport, path) -> None:
-    _atomic_write(path, [(json.dumps(report_to_json_dict(report), indent=2) + "\n").encode()])
+    _atomic_write(path, [_json_bytes(report_to_json_dict(report))])
 
 
 def save_report_csv(report, path) -> None:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: separate (full pipeline), blend, search-weights, eval,
-wiener. Exit codes: 0 success, 1 runtime failure, 2 usage error. Every
+wiener. Exit codes: 0 success, 1 runtime failure, 2 usage error, 128 + n
+on signal n (SIGINT, or SIGTERM where it has its default action). Every
 failure prints a single line ``error <code>: <message>`` to stderr.
 """
 
@@ -9,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+import threading
 from contextlib import ExitStack, suppress
 from pathlib import Path
 from typing import Callable
@@ -26,7 +29,7 @@ from .blend import (
 )
 from .errors import StemfuseError
 from .audio_io import WavReader, _WavFiles
-from .core import SOURCE_NAMES, StftConfig, _AtomicFiles, _SourceSet
+from .core import SOURCE_NAMES, StftConfig, _AtomicFiles, _SourceSet, _json_bytes
 from .wiener import MwfConfig
 
 
@@ -63,6 +66,15 @@ def _stem_dir(directory, files: ExitStack) -> _SourceSet:
 
 class _UsageError(Exception):
     """A missing input path or an empty input directory: exit code 2."""
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised on the main thread, so that every `with` block on
+    the way out cleans up as it does for KeyboardInterrupt."""
+
+
+def _terminate(_signum, _frame):
+    raise _Terminated
 
 
 def _require_files(*paths) -> None:
@@ -114,14 +126,16 @@ def cmd_search_weights(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_files(args.estimates, args.references)
-    with ExitStack() as files:  # stems are read window by window while they are scored
+    paths = [args.out] + ([args.csv] if args.csv is not None else [])
+    with ExitStack() as files:  # the outputs' temp files first: both are renamed after scoring
+        outs = files.enter_context(_AtomicFiles(paths))
         estimates = _stem_dir(args.estimates, files)
         references = _stem_dir(args.references, files)
         cfg = bsseval.EvalConfig(filter_len=args.filter_len, win=args.win, hop=args.hop)
         report = bsseval.sdr_frames(references, estimates, cfg)
-    bsseval.save_report_json(report, args.out)
-    if args.csv is not None:
-        bsseval.save_report_csv(report, args.csv)
+        outs[0].write(_json_bytes(bsseval.report_to_json_dict(report)))
+        if args.csv is not None:
+            outs[1].write(bsseval.report_to_csv(report).encode())
     return 0
 
 
@@ -198,6 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    catch_term = (threading.current_thread() is threading.main_thread()
+                  and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
+    if catch_term:
+        signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -215,6 +233,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error invalid-input: {exc}", file=sys.stderr)
         return 1
+    except (KeyboardInterrupt, _Terminated) as exc:
+        number = signal.SIGINT if isinstance(exc, KeyboardInterrupt) else signal.SIGTERM
+        print(f"error interrupted: {number.name}", file=sys.stderr)
+        return 128 + number
+    finally:
+        if catch_term:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ goes through `_AtomicFiles`, every check that stem sets agree through `_check_al
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import os
@@ -277,13 +278,26 @@ class SourceSpectrogramSet(_SourceSet):
         return np.stack([s.bins for s in self.sources])
 
 
+def _new_file_mode() -> int:
+    """The mode open() gives a new file, 0o666 less the umask; the umask is
+    read from /proc/self/status where Linux reports it, else set and put back."""
+    try:
+        with open("/proc/self/status") as fh:
+            umask = next(int(line.split()[1], 8) for line in fh if line.startswith("Umask:"))
+    except (OSError, StopIteration):
+        umask = os.umask(0o077)
+        os.umask(umask)
+    return 0o666 & ~umask
+
+
 class _AtomicFiles:
     """Files written through temp files beside them: `with
     _AtomicFiles(paths, head) as files` gives one binary file object per
     path, each with the bytes `head` written. When the block ends without
     an error, each temp file is renamed over its path; on any error, every
     temp file left is unlinked. An OSError making or renaming a temp file
-    names its path.
+    names its path. A temp file gets the permission bits of the file it
+    replaces, or the mode open() would give a new one.
     """
 
     def __init__(self, paths, head: bytes = b""):
@@ -293,9 +307,16 @@ class _AtomicFiles:
 
     def __enter__(self) -> list:
         try:
+            new_mode = _new_file_mode()
             for path in self.paths:
                 fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
                 self._temps.append((os.fdopen(fd, "wb"), name))
+                try:
+                    mode = os.stat(path).st_mode & 0o777
+                except FileNotFoundError:
+                    mode = new_mode
+                with suppress(OSError):  # a file system that keeps no modes keeps mkstemp's 0600
+                    os.fchmod(fd, mode)
                 self._temps[-1][0].write(self._head)
         except BaseException as exc:
             self._discard()
@@ -324,6 +345,11 @@ class _AtomicFiles:
                 fh.close()
             os.unlink(name)
         self._temps = []
+
+
+def _json_bytes(payload) -> bytes:
+    """The bytes of a JSON output file: `payload` indented by 2, and a newline."""
+    return (json.dumps(payload, indent=2) + "\n").encode()
 
 
 def _atomic_write(path, parts: Iterable) -> None:

@@ -4,11 +4,19 @@ Every exception carries a stable machine-readable ``code`` which the
 command-line interface prints as a one-line greppable diagnostic.
 """
 
+import re
+
 
 class StemfuseError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. Its `code` is
+    "error"; a subclass's is its class name in kebab case
+    (`IoFailure` -> "io-failure")."""
 
     code = "error"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = re.sub(r"(?<!^)(?=[A-Z])", "-", cls.__name__).lower()
 
 
 # --- audio_io ---------------------------------------------------------
@@ -16,25 +24,17 @@ class StemfuseError(Exception):
 class MalformedHeader(StemfuseError):
     """Not a RIFF/WAVE file, or required chunks are absent/inconsistent."""
 
-    code = "malformed-header"
-
 
 class UnsupportedEncoding(StemfuseError):
     """WAV encoding other than PCM16, PCM24 or IEEE float32."""
-
-    code = "unsupported-encoding"
 
 
 class TruncatedData(StemfuseError):
     """Declared data size exceeds the bytes actually present."""
 
-    code = "truncated-data"
-
 
 class IoFailure(StemfuseError):
     """Underlying file read/write failed."""
-
-    code = "io-failure"
 
 
 # --- stft -------------------------------------------------------------
@@ -42,13 +42,9 @@ class IoFailure(StemfuseError):
 class EmptySignal(StemfuseError):
     """Signal too short to transform."""
 
-    code = "empty-signal"
-
 
 class ConfigMismatch(StemfuseError):
     """Spectrogram and transform configuration disagree."""
-
-    code = "config-mismatch"
 
 
 # --- shared shape/rate contracts ---------------------------------------
@@ -56,31 +52,21 @@ class ConfigMismatch(StemfuseError):
 class ShapeMismatch(StemfuseError):
     """Operands have incompatible shapes or channel counts."""
 
-    code = "shape-mismatch"
-
 
 class SampleRateMismatch(StemfuseError):
     """Operands have different sample rates."""
-
-    code = "sample-rate-mismatch"
 
 
 class LengthMismatch(ShapeMismatch):
     """Signals differ in length (or frames) beyond the allowed tolerance; a shape mismatch."""
 
-    code = "length-mismatch"
-
 
 class NonFiniteSamples(StemfuseError, ValueError):
     """A waveform or magnitude file holds NaN or infinite values; also a ValueError."""
 
-    code = "non-finite-samples"
-
 
 class NegativeMagnitude(StemfuseError, ValueError):
     """A magnitude file holds a negative magnitude; also a ValueError."""
-
-    code = "negative-magnitude"
 
 
 # --- wiener ------------------------------------------------------------
@@ -88,27 +74,19 @@ class NegativeMagnitude(StemfuseError, ValueError):
 class SingularMixCovariance(StemfuseError):
     """Mixture covariance could not be inverted even with regularization."""
 
-    code = "singular-mix-covariance"
-
 
 # --- blend --------------------------------------------------------------
 
 class NegativeWeight(StemfuseError):
     """A blend weight is negative."""
 
-    code = "negative-weight"
-
 
 class ColumnSumViolation(StemfuseError):
     """A source's weight column does not sum to one."""
 
-    code = "column-sum-violation"
-
 
 class ModelCountMismatch(StemfuseError):
     """Number of stem sets does not match the number of weight rows."""
-
-    code = "model-count-mismatch"
 
 
 # --- bsseval -------------------------------------------------------------
@@ -116,19 +94,13 @@ class ModelCountMismatch(StemfuseError):
 class SilentReference(StemfuseError):
     """The reference of the evaluated source is identically zero."""
 
-    code = "silent-reference"
-
 
 class RankDeficient(StemfuseError):
     """Gram matrix is singular beyond regularization."""
 
-    code = "rank-deficient"
-
 
 class EmptyInput(StemfuseError):
     """An aggregate was requested over zero items."""
-
-    code = "empty-input"
 
 
 # --- pipeline --------------------------------------------------------------
@@ -136,18 +108,12 @@ class EmptyInput(StemfuseError):
 class MissingStem(StemfuseError):
     """A stems directory lacks one of the expected per-source files."""
 
-    code = "missing-stem"
-
 
 class WeightModelMismatch(StemfuseError):
     """Pipeline model entries and blend weight rows disagree."""
-
-    code = "weight-model-mismatch"
 
 
 # --- toy_models --------------------------------------------------------------
 
 class LengthIncompatible(StemfuseError):
     """Input length cannot pass through the conv stride stack."""
-
-    code = "length-incompatible"

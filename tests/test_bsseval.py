@@ -24,6 +24,7 @@ from stemfuse import (
     save_report_json,
     sdr_frames,
 )
+from stemfuse.cli import main
 from stemfuse.errors import (
     EmptyInput,
     LengthMismatch,
@@ -346,6 +347,24 @@ class TestSdrFrames:
         report = sdr_frames(SourceWaveformSet([Waveform(ref, SR)]),
                             SourceWaveformSet([Waveform(est, SR)]), EvalConfig(filter_len=8))
         assert report.per_source_frames["source_0"] == [-bsseval.SDR_CAP_DB]
+
+    def test_an_all_zero_estimate_scores_minus_the_cap_on_every_scored_frame(self, tmp_path):
+        # its target and error energies are both 0; the target is tested first
+        rng = np.random.default_rng(19)
+        samples = 0.3 * rng.normal(size=(4, 2, 3 * SR // 2))
+        samples[1, :, :SR // 2] = 0.0  # bass is silent in the first window
+        refs = SourceWaveformSet([Waveform(s, SR) for s in samples])
+        zero = SourceWaveformSet([Waveform(np.zeros_like(s), SR) for s in samples])
+        want = {label: [-bsseval.SDR_CAP_DB] * 3 for label in ("drums", "bass", "other", "vocals")}
+        want["bass"][0] = None
+        frames = sdr_frames(refs, zero, EvalConfig(filter_len=8, win=0.5, hop=0.5))
+        assert {label: [None if math.isnan(v) else v for v in values]
+                for label, values in frames.per_source_frames.items()} == want
+        assert main(["eval", "--estimates", str(write_stem_dir(tmp_path / "zero", zero)),
+                     "--references", str(write_stem_dir(tmp_path / "refs", refs)),
+                     "--out", str(tmp_path / "r.json"), "--filter-len", "8", "--win", "0.5",
+                     "--hop", "0.5"]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["per_source_frames"] == want
 
 
 SEGMENT_KINDS = ("noisy", "silent", "near-silent", "exact", "zero-estimate", "scaled")

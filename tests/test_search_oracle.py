@@ -97,9 +97,9 @@ class TestEdgeCases:
         zero = SourceWaveformSet([Waveform(np.zeros_like(s.samples), SR) for s in refs.sources])
         chosen = assert_matches_oracle([zero] + noisy_models(rng, refs, [0.4, 0.8]), refs, 0.25,
                                        self.cfg)
-        # _frame_sdr checks the error energy (0) before the target energy,
-        # so a zero blend scores the +300 dB sentinel and wins
-        assert np.all(chosen.weights[0] == 1.0)
+        # _frame_sdr checks the target energy (0) before the error energy,
+        # so a zero blend scores -300 dB and the zero stem is never chosen
+        assert np.all(chosen.weights[0] == 0.0)
 
     def test_rounding_level_differences_tie(self):
         # every column blends the same noisy stem, so scores differ only by
