@@ -184,6 +184,7 @@ def test_a_signal_mid_sweep_is_one_error_line_and_leaves_no_file(tmp_path, numbe
         while len(list(out.glob("*.tmp"))) < len(SOURCE_NAMES):  # the stems are being written
             assert proc.poll() is None and time.monotonic() < deadline, proc.poll()
             time.sleep(0.005)
+        time.sleep(0.1)  # into the sweep, past the bookkeeping of the last temp file made
         proc.send_signal(number)
         _, err = proc.communicate(timeout=60)
     finally:
