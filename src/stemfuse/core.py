@@ -9,11 +9,13 @@ goes through `_AtomicFiles`, every check that stem sets agree through `_check_al
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import numbers
 import os
-import tempfile
+import secrets
+import stat
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -278,47 +280,41 @@ class SourceSpectrogramSet(_SourceSet):
         return np.stack([s.bins for s in self.sources])
 
 
-def _new_file_mode() -> int:
-    """The mode open() gives a new file, 0o666 less the umask; the umask is
-    read from /proc/self/status where Linux reports it, else set and put back."""
-    try:
-        with open("/proc/self/status") as fh:
-            umask = next(int(line.split()[1], 8) for line in fh if line.startswith("Umask:"))
-    except (OSError, StopIteration):
-        umask = os.umask(0o077)
-        os.umask(umask)
-    return 0o666 & ~umask
-
-
 class _AtomicFiles:
     """Files written through temp files beside them: `with
     _AtomicFiles(paths, head) as files` gives one binary file object per
     path, each with the bytes `head` written. When the block ends without
     an error, each temp file is renamed over its path; on any error, every
-    temp file left is unlinked. An OSError making or renaming a temp file
-    names its path. A temp file gets the permission bits of the file it
-    replaces, or the mode open() would give a new one.
+    temp file is unlinked, even one an interrupt cut off as it was made. A
+    directory, or an OSError making or renaming a temp file, is an OSError
+    naming its path. A temp file gets open()'s mode, or the replaced file's bits.
     """
 
     def __init__(self, paths, head: bytes = b""):
         self.paths = [Path(p) for p in paths]
         self._head = head
-        self._temps = []  # (file, temp name) of each path not yet renamed
+        self._temps = []  # [file, name] of each temp file not yet renamed, named before it is made
 
     def __enter__(self) -> list:
         try:
-            new_mode = _new_file_mode()
             for path in self.paths:
-                fd, name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-                self._temps.append((os.fdopen(fd, "wb"), name))
                 try:
-                    mode = os.stat(path).st_mode & 0o777
+                    old = os.stat(path).st_mode
                 except FileNotFoundError:
-                    mode = new_mode
-                with suppress(OSError):  # a file system that keeps no modes keeps mkstemp's 0600
-                    os.fchmod(fd, mode)
-                self._temps[-1][0].write(self._head)
+                    old = None
+                if old is not None and stat.S_ISDIR(old):  # found now, not after the work
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+                self._temps.append([None, f"{path}.{secrets.token_hex(8)}.tmp"])
+                fd = os.open(self._temps[-1][1], os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                             0o666 if old is None else old & 0o777)  # as open(): less the umask
+                fh = self._temps[-1][0] = os.fdopen(fd, "wb")
+                if old is not None:
+                    with suppress(OSError):  # a file system that keeps no modes keeps os.open's
+                        os.fchmod(fd, old & 0o777)
+                fh.write(self._head)
         except BaseException as exc:
+            if isinstance(exc, OSError) and self._temps and self._temps[-1][0] is None:
+                del self._temps[-1]  # os.open made no file, or the name is another's
             self._discard()
             if isinstance(exc, OSError) and exc.filename is not None:  # a temp file's name
                 raise OSError(exc.errno, exc.strerror, str(path)) from exc
@@ -341,9 +337,11 @@ class _AtomicFiles:
 
     def _discard(self) -> None:
         for fh, name in self._temps:
-            with suppress(OSError):  # a failed flush: the file goes anyway
-                fh.close()
-            os.unlink(name)
+            if fh is not None:
+                with suppress(OSError):  # a failed flush: the file goes anyway
+                    fh.close()
+            with suppress(FileNotFoundError):  # interrupted before os.open made it
+                os.unlink(name)
         self._temps = []
 
 

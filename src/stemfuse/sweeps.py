@@ -115,50 +115,62 @@ class _Sweeps:
         failure in block order, of a block or of consume, is raised;
         nothing after it is consumed."""
         self._taken = self._consumed = 0
-        self._ready, self._failure = {}, None
+        self._ready, self._failure, self._left = {}, None, []
         threads = [threading.Thread(target=contextvars.copy_context().run, args=(
             self._serve, work, consume), name=f"{_THREAD_PREFIX}-{k}")
                    for k in range(_worker_count())]
         try:
             for thread in threads:
                 thread.start()
-            for thread in threads:
-                thread.join()
+            self._wait_out(threads)
         except BaseException as exc:  # an interrupt, or a thread that did not start
             self._finish(exc)
-            for thread in threads:
-                if thread.ident is not None:
-                    thread.join()
+            self._wait_out(threads)
             raise
         if self._failure is not None:
             raise self._failure
 
+    def _wait_out(self, threads: list) -> None:
+        """Wait until every started worker has left `_serve`, then join it: on
+        Python 3.11, a signal handler that raises in Thread.join can mark a
+        running thread stopped (bpo-45274), and a later join returns at once."""
+        started = [thread for thread in threads if thread.ident is not None]
+        with self._turn:
+            self._turn.wait_for(lambda: all(thread in self._left for thread in started))
+        for thread in self._left:
+            thread.join()
+
     def _serve(self, work: Callable, consume: Callable) -> None:
         last = -1  # the worker's block before this one, whose kept arrays this one reuses
-        while True:
-            with self._turn:
-                if self._failure is not None or self._taken == len(self.blocks):
-                    return
-                index, self._taken = self._taken, self._taken + 1
-            self.workspace.lend(lambda last=last: self._await(last))
-            last = index
-            try:
-                result = work(*self.blocks[index]), None
-            except BaseException as exc:  # raised by the calling thread in its turn
-                result = None, exc
-            with self._turn:
-                self._ready[index] = result
-            while True:  # the next result is taken only once the one before it is consumed
+        try:
+            while True:
                 with self._turn:
-                    if self._failure is not None or self._consumed not in self._ready:
-                        break
-                    value, error = self._ready.pop(self._consumed)
-                if error is None:
-                    try:
-                        consume(value)
-                    except BaseException as exc:  # raised by the calling thread
-                        error = exc
-                self._finish(error)
+                    if self._failure is not None or self._taken == len(self.blocks):
+                        return
+                    index, self._taken = self._taken, self._taken + 1
+                self.workspace.lend(lambda last=last: self._await(last))
+                last = index
+                try:
+                    result = work(*self.blocks[index]), None
+                except BaseException as exc:  # raised by the calling thread in its turn
+                    result = None, exc
+                with self._turn:
+                    self._ready[index] = result
+                while True:  # the next result is taken only once the one before it is consumed
+                    with self._turn:
+                        if self._failure is not None or self._consumed not in self._ready:
+                            break
+                        value, error = self._ready.pop(self._consumed)
+                    if error is None:
+                        try:
+                            consume(value)
+                        except BaseException as exc:  # raised by the calling thread
+                            error = exc
+                    self._finish(error)
+        finally:
+            with self._turn:
+                self._left.append(threading.current_thread())
+                self._turn.notify_all()
 
     def _finish(self, error: Optional[BaseException]) -> None:
         """Count a consumed block, or stop the sweep at its first `error`."""

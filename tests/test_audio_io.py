@@ -15,6 +15,7 @@ from stemfuse import (
     write_magnitudes,
     write_wav,
 )
+from stemfuse import audio_io
 from stemfuse.audio_io import _READ_FRAMES as READ_FRAMES, WavReader, _WavFiles
 from stemfuse.errors import (
     IoFailure,
@@ -539,6 +540,32 @@ def test_a_failing_read_is_an_io_failure_naming_the_file(tmp_path, monkeypatch):
         monkeypatch.setattr(os, "preadv", preadv)
         with pytest.raises(IoFailure, match=f"^cannot read {tmp_path / 'x.wav'}: .*Input/output"):
             reader.frames(0, 50)
+
+
+def test_a_failing_header_read_is_an_io_failure_and_closes_the_file(tmp_path, monkeypatch):
+    write_wav(Waveform(np.zeros((2, 50)), 8000), tmp_path / "x.wav")
+    opened = []
+
+    def pread(*_):
+        raise OSError(5, "Input/output error")
+
+    def recording_open(*args):
+        opened.append(open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(os, "pread", pread)
+    monkeypatch.setattr(audio_io, "open", recording_open, raising=False)
+    with pytest.raises(IoFailure, match=f"^cannot read {tmp_path / 'x.wav'}: .*Input/output"):
+        WavReader(tmp_path / "x.wav")
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_a_magnitude_payload_read_short_is_truncated_data(tmp_path, monkeypatch):
+    write_magnitudes(tmp_path / "x.mag", np.ones((2, 3, 4)))
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv", lambda *args: preadv(*args) - 4)
+    with pytest.raises(TruncatedData, match="x.mag: payload ended early while it was being read$"):
+        read_magnitudes(tmp_path / "x.mag")
 
 
 def test_wav_files_given_fewer_frames_than_declared_leave_no_file(tmp_path):

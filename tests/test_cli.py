@@ -617,6 +617,34 @@ def test_unknown_weights_key_is_one_error_line(tmp_path, capsys):
     assert main(["blend", "--stems", *dirs, "--weights", str(weights), "--out", str(out_dir)]) == 0
 
 
+@pytest.mark.parametrize("command", ["separate", "blend"])
+def test_a_file_that_is_not_json_is_one_invalid_json_line(tmp_path, capsys, command):
+    mix_path, _ = write_mix(tmp_path, np.random.default_rng(21), length=512)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"models": [')
+    out_dir = tmp_path / "out"
+    argv = {"separate": ["separate", "--input", str(mix_path), "--config", str(broken)],
+            "blend": ["blend", "--stems", str(tmp_path), "--weights", str(broken)]}[command]
+    assert main(argv + ["--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error invalid-json: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_blend_weights_with_three_sources_for_four_stems_is_a_shape_mismatch(tmp_path, capsys):
+    stems = write_stem_dir(tmp_path / "m", make_waveform_set(np.random.default_rng(22),
+                                                             length=200, scale=0.3))
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"models": ["m"], "sources": ["drums", "bass", "other"],
+                                   "weights": [[1.0, 1.0, 1.0]]}))
+    out_dir = tmp_path / "fused"
+    code = main(["blend", "--stems", str(stems), "--weights", str(weights), "--out", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error shape-mismatch: stem sets carry 4 sources "
+                                       "but weights have 3\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 @pytest.mark.parametrize("command", ["separate", "wiener"])
 def test_separate_is_byte_identical_on_one_cpu_and_on_all(tmp_path, command):

@@ -1,7 +1,8 @@
 """Output files behave like ordinary files: `eval` writes both of its
-outputs or neither and finds an unwritable one before it scores, every
-output gets the mode a plain open() would give it, and SIGTERM or SIGINT
-ends a command in one error line with no temp file left behind."""
+outputs or neither and finds an unwritable one, or one that is a
+directory, before it scores, every output gets the mode a plain open()
+would give it, and SIGTERM or SIGINT ends a command in one error line
+with no temp file left behind."""
 
 import errno
 import json
@@ -16,7 +17,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from stemfuse import SOURCE_NAMES, Waveform, audio_io, bsseval, cli, core, load_stem_dir
+from stemfuse import SOURCE_NAMES, Waveform, audio_io, bsseval, cli, core, load_stem_dir, pipeline
 from stemfuse import write_wav
 from stemfuse.cli import main
 
@@ -57,6 +58,42 @@ def test_eval_with_an_unwritable_csv_scores_nothing_and_writes_nothing(
     assert f"'{csv}'" in err and ".tmp" not in err
     assert scored == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["refs"]
+
+
+def test_eval_onto_a_csv_that_is_a_directory_scores_nothing_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    scored = []
+    monkeypatch.setattr(bsseval, "sdr_frames", lambda *args: scored.append(args))
+    refs = write_stem_dir(tmp_path / "refs", make_waveform_set(np.random.default_rng(43),
+                                                               length=512, scale=0.3))
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    csv.mkdir()
+    code = main(["eval", "--estimates", str(refs), "--references", str(refs), "--out", str(out),
+                 "--csv", str(csv), "--filter-len", "4"])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error io-failure: [Errno {errno.EISDIR}] "
+                                       f"{os.strerror(errno.EISDIR)}: '{csv}'\n")
+    assert scored == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "refs"]
+    assert list(csv.iterdir()) == []
+
+
+def test_separate_onto_a_stem_that_is_a_directory_separates_nothing(
+        tmp_path, capsys, monkeypatch):
+    streamed = []
+    monkeypatch.setattr(pipeline, "_stream", lambda *args: streamed.append(args))
+    mix = write_mixture(tmp_path / "mix.wav", 0.25)
+    taken = tmp_path / "out" / "vocals.wav"
+    taken.mkdir(parents=True)
+    code = main(["separate", "--input", str(mix), "--config", str(TOY_CONFIG),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error io-failure: cannot write ") and err.count("\n") == 1
+    assert err.endswith(f": [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{taken}'\n")
+    assert streamed == []
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["vocals.wav"]
+    assert list(taken.iterdir()) == []
 
 
 def test_eval_writes_what_the_report_writers_write(tmp_path):
@@ -136,28 +173,34 @@ def test_every_output_gets_the_mode_open_would_give_it(tmp_path, umask, replaced
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_the_umask_is_read_the_same_without_proc(monkeypatch):
-    want = core._new_file_mode()
-
-    def no_proc(*_args, **_kwargs):
-        raise FileNotFoundError("no /proc")
-
-    monkeypatch.setattr(core, "open", no_proc, raising=False)
-    umask = os.umask(0o022)
-    os.umask(umask)
-    assert core._new_file_mode() == want == 0o666 & ~umask
-    assert os.umask(umask) == umask  # and the umask was put back
-
-
 def test_a_file_system_that_keeps_no_modes_still_takes_the_output(tmp_path, monkeypatch):
     def refuse(_fd, _mode):
         raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
 
     monkeypatch.setattr(os, "fchmod", refuse)
-    core._atomic_write(tmp_path / "x.json", [b"{}\n"])
+    (tmp_path / "x.json").write_bytes(b"")
+    os.chmod(tmp_path / "x.json", 0o644)
+    umask = os.umask(0o077)
+    try:
+        core._atomic_write(tmp_path / "x.json", [b"{}\n"])
+    finally:
+        os.umask(umask)
     assert (tmp_path / "x.json").read_bytes() == b"{}\n"
-    assert mode(tmp_path / "x.json") == 0o600  # mkstemp's
+    assert mode(tmp_path / "x.json") == 0o600  # os.open's: the replaced 0644 less the umask
     assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+
+def test_an_interrupt_as_a_temp_file_is_made_leaves_no_file(tmp_path, monkeypatch):
+    real_open = os.open
+
+    def made_then_interrupted(*args):
+        os.close(real_open(*args))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "open", made_then_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        core._atomic_write(tmp_path / "x.json", [b"{}\n"])
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- interrupts ---------------------------------------------------------
@@ -184,7 +227,6 @@ def test_a_signal_mid_sweep_is_one_error_line_and_leaves_no_file(tmp_path, numbe
         while len(list(out.glob("*.tmp"))) < len(SOURCE_NAMES):  # the stems are being written
             assert proc.poll() is None and time.monotonic() < deadline, proc.poll()
             time.sleep(0.005)
-        time.sleep(0.1)  # into the sweep, past the bookkeeping of the last temp file made
         proc.send_signal(number)
         _, err = proc.communicate(timeout=60)
     finally:

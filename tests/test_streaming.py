@@ -7,6 +7,7 @@ returned stems."""
 import mmap
 import platform
 import random
+import signal
 import sys
 import tempfile
 import threading
@@ -696,3 +697,31 @@ def test_a_worker_that_fails_to_start_stops_the_sweep_and_the_next_one_runs(monk
     consumed = []
     sweeps.ordered(work, consumed.append)
     assert consumed == [start for start, _ in sweeps.blocks]
+
+
+@pytest.mark.parametrize("number", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_an_interrupted_sweep_raises_only_once_its_workers_are_done(number, monkeypatch):
+    # the signal lands while the calling thread waits for the workers; on
+    # Python 3.11 an interrupted Thread.join can take a running worker for
+    # one that has ended, and a later join returns at once
+    handler, error = {signal.SIGINT: (signal.default_int_handler, KeyboardInterrupt),
+                      signal.SIGTERM: (cli._terminate, cli._Terminated)}[number]
+    sweeps = sweeps_of(monkeypatch, 2)
+    ended = []
+
+    def work(start, stop):
+        if start == 0:
+            time.sleep(0.05)  # the calling thread is waiting by now
+            signal.pthread_kill(threading.main_thread().ident, number)
+            time.sleep(0.3)  # the block goes on after the signal
+            ended.append(start)
+        return start
+
+    previous = signal.signal(number, handler)
+    try:
+        with pytest.raises(error):
+            sweeps.ordered(work, lambda _: None)
+    finally:
+        signal.signal(number, previous)
+    assert not block_threads()
+    assert ended == [0]
