@@ -74,9 +74,9 @@ class AggregateReport:
 
 
 def _block_plan(n: int, taps: int) -> tuple:
-    """(nfft, step) of `_block_lags` for n-sample windows: a power of two set by
-    taps alone, or the least power of two >= n + taps - 1 if that is smaller."""
-    nfft = max(1024, 4 << (taps - 1).bit_length())  # >= 4 taps; 1024 was fastest at 32 taps
+    """(nfft, step) of `_block_lags` for n-sample windows: a power of two >= 4 taps
+    and >= 1024, or the least power of two >= n + taps - 1 if that is smaller."""
+    nfft = max(1024, 4 << (taps - 1).bit_length())  # smaller is <= 5% faster but moves last bits
     nfft = min(nfft, 1 << (n + taps - 2).bit_length())
     return nfft, nfft - taps + 1
 

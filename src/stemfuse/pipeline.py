@@ -411,10 +411,9 @@ def _add_spectral(mix, cfg: PipelineConfig, branches: List[_SpectralBranch],
 
     def mixture(start, stop):
         # spectra written C-ordered, so every product of them is contiguous; the
-        # windowed frames borrow the buffer the weighted spectra fill later, made at their size
+        # windowed frames borrow the buffer the weighted spectra fill later
         x_shape = (channels, stop - start, cfg.stft.num_bins)
         span = (stop - start - 1) * cfg.stft.hop + cfg.stft.fft_size
-        space.take("spectral", (num_sources,) + x_shape, np.complex128)
         return _Mixture(_analysis_frames(
             mix, cfg.stft, start, stop, window, space.take("x", x_shape, np.complex128),
             space.take("spectral", x_shape[:2] + (cfg.stft.fft_size,)),

@@ -72,14 +72,14 @@ class _OverlapAdd:
 
     `synthesize` turns a block of spectra into windowed time frames; it
     keeps no state, so blocks can be synthesized in any order or at once.
-    `add` takes the next block's time frames, of any size, and returns
-    the output samples no later frame can change, in a buffer the next
-    call reuses. Between calls only the last fft_size / hop - 1
+    `add` takes the next block's time frames, none more than the first's,
+    and returns the output samples no later frame can change, in a buffer
+    the next call reuses. Between calls only the last fft_size / hop - 1
     hop-sample blocks of the sums are carried, in the first rows of sums
-    made once, to fit the largest block. Each output sample adds its
-    frames in increasing frame order starting from zero, whatever the
-    block sizes, so the output is bitwise that of one call with every
-    frame.
+    made once, at the first block (`sweeps._blocks` puts the largest
+    first). Each output sample adds its frames in increasing frame order
+    starting from zero, whatever the block sizes, so the output is
+    bitwise that of one call with every frame.
     """
 
     def __init__(self, lead_shape: tuple, cfg: StftConfig, frames: int, length: int | None = None):
@@ -101,9 +101,7 @@ class _OverlapAdd:
         self._stop = self._start + length  # output extent, in padded-signal samples
         self._done = 0  # hop blocks already returned
         self._carry = n // hop - 1  # a whole number of hops: StftConfig's rule
-        self._acc = np.zeros(tuple(lead_shape) + (self._carry, hop))
-        self._envelope = np.zeros((self._carry, hop))
-        self._out = np.empty(0)
+        self._lead_shape = tuple(lead_shape)
 
     def synthesize(self, spectra: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(..., frames, fft_size) windowed inverse FFTs of (..., frames, bins)
@@ -123,8 +121,9 @@ class _OverlapAdd:
         frames = frames_td.shape[-2]
         self._frames_left -= frames
         carry, rows = self._carry, frames + self._carry
-        if self._envelope.shape[0] < rows:  # the first block, or a larger one
-            self._acc, self._envelope = _grown(self._acc, rows), _grown(self._envelope, rows)
+        if not self._done:  # the first block, the largest: its sums start from zero
+            self._acc = np.zeros(self._lead_shape + (rows, hop))
+            self._envelope, self._out = np.zeros((rows, hop)), np.empty(self._acc.size)
         acc, envelope = self._acc[..., :rows, :], self._envelope[:rows]
         acc[..., carry:, :] = 0.0  # the carried sums stay in the first rows
         envelope[carry:] = 0.0
@@ -137,8 +136,6 @@ class _OverlapAdd:
             envelope[k:k + frames] += wsq[k * hop:(k + 1) * hop]
         finished = frames if self._frames_left else rows
         size = acc[..., 0, 0].size * finished * hop
-        if self._out.size < size:
-            self._out = np.empty(size)
         out = np.divide(acc[..., :finished, :], np.maximum(envelope[:finished], 1e-12),
                         out=self._out[:size].reshape(acc.shape[:-2] + (finished, hop)))
         for lead in np.ndindex(acc.shape[:-2]):  # rows of one lead do not overlap: no copy
@@ -150,13 +147,6 @@ class _OverlapAdd:
         hi = min(self._done * hop, self._stop)
         out = out.reshape(out.shape[:-2] + (-1,))[..., lo - first:max(hi, lo) - first]
         return lo - self._start, out
-
-
-def _grown(sums: np.ndarray, rows: int) -> np.ndarray:
-    """(..., rows, hop) zeros that start with the rows of `sums`."""
-    out = np.zeros(sums.shape[:-2] + (rows, sums.shape[-1]))
-    out[..., :sums.shape[-2], :] = sums
-    return out
 
 
 def istft(s: Spectrogram, cfg: StftConfig | None = None, length: int | None = None) -> Waveform:

@@ -3,6 +3,8 @@ import pytest
 
 from stemfuse import Spectrogram, StftConfig, Waveform, istft, magnitude, stft
 from stemfuse.errors import ConfigMismatch, EmptySignal
+from stemfuse.stft import _OverlapAdd
+from stemfuse.sweeps import _BLOCK_BYTES, _blocks
 
 from helpers import COLA_TOL, cola_deviation, make_waveform
 
@@ -186,6 +188,27 @@ class TestInverse:
         length = 8 * hop
         np.testing.assert_array_equal(istft(spec, length=length).samples,
                                       frame_loop_istft(spec, length))
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 4, 11])
+    @pytest.mark.parametrize("fft_size, hop, center_pad", [
+        (16, 4, True), (16, 8, False), (256, 64, True), (8, 2, False), (2, 1, True)])
+    def test_streamed_overlap_add_equals_frame_loop_bitwise(self, fft_size, hop, center_pad,
+                                                            step):
+        # blocks of `step` frames as `_blocks` cuts them: the largest first,
+        # then a ragged last one, and some shorter than the carried rows
+        cfg = StftConfig(fft_size=fft_size, hop=hop, center_pad=center_pad)
+        rng = np.random.default_rng(fft_size + hop + step)
+        frames, length = 11, 10 * hop
+        shape = (3, 2, frames, cfg.num_bins)
+        bins = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        synthesis = _OverlapAdd((3, 2), cfg, frames, length)
+        out = np.full((3, 2, length), np.nan)
+        for start, stop in _blocks(frames, _BLOCK_BYTES // step):
+            offset, samples = synthesis.add(synthesis.synthesize(bins[..., start:stop, :]))
+            out[..., offset:offset + samples.shape[-1]] = samples
+        for lead in range(3):
+            np.testing.assert_array_equal(
+                out[lead], frame_loop_istft(Spectrogram(bins[lead], cfg, 44100), length))
 
     def test_zeros(self):
         spec = stft(Waveform(np.zeros((2, 700)), 44100), CFG)

@@ -520,6 +520,18 @@ def test_apply_filter_rejects_a_psd_of_other_frames():
         apply_filter(models, spec, cfg.mwf.eps)
 
 
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(0, 5000), unit_bytes=st.integers(1, 3 * engine._BLOCK_BYTES))
+def test_blocks_tile_the_count_in_order_and_the_first_is_the_largest(count, unit_bytes):
+    # `_Workspace` and `_OverlapAdd` make their buffers at a sweep's first block
+    blocks = engine._blocks(count, unit_bytes)
+    assert blocks[0][0] == 0 and blocks[-1][1] == count
+    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+    sizes = [stop - start for start, stop in blocks]
+    assert sizes[0] == max(sizes)
+    assert min(sizes) > 0 if count else blocks == [(0, 0)]
+
+
 def sweeps_of(monkeypatch, workers):
     """A `_Sweeps` of 14 blocks of 3 frames, on `workers` threads."""
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 3 * 16)
